@@ -1,36 +1,41 @@
-//! Columnar in-memory forms of the paper's `R_k` and `C_k` relations.
+//! In-memory forms of the paper's `R_k` and `C_k` relations.
 //!
 //! `R_k(trans_id, item_1, .., item_k)` holds one tuple per (transaction,
 //! supported k-pattern) pair; `C_k(item_1, .., item_k, count)` holds the
-//! supported patterns and their support counts. Both are stored
-//! struct-of-arrays (a `tids` column plus a flat `k`-wide `items` buffer)
-//! so sorting and scanning stay allocation-free.
+//! supported patterns and their support counts. `R_k` is stored row-major
+//! in one flat `u32` buffer, `[tid, item_1, .., item_k]` per tuple — the
+//! row layout of the engine's `R_k` heap files — so each of Figure 4's
+//! two sorts is one call of the radix kernel
+//! [`setm_relational::sort::sort_rows`]. `C_k` is a flat `k`-wide pattern
+//! buffer beside a counts column. Sorting and scanning allocate nothing
+//! per tuple.
 
 use crate::data::{Item, TransId};
 use crate::itemvec::ItemVec;
-use std::cmp::Ordering;
+use setm_relational::sort::sort_rows;
+use std::borrow::Borrow;
+use std::ops::Range;
 
 /// The `R_k` relation: `(trans_id, item_1, .., item_k)` tuples.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PatternRelation {
     k: usize,
-    tids: Vec<TransId>,
-    /// Flat row-major item columns: row `i` is `items[i*k .. (i+1)*k]`.
-    items: Vec<Item>,
+    /// Flat row-major tuples: row `i` is `rows[i*(k+1) .. (i+1)*(k+1)]`,
+    /// laid out `[tid, item_1, .., item_k]`.
+    rows: Vec<u32>,
 }
 
 impl PatternRelation {
     /// An empty relation of pattern length `k`.
     pub fn new(k: usize) -> Self {
         assert!(k >= 1);
-        PatternRelation { k, tids: Vec::new(), items: Vec::new() }
+        PatternRelation { k, rows: Vec::new() }
     }
 
     /// An empty relation with row capacity reserved.
     pub fn with_capacity(k: usize, rows: usize) -> Self {
         let mut r = Self::new(k);
-        r.tids.reserve(rows);
-        r.items.reserve(rows * k);
+        r.rows.reserve(rows * (k + 1));
         r
     }
 
@@ -41,13 +46,13 @@ impl PatternRelation {
 
     /// Number of tuples — the paper's `|R_k|`.
     pub fn n_tuples(&self) -> usize {
-        self.tids.len()
+        self.rows.len() / (self.k + 1)
     }
 
     /// Whether the relation is empty (the loop-termination test of
     /// Figure 4: "until R_k = {}").
     pub fn is_empty(&self) -> bool {
-        self.tids.is_empty()
+        self.rows.is_empty()
     }
 
     /// Tuple width in bytes — Section 4.3: "(i + 1) × 4 bytes".
@@ -68,84 +73,49 @@ impl PatternRelation {
     /// Append a tuple.
     pub fn push(&mut self, tid: TransId, items: &[Item]) {
         debug_assert_eq!(items.len(), self.k);
-        self.tids.push(tid);
-        self.items.extend_from_slice(items);
+        self.rows.push(tid);
+        self.rows.extend_from_slice(items);
     }
 
     /// The tuple at `row`.
     pub fn row(&self, row: usize) -> (TransId, &[Item]) {
-        (self.tids[row], &self.items[row * self.k..(row + 1) * self.k])
+        let w = self.k + 1;
+        let r = &self.rows[row * w..(row + 1) * w];
+        (r[0], &r[1..])
     }
 
     /// Iterate `(tid, items)` tuples in storage order.
     pub fn iter(&self) -> impl Iterator<Item = (TransId, &[Item])> + '_ {
-        self.tids.iter().copied().zip(self.items.chunks_exact(self.k))
+        self.rows.chunks_exact(self.k + 1).map(|r| (r[0], &r[1..]))
     }
 
     /// Sort tuples by `(trans_id, item_1, .., item_k)` — the order required
     /// before the merge-scan join (Figure 4, first sort of the loop body).
     pub fn sort_by_tid_items(&mut self) {
-        self.sort_by(|a_tid, a_items, b_tid, b_items| {
-            a_tid.cmp(&b_tid).then_with(|| a_items.cmp(b_items))
-        });
+        let key: Vec<usize> = (0..=self.k).collect();
+        sort_rows(&mut self.rows, self.k + 1, &key);
     }
 
     /// Sort tuples by `(item_1, .., item_k)` (ties broken by tid for
     /// determinism) — the order required before counting (Figure 4, second
     /// sort of the loop body).
     pub fn sort_by_items(&mut self) {
-        self.sort_by(|a_tid, a_items, b_tid, b_items| {
-            a_items.cmp(b_items).then_with(|| a_tid.cmp(&b_tid))
-        });
-    }
-
-    fn sort_by<F>(&mut self, cmp: F)
-    where
-        F: Fn(TransId, &[Item], TransId, &[Item]) -> Ordering,
-    {
-        let k = self.k;
-        let n = self.n_tuples();
-        let mut index: Vec<u32> = (0..n as u32).collect();
-        index.sort_unstable_by(|&a, &b| {
-            let (ai, bi) = (a as usize, b as usize);
-            cmp(
-                self.tids[ai],
-                &self.items[ai * k..(ai + 1) * k],
-                self.tids[bi],
-                &self.items[bi * k..(bi + 1) * k],
-            )
-        });
-        let mut tids = Vec::with_capacity(n);
-        let mut items = Vec::with_capacity(n * k);
-        for &i in &index {
-            let i = i as usize;
-            tids.push(self.tids[i]);
-            items.extend_from_slice(&self.items[i * k..(i + 1) * k]);
-        }
-        self.tids = tids;
-        self.items = items;
+        let key: Vec<usize> = (1..=self.k).collect();
+        sort_rows(&mut self.rows, self.k + 1, &key);
     }
 
     /// Whether tuples are sorted by `(tid, items)`.
     pub fn is_sorted_by_tid_items(&self) -> bool {
-        (1..self.n_tuples()).all(|i| {
-            let (pt, pi) = self.row(i - 1);
-            let (ct, ci) = self.row(i);
-            pt.cmp(&ct).then_with(|| pi.cmp(ci)) != Ordering::Greater
-        })
+        self.rows
+            .chunks_exact(self.k + 1)
+            .zip(self.rows.chunks_exact(self.k + 1).skip(1))
+            .all(|(a, b)| a <= b)
     }
 
     /// Rows as flat `u32` records `[tid, item_1, .., item_k]` for loading
     /// into the paged engine.
     pub fn to_engine_rows(&self) -> Vec<Vec<u32>> {
-        self.iter()
-            .map(|(tid, items)| {
-                let mut row = Vec::with_capacity(self.k + 1);
-                row.push(tid);
-                row.extend_from_slice(items);
-                row
-            })
-            .collect()
+        self.rows.chunks_exact(self.k + 1).map(<[u32]>::to_vec).collect()
     }
 }
 
@@ -235,40 +205,104 @@ impl CountRelation {
     /// supporting transactions are spread across `trans_id` shards, so
     /// only the summed count may be compared against the support
     /// threshold.
-    pub fn merge_sum_filter(parts: &[CountRelation], min_count: u64) -> CountRelation {
+    ///
+    /// A run of patterns that only one part holds — below every other
+    /// part's next pattern — is found by galloping and copied in bulk, so
+    /// merging a small relation into a large one (the incremental
+    /// frontier's shape) costs the large side a memory copy, not a
+    /// comparison per pattern.
+    ///
+    /// Parts are taken by value or by reference, so a caller merging into
+    /// a stored relation need not clone it first.
+    pub fn merge_sum_filter<P: Borrow<CountRelation>>(
+        parts: &[P],
+        min_count: u64,
+    ) -> CountRelation {
+        let parts: Vec<&CountRelation> = parts.iter().map(Borrow::borrow).collect();
         let k = parts.first().map_or(1, |c| c.k);
         debug_assert!(parts.iter().all(|c| c.k == k), "mixed pattern lengths");
         let mut out = CountRelation::new(k);
+        if min_count <= 1 {
+            // Nearly everything survives; a thresholded merge keeps a
+            // small fraction and must not reserve for all of it.
+            let total: usize = parts.iter().map(|c| c.len()).sum();
+            out.items.reserve(total * k);
+            out.counts.reserve(total);
+        }
         let mut idx = vec![0usize; parts.len()];
-        let mut pat: Vec<Item> = Vec::with_capacity(k);
+        let head = |p: usize, idx: &[usize]| parts[p].pattern_at(idx[p]);
         loop {
-            // Smallest pattern under any cursor (linear scan: the number
-            // of shards is tiny).
-            pat.clear();
-            for (p, c) in parts.iter().enumerate() {
-                if idx[p] < c.len() {
-                    let cand = c.pattern_at(idx[p]);
-                    if pat.is_empty() || cand < pat.as_slice() {
-                        pat.clear();
-                        pat.extend_from_slice(cand);
+            // The part with the smallest next pattern, and among the others
+            // the one with the smallest (linear scan: parts are few).
+            let (mut first, mut second): (Option<usize>, Option<usize>) = (None, None);
+            for p in (0..parts.len()).filter(|&p| idx[p] < parts[p].len()) {
+                match first {
+                    Some(f) if head(p, &idx) >= head(f, &idx) => {
+                        if second.is_none_or(|s| head(p, &idx) < head(s, &idx)) {
+                            second = Some(p);
+                        }
+                    }
+                    _ => {
+                        second = first;
+                        first = Some(p);
                     }
                 }
             }
-            if pat.is_empty() {
+            let Some(f) = first else { break };
+            let Some(s) = second else {
+                out.extend_filtered(parts[f], idx[f]..parts[f].len(), min_count);
                 break;
-            }
-            let mut total = 0u64;
-            for (p, c) in parts.iter().enumerate() {
-                if idx[p] < c.len() && c.pattern_at(idx[p]) == pat.as_slice() {
-                    total += c.count_at(idx[p]);
-                    idx[p] += 1;
+            };
+            if head(f, &idx) < head(s, &idx) {
+                let end = parts[f].gallop(idx[f], head(s, &idx));
+                out.extend_filtered(parts[f], idx[f]..end, min_count);
+                idx[f] = end;
+            } else {
+                let pattern = head(f, &idx);
+                let mut total = 0u64;
+                for (p, c) in parts.iter().enumerate() {
+                    if idx[p] < c.len() && c.pattern_at(idx[p]) == pattern {
+                        total += c.counts[idx[p]];
+                        idx[p] += 1;
+                    }
                 }
-            }
-            if total >= min_count {
-                out.push(&pat, total);
+                if total >= min_count {
+                    out.items.extend_from_slice(pattern);
+                    out.counts.push(total);
+                }
             }
         }
         out
+    }
+
+    /// First index after `from` whose pattern is not below `bound`, given
+    /// that the pattern at `from` is: exponential probes, then a binary
+    /// search inside the last gap.
+    fn gallop(&self, from: usize, bound: &[Item]) -> usize {
+        let n = self.len();
+        let (mut lo, mut step) = (from + 1, 1usize);
+        while lo + step <= n && self.pattern_at(lo + step - 1) < bound {
+            lo += step;
+            step *= 2;
+        }
+        let hi = (lo + step).min(n);
+        lo + partition_point(hi - lo, |i| self.pattern_at(lo + i) < bound)
+    }
+
+    /// Append the patterns of `from[range]` whose count meets `min_count`,
+    /// in one copy when they all do.
+    fn extend_filtered(&mut self, from: &CountRelation, range: Range<usize>, min_count: u64) {
+        let k = self.k;
+        let counts = &from.counts[range.clone()];
+        if counts.iter().all(|&c| c >= min_count) {
+            self.items.extend_from_slice(&from.items[range.start * k..range.end * k]);
+            self.counts.extend_from_slice(counts);
+        } else {
+            for i in range.filter(|&i| from.counts[i] >= min_count) {
+                self.items.extend_from_slice(from.pattern_at(i));
+                self.counts.push(from.counts[i]);
+            }
+        }
     }
 
     /// Rows as flat `u32` records `[item_1, .., item_k, count]` for the
@@ -417,7 +451,7 @@ mod tests {
 
     #[test]
     fn merge_sum_filter_empty_inputs() {
-        assert!(CountRelation::merge_sum_filter(&[], 1).is_empty());
+        assert!(CountRelation::merge_sum_filter::<CountRelation>(&[], 1).is_empty());
         let parts = vec![CountRelation::new(2), CountRelation::new(2)];
         assert!(CountRelation::merge_sum_filter(&parts, 1).is_empty());
     }

@@ -1,10 +1,10 @@
 //! In-memory execution of Algorithm SETM.
 //!
-//! Follows Figure 4 step by step on columnar relations: the merge-scan
+//! Follows Figure 4 step by step on in-memory relations: the merge-scan
 //! join walks `R_{k-1}` and `R_1` in `(trans_id, ...)` order, the counting
 //! step is a single pass over the items-sorted `R'_k`, and the filter step
 //! retains tuples of supported groups. The only liberties taken are
-//! representational (struct-of-arrays instead of pages); every logical
+//! representational (flat row buffers instead of pages); every logical
 //! step, including joining against the *unfiltered* `R_1`, matches the
 //! paper.
 //!

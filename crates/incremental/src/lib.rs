@@ -50,6 +50,7 @@ use setm_core::{
     Miner, MiningOutcome, MiningParams, PatternRelation, PlanMode, Planner, PlannerConfig,
     SetmError, SetmResult, TransId,
 };
+use std::borrow::Cow;
 
 /// Per-iteration mining state snapshotted after a full run, sufficient
 /// to absorb transaction appends in time proportional to the delta.
@@ -145,7 +146,7 @@ impl MiningFrontier {
         // the new threshold.
         let delta_item_counts = count_items(delta, 1);
         let item_counts =
-            CountRelation::merge_sum_filter(&[self.item_counts.clone(), delta_item_counts], 1);
+            CountRelation::merge_sum_filter(&[&self.item_counts, &delta_item_counts], 1);
 
         let delta_sales: Vec<(TransId, Vec<Item>)> =
             delta.transactions().map(|(t, i)| (t, i.to_vec())).collect();
@@ -186,9 +187,9 @@ impl MiningFrontier {
                 // join side is the unfiltered R_1, so every stored pair
                 // survives regardless of item frequency.
                 let old_kept = match self.cands.get(k - 2) {
-                    Some(old) if k == 2 => old.clone(),
-                    Some(old) => keep_with_frequent_prefix(old, &c_prev),
-                    None => CountRelation::new(k),
+                    Some(old) if k == 2 => Cow::Borrowed(old),
+                    Some(old) => Cow::Owned(keep_with_frequent_prefix(old, &c_prev)),
+                    None => Cow::Owned(CountRelation::new(k)),
                 };
 
                 // Base side, part 2: prefixes newly frequent (promoted
@@ -214,7 +215,7 @@ impl MiningFrontier {
                 // Merge: support over base ∪ delta for every eligible
                 // pattern, still unfiltered — the next frontier's level.
                 let merged =
-                    CountRelation::merge_sum_filter(&[old_kept, promo, delta_counts], 1);
+                    CountRelation::merge_sum_filter(&[&*old_kept, &promo, &delta_counts], 1);
                 let c_k = filter_counts(&merged, min_count_new);
                 let done = c_k.is_empty() || k >= max_len;
                 // Delta R_k: delta tuples of globally supported groups.
@@ -391,12 +392,19 @@ fn filter_counts(c: &CountRelation, min_count: u64) -> CountRelation {
 
 /// Stored counts whose (k-1)-prefix survives the new threshold — the
 /// extensions of demoted prefixes vanish exactly as their tuples would
-/// have vanished from `R_{k-1}`.
+/// have vanished from `R_{k-1}`. Both sides are pattern-sorted, so the
+/// prefixes of `old` arrive in order and membership is one monotone
+/// cursor over `c_prev`.
 fn keep_with_frequent_prefix(old: &CountRelation, c_prev: &CountRelation) -> CountRelation {
     let k = old.k();
     let mut out = CountRelation::new(k);
+    let mut ci = 0usize;
     for (p, c) in old.iter() {
-        if c_prev.contains(&p[..k - 1]) {
+        let prefix = &p[..k - 1];
+        while ci < c_prev.len() && c_prev.pattern_at(ci) < prefix {
+            ci += 1;
+        }
+        if ci < c_prev.len() && c_prev.pattern_at(ci) == prefix {
             out.push(p, c);
         }
     }

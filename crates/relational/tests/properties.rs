@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use setm_relational::agg::grouped_count;
 use setm_relational::btree::BulkLoader;
 use setm_relational::join::{index_nested_loop_join, merge_scan_join};
-use setm_relational::sort::{external_sort, SortOptions};
+use setm_relational::sort::{external_sort, row_order, sort_rows, SortOptions};
 use setm_relational::{HeapFile, Pager, SharedPager};
 use std::collections::HashMap;
 
@@ -15,6 +15,29 @@ fn build(pager: &SharedPager, rows: &[Vec<u32>], arity: usize) -> HeapFile {
 
 fn rows_strategy(arity: usize, max_rows: usize) -> impl Strategy<Value = Vec<Vec<u32>>> {
     prop::collection::vec(prop::collection::vec(0u32..50, arity..=arity), 0..=max_rows)
+}
+
+/// Column values for the radix kernel: small (so rows repeat), straddling
+/// the 16-bit digit boundary at 65,536, at the top of the range, or
+/// anywhere.
+fn radix_value() -> impl Strategy<Value = u32> {
+    (0u32..4, 0u32..8, 0u32..=u32::MAX).prop_map(|(mode, small, any)| match mode {
+        0 => small,
+        1 => 65_532 + small,
+        2 => u32::MAX - small,
+        _ => any,
+    })
+}
+
+/// The column sequence `row_order` compares: key, then the other columns.
+fn order_columns(arity: usize, key: &[usize]) -> Vec<usize> {
+    let mut cols: Vec<usize> = Vec::new();
+    for c in key.iter().copied().chain(0..arity) {
+        if !cols.contains(&c) {
+            cols.push(c);
+        }
+    }
+    cols
 }
 
 proptest! {
@@ -43,6 +66,44 @@ proptest! {
         a.sort();
         b.sort();
         prop_assert_eq!(a, b);
+    }
+
+    /// The radix kernel produces exactly `sort_by(row_order)`, for keys
+    /// `[1]`, `[2, 0]` and every column, on inputs of any length from 0
+    /// rows up, with duplicate rows, values on both sides of 2^16, and
+    /// inputs already sorted on a suffix of the column sequence (so the
+    /// kernel skips those passes).
+    #[test]
+    fn sort_rows_equals_row_order_reference(
+        arity in 1usize..=6,
+        key_shape in 0usize..3,
+        values in prop::collection::vec(radix_value(), 0..=6000),
+        short in 0usize..3,
+        presorted_from in 0usize..8,
+    ) {
+        let key: Vec<usize> = match key_shape {
+            0 => vec![1 % arity],
+            1 => vec![2 % arity, 0],
+            _ => (0..arity).collect(),
+        };
+        let mut rows: Vec<Vec<u32>> = values.chunks_exact(arity).map(<[u32]>::to_vec).collect();
+        if short == 0 {
+            rows.truncate(rows.len() % 4); // n in {0, 1, 2, 3}
+        }
+        // Pre-sort on a suffix of the column sequence (no-op past its end).
+        let cols = order_columns(arity, &key);
+        if presorted_from < cols.len() {
+            let suffix = &cols[presorted_from..];
+            rows.sort_by(|a, b| suffix.iter().map(|&c| a[c].cmp(&b[c])).fold(
+                std::cmp::Ordering::Equal,
+                std::cmp::Ordering::then,
+            ));
+        }
+
+        let mut flat: Vec<u32> = rows.concat();
+        sort_rows(&mut flat, arity, &key);
+        rows.sort_by(|a, b| row_order(a, b, &key));
+        prop_assert_eq!(flat, rows.concat());
     }
 
     /// Merge-scan join equals a brute-force nested-loop reference.

@@ -7,12 +7,13 @@
 //! literal string equality on the outcome object.
 
 use setm_core::{Backend, EngineConfig, MinSupport, Miner, MiningConstraints, MiningParams};
-use setm_serve::client::{Client, ClientError};
+use setm_serve::client::{Client, ClientError, ServerStatus};
 use setm_serve::registry::Registry;
 use setm_serve::server::{ServeConfig, Server};
 use setm_serve::{outcome_to_json, ReportPayload};
 use std::net::SocketAddr;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Start a server with the builtin registry; returns its address and the
 /// handle that joins once the server has drained.
@@ -218,36 +219,52 @@ fn error_codes_reach_the_client() {
     shutdown(addr, server);
 }
 
+/// A request that keeps the single test worker busy for a while: the SQL
+/// backend on retail-paper at a support count of 2 takes about half a
+/// second in a release build (longer in a debug build), far longer than
+/// the few ms any probe below needs. Each `min_confidence` is a distinct
+/// request, so two blockers never share an outcome-cache entry (a cache
+/// hit would skip the queue entirely).
+fn blocker(min_confidence: f64) -> Miner {
+    Miner::new(MiningParams::new(MinSupport::Count(2), min_confidence))
+        .backend(Backend::Sql)
+        .threads(1)
+}
+
+/// Poll `status` until `ready` holds; after 30 s fail, naming `what` and
+/// the last status seen, instead of spinning forever.
+fn await_status(client: &mut Client, what: &str, ready: impl Fn(&ServerStatus) -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let s = client.status().unwrap();
+        if ready(&s) {
+            return;
+        }
+        assert!(Instant::now() < deadline, "timed out waiting for {what}; last status: {s:?}");
+        std::thread::yield_now();
+    }
+}
+
 /// Backpressure over the wire: one worker, queue of one — the third
 /// concurrent request is rejected with the 429-style `queue_full`.
 #[test]
 fn saturated_queue_rejects_with_queue_full() {
     let (addr, server) = start_server(1, 1);
-    // retail-paper mines for hundreds of ms even in release builds, so
-    // the worker is reliably still busy while we pile on.
-    let slow_params = MiningParams::new(MinSupport::Count(2), 0.5);
-    let fills: Vec<JoinHandle<()>> = (0..2)
-        .map(|_| {
-            std::thread::spawn(move || {
-                let mut c = Client::connect(addr).unwrap();
-                let reply = c.mine("retail-paper", Miner::new(slow_params).threads(1)).unwrap();
-                assert!(!reply.outcome.itemsets.is_empty());
-            })
+    let fill = |min_confidence: f64| {
+        std::thread::spawn(move || {
+            let mut c = Client::connect(addr).unwrap();
+            let reply = c.mine("retail-paper", blocker(min_confidence)).unwrap();
+            assert!(!reply.outcome.itemsets.is_empty());
         })
-        .collect();
+    };
 
-    // Wait until the worker is actually busy and the queue occupied.
+    // Fill the worker first, then the queue, so the second fill can never
+    // meet a queue still holding the first.
     let mut probe = Client::connect(addr).unwrap();
-    loop {
-        let s = probe.status().unwrap();
-        if s.running == 1 && s.queued == 1 {
-            break;
-        }
-        if s.completed >= 2 {
-            panic!("fill jobs finished before the saturation probe ran");
-        }
-        std::thread::yield_now();
-    }
+    let mut fills = vec![fill(0.5)];
+    await_status(&mut probe, "the first fill to run", |s| s.running == 1);
+    fills.push(fill(0.6));
+    await_status(&mut probe, "the second fill to queue", |s| s.running == 1 && s.queued == 1);
 
     let err = probe.mine("example", Miner::new(MiningParams::new(MinSupport::Count(3), 0.7)));
     match err.unwrap_err() {
@@ -272,25 +289,15 @@ fn saturated_queue_rejects_with_queue_full() {
 #[test]
 fn queued_jobs_cancel_from_another_connection() {
     let (addr, server) = start_server(1, 8);
-    let slow_params = MiningParams::new(MinSupport::Count(2), 0.5);
 
-    // retail-paper mines for >1s even in-memory, so the single worker is
-    // reliably still busy when the cancel round-trip runs.
-    let blocker = std::thread::spawn(move || {
+    // The blocker keeps the single worker busy through the cancel round
+    // trip, which takes a few ms.
+    let busy = std::thread::spawn(move || {
         let mut c = Client::connect(addr).unwrap();
-        c.mine("retail-paper", Miner::new(slow_params).threads(1)).unwrap();
+        c.mine("retail-paper", blocker(0.5)).unwrap();
     });
     let mut admin = Client::connect(addr).unwrap();
-    loop {
-        let s = admin.status().unwrap();
-        if s.running == 1 {
-            break;
-        }
-        if s.completed >= 1 {
-            panic!("blocker finished before the cancel test ran");
-        }
-        std::thread::yield_now();
-    }
+    await_status(&mut admin, "the blocker to run", |s| s.running == 1);
 
     let mut victim = Client::connect(addr).unwrap();
     let job = victim
@@ -305,7 +312,7 @@ fn queued_jobs_cancel_from_another_connection() {
         }
         other => panic!("expected cancelled, got {other}"),
     }
-    blocker.join().unwrap();
+    busy.join().unwrap();
     assert_eq!(admin.status().unwrap().cancelled, 1);
     shutdown(addr, server);
 }
@@ -770,24 +777,14 @@ fn progress_stream_is_a_pure_side_channel() {
 #[test]
 fn cancel_mid_progress_stream_closes_cleanly() {
     let (addr, server) = start_server(1, 8);
-    let slow_params = MiningParams::new(MinSupport::Count(2), 0.5);
 
     // Occupy the single worker so the victim's job stays queued.
-    let blocker = std::thread::spawn(move || {
+    let busy = std::thread::spawn(move || {
         let mut c = Client::connect(addr).unwrap();
-        c.mine("retail-paper", Miner::new(slow_params).threads(1)).unwrap();
+        c.mine("retail-paper", blocker(0.5)).unwrap();
     });
     let mut admin = Client::connect(addr).unwrap();
-    loop {
-        let s = admin.status().unwrap();
-        if s.running == 1 {
-            break;
-        }
-        if s.completed >= 1 {
-            panic!("blocker finished before the cancel test ran");
-        }
-        std::thread::yield_now();
-    }
+    await_status(&mut admin, "the blocker to run", |s| s.running == 1);
 
     let mut victim = Client::connect(addr).unwrap();
     let job = victim
@@ -814,7 +811,7 @@ fn cancel_mid_progress_stream_closes_cleanly() {
         .mine("example", Miner::new(MiningParams::new(MinSupport::Fraction(0.3), 0.7)))
         .unwrap();
     assert_eq!(reply.outcome.rules.len(), 11);
-    blocker.join().unwrap();
+    busy.join().unwrap();
     shutdown(addr, server);
 }
 

@@ -15,7 +15,10 @@ fn main() {
     let params = example::paper_example_params();
 
     let miner = Miner::new(params);
-    let run = miner.clone().backend(Backend::Sql).run(&dataset).expect("SQL run succeeds");
+    // One thread, so the printed statements are the paper's own text on
+    // any host (more threads partition the plan, shown further down).
+    let run =
+        miner.clone().backend(Backend::Sql).threads(1).run(&dataset).expect("SQL run succeeds");
     let statements = run.report.statements().expect("the SQL backend records its statements");
 
     println!("Executed {} SQL statements:\n", statements.len());

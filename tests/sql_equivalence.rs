@@ -194,7 +194,9 @@ fn sql_driven_setm_matches_memory_on_quest_sample() {
 fn emitted_statements_are_the_papers_queries() {
     let d = RetailConfig::small(300, 3).generate();
     let params = MiningParams::new(MinSupport::Fraction(0.02), 0.5);
-    let run = Miner::new(params).backend(Backend::Sql).run(&d).unwrap();
+    // One thread: the paper's text is the unpartitioned plan (a sharded
+    // run merges with `HAVING SUM(p.cnt)`, pinned in `api_surface`).
+    let run = Miner::new(params).backend(Backend::Sql).threads(1).run(&d).unwrap();
     let all = run.report.statements().unwrap().join("\n");
     // Section 3.1's C1 query.
     assert!(all.contains("GROUP BY r1.item"));
