@@ -127,9 +127,11 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connect to a server.
+    /// Connect to a server. Nagle's algorithm is off (TCP_NODELAY): each
+    /// request is one small line, sent the moment it is written.
     pub fn connect(addr: impl ToSocketAddrs) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
         let writer = stream.try_clone()?;
         Ok(Client { reader: BufReader::new(stream), writer })
     }

@@ -21,13 +21,24 @@
 //! versions stay addressable forever** (`name@1` still resolves after
 //! ten appends). The per-version deltas are retained so the incremental
 //! miner can replay `f+1..=v` onto a frontier captured at version `f`.
+//!
+//! # What is retained
+//!
+//! Storage grows with the data appended, not with the number of
+//! versions: the registry holds version 1, every delta, and the latest
+//! snapshot. A superseded snapshot is held only weakly — it lives while
+//! a job, a reader or a stored frontier still holds its `Arc`, and once
+//! nothing does it is freed. Asking for it again (`name@v`, or a replay
+//! from `v`) rebuilds it by concatenating the deltas onto the newest
+//! version still alive below it: the same concatenations that first
+//! built it, so the rebuilt snapshot equals the original exactly.
 
 use setm_core::io::{self, FileFormat};
 use setm_core::Dataset;
 use setm_incremental::{concat_datasets, ensure_disjoint_tids};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock, RwLock, Weak};
 
 use setm_datagen::{QuestConfig, RetailConfig, UniformConfig};
 
@@ -41,11 +52,59 @@ enum Source {
     Preloaded(Arc<Dataset>),
 }
 
-/// One appended version: the batch that created it and the resulting
-/// copy-on-write snapshot.
+/// One appended version: the batch that created it and, weakly, the
+/// snapshot it produced.
 struct AppendedVersion {
     delta: Arc<Dataset>,
-    snapshot: Arc<Dataset>,
+    snapshot: Weak<Dataset>,
+}
+
+/// Versions 2.. of one entry.
+#[derive(Default)]
+struct History {
+    /// `appended[i]` is version `i + 2`.
+    appended: Vec<AppendedVersion>,
+    /// The newest appended snapshot, the one snapshot past version 1
+    /// held strongly.
+    latest: Option<Arc<Dataset>>,
+}
+
+impl History {
+    fn latest_version(&self) -> u64 {
+        self.appended.len() as u64 + 1
+    }
+
+    /// Version `v`'s snapshot if something still holds it (version 1
+    /// is `base`, always held).
+    fn live(&self, base: &Arc<Dataset>, v: u64) -> Option<Arc<Dataset>> {
+        match v {
+            1 => Some(Arc::clone(base)),
+            v => self.appended[v as usize - 2].snapshot.upgrade(),
+        }
+    }
+
+    /// The snapshots of versions `from..to` (`1 ≤ from ≤ to ≤ latest + 1`),
+    /// oldest first. Each is the live one, or is rebuilt by concatenating
+    /// the deltas onto the newest live version below it — the same
+    /// concatenations that created it, so its bytes are the original's.
+    fn snapshots(&self, base: &Arc<Dataset>, from: u64, to: u64) -> Vec<Arc<Dataset>> {
+        let (start, mut current) = (1..=from)
+            .rev()
+            .find_map(|v| self.live(base, v).map(|snapshot| (v, snapshot)))
+            .expect("version 1 is always live");
+        let mut out = Vec::with_capacity((to - from) as usize);
+        for v in start..to {
+            if v > start {
+                current = self.live(base, v).unwrap_or_else(|| {
+                    Arc::new(concat_datasets(&current, &self.appended[v as usize - 2].delta))
+                });
+            }
+            if v >= from {
+                out.push(Arc::clone(&current));
+            }
+        }
+        out
+    }
 }
 
 struct Entry {
@@ -53,8 +112,7 @@ struct Entry {
     source: Source,
     /// Version 1, materialized lazily.
     cell: OnceLock<Result<Arc<Dataset>, String>>,
-    /// Versions 2.. in order (`appended[i]` is version `i + 2`).
-    appended: RwLock<Vec<AppendedVersion>>,
+    history: RwLock<History>,
 }
 
 impl Entry {
@@ -63,7 +121,7 @@ impl Entry {
             description: description.to_string(),
             source,
             cell: OnceLock::new(),
-            appended: RwLock::new(Vec::new()),
+            history: RwLock::new(History::default()),
         })
     }
 
@@ -286,19 +344,24 @@ impl Registry {
     /// snapshot.
     pub fn append_batch(&self, name: &str, batch: Dataset) -> Result<Appended, RegistryError> {
         let entry = self.entry(name)?;
-        let base_v1 = entry.base(name)?;
-        let mut appended = entry.appended.write().expect("registry lock poisoned");
-        let latest = appended.last().map(|v| Arc::clone(&v.snapshot)).unwrap_or(base_v1);
+        let base = entry.base(name)?;
+        let mut history = entry.history.write().expect("registry lock poisoned");
+        let latest = history.latest.clone().unwrap_or(base);
         if let Err(tid) = ensure_disjoint_tids(&latest, &batch) {
             return Err(RegistryError::OverlappingTransIds { name: name.to_string(), tid });
         }
         let snapshot = Arc::new(concat_datasets(&latest, &batch));
-        appended.push(AppendedVersion { delta: Arc::new(batch), snapshot: Arc::clone(&snapshot) });
-        Ok(Appended { version: appended.len() as u64 + 1, snapshot })
+        history.appended.push(AppendedVersion {
+            delta: Arc::new(batch),
+            snapshot: Arc::downgrade(&snapshot),
+        });
+        history.latest = Some(Arc::clone(&snapshot));
+        Ok(Appended { version: history.latest_version(), snapshot })
     }
 
     /// Resolve a dataset spec — `name` (latest version) or `name@v` — to
-    /// an immutable snapshot.
+    /// an immutable snapshot. A superseded version nothing holds any more
+    /// is rebuilt from an older live version and the deltas after it.
     pub fn resolve(&self, spec: &str) -> Result<Resolved, RegistryError> {
         let (name, version) = match spec.split_once('@') {
             None => (spec, None),
@@ -313,20 +376,13 @@ impl Registry {
         };
         let entry = self.entry(name)?;
         let base = entry.base(name)?;
-        let appended = entry.appended.read().expect("registry lock poisoned");
-        let latest = appended.len() as u64 + 1;
+        let history = entry.history.read().expect("registry lock poisoned");
+        let latest = history.latest_version();
         let version = version.unwrap_or(latest);
-        let dataset = match version {
-            1 => base,
-            v if v <= latest => Arc::clone(&appended[v as usize - 2].snapshot),
-            v => {
-                return Err(RegistryError::UnknownVersion {
-                    name: name.to_string(),
-                    version: v,
-                    latest,
-                })
-            }
-        };
+        if version > latest {
+            return Err(RegistryError::UnknownVersion { name: name.to_string(), version, latest });
+        }
+        let dataset = history.snapshots(&base, version, version + 1).remove(0);
         Ok(Resolved { name: name.to_string(), version, dataset })
     }
 
@@ -347,8 +403,8 @@ impl Registry {
     ) -> Result<Vec<DeltaStep>, RegistryError> {
         let entry = self.entry(name)?;
         let base = entry.base(name)?;
-        let appended = entry.appended.read().expect("registry lock poisoned");
-        let latest = appended.len() as u64 + 1;
+        let history = entry.history.read().expect("registry lock poisoned");
+        let latest = history.latest_version();
         if from < 1 || to > latest || from > to {
             return Err(RegistryError::UnknownVersion {
                 name: name.to_string(),
@@ -356,15 +412,11 @@ impl Registry {
                 latest,
             });
         }
-        Ok((from..to)
-            .map(|v| {
-                let step_base = if v == 1 {
-                    Arc::clone(&base)
-                } else {
-                    Arc::clone(&appended[v as usize - 2].snapshot)
-                };
-                (step_base, Arc::clone(&appended[v as usize - 1].delta))
-            })
+        let deltas = history.appended[from as usize - 1..to as usize - 1].iter();
+        Ok(history
+            .snapshots(&base, from, to)
+            .into_iter()
+            .zip(deltas.map(|v| Arc::clone(&v.delta)))
             .collect())
     }
 
@@ -374,13 +426,13 @@ impl Registry {
         entries
             .iter()
             .map(|(name, entry)| {
-                let appended = entry.appended.read().expect("registry lock poisoned");
+                let history = entry.history.read().expect("registry lock poisoned");
                 let base = entry.cell.get().and_then(|r| r.as_ref().ok());
-                let latest = appended.last().map(|v| &v.snapshot).or(base);
+                let latest = history.latest.as_ref().or(base);
                 DatasetInfo {
                     name: name.clone(),
                     description: entry.description.clone(),
-                    version: appended.len() as u64 + 1,
+                    version: history.latest_version(),
                     loaded: latest.is_some(),
                     n_transactions: latest.map(|d| d.n_transactions()),
                     n_rows: latest.map(|d| d.n_rows()),
@@ -517,6 +569,35 @@ mod tests {
         assert_eq!(steps.len(), 1);
         assert!(Arc::ptr_eq(&steps[0].0, &v1.dataset));
         assert_eq!(steps[0].1.n_transactions(), 1);
+    }
+
+    #[test]
+    fn superseded_snapshots_are_released_and_rebuilt_byte_identical() {
+        let r = Registry::empty();
+        r.register_runtime("s", "d", Dataset::from_pairs([(1, 1), (1, 2), (2, 2), (2, 3)]))
+            .unwrap();
+        let batch = |tid: u32| {
+            Dataset::from_transactions([(tid, [1u32, 3].as_slice()), (tid + 1, [2u32].as_slice())])
+        };
+        let v2 = r.append_batch("s", batch(10)).unwrap().snapshot;
+        let original = (*v2).clone();
+        let weak = Arc::downgrade(&v2);
+        drop(v2);
+        // A reader that resolved v3 keeps that exact allocation.
+        r.append_batch("s", batch(20)).unwrap();
+        let held_v3 = r.resolve("s@3").unwrap().dataset;
+        r.append_batch("s", batch(30)).unwrap();
+
+        assert!(weak.upgrade().is_none(), "nothing holds version 2 any more");
+        assert_eq!(*r.resolve("s@2").unwrap().dataset, original, "rebuilt from base + deltas");
+        assert!(Arc::ptr_eq(&r.resolve("s@3").unwrap().dataset, &held_v3), "held stays shared");
+        let steps = r.deltas_between("s", 2, 4).unwrap();
+        assert_eq!(steps.len(), 2);
+        assert_eq!((&*steps[0].0, &*steps[0].1), (&original, &batch(20)));
+        assert!(Arc::ptr_eq(&steps[1].0, &held_v3));
+        assert_eq!(*steps[1].1, batch(30));
+        assert!(r.deltas_between("s", 3, 3).unwrap().is_empty());
+        assert_eq!(r.resolve("s").unwrap().dataset.n_transactions(), 8);
     }
 
     #[test]

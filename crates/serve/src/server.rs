@@ -33,6 +33,27 @@
 //! * **`full`** — a from-scratch run; on the memory backend it also
 //!   captures the frontier that makes the next append a `delta`.
 //!
+//! Both stores are bounded and evict their **least recently used** key
+//! (`Lru`): the outcome cache at `CACHE_CAPACITY` request keys, the
+//! frontier store at `FRONTIER_CAPACITY` `(dataset, params)` entries. A
+//! hit counts as a use, so the keys that keep being asked for — warm
+//! request keys, the frontier a mutable dataset replays after every
+//! append — outlast any number of one-shot requests passing through.
+//! Each frontier entry holds the snapshot it was captured on, so the
+//! registry's weak reference to that version stays live and a one-step
+//! replay never rebuilds its base.
+//!
+//! # Sockets
+//!
+//! Every accepted stream (and every [`crate::client::Client`]) sets
+//! `TCP_NODELAY`. Each response line is one write, and a mine's outcome
+//! line follows its `accepted` line while the client has nothing to send
+//! back: under Nagle's algorithm that second write would wait for the
+//! client's delayed ACK, adding about 40 ms to every reply whose job
+//! finishes sooner. `accepted` is still written before the handler
+//! blocks on the job, so cancel-by-id from another connection works as
+//! before.
+//!
 //! Shutdown is a protocol verb. On `{"op":"shutdown"}` the server
 //! replies with the number of still-pending jobs, stops accepting
 //! connections and submissions, lets every queued and running job finish
@@ -46,7 +67,8 @@ use crate::scheduler::{JobResult, MineJob, Scheduler, SchedulerMetrics, SubmitEr
 use setm_core::{Backend, Dataset, Miner};
 use setm_incremental::MiningFrontier;
 use setm_obs::{Counter, Gauge, MetricValue, MetricsRegistry, ObsEvent, ObsSink, SpanLog};
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
+use std::hash::Hash;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -99,42 +121,61 @@ impl Default for ServeConfig {
 const MAX_REQUEST_LINE: usize = 1 << 20;
 
 /// Outcome-cache bound: responses to this many distinct canonical
-/// request keys are kept, FIFO-evicted beyond it.
+/// request keys are kept, least-recently-used evicted beyond it.
 const CACHE_CAPACITY: usize = 1024;
 
 /// Frontier-store bound: at most this many `(dataset, params)` frontier
-/// snapshots are retained for the delta route.
+/// snapshots are retained for the delta route, least-recently-used
+/// evicted beyond it.
 const FRONTIER_CAPACITY: usize = 64;
 
-/// The cached response bytes for one canonical request key, replayed
-/// verbatim on a hit.
-struct OutcomeCache {
-    map: HashMap<String, Json>,
-    order: VecDeque<String>,
+/// A bounded map that evicts its least recently used key. Both `get` and
+/// `insert` count as a use, so a key that keeps being asked for stays
+/// however many one-shot keys pass through.
+struct Lru<K, V> {
+    capacity: usize,
+    /// Use counter; the stamp of a key's latest use.
+    clock: u64,
+    map: HashMap<K, (u64, V)>,
+    /// Stamp → key, oldest use first.
+    order: BTreeMap<u64, K>,
 }
 
-impl OutcomeCache {
-    fn new() -> OutcomeCache {
-        OutcomeCache { map: HashMap::new(), order: VecDeque::new() }
+impl<K: Clone + Eq + Hash, V: Clone> Lru<K, V> {
+    fn new(capacity: usize) -> Lru<K, V> {
+        Lru { capacity, clock: 0, map: HashMap::new(), order: BTreeMap::new() }
     }
 
-    fn get(&self, key: &str) -> Option<Json> {
-        self.map.get(key).cloned()
+    fn get(&mut self, key: &K) -> Option<V> {
+        let (stamp, value) = self.map.get_mut(key)?;
+        self.order.remove(stamp);
+        self.clock += 1;
+        *stamp = self.clock;
+        self.order.insert(self.clock, key.clone());
+        Some(value.clone())
     }
 
-    fn insert(&mut self, key: String, outcome: Json) {
-        if self.map.contains_key(&key) {
-            return; // concurrent identical requests race benignly
-        }
-        if self.map.len() >= CACHE_CAPACITY {
-            if let Some(oldest) = self.order.pop_front() {
+    fn insert(&mut self, key: K, value: V) {
+        if let Some((stamp, _)) = self.map.remove(&key) {
+            self.order.remove(&stamp);
+        } else if self.map.len() >= self.capacity {
+            if let Some((_, oldest)) = self.order.pop_first() {
                 self.map.remove(&oldest);
             }
         }
-        self.order.push_back(key.clone());
-        self.map.insert(key, outcome);
+        self.clock += 1;
+        self.order.insert(self.clock, key.clone());
+        self.map.insert(key, (self.clock, value));
+    }
+
+    fn len(&self) -> usize {
+        self.map.len()
     }
 }
+
+/// The cached response bytes per canonical request key, replayed
+/// verbatim on a hit.
+type OutcomeCache = Lru<String, Json>;
 
 /// Frontier snapshots are keyed by dataset *name* (not version — the
 /// entry records which version it was captured at) plus a fingerprint of
@@ -146,24 +187,24 @@ type FrontierKey = (String, String);
 #[derive(Clone)]
 struct FrontierEntry {
     version: u64,
+    /// The snapshot the frontier was captured on, held only to keep it
+    /// alive: the registry holds superseded versions weakly, so while
+    /// this entry lives a replay from `version` finds its first base
+    /// without a rebuild.
+    _snapshot: Arc<Dataset>,
     frontier: Arc<MiningFrontier>,
 }
 
-type FrontierStore = Arc<Mutex<HashMap<FrontierKey, FrontierEntry>>>;
+type FrontierStore = Arc<Mutex<Lru<FrontierKey, FrontierEntry>>>;
 
-/// Keep `frontier` (captured at `version`) unless the store already
-/// holds a newer snapshot for the same key.
-fn store_frontier(store: &FrontierStore, key: FrontierKey, version: u64, frontier: Arc<MiningFrontier>) {
-    let mut map = store.lock().expect("frontier lock");
-    if map.get(&key).is_some_and(|e| e.version > version) {
+/// Keep `entry` unless the store already holds a newer snapshot for the
+/// same key.
+fn store_frontier(store: &FrontierStore, key: FrontierKey, entry: FrontierEntry) {
+    let mut lru = store.lock().expect("frontier lock");
+    if lru.get(&key).is_some_and(|e| e.version > entry.version) {
         return;
     }
-    if map.len() >= FRONTIER_CAPACITY && !map.contains_key(&key) {
-        if let Some(evict) = map.keys().next().cloned() {
-            map.remove(&evict);
-        }
-    }
-    map.insert(key, FrontierEntry { version, frontier });
+    lru.insert(key, entry);
 }
 
 fn params_fingerprint(miner: &Miner) -> String {
@@ -374,8 +415,8 @@ impl Server {
             max_connections: config.max_connections.max(1),
             connections: AtomicUsize::new(0),
             max_requests_per_sec: config.max_requests_per_sec,
-            cache: Mutex::new(OutcomeCache::new()),
-            frontiers: Arc::new(Mutex::new(HashMap::new())),
+            cache: Mutex::new(Lru::new(CACHE_CAPACITY)),
+            frontiers: Arc::new(Mutex::new(Lru::new(FRONTIER_CAPACITY))),
             telemetry,
         });
         Ok(Server { listener, shared })
@@ -423,6 +464,9 @@ impl Server {
 }
 
 fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
+    // Why NODELAY: see *Sockets* in the module docs. A socket that
+    // refuses the option still serves, only slower.
+    let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else { return };
     let mut writer = write_half;
     let mut reader = BufReader::new(stream);
@@ -519,7 +563,8 @@ fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
     }
 }
 
-/// Write one response line; returns the bytes written so the caller can
+/// Write one response line in a single `write_all` (with NODELAY on, one
+/// line is one send); returns the bytes written so the caller can
 /// account them.
 fn write_line(writer: &mut TcpStream, response: &Json) -> std::io::Result<usize> {
     let mut text = response.to_string();
@@ -701,8 +746,7 @@ fn handle_mine(req: MineRequest, shared: &Arc<Shared>, emit: Emit<'_>) -> std::i
         && req.miner.configured_constraints().is_empty();
     let frontier_key = (resolved.name.clone(), params_fingerprint(&req.miner));
     let replay = if frontier_eligible {
-        let entry =
-            shared.frontiers.lock().expect("frontier lock").get(&frontier_key).cloned();
+        let entry = shared.frontiers.lock().expect("frontier lock").get(&frontier_key);
         entry.filter(|e| e.version <= resolved.version).and_then(|e| {
             shared
                 .registry
@@ -725,6 +769,7 @@ fn handle_mine(req: MineRequest, shared: &Arc<Shared>, emit: Emit<'_>) -> std::i
             let frontiers = Arc::clone(&shared.frontiers);
             let key = frontier_key;
             let version = resolved.version;
+            let snapshot = Arc::clone(&resolved.dataset);
             let work = move || {
                 let mut frontier = frontier;
                 let mut last = None;
@@ -739,7 +784,8 @@ fn handle_mine(req: MineRequest, shared: &Arc<Shared>, emit: Emit<'_>) -> std::i
                     // requested version; re-derive for these threads.
                     None => frontier.outcome(threads)?,
                 };
-                store_frontier(&frontiers, key, version, frontier);
+                let entry = FrontierEntry { version, _snapshot: snapshot, frontier };
+                store_frontier(&frontiers, key, entry);
                 Ok(outcome)
             };
             ("delta", MineJob::from_work(work))
@@ -748,12 +794,14 @@ fn handle_mine(req: MineRequest, shared: &Arc<Shared>, emit: Emit<'_>) -> std::i
             let frontiers = Arc::clone(&shared.frontiers);
             let key = frontier_key;
             let version = resolved.version;
-            let dataset = Arc::clone(&resolved.dataset);
+            let snapshot = Arc::clone(&resolved.dataset);
             let miner = req.miner.clone();
             let work = move || {
                 let (outcome, frontier) =
-                    MiningFrontier::bootstrap(&dataset, miner.params(), threads)?;
-                store_frontier(&frontiers, key, version, Arc::new(frontier));
+                    MiningFrontier::bootstrap(&snapshot, miner.params(), threads)?;
+                let entry =
+                    FrontierEntry { version, _snapshot: snapshot, frontier: Arc::new(frontier) };
+                store_frontier(&frontiers, key, entry);
                 Ok(outcome)
             };
             ("full", MineJob::from_work(work))
@@ -1037,4 +1085,25 @@ fn finish_shutdown(shared: &Shared) {
         });
     }
     let _ = TcpStream::connect(wake);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn outcome_cache_keeps_a_key_read_between_inserts() {
+        let mut cache = OutcomeCache::new(CACHE_CAPACITY);
+        let hot = "hot".to_string();
+        cache.insert(hot.clone(), Json::str("warm-up outcome"));
+        for i in 0..=CACHE_CAPACITY {
+            cache.insert(format!("one-shot {i}"), Json::u64(i as u64));
+            assert!(cache.get(&hot).is_some(), "evicted after {} inserts", i + 1);
+        }
+        assert_eq!(cache.len(), CACHE_CAPACITY);
+        // The least recently used keys went instead: the first one-shots.
+        assert!(cache.get(&"one-shot 0".to_string()).is_none());
+        assert!(cache.get(&"one-shot 1".to_string()).is_none());
+        assert!(cache.get(&format!("one-shot {CACHE_CAPACITY}")).is_some());
+    }
 }

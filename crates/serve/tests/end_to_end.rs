@@ -966,3 +966,77 @@ fn progress_absent_means_no_progress_lines() {
     drop(reader);
     shutdown(addr, server);
 }
+
+/// No delayed-ACK floor: a mine is answered with two lines, `accepted`
+/// then the outcome, and under Nagle the second waits for the client's
+/// delayed ACK (about 40 ms on Linux). With TCP_NODELAY on both ends a
+/// cache hit and a delta-served mine of the worked example finish far
+/// sooner. The bound is half that timer, so a slow host does not flake.
+#[test]
+fn served_replies_pay_no_delayed_ack_floor() {
+    let (addr, server) = start_server(2, 16);
+    let mut client = Client::connect(addr).unwrap();
+    let miner = Miner::new(MiningParams::new(MinSupport::Fraction(0.3), 0.7)).threads(1);
+    assert_eq!(client.mine("example", miner.clone()).unwrap().served_via.as_deref(), Some("full"));
+
+    let mut hits_ms: Vec<f64> = (0..25)
+        .map(|_| {
+            let t = Instant::now();
+            let reply = client.mine("example", miner.clone()).unwrap();
+            assert_eq!(reply.served_via.as_deref(), Some("cache"));
+            t.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    hits_ms.sort_by(f64::total_cmp);
+    let hit_ms = hits_ms[hits_ms.len() / 2];
+
+    client.append_batch("example", &[(100, vec![1, 2, 3]), (101, vec![4, 5, 6])]).unwrap();
+    let t = Instant::now();
+    let delta = client.mine("example", miner).unwrap();
+    let delta_ms = t.elapsed().as_secs_f64() * 1e3;
+    assert_eq!(delta.served_via.as_deref(), Some("delta"));
+
+    assert!(hit_ms < 20.0, "median cache hit took {hit_ms:.2} ms: {hits_ms:?}");
+    assert!(delta_ms < 20.0, "delta-served mine took {delta_ms:.2} ms");
+    shutdown(addr, server);
+}
+
+/// The frontier store evicts its least recently used entry. A mutable
+/// dataset mined after each append keeps its frontier while far more
+/// than the store's 64 entries of one-shot frontiers (distinct-support
+/// memory mines of another dataset) pass through, so every mine after an
+/// append is still served via delta, byte-equal to a local re-mine.
+#[test]
+fn live_delta_frontiers_outlast_a_flood_of_one_shot_frontiers() {
+    let (addr, server) = start_server(2, 16);
+    let mut client = Client::connect(addr).unwrap();
+    let miner = Miner::new(MiningParams::new(MinSupport::Count(2), 0.5)).threads(1);
+    client.register_dataset("live", &stream_base()).unwrap();
+    assert_eq!(client.mine("live", miner.clone()).unwrap().served_via.as_deref(), Some("full"));
+
+    let rounds = 300u32;
+    let mut all = stream_base();
+    let mut support = 0;
+    for round in 0..rounds {
+        for _ in 0..8 {
+            support += 1;
+            let one_shot = Miner::new(MiningParams::new(MinSupport::Count(support), 0.5));
+            let reply = client.mine("example", one_shot).unwrap();
+            assert_eq!(reply.served_via.as_deref(), Some("full"));
+        }
+        let tid = 100 + 3 * round;
+        let batch =
+            vec![(tid, vec![1, 2, 3]), (tid + 1, vec![2, 4]), (tid + 2, vec![round % 5 + 1, 3])];
+        client.append_batch("live", &batch).unwrap();
+        all.extend(batch);
+        let reply = client.mine("live", miner.clone()).unwrap();
+        assert_eq!(
+            reply.served_via.as_deref(),
+            Some("delta"),
+            "round {round}: the live frontier was evicted after {support} one-shot mines"
+        );
+        assert_eq!(reply.raw_outcome, local_outcome_bytes(&all, &miner), "round {round}");
+    }
+    assert_eq!(client.status().unwrap().served_delta, u64::from(rounds));
+    shutdown(addr, server);
+}
