@@ -140,7 +140,7 @@ mod tests {
         let d = example::paper_example_dataset();
         let params = example::paper_example_params();
         let ours = mine(&d, &params);
-        let reference = memory::mine(&d, &params);
+        let reference = memory::execute(&d, &params, &Default::default());
         assert_eq!(ours.frequent_itemsets(), reference.frequent_itemsets());
     }
 

@@ -59,7 +59,7 @@ mod tests {
         let d = QuestConfig::t5_i2_d100k(100).generate(); // 1,000 txns
         for frac in [0.01, 0.02, 0.05] {
             let params = MiningParams::new(MinSupport::Fraction(frac), 0.5);
-            let reference = memory::mine(&d, &params).frequent_itemsets();
+            let reference = memory::execute(&d, &params, &Default::default()).frequent_itemsets();
             assert_eq!(ais::mine(&d, &params).frequent_itemsets(), reference, "AIS @ {frac}");
             assert_eq!(
                 apriori::mine(&d, &params).frequent_itemsets(),
@@ -78,7 +78,7 @@ mod tests {
     fn all_miners_agree_on_the_worked_example() {
         let d = example::paper_example_dataset();
         let params = example::paper_example_params();
-        let reference = memory::mine(&d, &params).frequent_itemsets();
+        let reference = memory::execute(&d, &params, &Default::default()).frequent_itemsets();
         assert_eq!(ais::mine(&d, &params).frequent_itemsets(), reference);
         assert_eq!(apriori::mine(&d, &params).frequent_itemsets(), reference);
         assert_eq!(apriori_tid::mine(&d, &params).frequent_itemsets(), reference);

@@ -10,6 +10,7 @@ use std::time::Duration;
 use criterion::{criterion_group, criterion_main, Criterion};
 use setm_core::nested_loop::{mine_nested_loop, NestedLoopOptions};
 use setm_core::setm::engine::{self, EngineConfig};
+use setm_core::setm::RunSpec;
 use setm_core::{MinSupport, MiningParams};
 use setm_costmodel::ComparisonReport;
 use setm_datagen::UniformConfig;
@@ -33,12 +34,14 @@ fn bench_analysis(c: &mut Criterion) {
     let dataset = UniformConfig::paper_scaled(200).generate();
     let params = MiningParams::new(MinSupport::Fraction(0.005), 0.5).with_max_len(2);
 
-    let sm = engine::mine_with(&dataset, &params, EngineConfig::default(), 1).expect("engine run");
+    let sequential = RunSpec { threads: 1, ..Default::default() };
+    let setm_run = || engine::execute(&dataset, &params, &EngineConfig::default(), &sequential);
+    let (_, sm) = setm_run().expect("engine run");
     let nl =
         mine_nested_loop(&dataset, &params, NestedLoopOptions::default()).expect("nl run");
     eprintln!(
         "Measured at 1/200 scale: nested-loop {} accesses vs SETM {} accesses",
-        nl.total_page_accesses, sm.total_page_accesses
+        nl.total_page_accesses, sm.page_accesses
     );
 
     let mut group = c.benchmark_group("analysis_measured");
@@ -46,7 +49,7 @@ fn bench_analysis(c: &mut Criterion) {
     group.measurement_time(Duration::from_secs(2));
     group.sample_size(10);
     group.bench_function("setm_engine", |b| {
-        b.iter(|| engine::mine_with(&dataset, &params, EngineConfig::default(), 1).expect("run"))
+        b.iter(|| setm_run().expect("run"))
     });
     group.bench_function("nested_loop_engine", |b| {
         b.iter(|| mine_nested_loop(&dataset, &params, NestedLoopOptions::default()).expect("run"))

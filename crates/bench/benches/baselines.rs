@@ -17,7 +17,7 @@ fn bench_miners(c: &mut Criterion, name: &str, dataset: &Dataset) {
         let params = MiningParams::new(MinSupport::Fraction(frac), 0.5);
         let label = format!("{:.1}%", frac * 100.0);
         group.bench_with_input(BenchmarkId::new("setm", &label), &params, |b, p| {
-            b.iter(|| memory::mine(dataset, p))
+            b.iter(|| memory::execute(dataset, p, &Default::default()))
         });
         group.bench_with_input(BenchmarkId::new("ais", &label), &params, |b, p| {
             b.iter(|| ais::mine(dataset, p))

@@ -18,7 +18,8 @@ fn bench_fig5(c: &mut Criterion) {
     // Print the series the figure plots.
     eprintln!("\nFigure 5 series (R_i in KB per iteration):");
     for &frac in &SUPPORTS {
-        let r = memory::mine(&dataset, &MiningParams::new(MinSupport::Fraction(frac), 0.5));
+        let params = MiningParams::new(MinSupport::Fraction(frac), 0.5);
+        let r = memory::execute(&dataset, &params, &Default::default());
         let row: Vec<String> = r.trace.iter().map(|t| format!("{:.1}", t.r_kbytes)).collect();
         eprintln!("  minsup {:>5.2}%: [{}]", frac * 100.0, row.join(", "));
     }
@@ -32,7 +33,7 @@ fn bench_fig5(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("setm_retail", format!("{:.2}%", frac * 100.0)),
             &params,
-            |b, params| b.iter(|| memory::mine(&dataset, params)),
+            |b, params| b.iter(|| memory::execute(&dataset, params, &Default::default())),
         );
     }
     group.finish();

@@ -17,7 +17,8 @@ fn bench_fig6(c: &mut Criterion) {
 
     eprintln!("\nFigure 6 series (|C_i| per iteration):");
     for &frac in &SUPPORTS {
-        let r = memory::mine(&dataset, &MiningParams::new(MinSupport::Fraction(frac), 0.5));
+        let params = MiningParams::new(MinSupport::Fraction(frac), 0.5);
+        let r = memory::execute(&dataset, &params, &Default::default());
         let row: Vec<String> = r.trace.iter().map(|t| t.c_len.to_string()).collect();
         eprintln!("  minsup {:>5.2}%: [{}]", frac * 100.0, row.join(", "));
     }
@@ -32,7 +33,7 @@ fn bench_fig6(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("levels_at_0.1pct", max_len),
             &params,
-            |b, params| b.iter(|| memory::mine(&dataset, params)),
+            |b, params| b.iter(|| memory::execute(&dataset, params, &Default::default())),
         );
     }
     group.finish();

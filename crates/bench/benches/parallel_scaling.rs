@@ -12,7 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use setm_core::setm::engine::{self, EngineConfig};
-use setm_core::setm::{memory, sql, SetmOptions};
+use setm_core::setm::{memory, sql, RunSpec};
 use setm_core::{Dataset, MinSupport, MiningParams};
 use setm_datagen::{QuestConfig, RetailConfig};
 use std::time::{Duration, Instant};
@@ -54,7 +54,7 @@ fn print_speedup_table(name: &str, dataset: &Dataset, params: &MiningParams) {
         let mut best = Duration::MAX;
         for _ in 0..3 {
             let t0 = Instant::now();
-            let r = memory::mine_with(dataset, params, SetmOptions { threads, ..Default::default() });
+            let r = memory::execute(dataset, params, &RunSpec { threads, ..Default::default() });
             best = best.min(t0.elapsed());
             assert!(r.max_pattern_len() > 0);
         }
@@ -84,13 +84,8 @@ fn bench_parallel_scaling(c: &mut Criterion) {
                 BenchmarkId::from_parameter(threads),
                 &threads,
                 |b, &threads| {
-                    b.iter(|| {
-                        memory::mine_with(
-                            &dataset,
-                            &params,
-                            SetmOptions { threads, ..Default::default() },
-                        )
-                    })
+                    let spec = RunSpec { threads, ..Default::default() };
+                    b.iter(|| memory::execute(&dataset, &params, &spec))
                 },
             );
         }
@@ -108,9 +103,10 @@ fn bench_parallel_scaling(c: &mut Criterion) {
                 BenchmarkId::from_parameter(threads),
                 &threads,
                 |b, &threads| {
+                    let spec = RunSpec { threads, ..Default::default() };
+                    let config = EngineConfig::default();
                     b.iter(|| {
-                        engine::mine_with(&engine_dataset, &params, EngineConfig::default(), threads)
-                            .expect("engine run")
+                        engine::execute(&engine_dataset, &params, &config, &spec).expect("engine run")
                     })
                 },
             );
@@ -132,7 +128,8 @@ fn bench_parallel_scaling(c: &mut Criterion) {
                 BenchmarkId::from_parameter(threads),
                 &threads,
                 |b, &threads| {
-                    b.iter(|| sql::mine_with(&sql_dataset, &params, threads).expect("sql run"))
+                    let spec = RunSpec { threads, ..Default::default() };
+                    b.iter(|| sql::execute(&sql_dataset, &params, &spec).expect("sql run"))
                 },
             );
         }

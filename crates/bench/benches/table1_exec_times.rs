@@ -26,7 +26,7 @@ fn bench_table1(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("setm", format!("{:.2}%", frac * 100.0)),
             &params,
-            |b, params| b.iter(|| memory::mine(&dataset, params)),
+            |b, params| b.iter(|| memory::execute(&dataset, params, &Default::default())),
         );
     }
     group.finish();

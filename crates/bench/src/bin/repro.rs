@@ -1494,6 +1494,20 @@ fn repro_check_baseline(candidate: Option<String>, reference: Option<String>) {
     };
     let cand = load(&cand_path);
     let reference = load(&ref_path);
+    // Counters are compared only between files of one schema: a schema
+    // change moves fields, so a cross-schema diff would report noise.
+    let schema_of =
+        |v: &JsonValue| v.get("schema").and_then(JsonValue::as_str).map(str::to_string);
+    let (ref_schema, cand_schema) = (schema_of(&reference), schema_of(&cand));
+    if ref_schema != cand_schema {
+        eprintln!(
+            "schema mismatch: {ref_path} is {} but {cand_path} is {}; regenerate the \
+             baseline with `repro -- baseline`",
+            ref_schema.as_deref().unwrap_or("unversioned"),
+            cand_schema.as_deref().unwrap_or("unversioned"),
+        );
+        std::process::exit(2);
+    }
 
     // Wall-clock context: same-path wall_ms leaves, side by side. Never
     // gated — machine and config (tiny vs full) legitimately differ.
@@ -1525,50 +1539,8 @@ fn repro_check_baseline(candidate: Option<String>, reference: Option<String>) {
         );
         std::process::exit(1);
     };
-    // Schema bridge: an older reference predates some counters — a v2
-    // file has no plan fields, a v3 file no pool fields. Comparing a
-    // newer candidate against it must not flag those fields as drift;
-    // everything the reference *does* know about is still gated.
-    let schema_of = |v: &JsonValue| {
-        v.get("schema").and_then(JsonValue::as_str).unwrap_or("setm-bench-baseline/v1").to_string()
-    };
-    let ref_schema = schema_of(&reference);
-    // v5 added only wall-clock sections (serve_saturation,
-    // incremental_t20_i6), v6 only wall-clock queue-wait percentiles,
-    // and v7 only the constrained_t20_i6 pushdown section — their
-    // deterministic subtrees are v4's.
-    let plan_schemas = [
-        "setm-bench-baseline/v3",
-        "setm-bench-baseline/v4",
-        "setm-bench-baseline/v5",
-        "setm-bench-baseline/v6",
-        "setm-bench-baseline/v7",
-    ];
-    let pool_schemas = [
-        "setm-bench-baseline/v4",
-        "setm-bench-baseline/v5",
-        "setm-bench-baseline/v6",
-        "setm-bench-baseline/v7",
-    ];
-    let reference_is_pre_plan = !plan_schemas.contains(&ref_schema.as_str());
-    let reference_is_pre_pool = !pool_schemas.contains(&ref_schema.as_str());
-    let mut tolerated: Vec<&str> = Vec::new();
-    if reference_is_pre_plan {
-        tolerated.extend(PLAN_FIELDS);
-        println!(
-            "note: reference schema {ref_schema} predates plan recording; v3 fields \
-             (plans, needle_bench) are reported but not gated.\n"
-        );
-    }
-    if reference_is_pre_pool {
-        tolerated.extend(POOL_FIELDS);
-        println!(
-            "note: reference schema {ref_schema} predates the shared buffer pool; v4 \
-             fields (engine_page_accesses_pool, pool_ablation) are reported but not gated.\n"
-        );
-    }
     let mut drifts: Vec<String> = Vec::new();
-    diff_deterministic("deterministic", r, c, &tolerated, &mut drifts);
+    diff_deterministic("deterministic", r, c, &mut drifts);
     if drifts.is_empty() {
         println!("OK: every deterministic counter matches {ref_path}.");
     } else {
@@ -1582,21 +1554,13 @@ fn repro_check_baseline(candidate: Option<String>, reference: Option<String>) {
     }
 }
 
-/// Deterministic counters introduced by the v3 schema (the planner).
-const PLAN_FIELDS: [&str; 2] = ["plans", "needle_bench"];
-/// Deterministic counters introduced by the v4 schema (the shared pool).
-const POOL_FIELDS: [&str; 2] = ["engine_page_accesses_pool", "pool_ablation"];
-
 /// Recursive exact comparison of the deterministic subtree; every
 /// mismatch (value drift, missing key, extra key, shape change) is one
-/// human-readable line. `tolerated` is the schema bridge: candidate-only
-/// keys introduced by a schema the reference predates (plan fields for
-/// v2, pool fields for v3) are skipped instead of flagged.
+/// human-readable line.
 fn diff_deterministic(
     path: &str,
     reference: &setm_serve::json::Json,
     candidate: &setm_serve::json::Json,
-    tolerated: &[&str],
     drifts: &mut Vec<String>,
 ) {
     use setm_serve::json::Json as J;
@@ -1604,24 +1568,12 @@ fn diff_deterministic(
         (J::Obj(rm), J::Obj(cm)) => {
             for (key, rv) in rm {
                 match candidate.get(key) {
-                    Some(cv) => diff_deterministic(
-                        &format!("{path}.{key}"),
-                        rv,
-                        cv,
-                        tolerated,
-                        drifts,
-                    ),
+                    Some(cv) => diff_deterministic(&format!("{path}.{key}"), rv, cv, drifts),
                     None => drifts.push(format!("{path}.{key}: missing from candidate")),
                 }
             }
             for (key, _) in cm {
                 if reference.get(key).is_none() {
-                    if tolerated.contains(&key.as_str()) {
-                        println!(
-                            "  {path}.{key}: newer than the reference schema — not gated"
-                        );
-                        continue;
-                    }
                     drifts.push(format!(
                         "{path}.{key}: present in candidate but not in the baseline"
                     ));
@@ -1637,7 +1589,7 @@ fn diff_deterministic(
                 ));
             } else {
                 for (i, (rv, cv)) in ra.iter().zip(ca.iter()).enumerate() {
-                    diff_deterministic(&format!("{path}[{i}]"), rv, cv, tolerated, drifts);
+                    diff_deterministic(&format!("{path}[{i}]"), rv, cv, drifts);
                 }
             }
         }

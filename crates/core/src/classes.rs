@@ -11,7 +11,7 @@
 //! pipeline — which is exactly why the paper calls the set-oriented
 //! formulation "easily extensible".
 
-use crate::data::{Dataset, Item, MiningParams, TransId};
+use crate::data::{Dataset, Item, TransId};
 use crate::itemvec::ItemVec;
 use crate::rules::Rule;
 use std::collections::BTreeMap;
@@ -129,8 +129,7 @@ pub struct ClassedMiningResult {
 
 /// Merge per-class rule lists on (antecedent ⇒ consequent), collecting
 /// each rule's `(class, confidence, support)` statistics — the join step
-/// shared by [`crate::Miner::by_class`] and the deprecated
-/// [`mine_by_class`].
+/// of [`crate::Miner::by_class`].
 pub(crate) fn merge_class_rules(by_class: &[(ClassId, Vec<Rule>)]) -> Vec<ClassedRule> {
     let mut merged: BTreeMap<(ItemVec, Item), ClassedRule> = BTreeMap::new();
     for (class, rules) in by_class {
@@ -147,34 +146,13 @@ pub(crate) fn merge_class_rules(by_class: &[(ClassId, Vec<Rule>)]) -> Vec<Classe
     merged.into_values().collect()
 }
 
-/// Run SETM independently per class and merge the rule sets.
-///
-/// Support/confidence thresholds apply *within* each class — a rule can
-/// qualify for one segment and not another, which is the point.
-/// Like [`crate::Miner::run`], invalid parameters are a typed error.
-#[deprecated(
-    since = "0.4.0",
-    note = "use `Miner::new(params).by_class(data)` and read `outcome.per_class`"
-)]
-pub fn mine_by_class(
-    data: &ClassedDataset,
-    params: &MiningParams,
-) -> Result<ClassedMiningResult, crate::error::SetmError> {
-    // Thin shim over the facade (the one-release deprecation window, as
-    // in the 0.1 → 0.2 migration): identical per-class rules, identical
-    // merge — pinned by `tests/api_surface.rs`.
-    crate::Miner::new(*params)
-        .by_class(data)
-        .map(|outcome| *outcome.per_class.expect("by_class always fills per_class"))
-}
-
 #[cfg(test)]
-#[allow(deprecated)] // the shim's behavior is itself under test
 mod tests {
     use super::*;
-    use crate::data::MinSupport;
+    use crate::data::{MinSupport, MiningParams};
     use crate::rules::generate_rules;
-    use crate::setm;
+    use crate::setm::{memory, RunSpec};
+    use crate::Miner;
 
     /// Two segments with opposite pair preferences: class 0 buys {1,2}
     /// together, class 1 buys {1,3} together.
@@ -202,12 +180,12 @@ mod tests {
         let d = two_segments();
         let bad = MiningParams::new(MinSupport::Fraction(2.0), 0.5);
         assert!(matches!(
-            mine_by_class(&d, &bad),
+            Miner::new(bad).by_class(&d),
             Err(crate::error::SetmError::InvalidSupportFraction { .. })
         ));
         let bad = MiningParams::new(MinSupport::Count(2), -0.5);
         assert!(matches!(
-            mine_by_class(&d, &bad),
+            Miner::new(bad).by_class(&d),
             Err(crate::error::SetmError::InvalidConfidence { .. })
         ));
     }
@@ -227,7 +205,7 @@ mod tests {
     fn rules_differ_per_class() {
         let d = two_segments();
         let params = MiningParams::new(MinSupport::Fraction(0.5), 0.8);
-        let result = mine_by_class(&d, &params).unwrap();
+        let result = Miner::new(params).by_class(&d).unwrap().per_class.unwrap();
         let rules_for = |class: ClassId| -> Vec<String> {
             result
                 .by_class
@@ -248,7 +226,7 @@ mod tests {
         let d = two_segments();
         // Low confidence threshold so both classes qualify for 1 => 2.
         let params = MiningParams::new(MinSupport::Fraction(0.3), 0.2);
-        let result = mine_by_class(&d, &params).unwrap();
+        let result = Miner::new(params).by_class(&d).unwrap().per_class.unwrap();
         let rule = result
             .merged
             .iter()
@@ -278,9 +256,10 @@ mod tests {
         let base = crate::example::paper_example_dataset();
         let d = ClassedDataset::partition_by(&base, |_, _| 7);
         let params = crate::example::paper_example_params();
-        let result = mine_by_class(&d, &params).unwrap();
+        let result = Miner::new(params).by_class(&d).unwrap().per_class.unwrap();
         assert_eq!(result.by_class.len(), 1);
-        let plain = generate_rules(&setm::memory::mine(&base, &params), params.min_confidence);
+        let mined = memory::execute(&base, &params, &RunSpec::default());
+        let plain = generate_rules(&mined, params.min_confidence);
         assert_eq!(result.by_class[0].1.len(), plain.len());
         assert_eq!(result.merged.len(), plain.len());
     }

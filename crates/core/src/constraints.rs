@@ -40,6 +40,7 @@
 use crate::data::{Dataset, Item, MiningParams};
 use crate::error::SetmError;
 use crate::rules::Rule;
+use std::cell::Cell;
 use std::collections::HashMap;
 
 /// Declarative mining constraints, pushed into candidate generation by
@@ -284,8 +285,8 @@ pub struct CompiledConstraints {
 
 impl CompiledConstraints {
     /// No constraints — every backend's unconstrained fast path.
-    pub fn none() -> Self {
-        CompiledConstraints::default()
+    pub const fn none() -> Self {
+        CompiledConstraints { anchor_len: 0, excluded: Vec::new() }
     }
 
     /// Whether there is nothing to enforce.
@@ -302,15 +303,57 @@ impl CompiledConstraints {
     pub fn excluded(&self) -> &[Item] {
         &self.excluded
     }
+}
 
+/// The pushdown predicate the extension kernels evaluate on every
+/// candidate pair that passes the paper's `q.item > p.item_{k-1}` join
+/// predicate. The kernels are generic over it, so their
+/// [`Unconstrained`] instantiation compiles to the paper's plain join.
+pub trait CandidateFilter {
     /// Whether `item` may occupy position `pos` (0-based) of a sorted
-    /// candidate pattern. This is the whole pushdown predicate:
-    /// anchored positions demand their anchor item; free positions
-    /// demand only "not excluded". (Patterns are strictly increasing,
-    /// so an item `< anchor_len` can never legally appear at a free
-    /// position — the two cases are exhaustive.)
+    /// candidate pattern.
+    fn allows_at(&self, pos: usize, item: Item) -> bool;
+
+    /// Whether the extension join may pair the `R_{k-1}` row `left` —
+    /// `(trans_id, item_1, .., item_{k-1})` — with the `SALES` item
+    /// `item`: the paper's `item > item_{k-1}`, then this filter on the
+    /// new position. At k = 2 the prefix is checked too, because `R_1`
+    /// is the paper's unfiltered `SALES`; every later `R_{k-1}` was
+    /// filtered against a constrained `C_{k-1}` and is clean by
+    /// induction. A pair the filter rejects is counted in `pruned`.
+    #[inline(always)]
+    fn extends(&self, left: &[Item], item: Item, pruned: &Cell<u64>) -> bool {
+        let k_prev = left.len() - 1;
+        if item <= left[k_prev] {
+            return false;
+        }
+        if (k_prev == 1 && !self.allows_at(0, left[1])) || !self.allows_at(k_prev, item) {
+            pruned.set(pruned.get() + 1);
+            return false;
+        }
+        true
+    }
+}
+
+/// No constraints: every candidate passes, and no pair is ever pruned.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Unconstrained;
+
+impl CandidateFilter for Unconstrained {
+    #[inline(always)]
+    fn allows_at(&self, _pos: usize, _item: Item) -> bool {
+        true
+    }
+}
+
+impl CandidateFilter for CompiledConstraints {
+    /// This is the whole pushdown predicate: anchored positions demand
+    /// their anchor item; free positions demand only "not excluded".
+    /// (Patterns are strictly increasing, so an item `< anchor_len` can
+    /// never legally appear at a free position — the two cases are
+    /// exhaustive.)
     #[inline]
-    pub fn allows_at(&self, pos: usize, item: Item) -> bool {
+    fn allows_at(&self, pos: usize, item: Item) -> bool {
         if pos < self.anchor_len {
             item as usize == pos
         } else {

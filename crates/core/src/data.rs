@@ -96,8 +96,8 @@ impl MiningParams {
 
     /// Check the parameters, reporting the same typed errors every
     /// validating entry point ([`crate::Miner::run`],
-    /// [`crate::mine_by_class`]) surfaces. The low-level per-execution
-    /// functions skip this and assume validated input.
+    /// [`crate::Miner::by_class`]) surfaces. The low-level per-backend
+    /// `execute` functions skip this and assume validated input.
     pub fn validate(&self) -> Result<(), crate::error::SetmError> {
         use crate::error::SetmError;
         if let MinSupport::Fraction(f) = self.min_support {

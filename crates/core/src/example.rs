@@ -130,7 +130,7 @@ mod tests {
     #[test]
     fn mining_reproduces_figures_1_through_3() {
         let d = paper_example_dataset();
-        let result = setm::memory::mine(&d, &paper_example_params());
+        let result = setm::memory::execute(&d, &paper_example_params(), &Default::default());
         let c1: Vec<(u32, u64)> =
             result.c(1).unwrap().iter().map(|(p, n)| (p[0], n)).collect();
         assert_eq!(c1, expected_c1());
@@ -148,7 +148,7 @@ mod tests {
     #[test]
     fn intermediate_relations_match_section_4_2() {
         let d = paper_example_dataset();
-        let result = setm::memory::mine(&d, &paper_example_params());
+        let result = setm::memory::execute(&d, &paper_example_params(), &Default::default());
         // |R_1| = 30 line items.
         assert_eq!(result.trace[0].r_tuples, 30);
         // R'_2: every lexicographic pair within a transaction: 3 per txn.
@@ -164,7 +164,7 @@ mod tests {
     #[test]
     fn rules_match_section_5_exactly() {
         let d = paper_example_dataset();
-        let result = setm::memory::mine(&d, &paper_example_params());
+        let result = setm::memory::execute(&d, &paper_example_params(), &Default::default());
         let rules = generate_rules(&result, 0.70);
         let rendered: Vec<String> = rules.iter().map(format_rule_lettered).collect();
         assert_eq!(rendered, expected_rules());
@@ -174,7 +174,7 @@ mod tests {
     fn rejected_rule_a_implies_b() {
         // Section 5 spells out why A ==> B does not qualify: 3/6 = 50%.
         let d = paper_example_dataset();
-        let result = setm::memory::mine(&d, &paper_example_params());
+        let result = setm::memory::execute(&d, &paper_example_params(), &Default::default());
         let rules = generate_rules(&result, 0.0);
         let a_b = rules
             .iter()

@@ -251,8 +251,8 @@ mod tests {
         let via_fimi = parse_fimi(&to_fimi(&d)).unwrap();
         let params = MiningParams::new(MinSupport::Fraction(0.3), 0.7);
         // tids differ (positional), but supports are tid-agnostic.
-        let a = crate::setm::memory::mine(&d, &params);
-        let b = crate::setm::memory::mine(&via_fimi, &params);
+        let a = crate::setm::memory::execute(&d, &params, &Default::default());
+        let b = crate::setm::memory::execute(&via_fimi, &params, &Default::default());
         assert_eq!(a.frequent_itemsets(), b.frequent_itemsets());
     }
 }

@@ -36,8 +36,6 @@ pub use error::SetmError;
 pub use itemvec::ItemVec;
 pub use miner::{Backend, EngineReport, ExecutionReport, Miner, MiningOutcome, SqlReport, UnknownBackend};
 pub use pattern::{CountRelation, PatternRelation};
-#[allow(deprecated)] // re-exported through its one-release deprecation window
-pub use classes::mine_by_class;
 pub use classes::{ClassedDataset, ClassedMiningResult, ClassedRule};
 pub use rules::{generate_constrained_rules, generate_extended_rules, generate_rules, ExtendedRule, Rule};
 pub use setm::engine::EngineConfig;

@@ -29,7 +29,7 @@ use crate::pattern::CountRelation;
 use crate::rules::{generate_constrained_rules, generate_rules, Rule};
 use crate::setm::engine::{self, EngineConfig};
 use crate::setm::plan::PlanMode;
-use crate::setm::{memory, sql, SetmOptions, SetmResult};
+use crate::setm::{memory, sql, RunSpec, SetmResult};
 use setm_obs::{NullSink, ObsSink};
 use setm_relational::pager::IoStats;
 use std::sync::Arc;
@@ -392,30 +392,11 @@ impl Miner {
         &self.constraints
     }
 
-    /// The attached telemetry sink, or a no-op [`NullSink`].
-    fn sink(&self) -> &dyn ObsSink {
-        self.observer.as_deref().unwrap_or(&NullSink)
-    }
-
     /// The configured plan-selection mode (what [`Miner::plan_mode`]
     /// set; the `SETM_FORCE_PLAN` environment override is resolved at
     /// `run` time, not here).
     pub fn configured_plan_mode(&self) -> PlanMode {
         self.plan_mode
-    }
-
-    /// The plan mode [`Miner::run`] will hand the backend: an explicit
-    /// [`PlanMode::Forced`] wins; otherwise `SETM_FORCE_PLAN` is
-    /// consulted (a malformed value is a typed
-    /// [`SetmError::InvalidPlan`], never silently ignored).
-    fn effective_plan_mode(&self) -> Result<PlanMode, SetmError> {
-        match self.plan_mode {
-            forced @ PlanMode::Forced(_) => Ok(forced),
-            PlanMode::Auto => Ok(match PlanMode::forced_from_env()? {
-                Some(plan) => PlanMode::Forced(plan),
-                None => PlanMode::Auto,
-            }),
-        }
     }
 
     /// Validate the configuration without running anything.
@@ -462,7 +443,7 @@ impl Miner {
     /// (no itemsets, no rules, `support_fraction` of 0 — never NaN).
     pub fn run(&self, dataset: &Dataset) -> Result<MiningOutcome, SetmError> {
         self.validate()?;
-        let mode = self.effective_plan_mode()?;
+        let plan_mode = self.plan_mode.resolve()?;
         // Compile the constraints against this dataset. With required
         // items the mining runs in *remapped item space* (required items
         // become `0..m-1`, so containment is a prefix check — see
@@ -477,37 +458,24 @@ impl Miner {
             None => dataset,
         };
         let unconstrained = CompiledConstraints::none();
-        let cc = plan.as_ref().map_or(&unconstrained, |p| p.compiled());
+        let spec = RunSpec {
+            threads: self.threads,
+            filter_r1: self.filter_r1,
+            plan_mode,
+            sink: self.observer.as_deref().unwrap_or(&NullSink),
+            constraints: plan.as_ref().map_or(&unconstrained, |p| p.compiled()),
+        };
         let (mut result, report) = match &self.backend {
             Backend::Memory => {
-                let opts = SetmOptions { filter_r1: self.filter_r1, threads: self.threads };
-                (
-                    memory::mine_constrained(data, &self.params, opts, mode, self.sink(), cc),
-                    ExecutionReport::Memory,
-                )
+                (memory::execute(data, &self.params, &spec), ExecutionReport::Memory)
             }
             Backend::Engine(cfg) => {
-                let run = engine::mine_constrained(
-                    data,
-                    &self.params,
-                    *cfg,
-                    self.threads,
-                    mode,
-                    self.sink(),
-                    cc,
-                )?;
-                let report = ExecutionReport::Engine(EngineReport {
-                    page_accesses: run.total_page_accesses,
-                    estimated_io_ms: run.total_estimated_ms,
-                    io: run.io,
-                    cache_frames: run.cache_frames,
-                });
-                (run.result, report)
+                let (result, report) = engine::execute(data, &self.params, cfg, &spec)?;
+                (result, ExecutionReport::Engine(report))
             }
             Backend::Sql => {
-                let run =
-                    sql::mine_constrained(data, &self.params, self.threads, mode, self.sink(), cc)?;
-                (run.result, ExecutionReport::Sql(SqlReport { statements: run.statements }))
+                let (result, report) = sql::execute(data, &self.params, &spec)?;
+                (result, ExecutionReport::Sql(report))
             }
         };
         let mut rules = match plan.as_ref() {
@@ -527,9 +495,6 @@ impl Miner {
     /// threads, plan mode, constraints — and `per_class` carries each
     /// class's rules plus the cross-class merge, each partition mined
     /// with that same configuration.
-    ///
-    /// Replaces the free-standing `mine_by_class` (now a deprecated shim
-    /// over this method).
     pub fn by_class(&self, data: &ClassedDataset) -> Result<MiningOutcome, SetmError> {
         let mut outcome = self.run(&data.union_all())?;
         let mut by_class = Vec::with_capacity(data.classes().len());

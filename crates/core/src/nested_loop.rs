@@ -22,7 +22,7 @@
 //! items, which is what step 4 of the paper's plan consumes. The
 //! analytical model in `setm-costmodel` uses the paper's own sizing.
 
-use crate::constraints::CompiledConstraints;
+use crate::constraints::CandidateFilter;
 use crate::data::{Dataset, MiningParams};
 use crate::pattern::CountRelation;
 use crate::setm::{IterationTrace, SetmResult};
@@ -62,55 +62,23 @@ impl SalesIndex {
 
     /// `R'_k := R_{k-1} join SALES` by index probes: for each tuple of
     /// `r_prev` (arity `k`, tid-sorted), fetch the transaction's items
-    /// greater than the tuple's last item and append each as a new
-    /// column. Output arity is `k + 1`; rows and order are identical to
-    /// the merge-scan join on the same inputs.
-    pub fn extend_join(&self, r_prev: &HeapFile, k: usize) -> Result<HeapFile> {
-        let k_prev = k - 1;
-        index_nested_loop_join(
-            r_prev,
-            &self.btree,
-            &[0],
-            k + 1,
-            |l, r| r[1] > l[k_prev],
-            |l, r, out| {
-                out.extend_from_slice(l);
-                out.push(r[1]);
-            },
-        )
-    }
-
-    /// [`SalesIndex::extend_join`] with compiled mining constraints
-    /// evaluated inside the probe predicate: a pair that passes the
-    /// paper's `item > last` test but fails the constraint check is
-    /// counted as pruned instead of emitted. The k = 2 prefix check
-    /// mirrors the merge-scan path (R_1 is the unfiltered sales
-    /// relation; later `R_{k-1}` are clean by induction), so both access
-    /// paths report identical pruned counts.
-    pub fn extend_join_constrained(
+    /// greater than the tuple's last item and append each that `filter`
+    /// allows as a new column. Output arity is `k + 1`; rows and order
+    /// are identical to the merge-scan join on the same inputs, and so
+    /// is the returned count of pairs the filter rejected.
+    pub fn extend_join<F: CandidateFilter>(
         &self,
         r_prev: &HeapFile,
         k: usize,
-        cc: &CompiledConstraints,
+        filter: &F,
     ) -> Result<(HeapFile, u64)> {
-        let k_prev = k - 1;
-        let check_prefix = k_prev == 1;
         let pruned = Cell::new(0u64);
         let out = index_nested_loop_join(
             r_prev,
             &self.btree,
             &[0],
             k + 1,
-            |l, r| {
-                if r[1] <= l[k_prev] {
-                    return false;
-                }
-                if (check_prefix && !cc.allows_at(0, l[1])) || !cc.allows_at(k_prev, r[1]) {
-                    pruned.set(pruned.get() + 1);
-                    return false;
-                }
-                true
-            },
+            |l, r| filter.extends(l, r[1], &pruned),
             |l, r, out| {
                 out.extend_from_slice(l);
                 out.push(r[1]);
@@ -333,13 +301,13 @@ mod tests {
     use super::*;
     use crate::data::{Dataset, MinSupport, MiningParams};
     use crate::example;
-    use crate::setm::memory;
+    use crate::setm::{memory, RunSpec};
 
     #[test]
     fn nested_loop_matches_setm_on_worked_example() {
         let d = example::paper_example_dataset();
         let params = example::paper_example_params();
-        let mem = memory::mine(&d, &params);
+        let mem = memory::execute(&d, &params, &RunSpec::default());
         let nl = mine_nested_loop(&d, &params, NestedLoopOptions::default()).unwrap();
         assert_eq!(nl.result.frequent_itemsets(), mem.frequent_itemsets());
     }
@@ -361,7 +329,7 @@ mod tests {
         }
         let d = Dataset::from_transactions(txns.iter().map(|(t, i)| (*t, i.as_slice())));
         let params = MiningParams::new(MinSupport::Fraction(0.1), 0.5);
-        let mem = memory::mine(&d, &params);
+        let mem = memory::execute(&d, &params, &RunSpec::default());
         let nl = mine_nested_loop(&d, &params, NestedLoopOptions::default()).unwrap();
         assert_eq!(nl.result.frequent_itemsets(), mem.frequent_itemsets());
     }

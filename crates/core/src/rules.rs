@@ -245,7 +245,8 @@ mod tests {
             (3, [1, 2].as_slice()),
             (4, [3].as_slice()),
         ]);
-        setm::memory::mine(&d, &MiningParams::new(MinSupport::Count(2), 0.0))
+        let params = MiningParams::new(MinSupport::Count(2), 0.0);
+        setm::memory::execute(&d, &params, &Default::default())
     }
 
     #[test]
@@ -327,7 +328,8 @@ mod tests {
     #[test]
     fn no_rules_from_singleton_only_results() {
         let d = Dataset::from_transactions([(1, [1u32].as_slice()), (2, [2].as_slice())]);
-        let r = setm::memory::mine(&d, &MiningParams::new(MinSupport::Count(1), 0.0));
+        let params = MiningParams::new(MinSupport::Count(1), 0.0);
+        let r = setm::memory::execute(&d, &params, &Default::default());
         assert!(generate_rules(&r, 0.0).is_empty());
     }
 

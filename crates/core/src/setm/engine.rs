@@ -1,6 +1,7 @@
 //! Algorithm SETM on the paged storage engine.
 //!
-//! The same loop as [`crate::setm::memory`], but every relation is a heap
+//! The same Figure 4 loop as [`crate::setm::memory`] (the driver both
+//! share), entered through [`execute`], but every relation is a heap
 //! file on a simulated disk and every sort, join, and filter goes
 //! through `setm-relational` — so each iteration's page accesses are
 //! measured and can be compared with the Section 4.3 formula. Differences
@@ -50,29 +51,30 @@
 //! per-iteration `page_accesses` / `estimated_io_ms` are the sums over
 //! all shard pagers.
 
-use crate::constraints::CompiledConstraints;
+use crate::constraints::{CandidateFilter, CompiledConstraints, Unconstrained};
 use crate::data::{Dataset, MiningParams};
+use crate::miner::EngineReport;
 use crate::nested_loop::SalesIndex;
 use crate::pattern::CountRelation;
-use crate::setm::plan::{JoinStrategy, LiveStats, PlanMode, Planner, PlannerConfig};
-#[cfg(test)]
-use crate::setm::plan::PhysicalPlan;
+use crate::setm::driver::{drive, first_layout, Metered, Operators, Step};
+use crate::setm::plan::{JoinStrategy, LiveStats, PhysicalPlan, Planner, PlannerConfig};
 use crate::setm::shard::{partition_by_weight, resolve_threads};
-use crate::setm::{IterationTrace, SetmResult};
+use crate::setm::{RunSpec, SetmResult};
 use setm_costmodel::DbParams;
-use setm_obs::{NullSink, ObsEvent, ObsSink};
+use setm_obs::ObsEvent;
 use setm_relational::heap::{HeapFile, HeapFileBuilder};
 use setm_relational::join::merge_scan_join;
-use setm_relational::pager::{IoStats, Pager, SharedPager};
+use setm_relational::pager::{CostModel, IoStats, Pager, SharedPager};
 use setm_relational::pool::{split_frames_evenly, BufferPool};
 use setm_relational::sort::{external_sort, SortOptions};
 use setm_relational::Result;
+use std::cell::Cell;
 
 /// Configuration of the paged-engine backend — what
 /// [`crate::Backend::Engine`] carries. Worker threads are *not* part of
 /// the backend configuration: they are an execution knob set on the
-/// [`crate::Miner`] builder (or passed to [`mine_with`]) so the same
-/// knob drives every backend.
+/// [`crate::Miner`] builder (or in the [`RunSpec`] passed to
+/// [`execute`]) so the same knob drives every backend.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineConfig {
     /// Workspace ceiling for the external sorts, in pages (a two-phase
@@ -110,96 +112,30 @@ impl Default for EngineConfig {
     }
 }
 
-/// Outcome of an engine run: the mining result (with per-iteration I/O
-/// and the executed plan in the trace) plus the total page accesses.
-#[derive(Debug)]
-pub struct EngineRun {
-    pub result: SetmResult,
-    /// Total page accesses during mining (loading `SALES` and building
-    /// the optional probe index excluded); summed over all shard pagers.
-    pub total_page_accesses: u64,
-    /// Estimated milliseconds under the pager's cost model.
-    pub total_estimated_ms: f64,
-    /// The full I/O breakdown behind `total_page_accesses` (sequential
-    /// vs random reads/writes, cache hits, pool steals), summed over
-    /// shard pagers — plus the adaptive rebalance moves in `pool_steals`.
-    pub io: IoStats,
-    /// Effective buffer frames at the end of the run, summed over shard
-    /// pagers. Equals the configured `cache_frames` — the frame-remainder
-    /// regression test pins that no frame is silently dropped.
-    pub cache_frames: usize,
-}
-
-/// Mine `dataset` on a fresh paged engine with cost-based planning.
+/// Mine `dataset` on a fresh paged engine, re-planned every iteration.
 ///
-/// `threads` = 0 resolves to the machine's available parallelism, 1
-/// forces the paper's sequential plan; mined results are identical for
-/// every value. This is the low-level execution function behind
-/// [`crate::Backend::Engine`]; prefer driving it through the
-/// [`crate::Miner`] facade, which validates inputs and returns the
-/// shared [`crate::MiningOutcome`] / [`crate::SetmError`] types.
-pub fn mine_with(
+/// Every legal [`crate::setm::plan::PlanMode::Forced`] plan mines the
+/// identical result; only the access pattern — and therefore the
+/// measured I/O in the trace and the [`EngineReport`] — changes. Shard
+/// repartitions and adaptive pool rebalances are reported to the sink as
+/// [`ObsEvent::Note`]s, on the coordinator thread between parallel
+/// phases, so the charged I/O is identical to an unobserved run. With
+/// constraints, the checks run inside the join predicates: a pruned pair
+/// never reaches `R'_k`, never gets sorted, and never gets counted.
+///
+/// This is the low-level execution behind [`crate::Backend::Engine`];
+/// prefer driving it through the [`crate::Miner`] facade, which
+/// validates inputs and returns the shared [`crate::MiningOutcome`] /
+/// [`crate::SetmError`] types.
+pub fn execute(
     dataset: &Dataset,
     params: &MiningParams,
-    config: EngineConfig,
-    threads: usize,
-) -> Result<EngineRun> {
-    mine_planned(dataset, params, config, threads, PlanMode::Auto)
-}
-
-/// [`mine_with`] with an explicit plan-selection mode. Every legal
-/// [`PlanMode::Forced`] plan mines the identical result; only the access
-/// pattern — and therefore the measured I/O — changes.
-pub fn mine_planned(
-    dataset: &Dataset,
-    params: &MiningParams,
-    config: EngineConfig,
-    threads: usize,
-    mode: PlanMode,
-) -> Result<EngineRun> {
-    mine_observed(dataset, params, config, threads, mode, &NullSink)
-}
-
-/// [`mine_planned`] with a telemetry sink: each iteration's trace row is
-/// reported the moment it is computed ([`ObsEvent::Iteration`]), shard
-/// repartitions and adaptive pool rebalances emit [`ObsEvent::Note`]s.
-/// Events fire on the coordinator thread between parallel phases and
-/// carry copies of already-computed numbers, so the run's charged I/O
-/// and mined result are identical to the unobserved run.
-pub fn mine_observed(
-    dataset: &Dataset,
-    params: &MiningParams,
-    config: EngineConfig,
-    threads: usize,
-    mode: PlanMode,
-    sink: &dyn ObsSink,
-) -> Result<EngineRun> {
-    mine_constrained(dataset, params, config, threads, mode, sink, &CompiledConstraints::none())
-}
-
-/// [`mine_observed`] with compiled [`crate::MiningConstraints`] pushed
-/// into the extension joins (see `crate::constraints` — the dataset must
-/// already be in mining space when items are required). Constraint
-/// checks run inside the join predicates, so a pruned pair never reaches
-/// `R'_k`, never gets sorted, and never gets counted; the per-iteration
-/// pruned-pair totals land in the trace's `candidates_pruned`. With
-/// empty constraints this *is* `mine_observed`.
-#[allow(clippy::too_many_arguments)]
-pub fn mine_constrained(
-    dataset: &Dataset,
-    params: &MiningParams,
-    config: EngineConfig,
-    threads: usize,
-    mode: PlanMode,
-    sink: &dyn ObsSink,
-    cc: &CompiledConstraints,
-) -> Result<EngineRun> {
-    let n_txns = dataset.n_transactions();
-    let min_count = params.min_support.to_count(n_txns.max(1));
-    let max_len = params.max_pattern_len.unwrap_or(usize::MAX);
-    let max_shards = resolve_threads(threads).min(n_txns.max(1) as usize);
+    config: &EngineConfig,
+    spec: &RunSpec,
+) -> Result<(SetmResult, EngineReport)> {
+    let max_shards = resolve_threads(spec.threads).min(dataset.n_transactions().max(1) as usize);
     let planner = Planner::new(
-        mode,
+        spec.plan_mode,
         PlannerConfig {
             max_shards,
             sort_buffer_cap: config.sort_buffer_pages,
@@ -219,215 +155,176 @@ pub fn mine_constrained(
     // attach weighted regions on every (re)layout.
     let pool = (config.shared_pool && config.cache_frames > 0)
         .then(|| BufferPool::new(config.cache_frames));
-
-    // Dataset-wide statistics the planner sees every iteration.
     let weights: Vec<usize> = dataset.transactions().map(|(_, items)| items.len()).collect();
-    let sales_tuples: u64 = weights.iter().map(|&w| w as u64).sum();
-    let max_txn_len = weights.iter().copied().max().unwrap_or(0) as u64;
-    let live = |r_prev_tuples: u64, c_prev_len: u64| LiveStats {
-        n_txns,
-        sales_tuples,
-        max_txn_len,
-        r_prev_tuples,
-        c_prev_len,
-    };
+    let sales = LiveStats::of_sales(weights.iter().copied());
 
     // The k = 1 count precedes any live observation, so `SALES` is laid
-    // out for the plan the first real iteration will run (the shard
-    // dimension never depends on the yet-unknown |C_1|).
-    let mut layout_shards = planner.plan_iteration(2, &live(sales_tuples, 1)).shards;
-    let mut shards = build_shards(dataset, &weights, layout_shards, &config, pool.as_ref())?;
+    // out for the plan the first real iteration will run.
+    let layout_shards = first_layout(&planner, sales);
+    let shards = build_shards(dataset, &weights, layout_shards, config, pool.as_ref())?;
     let cost_model = shards[0].pager.lock().cost_model();
-    let mut retired = IoStats::default();
-
-    let mut counts: Vec<CountRelation> = Vec::new();
-    let mut trace: Vec<IterationTrace> = Vec::new();
-    let k1_sort = SortOptions { buffer_pages: config.sort_buffer_pages };
-
-    // k = 1: sort R1 on item; C1 := generate counts from R1. The paper
-    // never filters the sales relation, so no filtered output is built.
-    let c1 = if shards.len() == 1 {
-        let sh = &mut shards[0];
-        let by_item = external_sort(&sh.sales, &[1], k1_sort)?;
-        let c1 = count_sorted_groups(&by_item, &[1], min_count, false)?.counts;
-        by_item.free()?;
-        c1
-    } else {
-        run_on_shards(&mut shards, |sh| sh.count_items(k1_sort))?;
-        let locals = take_local_counts(&mut shards);
-        CountRelation::merge_sum_filter(&locals, min_count)
+    let mut ops = Paged {
+        dataset,
+        config,
+        weights,
+        sales,
+        pool,
+        shards,
+        layout_shards,
+        cost_model,
+        retired: IoStats::default(),
     };
-    // Constraint pushdown at k = 1: the anchored/exclusion-filtered C1
-    // is the full count relation restricted to items allowed at pattern
-    // position 0 — an in-memory restriction (C_k is kept in memory per
-    // Section 4.3's accounting, so no I/O is charged), with the pruned
-    // rows counted from the dataset exactly like the memory backend.
-    let (c1, pruned1) = if cc.is_empty() {
-        (c1, 0u64)
-    } else {
-        let mut kept = CountRelation::new(1);
-        for (pattern, count) in c1.iter() {
-            if cc.allows_at(0, pattern[0]) {
-                kept.push(pattern, count);
-            }
-        }
-        let pruned = dataset.items().iter().filter(|&&it| !cc.allows_at(0, it)).count() as u64;
-        (kept, pruned)
-    };
-    let delta = sum_deltas(&mut shards);
-    trace.push(IterationTrace {
-        k: 1,
-        r_prime_tuples: sales_tuples,
-        r_tuples: sales_tuples,
-        r_kbytes: shards.iter().map(|sh| sh.sales.data_bytes()).sum::<u64>() as f64 / 1024.0,
-        c_len: c1.len() as u64,
-        page_accesses: delta.accesses(),
-        estimated_io_ms: delta.estimated_ms(&cost_model),
-        cache_hits: delta.cache_hits,
-        pool_steals: delta.pool_steals,
-        candidates_pruned: pruned1,
-        plan: None,
-    });
-    sink.on_event(&ObsEvent::Iteration(trace[0].snapshot()));
-    let mut c_prev_len = c1.len() as u64;
-    if !c1.is_empty() {
-        counts.push(c1);
-    }
-
-    let mut r_prev_tuples = sales_tuples;
-    let mut k = 1usize;
-    if max_len > 1 && n_txns > 0 {
-        loop {
-            k += 1;
-            let stats = live(r_prev_tuples, c_prev_len);
-            let plan = planner.plan_iteration(k, &stats);
-            let sort_opts = SortOptions { buffer_pages: plan.sort_buffer_pages };
-
-            // Re-shard when the plan's parallelism changed. The move I/O
-            // is attributed to this iteration's trace row.
-            let mut iter_delta = IoStats::default();
-            if plan.shards != layout_shards {
-                let (moved, new_shards) = repartition(
-                    dataset,
-                    &weights,
-                    shards,
-                    plan.shards,
-                    &config,
-                    pool.as_ref(),
-                    &mut retired,
-                )?;
-                shards = new_shards;
-                layout_shards = plan.shards;
-                sink.on_event(&ObsEvent::Note {
-                    name: "repartition",
-                    k,
-                    value: plan.shards as u64,
-                });
-                iter_delta = moved;
-            } else if let Some(pool) = &pool {
-                // Adaptive admission: re-divide the pool's frames in
-                // proportion to the live |R_{k-1}| each shard carries
-                // into this iteration. Runs on this thread between
-                // parallel phases, so charged accesses stay
-                // deterministic; the moved frames are the iteration's
-                // steal count.
-                if shards.len() > 1 {
-                    let live_weights: Vec<u64> =
-                        shards.iter().map(|sh| sh.r_prev.n_records().max(1)).collect();
-                    let moved = pool.rebalance(&live_weights);
-                    sink.on_event(&ObsEvent::Note { name: "pool_rebalance", k, value: moved });
-                    iter_delta.pool_steals += moved;
-                    retired.pool_steals += moved;
-                }
-            }
-
-            // Figure 4 replays the loop-top sort literally when the plan
-            // does not reuse the standing (trans_id, items) order; the
-            // previous iteration's closing ORDER BY makes it the
-            // identity, so results never depend on this bit.
-            let resort = !plan.reuse_sort;
-            let item_key: Vec<usize> = (1..=k).collect();
-
-            let (c_k, r_tuples, r_kbytes, r_prime_total) = if shards.len() == 1 {
-                // The paper's fused sequential pipeline: C_k and R_k come
-                // from one counting pass (C_k kept in memory per Section
-                // 4.3's accounting).
-                let sh = &mut shards[0];
-                let sorted_prime = sh.extend_sorted(k, resort, plan.join, sort_opts, cc)?;
-                let scan = count_sorted_groups(&sorted_prime, &item_key, min_count, true)?;
-                sorted_prime.free()?;
-                let c_k = scan.counts;
-                let r_k = scan.filtered.expect("filter output requested");
-                let r_k = order_by_tid_items(r_k, k, sort_opts)?;
-                let (n, bytes) = (r_k.n_records(), r_k.data_bytes());
-                sh.install_r_prev(r_k)?;
-                (c_k, n, bytes as f64 / 1024.0, sh.r_prime_tuples)
-            } else {
-                // Decoupled parallel pipeline: threshold-free local
-                // counts, global k-way merge, per-shard filter.
-                run_on_shards(&mut shards, |sh| sh.phase1(k, resort, plan.join, sort_opts, cc))?;
-                let locals = take_local_counts(&mut shards);
-                let c_k = CountRelation::merge_sum_filter(&locals, min_count);
-                let r_prime_total: u64 = shards.iter().map(|sh| sh.r_prime_tuples).sum();
-                let c_ref = &c_k;
-                run_on_shards(&mut shards, |sh| sh.filter(k, c_ref, sort_opts))?;
-                let n: u64 = shards.iter().map(|sh| sh.r_prev.n_records()).sum();
-                let bytes: u64 = shards.iter().map(|sh| sh.r_prev.data_bytes()).sum();
-                (c_k, n, bytes as f64 / 1024.0, r_prime_total)
-            };
-            let pruned: u64 = shards.iter().map(|sh| sh.pruned_pairs).sum();
-
-            let delta = iter_delta.plus(&sum_deltas(&mut shards));
-            trace.push(IterationTrace {
-                k,
-                r_prime_tuples: r_prime_total,
-                r_tuples,
-                r_kbytes,
-                c_len: c_k.len() as u64,
-                page_accesses: delta.accesses(),
-                estimated_io_ms: delta.estimated_ms(&cost_model),
-                cache_hits: delta.cache_hits,
-                pool_steals: delta.pool_steals,
-                candidates_pruned: pruned,
-                plan: Some(plan),
-            });
-            sink.on_event(&ObsEvent::Iteration(trace[trace.len() - 1].snapshot()));
-
-            r_prev_tuples = r_tuples;
-            c_prev_len = c_k.len() as u64;
-            let done = r_tuples == 0 || k >= max_len;
-            if !c_k.is_empty() {
-                counts.push(c_k);
-            }
-            if done {
-                for sh in &mut shards {
-                    sh.free_prev()?;
-                }
-                break;
-            }
-        }
+    let result = drive(&mut ops, dataset, params, &planner, spec)?;
+    for sh in &mut ops.shards {
+        sh.free_prev()?;
     }
 
     // Every charged access was returned by exactly one `take_delta` and
     // attributed to exactly one trace row, so the total is the sum of
     // the per-iteration deltas by construction.
-    let mut total = retired;
-    for sh in &shards {
+    let mut total = ops.retired;
+    for sh in &ops.shards {
         total = total.plus(&sh.measured);
     }
-    let effective_frames: usize = shards.iter().map(|sh| sh.pager.lock().cache_frames()).sum();
-    Ok(EngineRun {
-        result: SetmResult {
-            counts,
-            trace,
-            n_transactions: n_txns,
-            min_support_count: min_count,
-        },
-        total_page_accesses: total.accesses(),
-        total_estimated_ms: total.estimated_ms(&cost_model),
+    let cache_frames = ops.shards.iter().map(|sh| sh.pager.lock().cache_frames()).sum();
+    let report = EngineReport {
+        page_accesses: total.accesses(),
+        estimated_io_ms: total.estimated_ms(&cost_model),
         io: total,
-        cache_frames: effective_frames,
-    })
+        cache_frames,
+    };
+    Ok((result, report))
+}
+
+/// The paged-engine operator set: `SALES` and `R_{k-1}` as heap files on
+/// one simulated disk per `trans_id` shard.
+struct Paged<'a> {
+    dataset: &'a Dataset,
+    config: &'a EngineConfig,
+    /// Row count of each transaction, the partitioner's weights.
+    weights: Vec<usize>,
+    sales: LiveStats,
+    pool: Option<BufferPool>,
+    shards: Vec<EngineShard>,
+    /// The shard count `shards` is laid out for.
+    layout_shards: usize,
+    cost_model: CostModel,
+    /// I/O measured on the pagers of shards a repartition retired.
+    retired: IoStats,
+}
+
+impl Paged<'_> {
+    /// Sum and price every shard's I/O since the last call.
+    fn metered(&mut self, moved: IoStats) -> Metered {
+        let delta = moved.plus(&sum_deltas(&mut self.shards));
+        Metered {
+            page_accesses: delta.accesses(),
+            estimated_io_ms: delta.estimated_ms(&self.cost_model),
+            cache_hits: delta.cache_hits,
+            pool_steals: delta.pool_steals,
+        }
+    }
+}
+
+impl Operators for Paged<'_> {
+    type Error = setm_relational::Error;
+
+    /// sort R1 on item; C1 := generate counts from R1. The paper never
+    /// filters the sales relation, so no filtered output is built.
+    fn count_c1(&mut self, min_count: u64, _spec: &RunSpec) -> Result<(CountRelation, Metered)> {
+        let k1_sort = SortOptions { buffer_pages: self.config.sort_buffer_pages };
+        let c1 = if self.shards.len() == 1 {
+            let sh = &mut self.shards[0];
+            let by_item = external_sort(&sh.sales, &[1], k1_sort)?;
+            let c1 = count_sorted_groups(&by_item, &[1], min_count, false)?.counts;
+            by_item.free()?;
+            c1
+        } else {
+            run_on_shards(&mut self.shards, |sh| sh.count_items(k1_sort))?;
+            let locals = take_local_counts(&mut self.shards);
+            CountRelation::merge_sum_filter(&locals, min_count)
+        };
+        Ok((c1, self.metered(IoStats::default())))
+    }
+
+    fn sales_stats(&self) -> LiveStats {
+        self.sales
+    }
+
+    fn iterate(
+        &mut self,
+        k: usize,
+        plan: &mut PhysicalPlan,
+        min_count: u64,
+        spec: &RunSpec,
+    ) -> Result<Step> {
+        let sort_opts = SortOptions { buffer_pages: plan.sort_buffer_pages };
+        // Re-shard when the plan's parallelism changed. The move I/O is
+        // attributed to this iteration's trace row.
+        let mut moved = IoStats::default();
+        if plan.shards != self.layout_shards {
+            let (drained, shards) = repartition(
+                self.dataset,
+                &self.weights,
+                std::mem::take(&mut self.shards),
+                plan.shards,
+                self.config,
+                self.pool.as_ref(),
+                &mut self.retired,
+            )?;
+            self.shards = shards;
+            self.layout_shards = plan.shards;
+            let note = ObsEvent::Note { name: "repartition", k, value: plan.shards as u64 };
+            spec.sink.on_event(&note);
+            moved = drained;
+        } else if let (Some(pool), true) = (&self.pool, self.shards.len() > 1) {
+            // Adaptive admission: re-divide the pool's frames in
+            // proportion to the live |R_{k-1}| each shard carries into
+            // this iteration. Runs on this thread between parallel
+            // phases, so charged accesses stay deterministic; the moved
+            // frames are the iteration's steal count.
+            let live_weights: Vec<u64> =
+                self.shards.iter().map(|sh| sh.r_prev.n_records().max(1)).collect();
+            let frames = pool.rebalance(&live_weights);
+            spec.sink.on_event(&ObsEvent::Note { name: "pool_rebalance", k, value: frames });
+            moved.pool_steals += frames;
+            self.retired.pool_steals += frames;
+        }
+
+        // Figure 4 replays the loop-top sort literally when the plan does
+        // not reuse the standing (trans_id, items) order; the previous
+        // iteration's closing ORDER BY makes it the identity, so results
+        // never depend on this bit.
+        let resort = !plan.reuse_sort;
+        let (join, cc) = (plan.join, spec.constraints);
+        let (c_k, r_tuples) = if self.shards.len() == 1 {
+            // The paper's fused sequential pipeline: C_k and R_k come
+            // from one counting pass (C_k kept in memory per Section
+            // 4.3's accounting).
+            let sh = &mut self.shards[0];
+            let sorted_prime = sh.extend_sorted(k, resort, join, sort_opts, cc)?;
+            let item_key: Vec<usize> = (1..=k).collect();
+            let scan = count_sorted_groups(&sorted_prime, &item_key, min_count, true)?;
+            sorted_prime.free()?;
+            let r_k =
+                order_by_tid_items(scan.filtered.expect("filter output requested"), k, sort_opts)?;
+            let r_tuples = r_k.n_records();
+            sh.install_r_prev(r_k)?;
+            (scan.counts, r_tuples)
+        } else {
+            // Decoupled parallel pipeline: threshold-free local counts,
+            // global k-way merge, per-shard filter.
+            run_on_shards(&mut self.shards, |sh| sh.phase1(k, resort, join, sort_opts, cc))?;
+            let locals = take_local_counts(&mut self.shards);
+            let c_k = CountRelation::merge_sum_filter(&locals, min_count);
+            let c_ref = &c_k;
+            run_on_shards(&mut self.shards, |sh| sh.filter(k, c_ref, sort_opts))?;
+            (c_k, self.shards.iter().map(|sh| sh.r_prev.n_records()).sum())
+        };
+        let r_prime_tuples = self.shards.iter().map(|sh| sh.r_prime_tuples).sum();
+        let pruned = self.shards.iter().map(|sh| sh.pruned_pairs).sum();
+        Ok(Step { c_k, r_prime_tuples, r_tuples, pruned, io: self.metered(moved) })
+    }
 }
 
 /// Lay `SALES` out across `n_shards` contiguous `trans_id` ranges
@@ -621,68 +518,12 @@ impl EngineShard {
             self.free_prev()?;
             self.r_prev = sorted;
         }
-        self.pruned_pairs = 0;
-        let r_prime = match (join, cc.is_empty()) {
-            (JoinStrategy::MergeScan, true) => merge_scan_join(
-                &self.r_prev,
-                &self.sales,
-                &[0],
-                &[0],
-                k + 1,
-                |l, r| r[1] > l[k_prev],
-                |l, r, out| {
-                    out.extend_from_slice(l);
-                    out.push(r[1]);
-                },
-            )?,
-            (JoinStrategy::MergeScan, false) => {
-                // Constraint pushdown inside the join predicate: a pair
-                // that passes the paper's `item > last` test but fails
-                // the compiled constraints is counted and dropped before
-                // it can reach R'_k. The k = 2 prefix check covers the
-                // unfiltered R_1 side; later R_{k-1} are clean because
-                // they were filtered against the anchored C_{k-1}.
-                let check_prefix = k_prev == 1;
-                let pruned = std::cell::Cell::new(0u64);
-                let out = merge_scan_join(
-                    &self.r_prev,
-                    &self.sales,
-                    &[0],
-                    &[0],
-                    k + 1,
-                    |l, r| {
-                        if r[1] <= l[k_prev] {
-                            return false;
-                        }
-                        if (check_prefix && !cc.allows_at(0, l[1]))
-                            || !cc.allows_at(k_prev, r[1])
-                        {
-                            pruned.set(pruned.get() + 1);
-                            return false;
-                        }
-                        true
-                    },
-                    |l, r, out| {
-                        out.extend_from_slice(l);
-                        out.push(r[1]);
-                    },
-                )?;
-                self.pruned_pairs = pruned.get();
-                out
-            }
-            (JoinStrategy::NestedLoop, true) => {
-                self.ensure_index()?;
-                let index = self.index.as_ref().expect("ensured");
-                index.extend_join(&self.r_prev, k)?
-            }
-            (JoinStrategy::NestedLoop, false) => {
-                self.ensure_index()?;
-                let index = self.index.as_ref().expect("ensured");
-                let (out, pruned) = index.extend_join_constrained(&self.r_prev, k, cc)?;
-                self.pruned_pairs = pruned;
-                out
-            }
+        let (r_prime, pruned) = if cc.is_empty() {
+            self.extension_join(k, join, &Unconstrained)?
+        } else {
+            self.extension_join(k, join, cc)?
         };
+        self.pruned_pairs = pruned;
         self.free_prev()?;
         self.r_prev = self.sales.clone(); // placeholder until R_k lands
         let item_key: Vec<usize> = (1..=k).collect();
@@ -690,6 +531,39 @@ impl EngineShard {
         self.r_prime_tuples = r_prime.n_records();
         r_prime.free()?;
         Ok(sorted_prime)
+    }
+
+    /// `R'_k := R_{k-1} ⋈ SALES` via the plan's access path, with the
+    /// candidate filter inside the join predicate. Returns `R'_k` and the
+    /// number of pairs the filter rejected.
+    fn extension_join<F: CandidateFilter>(
+        &mut self,
+        k: usize,
+        join: JoinStrategy,
+        filter: &F,
+    ) -> Result<(HeapFile, u64)> {
+        match join {
+            JoinStrategy::MergeScan => {
+                let pruned = Cell::new(0u64);
+                let r_prime = merge_scan_join(
+                    &self.r_prev,
+                    &self.sales,
+                    &[0],
+                    &[0],
+                    k + 1,
+                    |l, r| filter.extends(l, r[1], &pruned),
+                    |l, r, out| {
+                        out.extend_from_slice(l);
+                        out.push(r[1]);
+                    },
+                )?;
+                Ok((r_prime, pruned.get()))
+            }
+            JoinStrategy::NestedLoop => {
+                self.ensure_index()?;
+                self.index.as_ref().expect("ensured").extend_join(&self.r_prev, k, filter)
+            }
+        }
     }
 
     /// Parallel-plan phase 1: extension join, item sort, local count.
@@ -874,21 +748,32 @@ mod tests {
     use crate::data::{Dataset, MinSupport, MiningParams};
     use crate::example;
     use crate::setm::memory;
+    use crate::setm::plan::PlanMode;
 
     fn cfg() -> EngineConfig {
         EngineConfig::default()
+    }
+
+    /// One auto-planned engine run at `threads`.
+    fn run(
+        d: &Dataset,
+        params: &MiningParams,
+        config: EngineConfig,
+        threads: usize,
+    ) -> (SetmResult, EngineReport) {
+        execute(d, params, &config, &RunSpec { threads, ..Default::default() }).unwrap()
     }
 
     #[test]
     fn engine_matches_memory_on_worked_example() {
         let d = example::paper_example_dataset();
         let params = example::paper_example_params();
-        let mem = memory::mine(&d, &params);
-        let eng = mine_with(&d, &params, cfg(), 0).unwrap();
-        assert_eq!(eng.result.frequent_itemsets(), mem.frequent_itemsets());
-        assert_eq!(eng.result.max_pattern_len(), 3);
+        let mem = memory::execute(&d, &params, &RunSpec::default());
+        let eng = run(&d, &params, cfg(), 0);
+        assert_eq!(eng.0.frequent_itemsets(), mem.frequent_itemsets());
+        assert_eq!(eng.0.max_pattern_len(), 3);
         // Tuple counts per iteration agree too.
-        for (a, b) in mem.trace.iter().zip(eng.result.trace.iter()) {
+        for (a, b) in mem.trace.iter().zip(eng.0.trace.iter()) {
             assert_eq!(a.k, b.k);
             assert_eq!(a.r_prime_tuples, b.r_prime_tuples);
             assert_eq!(a.r_tuples, b.r_tuples);
@@ -900,12 +785,12 @@ mod tests {
     fn engine_charges_io() {
         let d = example::paper_example_dataset();
         let params = example::paper_example_params();
-        let eng = mine_with(&d, &params, cfg(), 0).unwrap();
-        assert!(eng.total_page_accesses > 0);
-        assert!(eng.total_estimated_ms > 0.0);
+        let eng = run(&d, &params, cfg(), 0);
+        assert!(eng.1.page_accesses > 0);
+        assert!(eng.1.estimated_io_ms > 0.0);
         // Each iteration carries its own accesses; they sum to the total.
-        let sum: u64 = eng.result.trace.iter().map(|t| t.page_accesses).sum();
-        assert_eq!(sum, eng.total_page_accesses);
+        let sum: u64 = eng.0.trace.iter().map(|t| t.page_accesses).sum();
+        assert_eq!(sum, eng.1.page_accesses);
     }
 
     #[test]
@@ -914,10 +799,10 @@ mod tests {
             (0..300).map(|t| (t, vec![1, 2, 3, 4 + (t % 4)])).collect();
         let d = Dataset::from_transactions(txns.iter().map(|(t, i)| (*t, i.as_slice())));
         let params = MiningParams::new(MinSupport::Fraction(0.2), 0.5);
-        let run = mine_with(&d, &params, cfg(), 3).unwrap();
-        assert!(run.total_page_accesses > 0);
-        let sum: u64 = run.result.trace.iter().map(|t| t.page_accesses).sum();
-        assert_eq!(sum, run.total_page_accesses);
+        let run = run(&d, &params, cfg(), 3);
+        assert!(run.1.page_accesses > 0);
+        let sum: u64 = run.0.trace.iter().map(|t| t.page_accesses).sum();
+        assert_eq!(sum, run.1.page_accesses);
     }
 
     /// Sequential and sharded engine runs agree — itemsets, counts, and
@@ -935,16 +820,16 @@ mod tests {
             .collect();
         let d = Dataset::from_transactions(txns.iter().map(|(t, i)| (*t, i.as_slice())));
         let params = MiningParams::new(MinSupport::Fraction(0.2), 0.5);
-        let seq = mine_with(&d, &params, cfg(), 1).unwrap();
+        let seq = run(&d, &params, cfg(), 1);
         for threads in [2usize, 3, 4, 8] {
-            let par = mine_with(&d, &params, cfg(), threads).unwrap();
+            let par = run(&d, &params, cfg(), threads);
             assert_eq!(
-                par.result.frequent_itemsets(),
-                seq.result.frequent_itemsets(),
+                par.0.frequent_itemsets(),
+                seq.0.frequent_itemsets(),
                 "threads={threads}"
             );
-            assert_eq!(par.result.trace.len(), seq.result.trace.len());
-            for (a, b) in seq.result.trace.iter().zip(par.result.trace.iter()) {
+            assert_eq!(par.0.trace.len(), seq.0.trace.len());
+            for (a, b) in seq.0.trace.iter().zip(par.0.trace.iter()) {
                 assert_eq!(a.k, b.k);
                 assert_eq!(a.r_prime_tuples, b.r_prime_tuples, "threads={threads} k={}", a.k);
                 assert_eq!(a.r_tuples, b.r_tuples, "threads={threads} k={}", a.k);
@@ -961,20 +846,18 @@ mod tests {
             .collect();
         let d = Dataset::from_transactions(txns.iter().map(|(t, i)| (*t, i.as_slice())));
         let params = MiningParams::new(MinSupport::Fraction(0.2), 0.5);
-        let tracked =
-            mine_with(&d, &params, EngineConfig { track_sort_order: true, ..cfg() }, 1).unwrap();
-        let naive =
-            mine_with(&d, &params, EngineConfig { track_sort_order: false, ..cfg() }, 1).unwrap();
+        let tracked = run(&d, &params, EngineConfig { track_sort_order: true, ..cfg() }, 1);
+        let naive = run(&d, &params, EngineConfig { track_sort_order: false, ..cfg() }, 1);
         assert_eq!(
-            tracked.result.frequent_itemsets(),
-            naive.result.frequent_itemsets(),
+            tracked.0.frequent_itemsets(),
+            naive.0.frequent_itemsets(),
             "the optimization must not change results"
         );
         assert!(
-            tracked.total_page_accesses < naive.total_page_accesses,
+            tracked.1.page_accesses < naive.1.page_accesses,
             "tracking sort order must save I/O: tracked={} naive={}",
-            tracked.total_page_accesses,
-            naive.total_page_accesses
+            tracked.1.page_accesses,
+            naive.1.page_accesses
         );
     }
 
@@ -985,32 +868,28 @@ mod tests {
             .collect();
         let d = Dataset::from_transactions(txns.iter().map(|(t, i)| (*t, i.as_slice())));
         let params = MiningParams::new(MinSupport::Fraction(0.2), 0.5);
-        let tracked =
-            mine_with(&d, &params, EngineConfig { track_sort_order: true, ..cfg() }, 4).unwrap();
-        let naive =
-            mine_with(&d, &params, EngineConfig { track_sort_order: false, ..cfg() }, 4).unwrap();
-        assert_eq!(tracked.result.frequent_itemsets(), naive.result.frequent_itemsets());
-        assert!(tracked.total_page_accesses < naive.total_page_accesses);
+        let tracked = run(&d, &params, EngineConfig { track_sort_order: true, ..cfg() }, 4);
+        let naive = run(&d, &params, EngineConfig { track_sort_order: false, ..cfg() }, 4);
+        assert_eq!(tracked.0.frequent_itemsets(), naive.0.frequent_itemsets());
+        assert!(tracked.1.page_accesses < naive.1.page_accesses);
     }
 
     #[test]
     fn buffer_cache_reduces_charged_io() {
         let d = example::paper_example_dataset();
         let params = example::paper_example_params();
-        let cold =
-            mine_with(&d, &params, EngineConfig { cache_frames: 0, ..cfg() }, 1).unwrap();
-        let warm =
-            mine_with(&d, &params, EngineConfig { cache_frames: 1024, ..cfg() }, 1).unwrap();
-        assert_eq!(cold.result.frequent_itemsets(), warm.result.frequent_itemsets());
-        assert!(warm.total_page_accesses <= cold.total_page_accesses);
+        let cold = run(&d, &params, EngineConfig { cache_frames: 0, ..cfg() }, 1);
+        let warm = run(&d, &params, EngineConfig { cache_frames: 1024, ..cfg() }, 1);
+        assert_eq!(cold.0.frequent_itemsets(), warm.0.frequent_itemsets());
+        assert!(warm.1.page_accesses <= cold.1.page_accesses);
     }
 
     #[test]
     fn empty_dataset() {
         let d = Dataset::from_pairs(std::iter::empty());
         let params = MiningParams::new(MinSupport::Count(1), 0.5);
-        let run = mine_with(&d, &params, cfg(), 0).unwrap();
-        assert_eq!(run.result.max_pattern_len(), 0);
+        let run = run(&d, &params, cfg(), 0);
+        assert_eq!(run.0.max_pattern_len(), 0);
     }
 
     /// Every iteration of the planned loop records the plan it executed;
@@ -1019,10 +898,10 @@ mod tests {
     fn trace_records_the_executed_plan() {
         let d = example::paper_example_dataset();
         let params = example::paper_example_params();
-        let run = mine_with(&d, &params, cfg(), 1).unwrap();
-        assert_eq!(run.result.trace[0].plan, None);
-        assert_eq!(run.result.trace[0].plan_string(), "-");
-        for t in &run.result.trace[1..] {
+        let run = run(&d, &params, cfg(), 1);
+        assert_eq!(run.0.trace[0].plan, None);
+        assert_eq!(run.0.trace[0].plan_string(), "-");
+        for t in &run.0.trace[1..] {
             let plan = t.plan.expect("iterations k >= 2 carry a plan");
             assert!(plan.validate().is_ok());
             assert_eq!(t.plan_string(), plan.to_string());
@@ -1039,32 +918,19 @@ mod tests {
         // Uncached: the I/O-shape assertion below is about the disk
         // access pattern, which a warm pool would absorb.
         let uncached = EngineConfig { cache_frames: 0, ..cfg() };
-        let ms = mine_planned(
-            &d,
-            &params,
-            uncached,
-            1,
-            PlanMode::Forced(PhysicalPlan::merge_scan()),
-        )
-        .unwrap();
-        let nl = mine_planned(
-            &d,
-            &params,
-            uncached,
-            1,
-            PlanMode::Forced(PhysicalPlan {
-                join: JoinStrategy::NestedLoop,
-                ..PhysicalPlan::merge_scan()
-            }),
-        )
-        .unwrap();
-        assert_eq!(nl.result.frequent_itemsets(), ms.result.frequent_itemsets());
-        for (a, b) in ms.result.trace.iter().zip(nl.result.trace.iter()) {
+        let forced = |plan: PhysicalPlan| {
+            let spec = RunSpec { threads: 1, plan_mode: PlanMode::Forced(plan), ..Default::default() };
+            execute(&d, &params, &uncached, &spec).unwrap()
+        };
+        let ms = forced(PhysicalPlan::merge_scan());
+        let nl = forced(PhysicalPlan { join: JoinStrategy::NestedLoop, ..PhysicalPlan::merge_scan() });
+        assert_eq!(nl.0.frequent_itemsets(), ms.0.frequent_itemsets());
+        for (a, b) in ms.0.trace.iter().zip(nl.0.trace.iter()) {
             assert_eq!(a.r_prime_tuples, b.r_prime_tuples, "k={}", a.k);
             assert_eq!(a.r_tuples, b.r_tuples, "k={}", a.k);
             assert_eq!(a.c_len, b.c_len, "k={}", a.k);
         }
-        assert!(nl.io.rand_reads > ms.io.rand_reads, "probes are random reads");
+        assert!(nl.1.io.rand_reads > ms.1.io.rand_reads, "probes are random reads");
     }
 
     /// When the auto planner collapses a tiny residue to one shard
@@ -1080,15 +946,15 @@ mod tests {
             (0..80u32).map(|t| (t, vec![1, 2, 3, 100 + t])).collect();
         let d = Dataset::from_transactions(txns.iter().map(|(t, i)| (*t, i.as_slice())));
         let params = MiningParams::new(MinSupport::Count(40), 0.5);
-        let seq = mine_with(&d, &params, cfg(), 1).unwrap();
-        let par = mine_with(&d, &params, cfg(), 4).unwrap();
-        assert_eq!(par.result.frequent_itemsets(), seq.result.frequent_itemsets());
-        let k2 = par.result.trace[1].plan.unwrap();
-        let k3 = par.result.trace[2].plan.unwrap();
+        let seq = run(&d, &params, cfg(), 1);
+        let par = run(&d, &params, cfg(), 4);
+        assert_eq!(par.0.frequent_itemsets(), seq.0.frequent_itemsets());
+        let k2 = par.0.trace[1].plan.unwrap();
+        let k3 = par.0.trace[2].plan.unwrap();
         assert_eq!(k2.shards, 4, "full fan-out while R_1 is large");
         assert_eq!(k3.shards, 1, "page-sized residue collapses");
-        let sum: u64 = par.result.trace.iter().map(|t| t.page_accesses).sum();
-        assert_eq!(sum, par.total_page_accesses, "repartition I/O stays attributed");
+        let sum: u64 = par.0.trace.iter().map(|t| t.page_accesses).sum();
+        assert_eq!(sum, par.1.page_accesses, "repartition I/O stays attributed");
     }
 
     /// Satellite regression: a single hot itemset must not accumulate its

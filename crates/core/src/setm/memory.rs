@@ -1,16 +1,19 @@
 //! In-memory execution of Algorithm SETM.
 //!
-//! Follows Figure 4 step by step on in-memory relations: the merge-scan
-//! join walks `R_{k-1}` and `R_1` in `(trans_id, ...)` order, the counting
-//! step is a single pass over the items-sorted `R'_k`, and the filter step
-//! retains tuples of supported groups. The only liberties taken are
-//! representational (flat row buffers instead of pages); every logical
-//! step, including joining against the *unfiltered* `R_1`, matches the
-//! paper.
+//! The in-memory operator set of the shared Figure 4 loop, entered
+//! through [`execute`]: the merge-scan join walks `R_{k-1}` and `R_1` in
+//! `(trans_id, ...)` order, the counting step is a single pass over the
+//! items-sorted `R'_k`, and the filter step retains tuples of supported
+//! groups. The only liberties taken are representational (flat row
+//! buffers instead of pages); every logical step, including joining
+//! against the *unfiltered* `R_1`, matches the paper. The join kernels
+//! are generic over a [`CandidateFilter`], so constraint pushdown and the
+//! paper's plain join are one kernel each.
 //!
 //! # Parallel sharded execution
 //!
-//! With `SetmOptions::threads > 1` the run is partitioned into contiguous
+//! When an iteration's plan asks for `shards > 1` (up to
+//! [`RunSpec::threads`]) the run is partitioned into contiguous
 //! `trans_id` shards (see [`crate::setm::shard`]): each worker sorts,
 //! merge-scans, and locally counts its own transactions under
 //! [`std::thread::scope`]; the per-shard count relations are then merged
@@ -20,236 +23,136 @@
 //! `|C_k|` trace series — are identical to the sequential run for every
 //! shard count; only wall-clock time changes.
 
-use crate::constraints::CompiledConstraints;
+use crate::constraints::{CandidateFilter, CompiledConstraints, Unconstrained};
 use crate::data::{Dataset, Item, MiningParams, TransId};
 use crate::pattern::{CountRelation, PatternRelation};
-use crate::setm::plan::{JoinStrategy, LiveStats, PhysicalPlan, PlanMode, Planner, PlannerConfig};
+use crate::setm::driver::{drive, Metered, Operators, Step};
+use crate::setm::plan::{JoinStrategy, LiveStats, PhysicalPlan, Planner, PlannerConfig};
 use crate::setm::shard::{partition_by_weight, resolve_threads};
-use crate::setm::{IterationTrace, SetmOptions, SetmResult};
-use setm_obs::{NullSink, ObsEvent, ObsSink};
+use crate::setm::{RunSpec, SetmResult};
+use setm_obs::{ObsEvent, ObsSink};
 use std::collections::HashSet;
+use std::convert::Infallible;
 use std::ops::Range;
 
-/// Mine `dataset` with default options.
-pub fn mine(dataset: &Dataset, params: &MiningParams) -> SetmResult {
-    mine_with(dataset, params, SetmOptions::default())
-}
-
-/// Mine `dataset`, exposing execution knobs, under the cost-based
-/// auto-planner.
-pub fn mine_with(dataset: &Dataset, params: &MiningParams, opts: SetmOptions) -> SetmResult {
-    mine_planned(dataset, params, opts, PlanMode::Auto)
-}
-
-/// Mine `dataset` under an explicit plan-selection mode. The in-memory
-/// execution honors the plan's `join`, `shards`, and `reuse_sort`
-/// dimensions; `sort_buffer_pages` is recorded in the trace but has no
-/// effect (there is no paged sorter here).
-pub fn mine_planned(
-    dataset: &Dataset,
-    params: &MiningParams,
-    opts: SetmOptions,
-    mode: PlanMode,
-) -> SetmResult {
-    mine_observed(dataset, params, opts, mode, &NullSink)
-}
-
-/// [`mine_planned`] with a telemetry sink: each iteration's trace row is
-/// reported the moment it is computed ([`ObsEvent::Iteration`]), and the
-/// two sort phases around the loop body emit start/end events. The sink
-/// only ever receives copies of already-computed numbers — the returned
-/// result is identical to the unobserved run.
-pub fn mine_observed(
-    dataset: &Dataset,
-    params: &MiningParams,
-    opts: SetmOptions,
-    mode: PlanMode,
-    sink: &dyn ObsSink,
-) -> SetmResult {
-    mine_constrained(dataset, params, opts, mode, sink, &CompiledConstraints::none())
-}
-
-/// [`mine_observed`] with compiled [`crate::MiningConstraints`] pushed
-/// into candidate generation (see `crate::constraints` — the dataset
-/// must already be in mining space when items are required). With empty
-/// constraints this *is* `mine_observed`: the unconstrained loops run
-/// untouched and every `candidates_pruned` is zero.
-pub fn mine_constrained(
-    dataset: &Dataset,
-    params: &MiningParams,
-    opts: SetmOptions,
-    mode: PlanMode,
-    sink: &dyn ObsSink,
-    cc: &CompiledConstraints,
-) -> SetmResult {
-    let n_txns = dataset.n_transactions();
-    let min_count = params.min_support.to_count(n_txns.max(1));
-    let max_len = params.max_pattern_len.unwrap_or(usize::MAX);
-
-    let mut counts: Vec<CountRelation> = Vec::new();
-    let mut trace: Vec<IterationTrace> = Vec::new();
-
-    // k = 1: sort R1 on item; C1 := generate counts from R1. Under
-    // constraints, C1 is anchored/exclusion-filtered but SALES itself is
-    // untouched (|R_1| below is the paper's unfiltered sales relation).
-    let (c1, pruned1) = count_items_constrained(dataset, min_count, cc);
-    trace.push(IterationTrace {
-        k: 1,
-        r_prime_tuples: dataset.n_rows(),
-        r_tuples: dataset.n_rows(),
-        r_kbytes: dataset.n_rows() as f64 * 8.0 / 1024.0,
-        c_len: c1.len() as u64,
-        page_accesses: 0,
-        estimated_io_ms: 0.0,
-        cache_hits: 0,
-        pool_steals: 0,
-        candidates_pruned: pruned1,
-        plan: None,
-    });
-    sink.on_event(&ObsEvent::Iteration(trace[0].snapshot()));
-    if !c1.is_empty() {
-        counts.push(c1);
+/// Mine `dataset` with in-memory set operators. The plan's `join`,
+/// `shards` and `reuse_sort` dimensions are honored; `sort_buffer_pages`
+/// is recorded in the trace but has no effect (there is no paged sorter
+/// here). Besides the trace rows, the sink sees the two sorts around the
+/// loop body as `sort_r_prev` / `sort_r_k` phase events.
+pub fn execute(dataset: &Dataset, params: &MiningParams, spec: &RunSpec) -> SetmResult {
+    let planner =
+        Planner::new(spec.plan_mode, PlannerConfig::with_max_shards(resolve_threads(spec.threads)));
+    let mut ops =
+        InMemory { dataset, sales: Vec::new(), r_prev: PatternRelation::new(1), tid_sorted: true };
+    match drive(&mut ops, dataset, params, &planner, spec) {
+        Ok(result) => result,
+        Err(never) => match never {},
     }
-    // `<= 1` (not `== 1`): a cap of 0 stops after C1 exactly like the
-    // engine and SQL executions (the facade rejects 0 up front, but the
-    // low-level paths must still agree with each other).
-    if max_len <= 1 || n_txns == 0 {
-        return SetmResult { counts, trace, n_transactions: n_txns, min_support_count: min_count };
-    }
+}
 
-    // The SALES side of every merge-scan join. With the `filter_r1`
-    // extension the join side drops infrequent items (results identical;
-    // see SetmOptions). Membership is one O(1) hash probe per item.
-    // Under constraints the keep set must come from the *unconstrained*
-    // frequent items — the anchored C1 holds anchor items only, but free
-    // extension positions still range over every frequent item.
-    let sales: Vec<(TransId, Vec<Item>)> = if opts.filter_r1 {
-        let keep: HashSet<Item> = if cc.is_empty() {
-            counts.first().map(|c1| c1.iter().map(|(p, _)| p[0]).collect()).unwrap_or_default()
-        } else {
-            count_items(dataset, min_count).iter().map(|(p, _)| p[0]).collect()
-        };
-        dataset
+/// The in-memory operator set. `R_{k-1}` is kept as one global relation;
+/// an iteration whose plan asks for `shards > 1` partitions it by
+/// `trans_id` range on the fly (phase 1: join + items-sort + local count
+/// per shard in parallel; merge; phase 2: filter per shard in parallel).
+/// Because group counts are algebraic and every shard holds whole
+/// transactions, the counts, the filtered `R_k`, and the trace series
+/// are identical to the one-shard run — `tests/plan_equivalence.rs`
+/// proves it for the full forced-plan matrix.
+struct InMemory<'a> {
+    dataset: &'a Dataset,
+    /// The `SALES` side of every extension join, one sorted item list
+    /// per transaction.
+    sales: Vec<(TransId, Vec<Item>)>,
+    r_prev: PatternRelation,
+    /// Whether `r_prev` is in `(trans_id, item_1, ..)` order.
+    tid_sorted: bool,
+}
+
+impl Operators for InMemory<'_> {
+    type Error = Infallible;
+
+    fn count_c1(
+        &mut self,
+        min_count: u64,
+        spec: &RunSpec,
+    ) -> Result<(CountRelation, Metered), Infallible> {
+        let c1 = count_items(self.dataset, min_count);
+        // With the `filter_r1` extension the join side drops infrequent
+        // items (results identical; see RunSpec). The keep set is the
+        // unconstrained C1: free extension positions range over every
+        // frequent item, even when an anchor restricts C1 itself.
+        let keep: Option<HashSet<Item>> =
+            spec.filter_r1.then(|| c1.iter().map(|(p, _)| p[0]).collect());
+        self.sales = self
+            .dataset
             .transactions()
-            .map(|(tid, items)| {
-                let kept: Vec<Item> =
-                    items.iter().copied().filter(|it| keep.contains(it)).collect();
-                (tid, kept)
+            .filter_map(|(tid, items)| {
+                let items: Vec<Item> = match &keep {
+                    Some(keep) => items.iter().copied().filter(|it| keep.contains(it)).collect(),
+                    None => items.to_vec(),
+                };
+                (!items.is_empty()).then_some((tid, items))
             })
-            .filter(|(_, items)| !items.is_empty())
-            .collect()
-    } else {
-        dataset.transactions().map(|(tid, items)| (tid, items.to_vec())).collect()
-    };
+            .collect();
+        // R_1 doubles as the first "R_{k-1}": one tuple (tid, [item])
+        // per row, built in transaction order, hence tid-sorted.
+        let n_rows: usize = self.sales.iter().map(|(_, items)| items.len()).sum();
+        self.r_prev = PatternRelation::with_capacity(1, n_rows);
+        for (tid, items) in &self.sales {
+            for &it in items {
+                self.r_prev.push(*tid, &[it]);
+            }
+        }
+        Ok((c1, Metered::default()))
+    }
 
-    let planner = Planner::new(
-        mode,
-        PlannerConfig::with_max_shards(resolve_threads(opts.threads).min(sales.len().max(1))),
-    );
-    run_planned(&sales, &planner, min_count, max_len, &mut counts, &mut trace, sink, cc);
+    fn sales_stats(&self) -> LiveStats {
+        LiveStats::of_sales(self.sales.iter().map(|(_, items)| items.len()))
+    }
 
-    SetmResult { counts, trace, n_transactions: n_txns, min_support_count: min_count }
+    fn iterate(
+        &mut self,
+        k: usize,
+        plan: &mut PhysicalPlan,
+        min_count: u64,
+        spec: &RunSpec,
+    ) -> Result<Step, Infallible> {
+        // sort R_{k-1} on (trans_id, item_1, .., item_{k-1}) — unless the
+        // previous iteration's closing ORDER BY left it in that order.
+        if !self.tid_sorted {
+            sort_phase(spec.sink, "sort_r_prev", k, &mut self.r_prev);
+        }
+        let cc = spec.constraints;
+        let (c_k, r_k, r_prime_tuples, pruned) = if plan.shards <= 1 {
+            iterate_one_shard(&self.r_prev, &self.sales, plan.join, min_count, cc)
+        } else {
+            iterate_sharded(&self.r_prev, &self.sales, plan, min_count, cc)
+        };
+        let r_tuples = r_k.n_tuples() as u64;
+        self.r_prev = r_k;
+        Ok(Step { c_k, r_prime_tuples, r_tuples, pruned, io: Metered::default() })
+    }
+
+    /// The paper's closing "ORDER BY trans_id, item_1, .., item_k":
+    /// performed here when the plan maintains the standing order for the
+    /// next loop-top sort to reuse, deferred to the next loop top
+    /// otherwise (the literal Figure 4 replay). Either way the join sees
+    /// the same deterministic order.
+    fn carry(&mut self, k: usize, plan: &PhysicalPlan, spec: &RunSpec) -> Result<(), Infallible> {
+        if plan.reuse_sort {
+            sort_phase(spec.sink, "sort_r_k", k, &mut self.r_prev);
+        }
+        self.tid_sorted = plan.reuse_sort;
+        Ok(())
+    }
 }
 
-/// The Figure 4 loop from k = 2, re-planned every iteration.
-///
-/// `R_{k-1}` is kept as one global relation; when an iteration's plan
-/// asks for `shards > 1` it is partitioned by `trans_id` range on the
-/// fly (phase 1: join + items-sort + local count per shard in parallel;
-/// merge; phase 2: filter per shard in parallel). Because group counts
-/// are algebraic and every shard holds whole transactions, the counts,
-/// the filtered `R_k`, and the trace series are identical to the
-/// one-shard run — `tests/plan_equivalence.rs` proves it for the full
-/// forced-plan matrix.
-#[allow(clippy::too_many_arguments)]
-fn run_planned(
-    sales: &[(TransId, Vec<Item>)],
-    planner: &Planner,
-    min_count: u64,
-    max_len: usize,
-    counts: &mut Vec<CountRelation>,
-    trace: &mut Vec<IterationTrace>,
-    sink: &dyn ObsSink,
-    cc: &CompiledConstraints,
-) {
-    // R_1 doubles as the first "R_{k-1}": one tuple (tid, [item]) per row.
-    let n_rows: usize = sales.iter().map(|(_, items)| items.len()).sum();
-    let mut r_prev = PatternRelation::with_capacity(1, n_rows);
-    for (tid, items) in sales {
-        for &it in items {
-            r_prev.push(*tid, &[it]);
-        }
-    }
-    let max_txn_len = sales.iter().map(|(_, items)| items.len()).max().unwrap_or(0) as u64;
-    let mut c_prev_len = counts.first().map(|c| c.len()).unwrap_or(0) as u64;
-    // R_1 is built in transaction order, hence already tid-sorted.
-    let mut tid_sorted = true;
-
-    let mut k = 1usize;
-    loop {
-        k += 1;
-        let stats = LiveStats {
-            n_txns: sales.len() as u64,
-            sales_tuples: n_rows as u64,
-            max_txn_len,
-            r_prev_tuples: r_prev.n_tuples() as u64,
-            c_prev_len,
-        };
-        let plan = planner.plan_iteration(k, &stats);
-
-        // sort R_{k-1} on (trans_id, item_1, .., item_{k-1}) — unless the
-        // previous iteration's closing ORDER BY left it in that order and
-        // the plan reuses it.
-        if !tid_sorted {
-            sink.on_event(&ObsEvent::PhaseStart { name: "sort_r_prev", k });
-            r_prev.sort_by_tid_items();
-            sink.on_event(&ObsEvent::PhaseEnd { name: "sort_r_prev", k });
-        }
-
-        let (c_k, mut r_k, r_prime_tuples, pruned) = if plan.shards <= 1 {
-            iterate_one_shard(&r_prev, sales, plan.join, min_count, cc)
-        } else {
-            iterate_sharded(&r_prev, sales, &plan, min_count, cc)
-        };
-
-        trace.push(IterationTrace {
-            k,
-            r_prime_tuples,
-            r_tuples: r_k.n_tuples() as u64,
-            r_kbytes: r_k.kbytes(),
-            c_len: c_k.len() as u64,
-            page_accesses: 0,
-            estimated_io_ms: 0.0,
-            cache_hits: 0,
-            pool_steals: 0,
-            candidates_pruned: pruned,
-            plan: Some(plan),
-        });
-        sink.on_event(&ObsEvent::Iteration(trace[trace.len() - 1].snapshot()));
-
-        let done = r_k.is_empty() || k >= max_len;
-        c_prev_len = c_k.len() as u64;
-        if !c_k.is_empty() {
-            counts.push(c_k);
-        }
-        if done {
-            break;
-        }
-        // The paper's closing "ORDER BY trans_id, item_1, .., item_k":
-        // performed here when the plan maintains the standing order for
-        // the next loop-top sort to reuse, deferred to the next loop top
-        // otherwise (the literal Figure 4 replay). Either way the join
-        // sees the same deterministic order.
-        if plan.reuse_sort {
-            sink.on_event(&ObsEvent::PhaseStart { name: "sort_r_k", k });
-            r_k.sort_by_tid_items();
-            sink.on_event(&ObsEvent::PhaseEnd { name: "sort_r_k", k });
-            tid_sorted = true;
-        } else {
-            tid_sorted = false;
-        }
-        r_prev = r_k;
-    }
+/// Sort `r` on `(trans_id, items)` between `name` phase events.
+fn sort_phase(sink: &dyn ObsSink, name: &'static str, k: usize, r: &mut PatternRelation) {
+    sink.on_event(&ObsEvent::PhaseStart { name, k });
+    r.sort_by_tid_items();
+    sink.on_event(&ObsEvent::PhaseEnd { name, k });
 }
 
 /// One unpartitioned iteration: join, items-sort, then the fused
@@ -361,8 +264,8 @@ fn upper_row_bound(r_prev: &PatternRelation, from: usize, boundary: TransId) -> 
 /// rows in order and emit extensions in ascending item order, so the
 /// output rows and their order are identical — the plan-equivalence
 /// contract. Returns the relation plus the number of candidate pairs
-/// rejected by constraint pushdown (always 0 unconstrained; the
-/// unconstrained loops run untouched).
+/// rejected by constraint pushdown; empty constraints run the
+/// [`Unconstrained`] kernels.
 fn extend(
     r_prev: &PatternRelation,
     rows: Range<usize>,
@@ -370,58 +273,23 @@ fn extend(
     join: JoinStrategy,
     cc: &CompiledConstraints,
 ) -> (PatternRelation, u64) {
-    if cc.is_empty() {
-        let out = match join {
-            JoinStrategy::MergeScan => merge_scan_extend(r_prev, rows, sales),
-            JoinStrategy::NestedLoop => nested_loop_extend(r_prev, rows, sales),
-        };
-        (out, 0)
-    } else {
+    fn run<F: CandidateFilter>(
+        r_prev: &PatternRelation,
+        rows: Range<usize>,
+        sales: &[(TransId, Vec<Item>)],
+        join: JoinStrategy,
+        filter: &F,
+    ) -> (PatternRelation, u64) {
         match join {
-            JoinStrategy::MergeScan => merge_scan_extend_constrained(r_prev, rows, sales, cc),
-            JoinStrategy::NestedLoop => nested_loop_extend_constrained(r_prev, rows, sales, cc),
+            JoinStrategy::MergeScan => merge_scan(r_prev, rows, sales, filter),
+            JoinStrategy::NestedLoop => nested_loop(r_prev, rows, sales, filter),
         }
     }
-}
-
-/// C1 under compiled constraints: like [`count_items`], but only items
-/// the constraints allow at pattern position 0 are counted — with an
-/// anchor that is the first anchor item alone, otherwise every
-/// non-excluded item. Returns the count relation plus the number of
-/// `SALES` rows whose item was rejected (the k = 1 `candidates_pruned`).
-pub fn count_items_constrained(
-    dataset: &Dataset,
-    min_count: u64,
-    cc: &CompiledConstraints,
-) -> (CountRelation, u64) {
     if cc.is_empty() {
-        return (count_items(dataset, min_count), 0);
+        run(r_prev, rows, sales, join, &Unconstrained)
+    } else {
+        run(r_prev, rows, sales, join, cc)
     }
-    let mut items: Vec<Item> = Vec::with_capacity(dataset.items().len());
-    let mut pruned = 0u64;
-    for &it in dataset.items() {
-        if cc.allows_at(0, it) {
-            items.push(it);
-        } else {
-            pruned += 1;
-        }
-    }
-    items.sort_unstable();
-    let mut c1 = CountRelation::new(1);
-    let mut i = 0;
-    while i < items.len() {
-        let item = items[i];
-        let mut j = i + 1;
-        while j < items.len() && items[j] == item {
-            j += 1;
-        }
-        let count = (j - i) as u64;
-        if count >= min_count {
-            c1.push(&[item], count);
-        }
-        i = j;
-    }
-    (c1, pruned)
 }
 
 /// C1: per-item transaction counts with the minimum-support filter
@@ -455,7 +323,32 @@ pub fn merge_scan_extend(
     rows: Range<usize>,
     sales: &[(TransId, Vec<Item>)],
 ) -> PatternRelation {
+    merge_scan(r_prev, rows, sales, &Unconstrained).0
+}
+
+/// [`merge_scan_extend`] with `filter` evaluated on every candidate pair
+/// that passes the paper's `q.item > p.item_{k-1}` join predicate. Two
+/// checks exist:
+///
+/// * the *extension* item must be allowed at pattern position `k_prev`
+///   (the anchor item for anchored positions, any non-excluded item for
+///   free ones);
+/// * at k = 2 only, the *prefix* side needs the position-0 check too,
+///   because `R_1` is the paper's unfiltered sales relation — every
+///   later `R_{k-1}` was filtered against the anchored `C_{k-1}` and is
+///   clean by induction.
+///
+/// The second return value counts the rejected pairs (a rejected k = 2
+/// prefix charges all of its would-be extensions).
+fn merge_scan<F: CandidateFilter>(
+    r_prev: &PatternRelation,
+    rows: Range<usize>,
+    sales: &[(TransId, Vec<Item>)],
+    filter: &F,
+) -> (PatternRelation, u64) {
     let k_prev = r_prev.k();
+    let check_prefix = k_prev == 1;
+    let mut pruned = 0u64;
     let mut out = PatternRelation::with_capacity(k_prev + 1, rows.len());
     let mut buf: Vec<Item> = vec![0; k_prev + 1];
     let mut s = 0usize; // cursor into sales (sorted by tid)
@@ -489,75 +382,14 @@ pub fn merge_scan_extend(
             // Items are sorted within a transaction: binary search for the
             // first strictly greater than the pattern's last item.
             let start = items.partition_point(|&it| it <= last);
-            for &ext in &items[start..] {
-                buf[..k_prev].copy_from_slice(pattern);
-                buf[k_prev] = ext;
-                out.push(tid, &buf);
-            }
-            row += 1;
-        }
-    }
-    out
-}
-
-/// [`merge_scan_extend`] with the compiled constraints evaluated on
-/// every candidate pair that passes the paper's `q.item > p.item_{k-1}`
-/// join predicate. Two checks exist:
-///
-/// * the *extension* item must be allowed at pattern position `k_prev`
-///   (the anchor item for anchored positions, any non-excluded item for
-///   free ones);
-/// * at k = 2 only, the *prefix* side needs the position-0 check too,
-///   because `R_1` is the paper's unfiltered sales relation — every
-///   later `R_{k-1}` was filtered against the anchored `C_{k-1}` and is
-///   clean by induction.
-///
-/// The second return value counts the rejected pairs (a rejected k = 2
-/// prefix charges all of its would-be extensions).
-fn merge_scan_extend_constrained(
-    r_prev: &PatternRelation,
-    rows: Range<usize>,
-    sales: &[(TransId, Vec<Item>)],
-    cc: &CompiledConstraints,
-) -> (PatternRelation, u64) {
-    let k_prev = r_prev.k();
-    let check_prefix = k_prev == 1;
-    let mut pruned = 0u64;
-    let mut out = PatternRelation::with_capacity(k_prev + 1, rows.len());
-    let mut buf: Vec<Item> = vec![0; k_prev + 1];
-    let mut s = 0usize;
-    let mut row = rows.start;
-    let n = rows.end;
-    while row < n {
-        let (tid, _) = r_prev.row(row);
-        while s < sales.len() && sales[s].0 < tid {
-            s += 1;
-        }
-        if s >= sales.len() {
-            break;
-        }
-        if sales[s].0 > tid {
-            while row < n && r_prev.row(row).0 == tid {
-                row += 1;
-            }
-            continue;
-        }
-        let items = &sales[s].1;
-        while row < n {
-            let (t, pattern) = r_prev.row(row);
-            if t != tid {
-                break;
-            }
-            let last = pattern[k_prev - 1];
-            let start = items.partition_point(|&it| it <= last);
-            if check_prefix && !cc.allows_at(0, pattern[0]) {
+            if check_prefix && !filter.allows_at(0, pattern[0]) {
                 // The whole group of pairs through this prefix is pruned.
                 pruned += (items.len() - start) as u64;
                 row += 1;
                 continue;
             }
             for &ext in &items[start..] {
-                if cc.allows_at(k_prev, ext) {
+                if filter.allows_at(k_prev, ext) {
                     buf[..k_prev].copy_from_slice(pattern);
                     buf[k_prev] = ext;
                     out.push(tid, &buf);
@@ -576,13 +408,17 @@ fn merge_scan_extend_constrained(
 /// the `(trans_id, item)` index here — `binary_search_by_key` plays the
 /// B+-tree descent. Probing in `R_{k-1}` row order with extensions
 /// emitted in ascending item order produces the identical `R'_k` rows,
-/// in the identical order, as [`merge_scan_extend`].
-fn nested_loop_extend(
+/// in the identical order, with the identical pruned-pair accounting, as
+/// [`merge_scan`].
+fn nested_loop<F: CandidateFilter>(
     r_prev: &PatternRelation,
     rows: Range<usize>,
     sales: &[(TransId, Vec<Item>)],
-) -> PatternRelation {
+    filter: &F,
+) -> (PatternRelation, u64) {
     let k_prev = r_prev.k();
+    let check_prefix = k_prev == 1;
+    let mut pruned = 0u64;
     let mut out = PatternRelation::with_capacity(k_prev + 1, rows.len());
     let mut buf: Vec<Item> = vec![0; k_prev + 1];
     let mut cached: Option<(TransId, usize)> = None;
@@ -609,55 +445,12 @@ fn nested_loop_extend(
         let items = &sales[s].1;
         let last = pattern[k_prev - 1];
         let start = items.partition_point(|&it| it <= last);
-        for &ext in &items[start..] {
-            buf[..k_prev].copy_from_slice(pattern);
-            buf[k_prev] = ext;
-            out.push(tid, &buf);
-        }
-    }
-    out
-}
-
-/// [`nested_loop_extend`] under compiled constraints — same checks and
-/// pruned-pair accounting as [`merge_scan_extend_constrained`], so both
-/// access paths report identical `candidates_pruned`.
-fn nested_loop_extend_constrained(
-    r_prev: &PatternRelation,
-    rows: Range<usize>,
-    sales: &[(TransId, Vec<Item>)],
-    cc: &CompiledConstraints,
-) -> (PatternRelation, u64) {
-    let k_prev = r_prev.k();
-    let check_prefix = k_prev == 1;
-    let mut pruned = 0u64;
-    let mut out = PatternRelation::with_capacity(k_prev + 1, rows.len());
-    let mut buf: Vec<Item> = vec![0; k_prev + 1];
-    let mut cached: Option<(TransId, usize)> = None;
-    for row in rows {
-        let (tid, pattern) = r_prev.row(row);
-        let hit = match cached {
-            Some((t, s)) if t == tid => Some(s),
-            _ => match sales.binary_search_by_key(&tid, |(t, _)| *t) {
-                Ok(s) => {
-                    cached = Some((tid, s));
-                    Some(s)
-                }
-                Err(_) => {
-                    cached = None;
-                    None
-                }
-            },
-        };
-        let Some(s) = hit else { continue };
-        let items = &sales[s].1;
-        let last = pattern[k_prev - 1];
-        let start = items.partition_point(|&it| it <= last);
-        if check_prefix && !cc.allows_at(0, pattern[0]) {
+        if check_prefix && !filter.allows_at(0, pattern[0]) {
             pruned += (items.len() - start) as u64;
             continue;
         }
         for &ext in &items[start..] {
-            if cc.allows_at(k_prev, ext) {
+            if filter.allows_at(k_prev, ext) {
                 buf[..k_prev].copy_from_slice(pattern);
                 buf[k_prev] = ext;
                 out.push(tid, &buf);
@@ -776,7 +569,7 @@ mod tests {
     fn full_run_matches_brute_force() {
         let d = tiny();
         let params = MiningParams::new(MinSupport::Count(2), 0.5);
-        let r = mine(&d, &params);
+        let r = execute(&d, &params, &RunSpec::default());
         // Every reported count must equal the brute-force oracle.
         for (pattern, count) in r.frequent_itemsets() {
             assert_eq!(count, d.support_of(&pattern), "pattern {pattern:?}");
@@ -794,7 +587,7 @@ mod tests {
     fn trace_records_every_iteration_with_final_zero() {
         let d = tiny();
         let params = MiningParams::new(MinSupport::Count(2), 0.5);
-        let r = mine(&d, &params);
+        let r = execute(&d, &params, &RunSpec::default());
         assert_eq!(r.trace[0].k, 1);
         assert_eq!(r.trace[0].r_tuples, d.n_rows());
         let last = r.trace.last().unwrap();
@@ -807,8 +600,8 @@ mod tests {
     fn filter_r1_option_does_not_change_results() {
         let d = tiny();
         let params = MiningParams::new(MinSupport::Count(2), 0.5);
-        let base = mine_with(&d, &params, SetmOptions { filter_r1: false, ..Default::default() });
-        let filt = mine_with(&d, &params, SetmOptions { filter_r1: true, ..Default::default() });
+        let base = execute(&d, &params, &RunSpec { filter_r1: false, ..Default::default() });
+        let filt = execute(&d, &params, &RunSpec { filter_r1: true, ..Default::default() });
         assert_eq!(base.frequent_itemsets(), filt.frequent_itemsets());
         // But the unfiltered run generates at least as many R'_2 tuples.
         assert!(base.trace[1].r_prime_tuples >= filt.trace[1].r_prime_tuples);
@@ -818,7 +611,7 @@ mod tests {
     fn max_pattern_len_caps_the_loop() {
         let d = tiny();
         let params = MiningParams::new(MinSupport::Count(2), 0.5).with_max_len(2);
-        let r = mine(&d, &params);
+        let r = execute(&d, &params, &RunSpec::default());
         assert_eq!(r.max_pattern_len(), 2);
         assert_eq!(r.trace.last().unwrap().k, 2);
     }
@@ -830,19 +623,15 @@ mod tests {
     fn max_pattern_len_zero_stops_after_c1_like_other_executions() {
         let d = tiny();
         let params = MiningParams::new(MinSupport::Count(2), 0.5).with_max_len(0);
-        let r = mine(&d, &params);
+        let r = execute(&d, &params, &RunSpec::default());
         assert_eq!(r.max_pattern_len(), 1, "C1 only, no k=2 iteration");
         assert_eq!(r.trace.last().unwrap().k, 1);
-        let eng = crate::setm::engine::mine_with(
-            &d,
-            &params,
-            crate::setm::engine::EngineConfig::default(),
-            1,
-        )
-        .unwrap();
-        assert_eq!(eng.result.frequent_itemsets(), r.frequent_itemsets());
-        let sql = crate::setm::sql::mine_with(&d, &params, 1).unwrap();
-        assert_eq!(sql.result.frequent_itemsets(), r.frequent_itemsets());
+        let spec = RunSpec { threads: 1, ..Default::default() };
+        let config = crate::setm::engine::EngineConfig::default();
+        let (eng, _) = crate::setm::engine::execute(&d, &params, &config, &spec).unwrap();
+        assert_eq!(eng.frequent_itemsets(), r.frequent_itemsets());
+        let (sql, _) = crate::setm::sql::execute(&d, &params, &spec).unwrap();
+        assert_eq!(sql.frequent_itemsets(), r.frequent_itemsets());
     }
 
     #[test]
@@ -856,7 +645,7 @@ mod tests {
             (3, [1, 9].as_slice()),
         ]);
         let params = MiningParams::new(MinSupport::Count(3), 0.5);
-        let r = mine(&d, &params);
+        let r = execute(&d, &params, &RunSpec::default());
         assert_eq!(r.c(1).unwrap().len(), 2); // {1}, {9}
         assert_eq!(r.c(2).unwrap().get(&[1, 9]), Some(3));
         assert!(r.c(2).unwrap().get(&[1, 5]).is_none());
@@ -868,7 +657,7 @@ mod tests {
     fn empty_dataset_terminates_immediately() {
         let d = Dataset::from_pairs(std::iter::empty());
         let params = MiningParams::new(MinSupport::Count(1), 0.5);
-        let r = mine(&d, &params);
+        let r = execute(&d, &params, &RunSpec::default());
         assert_eq!(r.max_pattern_len(), 0);
         assert_eq!(r.trace.len(), 1);
     }
@@ -877,7 +666,7 @@ mod tests {
     fn high_min_support_stops_after_c1() {
         let d = tiny();
         let params = MiningParams::new(MinSupport::Count(4), 0.5);
-        let r = mine(&d, &params);
+        let r = execute(&d, &params, &RunSpec::default());
         // Only item 2 appears in all four transactions.
         assert_eq!(r.c(1).unwrap().to_vec(), vec![(crate::itemvec::ItemVec::from([2]), 4)]);
         assert!(r.c(2).is_none());
@@ -887,7 +676,7 @@ mod tests {
     fn single_transaction_dataset() {
         let d = Dataset::from_transactions([(7, [1u32, 2, 3].as_slice())]);
         let params = MiningParams::new(MinSupport::Count(1), 0.5);
-        let r = mine(&d, &params);
+        let r = execute(&d, &params, &RunSpec::default());
         assert_eq!(r.max_pattern_len(), 3);
         assert_eq!(r.c(3).unwrap().get(&[1, 2, 3]), Some(1));
         // R'_2 holds all 3 pairs, R'_3 all single extension chains.
@@ -913,9 +702,9 @@ mod tests {
             .collect();
         let d = Dataset::from_transactions(txns.iter().map(|(t, i)| (*t, i.as_slice())));
         let params = MiningParams::new(MinSupport::Fraction(0.1), 0.5);
-        let seq = mine_with(&d, &params, SetmOptions { threads: 1, ..Default::default() });
+        let seq = execute(&d, &params, &RunSpec { threads: 1, ..Default::default() });
         for threads in [2usize, 3, 4, 7, 16, 64] {
-            let par = mine_with(&d, &params, SetmOptions { threads, ..Default::default() });
+            let par = execute(&d, &params, &RunSpec { threads, ..Default::default() });
             assert_eq!(par.frequent_itemsets(), seq.frequent_itemsets(), "threads={threads}");
             assert_eq!(par.trace.len(), seq.trace.len(), "threads={threads}");
             for (a, b) in seq.trace.iter().zip(par.trace.iter()) {
@@ -934,8 +723,10 @@ mod tests {
             (0..30u32).map(|t| (t + 1, vec![1, 2, 3 + t % 9])).collect();
         let d = Dataset::from_transactions(txns.iter().map(|(t, i)| (*t, i.as_slice())));
         let params = MiningParams::new(MinSupport::Count(4), 0.5);
-        let seq = mine_with(&d, &params, SetmOptions { filter_r1: true, threads: 1 });
-        let par = mine_with(&d, &params, SetmOptions { filter_r1: true, threads: 4 });
+        let seq =
+            execute(&d, &params, &RunSpec { filter_r1: true, threads: 1, ..Default::default() });
+        let par =
+            execute(&d, &params, &RunSpec { filter_r1: true, threads: 4, ..Default::default() });
         assert_eq!(par.frequent_itemsets(), seq.frequent_itemsets());
     }
 
@@ -955,18 +746,14 @@ mod tests {
             .collect();
         let d = Dataset::from_transactions(txns.iter().map(|(t, i)| (*t, i.as_slice())));
         let params = MiningParams::new(MinSupport::Count(5), 0.5);
-        let auto = mine_with(&d, &params, SetmOptions::default());
+        let auto = execute(&d, &params, &RunSpec::default());
         for join in [JoinStrategy::MergeScan, JoinStrategy::NestedLoop] {
             for reuse_sort in [true, false] {
                 for shards in [1usize, 3] {
                     let plan =
                         PhysicalPlan { join, reuse_sort, shards, sort_buffer_pages: 256 };
-                    let forced = mine_planned(
-                        &d,
-                        &params,
-                        SetmOptions::default(),
-                        PlanMode::Forced(plan),
-                    );
+                    let spec = RunSpec { plan_mode: PlanMode::Forced(plan), ..Default::default() };
+                    let forced = execute(&d, &params, &spec);
                     assert_eq!(
                         forced.frequent_itemsets(),
                         auto.frequent_itemsets(),
@@ -995,8 +782,8 @@ mod tests {
     fn more_shards_than_transactions_is_safe() {
         let d = tiny();
         let params = MiningParams::new(MinSupport::Count(2), 0.5);
-        let seq = mine_with(&d, &params, SetmOptions { threads: 1, ..Default::default() });
-        let par = mine_with(&d, &params, SetmOptions { threads: 32, ..Default::default() });
+        let seq = execute(&d, &params, &RunSpec { threads: 1, ..Default::default() });
+        let par = execute(&d, &params, &RunSpec { threads: 32, ..Default::default() });
         assert_eq!(par.frequent_itemsets(), seq.frequent_itemsets());
     }
 

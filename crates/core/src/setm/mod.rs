@@ -24,36 +24,76 @@
 //! * [`sql`] — emits the Section 4.1 SQL statements verbatim and runs them
 //!   through `setm-sql` (the paper's headline claim: mining as SQL).
 //!
-//! All three produce identical `C_k` relations; cross-checked in tests.
+//! The loop itself is written once, in a driver shared by all three;
+//! each backend contributes only its physical operators (the sort,
+//! extension join, group-count and filter of one iteration). All three
+//! produce identical `C_k` relations; cross-checked in tests.
+//!
 //! They are driven uniformly through the [`crate::Miner`] builder
-//! (`Miner::new(params).backend(..).run(dataset)`); the per-module
-//! `mine_with` functions remain as the low-level execution layer.
+//! (`Miner::new(params).backend(..).run(dataset)`). Below it, each
+//! backend has one entry point — [`memory::execute`],
+//! [`engine::execute`] and [`sql::execute`] — configured by a
+//! [`RunSpec`].
 
+mod driver;
 pub mod engine;
 pub mod memory;
 pub mod plan;
 pub mod shard;
 pub mod sql;
 
+use crate::constraints::CompiledConstraints;
 use crate::itemvec::ItemVec;
 use crate::pattern::CountRelation;
-use plan::PhysicalPlan;
+use plan::{PhysicalPlan, PlanMode};
+use setm_obs::{NullSink, ObsSink};
 
-/// Execution knobs that do not change the mined result.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SetmOptions {
-    /// Extension (not in the paper): restrict the `SALES` side of the
-    /// merge-scan join to items that are themselves frequent (members of
-    /// `C_1`). The paper's Figure 4 joins against the *unfiltered* `R_1`
-    /// every iteration; infrequent extensions die in the next `C_k` filter
-    /// anyway, so results are identical but `R'_k` shrinks. Benchmarked as
-    /// an ablation.
-    pub filter_r1: bool,
+/// How one run executes: everything a backend's `execute` takes besides
+/// the dataset and the mining parameters (and the engine's
+/// configuration). None of it changes the mined itemsets.
+#[derive(Clone, Copy)]
+pub struct RunSpec<'a> {
     /// Worker threads for the sharded parallel execution (see
     /// [`shard`]). `0` (the default) resolves to the machine's available
     /// parallelism; `1` forces the paper's sequential loop. Results are
     /// identical for every value; only wall-clock time changes.
     pub threads: usize,
+    /// Extension (not in the paper), honored by the in-memory backend
+    /// only: restrict the `SALES` side of the merge-scan join to items
+    /// that are themselves frequent (members of `C_1`). The paper's
+    /// Figure 4 joins against the *unfiltered* `R_1` every iteration;
+    /// infrequent extensions die in the next `C_k` filter anyway, so
+    /// results are identical but `R'_k` shrinks. Benchmarked as an
+    /// ablation.
+    pub filter_r1: bool,
+    /// How each iteration's physical plan is chosen. Taken as given:
+    /// [`PlanMode::resolve`] applies the `SETM_FORCE_PLAN` override.
+    pub plan_mode: PlanMode,
+    /// Receives each iteration's trace row the moment it is computed,
+    /// plus the backend's phase events. A side channel: the result is
+    /// identical with or without it.
+    pub sink: &'a dyn ObsSink,
+    /// Constraints pushed into candidate generation, in mining space
+    /// (see [`crate::constraints`]: with required items the dataset must
+    /// already be remapped). Empty constraints run the unconstrained
+    /// kernels, and every `candidates_pruned` is zero.
+    pub constraints: &'a CompiledConstraints,
+}
+
+static NO_CONSTRAINTS: CompiledConstraints = CompiledConstraints::none();
+
+impl Default for RunSpec<'_> {
+    /// Available parallelism, no `filter_r1`, the auto planner, no
+    /// observer, no constraints.
+    fn default() -> Self {
+        RunSpec {
+            threads: 0,
+            filter_r1: false,
+            plan_mode: PlanMode::Auto,
+            sink: &NullSink,
+            constraints: &NO_CONSTRAINTS,
+        }
+    }
 }
 
 /// Per-iteration measurements — the raw series behind Figures 5 and 6.
@@ -220,7 +260,7 @@ mod tests {
             (3, [1, 3].as_slice()),
         ]);
         let params = MiningParams::new(MinSupport::Count(2), 0.5);
-        let r = memory::mine(&d, &params);
+        let r = memory::execute(&d, &params, &RunSpec::default());
         assert_eq!(r.c(1).unwrap().get(&[1]), Some(3));
         assert_eq!(r.c(2).unwrap().get(&[1, 2]), Some(2));
     }

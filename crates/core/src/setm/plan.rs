@@ -182,17 +182,20 @@ pub enum PlanMode {
 }
 
 impl PlanMode {
-    /// The `SETM_FORCE_PLAN` override, if set and non-empty.
-    pub fn forced_from_env() -> Result<Option<PhysicalPlan>, SetmError> {
-        match std::env::var(FORCE_PLAN_ENV) {
-            Ok(raw) if !raw.trim().is_empty() => {
+    /// The mode a run executes: a [`PlanMode::Forced`] plan stands;
+    /// [`PlanMode::Auto`] yields to the `SETM_FORCE_PLAN` override when
+    /// it is set and non-empty. A malformed or illegal override is a
+    /// typed [`SetmError::InvalidPlan`], never silently ignored.
+    pub fn resolve(self) -> Result<PlanMode, SetmError> {
+        match (self, std::env::var(FORCE_PLAN_ENV)) {
+            (PlanMode::Auto, Ok(raw)) if !raw.trim().is_empty() => {
                 let plan: PhysicalPlan = raw.trim().parse().map_err(|e| {
                     SetmError::InvalidPlan { reason: format!("{FORCE_PLAN_ENV}: {e}") }
                 })?;
                 plan.validate()?;
-                Ok(Some(plan))
+                Ok(PlanMode::Forced(plan))
             }
-            _ => Ok(None),
+            (mode, _) => Ok(mode),
         }
     }
 }
@@ -216,6 +219,20 @@ pub struct LiveStats {
 }
 
 impl LiveStats {
+    /// The load-time statistics of a `SALES` relation whose
+    /// transactions have the given lengths, as seen when planning k = 2:
+    /// `R_{k-1}` is `R_1` itself. `c_prev_len` is left at 0 for the
+    /// caller to fill with `|C_1|`.
+    pub(crate) fn of_sales(txn_lengths: impl IntoIterator<Item = usize>) -> LiveStats {
+        let (mut n_txns, mut sales_tuples, mut max_txn_len) = (0u64, 0u64, 0u64);
+        for len in txn_lengths {
+            n_txns += 1;
+            sales_tuples += len as u64;
+            max_txn_len = max_txn_len.max(len as u64);
+        }
+        LiveStats { n_txns, sales_tuples, max_txn_len, r_prev_tuples: sales_tuples, c_prev_len: 0 }
+    }
+
     /// Seed the paper's workload model from live observations, for the
     /// Section 3.2 / 4.3 formulas. (`min_support_frac` is not consulted
     /// by either cost formula, so it is left at zero.)
@@ -552,8 +569,10 @@ mod tests {
         // exercises the unset path. The set path is covered by the CI
         // planner job and `tests/plan_equivalence.rs`.)
         if std::env::var(FORCE_PLAN_ENV).is_err() {
-            assert_eq!(PlanMode::forced_from_env().unwrap(), None);
+            assert_eq!(PlanMode::Auto.resolve().unwrap(), PlanMode::Auto);
         }
+        let forced = PlanMode::Forced(PhysicalPlan::merge_scan());
+        assert_eq!(forced.resolve().unwrap(), forced, "an explicit plan always stands");
     }
 
     /// The pool-aware nested-loop price: with the probe working set

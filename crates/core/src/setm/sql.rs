@@ -9,19 +9,25 @@
 //! `ORDER BY` — and runs them through `setm-sql` against the paged
 //! engine. No mining logic lives here; it is all in the SQL.
 //!
-//! The emitted statements are recorded verbatim in [`SqlRun::statements`]
-//! so examples and tests can display exactly what was executed.
+//! The emitted statements are recorded verbatim in
+//! [`SqlReport::statements`] so examples and tests can display exactly
+//! what was executed.
+//!
+//! Two operator sets run the shared Figure 4 loop, chosen once per run
+//! from the first iteration's plan: the paper's script on one session
+//! (`threads(1)` emits Section 4.1's text verbatim), and the partitioned
+//! script below. Both build every statement with the same functions.
 //!
 //! # Partitioned parallel execution
 //!
-//! With more than one worker thread (the `threads` argument of
-//! [`mine_with`] / `Miner::threads`) the statement pipeline itself is
-//! sharded over contiguous `trans_id` partitions — the same
-//! weight-balanced partitioner as the in-memory and paged-engine
-//! executions ([`crate::setm::shard`]). Each shard is its own
-//! [`SqlEngine`] session on its own pager (one connection and one disk
-//! per worker, via [`setm_sql::ShardPool`]) holding only its slice of
-//! `SALES`; every iteration runs, concurrently on all shards,
+//! With more than one worker thread ([`RunSpec::threads`] /
+//! `Miner::threads`) the statement pipeline itself is sharded over
+//! contiguous `trans_id` partitions — the same weight-balanced
+//! partitioner as the in-memory and paged-engine executions
+//! ([`crate::setm::shard`]). Each shard is its own [`SqlEngine`] session
+//! on its own pager (one connection and one disk per worker, via
+//! [`setm_sql::ShardPool`]) holding only its slice of `SALES`; every
+//! iteration runs, concurrently on all shards,
 //!
 //! ```text
 //! INSERT INTO Rk_PRIME_SHARD_<i> SELECT p.trans_id, .., q.item FROM .. ;
@@ -53,14 +59,455 @@
 
 use crate::constraints::CompiledConstraints;
 use crate::data::{Dataset, MiningParams};
+use crate::miner::SqlReport;
 use crate::pattern::CountRelation;
-use crate::setm::plan::{
-    JoinStrategy, LiveStats, PhysicalPlan, PlanMode, Planner, PlannerConfig,
-};
+use crate::setm::driver::{drive, first_layout, Metered, Operators, Step};
+use crate::setm::plan::{JoinStrategy, LiveStats, PhysicalPlan, PlanMode, Planner, PlannerConfig};
 use crate::setm::shard::{partition_by_weight, resolve_threads};
-use crate::setm::{IterationTrace, SetmResult};
-use setm_obs::{NullSink, ObsEvent, ObsSink};
-use setm_sql::{ExecOptions, ExecOutcome, JoinPreference, Params, Result, ShardPool, SqlEngine};
+use crate::setm::{RunSpec, SetmResult};
+use setm_sql::{
+    ExecOptions, ExecOutcome, JoinPreference, Params, Result, ShardPool, SqlEngine, SqlError,
+};
+
+/// Mine `dataset` by generating and executing the paper's SQL.
+///
+/// `threads` = 0 resolves to the machine's available parallelism, 1
+/// forces the paper's sequential plan; mined results and the trace
+/// series are identical for every value. The session topology (one
+/// connection per shard) is fixed when the first statement runs, so the
+/// plan's shard dimension is taken from the k = 2 plan and held for the
+/// whole script; recorded per-iteration plans carry the actual session
+/// count. The join strategy and sort workspace are honored per iteration
+/// ([`SqlEngine::set_options`], plus a `CREATE INDEX` on `SALES` the
+/// first time a session runs a nested-loop extension join). `reuse_sort`
+/// is recorded but has no SQL-level realization: the Section 4.1 script
+/// never re-sorts `R_{k-1}` — the closing `ORDER BY` is its only
+/// ordering step. Trace rows reach the sink on the coordinator thread
+/// only, never inside a shard session.
+///
+/// Constraints become `IN` / `NOT IN` conjuncts on the Section 4.1
+/// statements themselves, so the set-oriented plan prunes candidates
+/// inside the relational engine rather than in client code. With
+/// constraints active, each extension round also runs an *audit*
+/// statement — the paper's unconstrained join into a scratch table —
+/// whose insert count, minus the constrained insert count, is the
+/// iteration's `candidates_pruned`. Unconstrained runs execute the
+/// paper's statement text byte-identically (no audit tables, no extra
+/// conjuncts). With a require-constraint the caller (the [`crate::Miner`]
+/// facade) hands in the remapped dataset, so the anchor literals in the
+/// emitted SQL are the remapped item ids `0, 1, ..`.
+///
+/// This is the low-level execution behind [`crate::Backend::Sql`];
+/// prefer driving it through the [`crate::Miner`] facade, which
+/// validates inputs and returns the shared [`crate::MiningOutcome`] /
+/// [`crate::SetmError`] types.
+pub fn execute(
+    dataset: &Dataset,
+    params: &MiningParams,
+    spec: &RunSpec,
+) -> Result<(SetmResult, SqlReport)> {
+    let planner =
+        Planner::new(spec.plan_mode, PlannerConfig::with_max_shards(resolve_threads(spec.threads)));
+    let sales = LiveStats::of_sales(dataset.transactions().map(|(_, items)| items.len()));
+    let layout = first_layout(&planner, sales);
+    if layout <= 1 {
+        let mut session = SqlEngine::new();
+        // Loading is data preparation, not SQL mining, so it uses the
+        // bulk API.
+        let rows = dataset.sales_rows();
+        session.load_table("SALES", &["trans_id", "item"], rows.iter().map(|r| r.as_slice()))?;
+        let mut ops = Session { engine: session, statements: Vec::new(), sales };
+        let result = drive(&mut ops, dataset, params, &planner, spec)?;
+        Ok((result, SqlReport { statements: ops.statements }))
+    } else {
+        mine_sharded(dataset, params, layout, &planner, &|_, _| {}, spec)
+    }
+}
+
+/// Test seam: run the partitioned plan with a per-shard preparation hook
+/// (e.g. injecting pager faults into one shard). Not part of the stable
+/// API.
+#[doc(hidden)]
+pub fn mine_sharded_with_prepare(
+    dataset: &Dataset,
+    params: &MiningParams,
+    threads: usize,
+    prepare: &(dyn Fn(usize, &mut SqlEngine) + Sync),
+) -> Result<(SetmResult, SqlReport)> {
+    let threads = resolve_threads(threads).min(dataset.n_transactions().max(1) as usize);
+    let planner = Planner::new(PlanMode::Auto, PlannerConfig::with_max_shards(threads));
+    mine_sharded(dataset, params, threads, &planner, prepare, &RunSpec::default())
+}
+
+/// The partitioned plan over `shards` sessions, each prepared by
+/// `prepare` after its `SALES` slice is loaded.
+fn mine_sharded(
+    dataset: &Dataset,
+    params: &MiningParams,
+    shards: usize,
+    planner: &Planner,
+    prepare: &(dyn Fn(usize, &mut SqlEngine) + Sync),
+    spec: &RunSpec,
+) -> Result<(SetmResult, SqlReport)> {
+    // Contiguous trans_id shards, weight-balanced by row count — the
+    // same partitioner as the in-memory and paged-engine executions.
+    let weights: Vec<usize> = dataset.transactions().map(|(_, items)| items.len()).collect();
+    let ranges = partition_by_weight(&weights, shards);
+    let mut pool = ShardPool::new(ranges.len());
+    let mut txns = dataset.transactions();
+    for (i, range) in ranges.iter().enumerate() {
+        let mut rows: Vec<[u32; 2]> = Vec::new();
+        for (tid, items) in txns.by_ref().take(range.len()) {
+            rows.extend(items.iter().map(|&it| [tid, it]));
+        }
+        // Each shard's slice of SALES — data preparation, like the
+        // sequential load.
+        let columns = ["trans_id", "item"];
+        pool.shard_mut(i).load_table("SALES", &columns, rows.iter().map(|r| r.as_slice()))?;
+        prepare(i, pool.shard_mut(i));
+    }
+    let mut ops = Sharded {
+        pool,
+        merge: SqlEngine::new(),
+        statements: Vec::new(),
+        sales: LiveStats::of_sales(weights),
+    };
+    let result = drive(&mut ops, dataset, params, planner, spec)?;
+    Ok((result, SqlReport { statements: ops.statements }))
+}
+
+/// The paper's sequential Section 4.1 plan on a single session. The
+/// emitted statement text is byte-identical to the pre-parallel
+/// releases' whenever the planner keeps the merge-scan join —
+/// `threads(1)` *is* the paper's plan; a nested-loop iteration adds only
+/// its `CREATE INDEX` DDL to the trace.
+struct Session {
+    engine: SqlEngine,
+    statements: Vec<String>,
+    sales: LiveStats,
+}
+
+impl Operators for Session {
+    type Error = SqlError;
+
+    /// C1 — the Section 3.1 query, verbatim (a constrained run inserts
+    /// its anchor/exclusion predicate as a WHERE clause).
+    fn count_c1(&mut self, min_count: u64, spec: &RunSpec) -> Result<(CountRelation, Metered)> {
+        let (engine, stmts) = (&mut self.engine, &mut self.statements);
+        count_c1_round(engine, stmts, &minsupport(min_count), "C1", spec.constraints, true)?;
+        Ok((read_counts(engine, 1)?, Metered::default()))
+    }
+
+    fn sales_stats(&self) -> LiveStats {
+        self.sales
+    }
+
+    fn iterate(
+        &mut self,
+        k: usize,
+        plan: &mut PhysicalPlan,
+        min_count: u64,
+        spec: &RunSpec,
+    ) -> Result<Step> {
+        // One session: the shard dimension is pinned to it.
+        plan.shards = 1;
+        let (engine, stmts, bind) = (&mut self.engine, &mut self.statements, minsupport(min_count));
+        let prev = if k == 2 { "SALES".to_string() } else { format!("R{}", k - 1) };
+        let rk_prime = format!("R{k}_PRIME");
+        let tables = [rk_prime.as_str(), &prev, &format!("R{k}_AUDIT")];
+        let (r_prime_tuples, audited) =
+            extend_round(engine, stmts, &bind, k, plan, spec.constraints, tables)?;
+        // C_k — group, count, apply minimum support (Section 4.1).
+        count_round(engine, stmts, &bind, &format!("C{k}"), &rk_prime, k, true)?;
+        let c_k = read_counts(engine, k)?;
+        let r_tuples = filter_round(engine, stmts, &bind, k, &rk_prime, &format!("R{k}"))?;
+        Ok(Step {
+            c_k,
+            r_prime_tuples,
+            r_tuples,
+            pruned: audited.saturating_sub(r_prime_tuples),
+            io: Metered::default(),
+        })
+    }
+}
+
+/// The partitioned Section 4.1 plan: per-shard statement pipelines run
+/// concurrently (one session per shard), shard-local counts merged by a
+/// coordinator `GROUP BY … HAVING SUM(cnt) >= :minsupport`, the merged
+/// `C_k` broadcast back for the per-shard filter. See the module docs.
+struct Sharded {
+    pool: ShardPool,
+    /// The coordinator session: merges shard-local count partials and
+    /// holds the authoritative C_k tables.
+    merge: SqlEngine,
+    statements: Vec<String>,
+    sales: LiveStats,
+}
+
+impl Operators for Sharded {
+    type Error = SqlError;
+
+    /// Shard-local item counts, *without* HAVING: the support threshold
+    /// is global, so it applies only at the coordinator merge.
+    fn count_c1(&mut self, min_count: u64, spec: &RunSpec) -> Result<(CountRelation, Metered)> {
+        let bind = minsupport(min_count);
+        let shard_stmts = self.pool.run(|i, engine| {
+            let mut stmts = Vec::new();
+            let part = format!("C1_PART_{i}");
+            count_c1_round(engine, &mut stmts, &bind, &part, spec.constraints, false)?;
+            Ok(stmts)
+        })?;
+        self.statements.extend(shard_stmts.into_iter().flatten());
+        let c1 =
+            merge_shard_counts(&mut self.merge, &mut self.pool, &mut self.statements, &bind, 1)?;
+        Ok((c1, Metered::default()))
+    }
+
+    fn sales_stats(&self) -> LiveStats {
+        self.sales
+    }
+
+    fn iterate(
+        &mut self,
+        k: usize,
+        plan: &mut PhysicalPlan,
+        min_count: u64,
+        spec: &RunSpec,
+    ) -> Result<Step> {
+        // The session topology is fixed at connect time: the shard
+        // dimension is pinned to the pool.
+        plan.shards = self.pool.len();
+        let (plan, bind) = (*plan, minsupport(min_count));
+
+        // Phase 1 (parallel): extension join + local counts per shard,
+        // via the plan's access path.
+        let phase1 = self.pool.run(|i, engine| {
+            let mut stmts = Vec::new();
+            let prev = if k == 2 { "SALES".to_string() } else { format!("R{}_SHARD_{i}", k - 1) };
+            let rk_prime = format!("R{k}_PRIME_SHARD_{i}");
+            let tables = [rk_prime.as_str(), &prev, &format!("R{k}_AUDIT_SHARD_{i}")];
+            let (r_prime, audited) =
+                extend_round(engine, &mut stmts, &bind, k, &plan, spec.constraints, tables)?;
+            count_round(engine, &mut stmts, &bind, &format!("C{k}_PART_{i}"), &rk_prime, k, false)?;
+            Ok((stmts, r_prime, audited))
+        })?;
+        let r_prime_tuples: u64 = phase1.iter().map(|(_, n, _)| n).sum();
+        let audited: u64 = phase1.iter().map(|(_, _, a)| a).sum();
+        self.statements.extend(phase1.into_iter().flat_map(|(stmts, _, _)| stmts));
+
+        // Global C_k: union the partials, SUM-merge under the threshold
+        // on the coordinator.
+        let c_k =
+            merge_shard_counts(&mut self.merge, &mut self.pool, &mut self.statements, &bind, k)?;
+
+        // Phase 2 (parallel): broadcast C_k (data movement, like the
+        // SALES load), filter + ORDER BY per shard, drop R'_k.
+        let c_rows = c_k.to_engine_rows();
+        let columns = count_table_cols(k);
+        let phase2 = self.pool.run(|i, engine| {
+            let mut stmts = Vec::new();
+            engine.set_options(merge_options(plan.sort_buffer_pages));
+            let col_refs: Vec<&str> = columns.iter().map(String::as_str).collect();
+            engine.load_table(&format!("C{k}"), &col_refs, c_rows.iter().map(|r| r.as_slice()))?;
+            let (rk_prime, r_k) = (format!("R{k}_PRIME_SHARD_{i}"), format!("R{k}_SHARD_{i}"));
+            let r_rows = filter_round(engine, &mut stmts, &bind, k, &rk_prime, &r_k)?;
+            Ok((stmts, r_rows))
+        })?;
+        let r_tuples: u64 = phase2.iter().map(|(_, n)| n).sum();
+        self.statements.extend(phase2.into_iter().flat_map(|(stmts, _)| stmts));
+        Ok(Step {
+            c_k,
+            r_prime_tuples,
+            r_tuples,
+            pruned: audited.saturating_sub(r_prime_tuples),
+            io: Metered::default(),
+        })
+    }
+}
+
+/// The bind parameters of every statement: `:minsupport`.
+fn minsupport(min_count: u64) -> Params {
+    Params::new().with("minsupport", min_count)
+}
+
+/// Execute one statement on a session, recording its text (recorded even
+/// on failure, so a trace always shows the statement that broke).
+fn exec_on(
+    engine: &mut SqlEngine,
+    statements: &mut Vec<String>,
+    bind: &Params,
+    sql: String,
+) -> Result<ExecOutcome> {
+    let outcome = engine.execute(&sql, bind);
+    statements.push(sql);
+    outcome
+}
+
+/// Rows an `INSERT` wrote.
+fn inserted(outcome: ExecOutcome) -> u64 {
+    match outcome {
+        ExecOutcome::Inserted(n) => n,
+        _ => 0,
+    }
+}
+
+/// `C_1` into `target` — Section 3.1's count over `SALES`, with the
+/// threshold when `having` (a shard's partial count has none: the
+/// threshold is global).
+fn count_c1_round(
+    engine: &mut SqlEngine,
+    stmts: &mut Vec<String>,
+    bind: &Params,
+    target: &str,
+    cc: &CompiledConstraints,
+    having: bool,
+) -> Result<()> {
+    exec_on(engine, stmts, bind, format!("CREATE TABLE {target} (item_1 INT, cnt INT)"))?;
+    let c1_where = match position_clause("r1.item", 0, cc) {
+        Some(clause) => format!("\nWHERE {clause}"),
+        None => String::new(),
+    };
+    let having = if having { "\nHAVING COUNT(*) >= :minsupport" } else { "" };
+    let sql = format!(
+        "INSERT INTO {target}\n\
+         SELECT r1.item, COUNT(*)\n\
+         FROM SALES r1{c1_where}\n\
+         GROUP BY r1.item{having}"
+    );
+    exec_on(engine, stmts, bind, sql)?;
+    Ok(())
+}
+
+/// One session's extension round for iteration `k`: create `R'_k`, run
+/// the Section 4.1 extension join into it via the plan's access path,
+/// and — with constraints — the audit join. `tables` names `R'_k`,
+/// `R_{k-1}` and the audit table. Returns the rows the join and the
+/// audit inserted (0 audited when unconstrained).
+fn extend_round(
+    engine: &mut SqlEngine,
+    stmts: &mut Vec<String>,
+    bind: &Params,
+    k: usize,
+    plan: &PhysicalPlan,
+    cc: &CompiledConstraints,
+    [rk_prime, prev, audit]: [&str; 3],
+) -> Result<(u64, u64)> {
+    engine.set_options(merge_options(plan.sort_buffer_pages));
+    exec_on(engine, stmts, bind, pattern_table(rk_prime, k))?;
+    if plan.join == JoinStrategy::NestedLoop {
+        prepare_nested_loop(engine, stmts, plan.sort_buffer_pages)?;
+    }
+    let joined = exec_on(engine, stmts, bind, extension_join(rk_prime, prev, k, cc))?;
+    engine.set_options(merge_options(plan.sort_buffer_pages));
+    // Audit (constrained runs only): the paper's unconstrained join
+    // into a scratch table; its insert count minus the constrained one
+    // is this iteration's pruned-candidate count.
+    let audited = if cc.is_empty() {
+        0
+    } else {
+        exec_on(engine, stmts, bind, pattern_table(audit, k))?;
+        let none = CompiledConstraints::none();
+        let audited = exec_on(engine, stmts, bind, extension_join(audit, prev, k, &none))?;
+        exec_on(engine, stmts, bind, format!("DROP TABLE {audit}"))?;
+        inserted(audited)
+    };
+    Ok((inserted(joined), audited))
+}
+
+/// `C_k` into `target`: group `source` (an `R'_k`) on its items and
+/// count, applying the threshold when `having`.
+fn count_round(
+    engine: &mut SqlEngine,
+    stmts: &mut Vec<String>,
+    bind: &Params,
+    target: &str,
+    source: &str,
+    k: usize,
+    having: bool,
+) -> Result<()> {
+    exec_on(engine, stmts, bind, format!("CREATE TABLE {target} ({}, cnt INT)", item_defs(k)))?;
+    let items = item_cols("p", k);
+    let having = if having { "\nHAVING COUNT(*) >= :minsupport" } else { "" };
+    let sql = format!(
+        "INSERT INTO {target}\n\
+         SELECT {items}, COUNT(*)\n\
+         FROM {source} p\n\
+         GROUP BY {items}{having}"
+    );
+    exec_on(engine, stmts, bind, sql)?;
+    Ok(())
+}
+
+/// `R_k` into `target` — retain the tuples of `rk_prime` whose pattern
+/// is in `C{k}`, sorted for the next pass (Section 4.1's final INSERT
+/// with ORDER BY) — then drop the consumed `R'_k`, as the paper does.
+/// Returns `|R_k|`.
+fn filter_round(
+    engine: &mut SqlEngine,
+    stmts: &mut Vec<String>,
+    bind: &Params,
+    k: usize,
+    rk_prime: &str,
+    target: &str,
+) -> Result<u64> {
+    exec_on(engine, stmts, bind, pattern_table(target, k))?;
+    let items = item_cols("p", k);
+    let join_cond: String =
+        (1..=k).map(|i| format!("p.item_{i} = q.item_{i}")).collect::<Vec<_>>().join(" AND ");
+    let sql = format!(
+        "INSERT INTO {target}\n\
+         SELECT p.trans_id, {items}\n\
+         FROM {rk_prime} p, C{k} q\n\
+         WHERE {join_cond}\n\
+         ORDER BY p.trans_id, {items}"
+    );
+    let r_rows = inserted(exec_on(engine, stmts, bind, sql)?);
+    exec_on(engine, stmts, bind, format!("DROP TABLE {rk_prime}"))?;
+    Ok(r_rows)
+}
+
+/// The Section 4.1 extension join `R'_k := R_{k-1} ⋈ SALES` into
+/// `target`, with the constraint conjuncts appended to the paper's
+/// `WHERE` clause (none for an unconstrained run, keeping the text the
+/// paper's). The k = 2 join reads prefixes from the *unfiltered*
+/// `SALES`, so position 0 is constrained there too; for k >= 3 the
+/// prefix is already clean (`R_{k-1}` was filtered against the anchored
+/// `C_{k-1}`).
+fn extension_join(target: &str, prev: &str, k: usize, cc: &CompiledConstraints) -> String {
+    let (prev_items, prev_last) = if k == 2 {
+        ("p.item".to_string(), "p.item".to_string())
+    } else {
+        (item_cols("p", k - 1), format!("p.item_{}", k - 1))
+    };
+    let mut extra = String::new();
+    let prefix = if k == 2 { position_clause("p.item", 0, cc) } else { None };
+    for clause in prefix.into_iter().chain(position_clause("q.item", k - 1, cc)) {
+        extra.push_str(" AND ");
+        extra.push_str(&clause);
+    }
+    format!(
+        "INSERT INTO {target}\n\
+         SELECT p.trans_id, {prev_items}, q.item\n\
+         FROM {prev} p, SALES q\n\
+         WHERE q.trans_id = p.trans_id AND q.item > {prev_last}{extra}"
+    )
+}
+
+/// The compiled-constraint conjunct for one pattern position, as SQL
+/// over `col`: `IN` pinning an anchored position to its anchor item,
+/// `NOT IN` rejecting the exclusion list at a free position, or nothing
+/// when the position is unconstrained.
+fn position_clause(col: &str, pos: usize, cc: &CompiledConstraints) -> Option<String> {
+    if pos < cc.anchor_len() {
+        Some(format!("{col} IN ({pos})"))
+    } else if !cc.excluded().is_empty() {
+        let list =
+            cc.excluded().iter().map(|i| i.to_string()).collect::<Vec<_>>().join(", ");
+        Some(format!("{col} NOT IN ({list})"))
+    } else {
+        None
+    }
+}
 
 /// The probe index a nested-loop plan creates on each session's `SALES`
 /// (the Section 3.2 transaction index). Recorded in the statement trace
@@ -90,30 +537,15 @@ fn merge_options(sort_buffer_pages: usize) -> ExecOptions {
     ExecOptions { join: JoinPreference::SortMerge, sort_buffer_pages }
 }
 
-/// The fixed dataset statistics plus the live `|R_{k-1}|` / `|C_{k-1}|`
-/// observations from the previous round of statements.
-fn live_stats(dataset: &Dataset, max_txn_len: u64, r_prev: u64, c_prev: u64) -> LiveStats {
-    LiveStats {
-        n_txns: dataset.n_transactions(),
-        sales_tuples: dataset.n_rows(),
-        max_txn_len,
-        r_prev_tuples: r_prev,
-        c_prev_len: c_prev,
-    }
+/// `CREATE TABLE {name} (trans_id INT, item_1 INT, .., item_k INT)` —
+/// the shape of every `R'_k`, `R_k` and audit table.
+fn pattern_table(name: &str, k: usize) -> String {
+    format!("CREATE TABLE {name} (trans_id INT, {})", item_defs(k))
 }
 
-fn max_txn_len(dataset: &Dataset) -> u64 {
-    dataset.transactions().map(|(_, items)| items.len() as u64).max().unwrap_or(0)
-}
-
-/// Outcome of a SQL-driven run.
-#[derive(Debug)]
-pub struct SqlRun {
-    pub result: SetmResult,
-    /// Every SQL statement executed, in order. In a partitioned run each
-    /// round lists the per-shard statements in shard order, then the
-    /// coordinator's merge statements.
-    pub statements: Vec<String>,
+/// Column definitions `item_1 INT, .., item_k INT`.
+fn item_defs(k: usize) -> String {
+    (1..=k).map(|i| format!("item_{i} INT")).collect::<Vec<_>>().join(", ")
 }
 
 /// Column list `item_1, .., item_k` with an optional qualifier.
@@ -136,653 +568,6 @@ fn count_table_cols(k: usize) -> Vec<String> {
     (1..=k).map(|i| format!("item_{i}")).chain(std::iter::once("cnt".to_string())).collect()
 }
 
-/// Mine `dataset` by generating and executing the paper's SQL.
-///
-/// `threads` = 0 resolves to the machine's available parallelism, 1
-/// forces the paper's sequential plan; mined results and the trace
-/// series are identical for every value. This is the low-level
-/// execution function behind [`crate::Backend::Sql`]; prefer driving it
-/// through the [`crate::Miner`] facade, which validates inputs and
-/// returns the shared [`crate::MiningOutcome`] / [`crate::SetmError`]
-/// types.
-pub fn mine_with(dataset: &Dataset, params: &MiningParams, threads: usize) -> Result<SqlRun> {
-    mine_planned(dataset, params, threads, PlanMode::Auto)
-}
-
-/// [`mine_with`] with an explicit plan-selection mode.
-///
-/// The session topology (one connection per shard) is fixed when the
-/// first statement runs, so the plan's shard dimension is taken from the
-/// k = 2 plan and held for the whole script; recorded per-iteration plans
-/// carry the actual session count. The join strategy and sort workspace
-/// are honored per iteration ([`SqlEngine::set_options`], plus a
-/// `CREATE INDEX` on `SALES` the first time a session runs a nested-loop
-/// extension join). `reuse_sort` is recorded but has no SQL-level
-/// realization: the Section 4.1 script never re-sorts `R_{k-1}` — the
-/// closing `ORDER BY` is its only ordering step.
-pub fn mine_planned(
-    dataset: &Dataset,
-    params: &MiningParams,
-    threads: usize,
-    mode: PlanMode,
-) -> Result<SqlRun> {
-    mine_observed(dataset, params, threads, mode, &NullSink)
-}
-
-/// [`mine_planned`] with a telemetry sink: each iteration's trace row is
-/// reported the moment it is computed ([`ObsEvent::Iteration`]). Events
-/// fire on the coordinator thread only (never inside a shard session),
-/// carrying copies of already-computed numbers — the emitted SQL and the
-/// mined result are identical to the unobserved run.
-pub fn mine_observed(
-    dataset: &Dataset,
-    params: &MiningParams,
-    threads: usize,
-    mode: PlanMode,
-    sink: &dyn ObsSink,
-) -> Result<SqlRun> {
-    mine_constrained(dataset, params, threads, mode, sink, &CompiledConstraints::none())
-}
-
-/// [`mine_observed`] with compiled [`crate::MiningConstraints`]: the
-/// anchor/exclusion checks become `IN` / `NOT IN` conjuncts on the
-/// Section 4.1 statements themselves, so the set-oriented plan prunes
-/// candidates inside the relational engine rather than in client code.
-/// With constraints active, each extension round also runs an *audit*
-/// statement — the paper's unconstrained join into a scratch table —
-/// whose insert count, minus the constrained insert count, is the
-/// iteration's `candidates_pruned`. Unconstrained runs execute the
-/// paper's statement text byte-identically (no audit tables, no extra
-/// conjuncts).
-///
-/// `cc` is in *mining space*: with a require-constraint the caller (the
-/// [`crate::Miner`] facade) hands this function the remapped dataset, so
-/// the anchor literals in the emitted SQL are the remapped item ids
-/// `0, 1, ..`.
-pub fn mine_constrained(
-    dataset: &Dataset,
-    params: &MiningParams,
-    threads: usize,
-    mode: PlanMode,
-    sink: &dyn ObsSink,
-    cc: &CompiledConstraints,
-) -> Result<SqlRun> {
-    let max_shards = resolve_threads(threads).min(dataset.n_transactions().max(1) as usize);
-    let planner = Planner::new(mode, PlannerConfig::with_max_shards(max_shards));
-    let boot = live_stats(dataset, max_txn_len(dataset), dataset.n_rows(), 1);
-    let layout = planner.plan_iteration(2, &boot).shards;
-    if layout <= 1 {
-        mine_sequential(dataset, params, &planner, sink, cc)
-    } else {
-        mine_sharded(dataset, params, layout, &planner, &|_, _| {}, sink, cc)
-    }
-}
-
-/// Test seam: run the partitioned plan with a per-shard preparation hook
-/// (e.g. injecting pager faults into one shard). Not part of the stable
-/// API.
-#[doc(hidden)]
-pub fn mine_sharded_with_prepare(
-    dataset: &Dataset,
-    params: &MiningParams,
-    threads: usize,
-    prepare: &(dyn Fn(usize, &mut SqlEngine) + Sync),
-) -> Result<SqlRun> {
-    let threads = resolve_threads(threads).min(dataset.n_transactions().max(1) as usize);
-    let planner = Planner::new(PlanMode::Auto, PlannerConfig::with_max_shards(threads.max(1)));
-    mine_sharded(
-        dataset,
-        params,
-        threads.max(1),
-        &planner,
-        prepare,
-        &NullSink,
-        &CompiledConstraints::none(),
-    )
-}
-
-/// The compiled-constraint conjunct for one pattern position, as SQL
-/// over `col`: `IN` pinning an anchored position to its anchor item,
-/// `NOT IN` rejecting the exclusion list at a free position, or nothing
-/// when the position is unconstrained.
-fn position_clause(col: &str, pos: usize, cc: &CompiledConstraints) -> Option<String> {
-    if pos < cc.anchor_len() {
-        Some(format!("{col} IN ({pos})"))
-    } else if !cc.excluded().is_empty() {
-        let list =
-            cc.excluded().iter().map(|i| i.to_string()).collect::<Vec<_>>().join(", ");
-        Some(format!("{col} NOT IN ({list})"))
-    } else {
-        None
-    }
-}
-
-/// Extra `AND …` conjuncts the constrained extension join appends to
-/// the paper's `WHERE` clause. Empty for an unconstrained run, keeping
-/// the emitted text byte-identical to the paper's. The k = 2 join reads
-/// prefixes from the *unfiltered* `SALES`, so position 0 is constrained
-/// there too; for k >= 3 the prefix is already clean (`R_{k-1}` was
-/// filtered against the anchored `C_{k-1}`).
-fn extension_conjuncts(k: usize, cc: &CompiledConstraints) -> String {
-    let mut out = String::new();
-    if cc.is_empty() {
-        return out;
-    }
-    if k == 2 {
-        if let Some(clause) = position_clause("p.item", 0, cc) {
-            out.push_str(" AND ");
-            out.push_str(&clause);
-        }
-    }
-    if let Some(clause) = position_clause("q.item", k - 1, cc) {
-        out.push_str(" AND ");
-        out.push_str(&clause);
-    }
-    out
-}
-
-/// The `WHERE` clause of the constrained `C_1` count (between `FROM`
-/// and `GROUP BY`); empty for an unconstrained run.
-fn c1_where(cc: &CompiledConstraints) -> String {
-    if cc.is_empty() {
-        return String::new();
-    }
-    match position_clause("r1.item", 0, cc) {
-        Some(clause) => format!("\nWHERE {clause}"),
-        None => String::new(),
-    }
-}
-
-/// The k = 1 pruned count: `SALES` rows whose item fails the compiled
-/// anchor/exclusion check. Computed from the dataset (the relational
-/// side never materializes the rejected rows), with the same accounting
-/// as the in-memory and paged-engine executions.
-fn k1_pruned(dataset: &Dataset, cc: &CompiledConstraints) -> u64 {
-    if cc.is_empty() {
-        return 0;
-    }
-    dataset.items().iter().filter(|&&it| !cc.allows_at(0, it)).count() as u64
-}
-
-/// The paper's sequential Section 4.1 plan on a single session. The
-/// emitted statement text is byte-identical to the pre-parallel
-/// releases' whenever the planner keeps the merge-scan join —
-/// `threads(1)` *is* the paper's plan; a nested-loop iteration adds only
-/// its `CREATE INDEX` DDL to the trace.
-fn mine_sequential(
-    dataset: &Dataset,
-    params: &MiningParams,
-    planner: &Planner,
-    sink: &dyn ObsSink,
-    cc: &CompiledConstraints,
-) -> Result<SqlRun> {
-    let mut engine = SqlEngine::new();
-    let mut statements: Vec<String> = Vec::new();
-    let n_txns = dataset.n_transactions();
-    let min_count = params.min_support.to_count(n_txns.max(1));
-    let max_len = params.max_pattern_len.unwrap_or(usize::MAX);
-    let bind = Params::new().with("minsupport", min_count);
-
-    // Load SALES(trans_id, item). Loading is data preparation, not SQL
-    // mining, so it uses the bulk API.
-    let rows = dataset.sales_rows();
-    engine.load_table("SALES", &["trans_id", "item"], rows.iter().map(|r| r.as_slice()))?;
-
-    let run = |engine: &mut SqlEngine, statements: &mut Vec<String>, sql: String| {
-        let outcome = engine.execute(&sql, &bind);
-        statements.push(sql);
-        outcome
-    };
-
-    let mut counts: Vec<CountRelation> = Vec::new();
-    let mut trace: Vec<IterationTrace> = Vec::new();
-
-    // C1 — the Section 3.1 query, verbatim (a constrained run inserts
-    // its anchor/exclusion predicate as a WHERE clause).
-    run(&mut engine, &mut statements, "CREATE TABLE C1 (item_1 INT, cnt INT)".into())?;
-    run(
-        &mut engine,
-        &mut statements,
-        format!(
-            "INSERT INTO C1\n\
-             SELECT r1.item, COUNT(*)\n\
-             FROM SALES r1{c1_where}\n\
-             GROUP BY r1.item\n\
-             HAVING COUNT(*) >= :minsupport",
-            c1_where = c1_where(cc),
-        ),
-    )?;
-    let c1 = read_counts(&mut engine, 1)?;
-    trace.push(iteration_one_trace(dataset, &c1, k1_pruned(dataset, cc)));
-    sink.on_event(&ObsEvent::Iteration(trace[0].snapshot()));
-    let mut c_prev_len = c1.len() as u64;
-    let mut prev_rows = dataset.n_rows();
-    let longest = max_txn_len(dataset);
-    if !c1.is_empty() {
-        counts.push(c1);
-    }
-
-    let mut k = 1usize;
-    if max_len > 1 && n_txns > 0 {
-        loop {
-            k += 1;
-            let stats = live_stats(dataset, longest, prev_rows, c_prev_len);
-            let plan = {
-                // One session: the shard dimension is pinned to it.
-                let mut p = planner.plan_iteration(k, &stats);
-                p.shards = 1;
-                p
-            };
-            engine.set_options(merge_options(plan.sort_buffer_pages));
-            let prev = if k == 2 { "SALES".to_string() } else { format!("R{}", k - 1) };
-            let prev_items = if k == 2 { "p.item".to_string() } else { item_cols("p", k - 1) };
-            let prev_last =
-                if k == 2 { "p.item".to_string() } else { format!("p.item_{}", k - 1) };
-
-            // R'_k — the Section 4.1 extension join, via the plan's
-            // access path.
-            let rk_prime = format!("R{k}_PRIME");
-            let cols: String =
-                (1..=k).map(|i| format!("item_{i} INT")).collect::<Vec<_>>().join(", ");
-            run(
-                &mut engine,
-                &mut statements,
-                format!("CREATE TABLE {rk_prime} (trans_id INT, {cols})"),
-            )?;
-            if plan.join == JoinStrategy::NestedLoop {
-                prepare_nested_loop(&mut engine, &mut statements, plan.sort_buffer_pages)?;
-            }
-            let inserted = run(
-                &mut engine,
-                &mut statements,
-                format!(
-                    "INSERT INTO {rk_prime}\n\
-                     SELECT p.trans_id, {prev_items}, q.item\n\
-                     FROM {prev} p, SALES q\n\
-                     WHERE q.trans_id = p.trans_id AND q.item > {prev_last}{extra}",
-                    extra = extension_conjuncts(k, cc),
-                ),
-            )?;
-            engine.set_options(merge_options(plan.sort_buffer_pages));
-            let r_prime_tuples = match inserted {
-                ExecOutcome::Inserted(n) => n,
-                _ => 0,
-            };
-
-            // Audit (constrained runs only): the paper's unconstrained
-            // join into a scratch table; its insert count minus the
-            // constrained one is this iteration's pruned-candidate count.
-            let pruned = if cc.is_empty() {
-                0
-            } else {
-                let audit = format!("R{k}_AUDIT");
-                run(
-                    &mut engine,
-                    &mut statements,
-                    format!("CREATE TABLE {audit} (trans_id INT, {cols})"),
-                )?;
-                let audited = run(
-                    &mut engine,
-                    &mut statements,
-                    format!(
-                        "INSERT INTO {audit}\n\
-                         SELECT p.trans_id, {prev_items}, q.item\n\
-                         FROM {prev} p, SALES q\n\
-                         WHERE q.trans_id = p.trans_id AND q.item > {prev_last}"
-                    ),
-                )?;
-                run(&mut engine, &mut statements, format!("DROP TABLE {audit}"))?;
-                match audited {
-                    ExecOutcome::Inserted(n) => n.saturating_sub(r_prime_tuples),
-                    _ => 0,
-                }
-            };
-
-            // C_k — group, count, apply minimum support (Section 4.1).
-            run(&mut engine, &mut statements, format!("CREATE TABLE C{k} ({cols}, cnt INT)"))?;
-            run(
-                &mut engine,
-                &mut statements,
-                format!(
-                    "INSERT INTO C{k}\n\
-                     SELECT {items}, COUNT(*)\n\
-                     FROM {rk_prime} p\n\
-                     GROUP BY {items}\n\
-                     HAVING COUNT(*) >= :minsupport",
-                    items = item_cols("p", k),
-                ),
-            )?;
-            let c_k = read_counts(&mut engine, k)?;
-
-            // R_k — retain supported tuples, sorted for the next pass
-            // (Section 4.1's final INSERT with ORDER BY).
-            run(
-                &mut engine,
-                &mut statements,
-                format!("CREATE TABLE R{k} (trans_id INT, {cols})"),
-            )?;
-            let join_cond: String = (1..=k)
-                .map(|i| format!("p.item_{i} = q.item_{i}"))
-                .collect::<Vec<_>>()
-                .join(" AND ");
-            let inserted = run(
-                &mut engine,
-                &mut statements,
-                format!(
-                    "INSERT INTO R{k}\n\
-                     SELECT p.trans_id, {items}\n\
-                     FROM {rk_prime} p, C{k} q\n\
-                     WHERE {join_cond}\n\
-                     ORDER BY p.trans_id, {items}",
-                    items = item_cols("p", k),
-                ),
-            )?;
-            let r_tuples = match inserted {
-                ExecOutcome::Inserted(n) => n,
-                _ => 0,
-            };
-
-            // R'_k is consumed; the paper discards it.
-            run(&mut engine, &mut statements, format!("DROP TABLE {rk_prime}"))?;
-
-            trace.push(iteration_trace(k, r_prime_tuples, r_tuples, c_k.len() as u64, pruned, plan));
-            sink.on_event(&ObsEvent::Iteration(trace[trace.len() - 1].snapshot()));
-            prev_rows = r_tuples;
-            c_prev_len = c_k.len() as u64;
-
-            let done = r_tuples == 0 || k >= max_len;
-            if !c_k.is_empty() {
-                counts.push(c_k);
-            }
-            if done {
-                break;
-            }
-        }
-    }
-
-    Ok(SqlRun {
-        result: SetmResult { counts, trace, n_transactions: n_txns, min_support_count: min_count },
-        statements,
-    })
-}
-
-/// The partitioned Section 4.1 plan: per-shard statement pipelines run
-/// concurrently (one session per shard), shard-local counts merged by a
-/// coordinator `GROUP BY … HAVING SUM(cnt) >= :minsupport`, the merged
-/// `C_k` broadcast back for the per-shard filter. See the module docs.
-#[allow(clippy::too_many_arguments)]
-fn mine_sharded(
-    dataset: &Dataset,
-    params: &MiningParams,
-    threads: usize,
-    planner: &Planner,
-    prepare: &(dyn Fn(usize, &mut SqlEngine) + Sync),
-    sink: &dyn ObsSink,
-    cc: &CompiledConstraints,
-) -> Result<SqlRun> {
-    let n_txns = dataset.n_transactions();
-    let min_count = params.min_support.to_count(n_txns.max(1));
-    let max_len = params.max_pattern_len.unwrap_or(usize::MAX);
-    let bind = Params::new().with("minsupport", min_count);
-
-    // Contiguous trans_id shards, weight-balanced by row count — the
-    // same partitioner as the in-memory and paged-engine executions.
-    let weights: Vec<usize> = dataset.transactions().map(|(_, items)| items.len()).collect();
-    let ranges = partition_by_weight(&weights, threads);
-    let mut pool = ShardPool::new(ranges.len());
-    {
-        let mut txns = dataset.transactions();
-        for (i, range) in ranges.iter().enumerate() {
-            let mut rows: Vec<[u32; 2]> = Vec::new();
-            for (tid, items) in txns.by_ref().take(range.len()) {
-                rows.extend(items.iter().map(|&it| [tid, it]));
-            }
-            // Each shard's slice of SALES — data preparation, like the
-            // sequential load.
-            pool.shard_mut(i).load_table(
-                "SALES",
-                &["trans_id", "item"],
-                rows.iter().map(|r| r.as_slice()),
-            )?;
-            prepare(i, pool.shard_mut(i));
-        }
-    }
-    // The coordinator session: merges shard-local count partials and
-    // holds the authoritative C_k tables.
-    let mut merge = SqlEngine::new();
-    let mut statements: Vec<String> = Vec::new();
-
-    let mut counts: Vec<CountRelation> = Vec::new();
-    let mut trace: Vec<IterationTrace> = Vec::new();
-
-    // k = 1 — shard-local item counts, *without* HAVING: the support
-    // threshold is global, so it applies only at the coordinator merge.
-    let shard_stmts = pool.run(|i, engine| {
-        let mut stmts = Vec::new();
-        exec_on(engine, &mut stmts, &bind, format!("CREATE TABLE C1_PART_{i} (item_1 INT, cnt INT)"))?;
-        exec_on(
-            engine,
-            &mut stmts,
-            &bind,
-            format!(
-                "INSERT INTO C1_PART_{i}\n\
-                 SELECT r1.item, COUNT(*)\n\
-                 FROM SALES r1{c1_where}\n\
-                 GROUP BY r1.item",
-                c1_where = c1_where(cc),
-            ),
-        )?;
-        Ok(stmts)
-    })?;
-    statements.extend(shard_stmts.into_iter().flatten());
-    let c1 = merge_shard_counts(&mut merge, &mut pool, &mut statements, &bind, 1)?;
-    trace.push(iteration_one_trace(dataset, &c1, k1_pruned(dataset, cc)));
-    sink.on_event(&ObsEvent::Iteration(trace[0].snapshot()));
-    let mut c_prev_len = c1.len() as u64;
-    let mut prev_rows = dataset.n_rows();
-    let longest = max_txn_len(dataset);
-    if !c1.is_empty() {
-        counts.push(c1);
-    }
-
-    let mut k = 1usize;
-    if max_len > 1 && n_txns > 0 {
-        loop {
-            k += 1;
-            let stats = live_stats(dataset, longest, prev_rows, c_prev_len);
-            let plan = {
-                // The session topology is fixed at connect time: the
-                // shard dimension is pinned to the pool.
-                let mut p = planner.plan_iteration(k, &stats);
-                p.shards = pool.len();
-                p
-            };
-            let cols: String =
-                (1..=k).map(|i| format!("item_{i} INT")).collect::<Vec<_>>().join(", ");
-            let items = item_cols("p", k);
-
-            // Phase 1 (parallel): extension join + local counts per
-            // shard, via the plan's access path.
-            let phase1 = pool.run(|i, engine| {
-                let mut stmts = Vec::new();
-                engine.set_options(merge_options(plan.sort_buffer_pages));
-                let prev = if k == 2 {
-                    "SALES".to_string()
-                } else {
-                    format!("R{}_SHARD_{i}", k - 1)
-                };
-                let prev_items =
-                    if k == 2 { "p.item".to_string() } else { item_cols("p", k - 1) };
-                let prev_last =
-                    if k == 2 { "p.item".to_string() } else { format!("p.item_{}", k - 1) };
-                let rk_prime = format!("R{k}_PRIME_SHARD_{i}");
-                exec_on(
-                    engine,
-                    &mut stmts,
-                    &bind,
-                    format!("CREATE TABLE {rk_prime} (trans_id INT, {cols})"),
-                )?;
-                if plan.join == JoinStrategy::NestedLoop {
-                    prepare_nested_loop(engine, &mut stmts, plan.sort_buffer_pages)?;
-                }
-                let inserted = exec_on(
-                    engine,
-                    &mut stmts,
-                    &bind,
-                    format!(
-                        "INSERT INTO {rk_prime}\n\
-                         SELECT p.trans_id, {prev_items}, q.item\n\
-                         FROM {prev} p, SALES q\n\
-                         WHERE q.trans_id = p.trans_id AND q.item > {prev_last}{extra}",
-                        extra = extension_conjuncts(k, cc),
-                    ),
-                )?;
-                engine.set_options(merge_options(plan.sort_buffer_pages));
-                let r_prime_rows = match inserted {
-                    ExecOutcome::Inserted(n) => n,
-                    _ => 0,
-                };
-                // Shard-local audit (constrained runs only): count the
-                // paper's unconstrained join; the coordinator sums the
-                // differences into the iteration's pruned count.
-                let audit_rows = if cc.is_empty() {
-                    0
-                } else {
-                    let audit = format!("R{k}_AUDIT_SHARD_{i}");
-                    exec_on(
-                        engine,
-                        &mut stmts,
-                        &bind,
-                        format!("CREATE TABLE {audit} (trans_id INT, {cols})"),
-                    )?;
-                    let audited = exec_on(
-                        engine,
-                        &mut stmts,
-                        &bind,
-                        format!(
-                            "INSERT INTO {audit}\n\
-                             SELECT p.trans_id, {prev_items}, q.item\n\
-                             FROM {prev} p, SALES q\n\
-                             WHERE q.trans_id = p.trans_id AND q.item > {prev_last}"
-                        ),
-                    )?;
-                    exec_on(engine, &mut stmts, &bind, format!("DROP TABLE {audit}"))?;
-                    match audited {
-                        ExecOutcome::Inserted(n) => n,
-                        _ => 0,
-                    }
-                };
-                exec_on(
-                    engine,
-                    &mut stmts,
-                    &bind,
-                    format!("CREATE TABLE C{k}_PART_{i} ({cols}, cnt INT)"),
-                )?;
-                exec_on(
-                    engine,
-                    &mut stmts,
-                    &bind,
-                    format!(
-                        "INSERT INTO C{k}_PART_{i}\n\
-                         SELECT {items}, COUNT(*)\n\
-                         FROM {rk_prime} p\n\
-                         GROUP BY {items}"
-                    ),
-                )?;
-                Ok((stmts, r_prime_rows, audit_rows))
-            })?;
-            let r_prime_tuples: u64 = phase1.iter().map(|(_, n, _)| n).sum();
-            let audit_tuples: u64 = phase1.iter().map(|(_, _, a)| a).sum();
-            let pruned =
-                if cc.is_empty() { 0 } else { audit_tuples.saturating_sub(r_prime_tuples) };
-            statements.extend(phase1.into_iter().flat_map(|(stmts, _, _)| stmts));
-
-            // Global C_k: union the partials, SUM-merge under the
-            // threshold on the coordinator.
-            let c_k = merge_shard_counts(&mut merge, &mut pool, &mut statements, &bind, k)?;
-
-            // Phase 2 (parallel): broadcast C_k (data movement, like the
-            // SALES load), filter + ORDER BY per shard, drop R'_k.
-            let c_rows = c_k.to_engine_rows();
-            let bcast_cols = count_table_cols(k);
-            let phase2 = pool.run(|i, engine| {
-                let mut stmts = Vec::new();
-                engine.set_options(merge_options(plan.sort_buffer_pages));
-                let col_refs: Vec<&str> = bcast_cols.iter().map(String::as_str).collect();
-                engine.load_table(
-                    &format!("C{k}"),
-                    &col_refs,
-                    c_rows.iter().map(|r| r.as_slice()),
-                )?;
-                let rk_prime = format!("R{k}_PRIME_SHARD_{i}");
-                let r_k = format!("R{k}_SHARD_{i}");
-                exec_on(
-                    engine,
-                    &mut stmts,
-                    &bind,
-                    format!("CREATE TABLE {r_k} (trans_id INT, {cols})"),
-                )?;
-                let join_cond: String = (1..=k)
-                    .map(|c| format!("p.item_{c} = q.item_{c}"))
-                    .collect::<Vec<_>>()
-                    .join(" AND ");
-                let inserted = exec_on(
-                    engine,
-                    &mut stmts,
-                    &bind,
-                    format!(
-                        "INSERT INTO {r_k}\n\
-                         SELECT p.trans_id, {items}\n\
-                         FROM {rk_prime} p, C{k} q\n\
-                         WHERE {join_cond}\n\
-                         ORDER BY p.trans_id, {items}"
-                    ),
-                )?;
-                let r_rows = match inserted {
-                    ExecOutcome::Inserted(n) => n,
-                    _ => 0,
-                };
-                // R'_k is consumed; the paper discards it.
-                exec_on(engine, &mut stmts, &bind, format!("DROP TABLE {rk_prime}"))?;
-                Ok((stmts, r_rows))
-            })?;
-            let r_tuples: u64 = phase2.iter().map(|(_, n)| n).sum();
-            statements.extend(phase2.into_iter().flat_map(|(stmts, _)| stmts));
-
-            trace.push(iteration_trace(k, r_prime_tuples, r_tuples, c_k.len() as u64, pruned, plan));
-            sink.on_event(&ObsEvent::Iteration(trace[trace.len() - 1].snapshot()));
-            prev_rows = r_tuples;
-            c_prev_len = c_k.len() as u64;
-
-            let done = r_tuples == 0 || k >= max_len;
-            if !c_k.is_empty() {
-                counts.push(c_k);
-            }
-            if done {
-                break;
-            }
-        }
-    }
-
-    Ok(SqlRun {
-        result: SetmResult { counts, trace, n_transactions: n_txns, min_support_count: min_count },
-        statements,
-    })
-}
-
-/// Execute one statement on a session, recording its text (recorded even
-/// on failure, so a trace always shows the statement that broke).
-fn exec_on(
-    engine: &mut SqlEngine,
-    statements: &mut Vec<String>,
-    bind: &Params,
-    sql: String,
-) -> Result<ExecOutcome> {
-    let outcome = engine.execute(&sql, bind);
-    statements.push(sql);
-    outcome
-}
-
 /// The coordinator half of a partitioned `GROUP BY`: ship every shard's
 /// `C{k}_PART_{i}` rows into one `C{k}_PARTS` table (the `UNION ALL`,
 /// done as bulk data movement), then apply the global threshold with one
@@ -800,10 +585,7 @@ fn merge_shard_counts(
         // Reading a shard's partials touches that shard's storage, so a
         // fault here must still name the shard (same contract as
         // `ShardPool::run`).
-        let shard_err = |e: setm_sql::SqlError| setm_sql::SqlError::Shard {
-            shard: i,
-            source: Box::new(e),
-        };
+        let shard_err = |e: SqlError| SqlError::Shard { shard: i, source: Box::new(e) };
         let table = pool
             .shard_mut(i)
             .database()
@@ -815,9 +597,8 @@ fn merge_shard_counts(
     let col_refs: Vec<&str> = col_names.iter().map(String::as_str).collect();
     merge.load_table(&format!("C{k}_PARTS"), &col_refs, union_rows.iter().map(|r| r.as_slice()))?;
 
-    let cols: String = (1..=k).map(|i| format!("item_{i} INT")).collect::<Vec<_>>().join(", ");
     let items = item_cols("p", k);
-    exec_on(merge, statements, bind, format!("CREATE TABLE C{k} ({cols}, cnt INT)"))?;
+    exec_on(merge, statements, bind, format!("CREATE TABLE C{k} ({}, cnt INT)", item_defs(k)))?;
     exec_on(
         merge,
         statements,
@@ -832,52 +613,6 @@ fn merge_shard_counts(
     )?;
     exec_on(merge, statements, bind, format!("DROP TABLE C{k}_PARTS"))?;
     read_counts(merge, k)
-}
-
-/// The k = 1 trace row (identical fields on the sequential and
-/// partitioned plans: the paper never filters the sales relation).
-fn iteration_one_trace(
-    dataset: &Dataset,
-    c1: &CountRelation,
-    candidates_pruned: u64,
-) -> IterationTrace {
-    IterationTrace {
-        k: 1,
-        r_prime_tuples: dataset.n_rows(),
-        r_tuples: dataset.n_rows(),
-        r_kbytes: dataset.n_rows() as f64 * 8.0 / 1024.0,
-        c_len: c1.len() as u64,
-        page_accesses: 0,
-        estimated_io_ms: 0.0,
-        cache_hits: 0,
-        pool_steals: 0,
-        candidates_pruned,
-        plan: None,
-    }
-}
-
-/// A k >= 2 trace row (the SQL execution does not meter page accesses).
-fn iteration_trace(
-    k: usize,
-    r_prime_tuples: u64,
-    r_tuples: u64,
-    c_len: u64,
-    candidates_pruned: u64,
-    plan: PhysicalPlan,
-) -> IterationTrace {
-    IterationTrace {
-        k,
-        r_prime_tuples,
-        r_tuples,
-        r_kbytes: r_tuples as f64 * ((k + 1) * 4) as f64 / 1024.0,
-        c_len,
-        page_accesses: 0,
-        estimated_io_ms: 0.0,
-        cache_hits: 0,
-        pool_steals: 0,
-        candidates_pruned,
-        plan: Some(plan),
-    }
 }
 
 /// Read `C_k` back into memory. Its rows are already in lexicographic
@@ -899,15 +634,20 @@ mod tests {
     use crate::example;
     use crate::setm::memory;
 
+    /// One auto-planned SQL run at `threads`.
+    fn run(d: &Dataset, params: &MiningParams, threads: usize) -> (SetmResult, SqlReport) {
+        execute(d, params, &RunSpec { threads, ..Default::default() }).unwrap()
+    }
+
     #[test]
     fn sql_run_matches_memory_on_worked_example() {
         let d = example::paper_example_dataset();
         let params = example::paper_example_params();
-        let mem = memory::mine(&d, &params);
-        let sql = mine_with(&d, &params, 1).unwrap();
-        assert_eq!(sql.result.frequent_itemsets(), mem.frequent_itemsets());
+        let mem = memory::execute(&d, &params, &RunSpec::default());
+        let sql = run(&d, &params, 1);
+        assert_eq!(sql.0.frequent_itemsets(), mem.frequent_itemsets());
         // Tuple counts per iteration agree (|R'_k|, |R_k|, |C_k|).
-        for (a, b) in mem.trace.iter().zip(sql.result.trace.iter()) {
+        for (a, b) in mem.trace.iter().zip(sql.0.trace.iter()) {
             assert_eq!(
                 (a.k, a.r_prime_tuples, a.r_tuples, a.c_len),
                 (b.k, b.r_prime_tuples, b.r_tuples, b.c_len)
@@ -918,8 +658,8 @@ mod tests {
     #[test]
     fn emitted_sql_is_the_papers_text() {
         let d = example::paper_example_dataset();
-        let sql = mine_with(&d, &example::paper_example_params(), 1).unwrap();
-        let all = sql.statements.join("\n---\n");
+        let sql = run(&d, &example::paper_example_params(), 1);
+        let all = sql.1.statements.join("\n---\n");
         // The Section 3.1 C1 query.
         assert!(all.contains("HAVING COUNT(*) >= :minsupport"));
         // The Section 4.1 extension join.
@@ -936,16 +676,16 @@ mod tests {
     fn partitioned_run_matches_sequential_on_worked_example() {
         let d = example::paper_example_dataset();
         let params = example::paper_example_params();
-        let seq = mine_with(&d, &params, 1).unwrap();
+        let seq = run(&d, &params, 1);
         for threads in [2usize, 3, 4, 8] {
-            let par = mine_with(&d, &params, threads).unwrap();
+            let par = run(&d, &params, threads);
             assert_eq!(
-                par.result.frequent_itemsets(),
-                seq.result.frequent_itemsets(),
+                par.0.frequent_itemsets(),
+                seq.0.frequent_itemsets(),
                 "threads={threads}"
             );
-            assert_eq!(par.result.trace.len(), seq.result.trace.len());
-            for (a, b) in seq.result.trace.iter().zip(par.result.trace.iter()) {
+            assert_eq!(par.0.trace.len(), seq.0.trace.len());
+            for (a, b) in seq.0.trace.iter().zip(par.0.trace.iter()) {
                 assert_eq!(
                     (a.k, a.r_prime_tuples, a.r_tuples, a.c_len),
                     (b.k, b.r_prime_tuples, b.r_tuples, b.c_len),
@@ -958,8 +698,8 @@ mod tests {
     #[test]
     fn partitioned_statements_name_shards_and_merge_with_sum() {
         let d = example::paper_example_dataset();
-        let sql = mine_with(&d, &example::paper_example_params(), 2).unwrap();
-        let all = sql.statements.join("\n---\n");
+        let sql = run(&d, &example::paper_example_params(), 2);
+        let all = sql.1.statements.join("\n---\n");
         assert!(all.contains("R2_PRIME_SHARD_0"), "{all}");
         assert!(all.contains("R2_PRIME_SHARD_1"), "{all}");
         assert!(all.contains("C1_PART_0"), "{all}");
@@ -984,11 +724,11 @@ mod tests {
         }
         let d = Dataset::from_transactions(txns.iter().map(|(t, i)| (*t, i.as_slice())));
         let params = MiningParams::new(MinSupport::Fraction(0.15), 0.5);
-        let mem = memory::mine(&d, &params);
+        let mem = memory::execute(&d, &params, &RunSpec::default());
         for threads in [1usize, 4] {
-            let sql = mine_with(&d, &params, threads).unwrap();
+            let sql = run(&d, &params, threads);
             assert_eq!(
-                sql.result.frequent_itemsets(),
+                sql.0.frequent_itemsets(),
                 mem.frequent_itemsets(),
                 "threads={threads}"
             );
@@ -999,9 +739,8 @@ mod tests {
     fn empty_dataset_is_handled() {
         let d = Dataset::from_pairs(std::iter::empty());
         for threads in [1usize, 4] {
-            let run = mine_with(&d, &MiningParams::new(MinSupport::Count(1), 0.5), threads)
-                .unwrap();
-            assert_eq!(run.result.max_pattern_len(), 0);
+            let (result, _) = run(&d, &MiningParams::new(MinSupport::Count(1), 0.5), threads);
+            assert_eq!(result.max_pattern_len(), 0);
         }
     }
 }

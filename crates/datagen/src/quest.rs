@@ -180,7 +180,8 @@ mod tests {
         // The whole point of Quest data: correlations exist, so frequent
         // pairs appear well above the independence baseline.
         let d = QuestConfig::t5_i2_d100k(50).generate();
-        let r = memory::mine(&d, &MiningParams::new(MinSupport::Fraction(0.01), 0.5));
+        let params = MiningParams::new(MinSupport::Fraction(0.01), 0.5);
+        let r = memory::execute(&d, &params, &Default::default());
         assert!(r.c(2).is_some(), "frequent pairs must exist at 1% support");
     }
 

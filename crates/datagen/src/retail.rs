@@ -261,14 +261,16 @@ mod tests {
         let d = paper_dataset();
         // At 0.1%: longest frequent pattern is 3 ("The maximum size of
         // the rules is 3, hence in all cases |R_4| = 0").
-        let r = memory::mine(&d, &MiningParams::new(MinSupport::Fraction(0.001), 0.5));
+        let params = MiningParams::new(MinSupport::Fraction(0.001), 0.5);
+        let r = memory::execute(&d, &params, &Default::default());
         assert_eq!(r.max_pattern_len(), 3);
         // At 0.05%: length-4 patterns appear ("if the minimum support is
         // reduced to 0.05%, we obtain rules with 3 items in the
         // antecedent").
-        let r = memory::mine(
+        let r = memory::execute(
             &d,
             &MiningParams::new(MinSupport::Fraction(0.0005), 0.5).with_max_len(5),
+            &Default::default(),
         );
         assert_eq!(r.max_pattern_len(), 4);
     }
@@ -276,7 +278,8 @@ mod tests {
     #[test]
     fn figure6_shape_c2_exceeds_c1_at_low_support() {
         let d = paper_dataset();
-        let r = memory::mine(&d, &MiningParams::new(MinSupport::Fraction(0.001), 0.5));
+        let params = MiningParams::new(MinSupport::Fraction(0.001), 0.5);
+        let r = memory::execute(&d, &params, &Default::default());
         let c1 = r.c(1).unwrap().len();
         let c2 = r.c(2).unwrap().len();
         assert_eq!(c1, 59);
@@ -289,7 +292,8 @@ mod tests {
     fn high_support_still_yields_pairs() {
         let d = paper_dataset();
         // At 5% the injected pair promotion must survive.
-        let r = memory::mine(&d, &MiningParams::new(MinSupport::Fraction(0.05), 0.5));
+        let params = MiningParams::new(MinSupport::Fraction(0.05), 0.5);
+        let r = memory::execute(&d, &params, &Default::default());
         let c2 = r.c(2).expect("C_2 nonempty at 5%");
         assert!(c2.contains(&CLUSTER_PAIR), "the {CLUSTER_PAIR:?} promotion");
     }
@@ -339,7 +343,8 @@ mod calibration_probe {
         println!("top10 head: {:?}", &head[..10.min(head.len())]);
         println!("quad support: {}", d.support_of(&CLUSTER_QUAD));
         for ms in [0.0005, 0.001, 0.005, 0.01, 0.02, 0.05] {
-            let r = memory::mine(&d, &MiningParams::new(MinSupport::Fraction(ms), 0.5).with_max_len(6));
+            let params = MiningParams::new(MinSupport::Fraction(ms), 0.5).with_max_len(6);
+            let r = memory::execute(&d, &params, &Default::default());
             let sizes: Vec<(usize, u64, u64)> = r.trace.iter().map(|t| (t.k, t.c_len, t.r_tuples)).collect();
             println!("minsup {:.2}% -> maxlen={} trace(k,|C|,|R|)={:?}", ms*100.0, r.max_pattern_len(), sizes);
         }

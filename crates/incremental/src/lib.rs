@@ -249,7 +249,9 @@ impl MiningFrontier {
     /// any thread count (plans are a pure function of live statistics,
     /// which the frontier stores).
     pub fn outcome(&self, threads: usize) -> Result<MiningOutcome, SetmError> {
-        let mode = self.effective_mode()?;
+        // The same resolution `Miner::run` applies: an explicit `Forced`
+        // wins, else `SETM_FORCE_PLAN`.
+        let mode = self.plan_mode.resolve()?;
         let n_txns = self.n_transactions;
         let min_count = self.params.min_support.to_count(n_txns.max(1));
         let max_len = self.params.max_pattern_len.unwrap_or(usize::MAX);
@@ -338,19 +340,6 @@ impl MiningFrontier {
         match self.cands.get(pattern.len().wrapping_sub(2)) {
             Some(level) => level.get(pattern).is_some_and(|c| c >= self.min_count),
             None => false,
-        }
-    }
-
-    /// The plan mode outcome reconstruction hands the planner: an
-    /// explicit `Forced` wins, else `SETM_FORCE_PLAN` — the same
-    /// resolution [`Miner::run`] applies.
-    fn effective_mode(&self) -> Result<PlanMode, SetmError> {
-        match self.plan_mode {
-            forced @ PlanMode::Forced(_) => Ok(forced),
-            PlanMode::Auto => Ok(match PlanMode::forced_from_env()? {
-                Some(plan) => PlanMode::Forced(plan),
-                None => PlanMode::Auto,
-            }),
         }
     }
 }

@@ -75,8 +75,6 @@ pub use setm_core::{
     MiningParams, PatternRelation, Rule, SetmError, SetmResult, SqlReport, TransId,
     UnknownBackend,
 };
-#[allow(deprecated)] // re-exported through its one-release deprecation window
-pub use setm_core::mine_by_class;
 
 #[cfg(test)]
 mod tests {

@@ -4,7 +4,7 @@
 //! shapes of the facade hold: the builder chain reads exactly as the
 //! README writes it, the outcome types cross thread boundaries, the
 //! error type is a real `std::error::Error` with the documented
-//! conversions, and the low-level per-execution `mine_with` functions
+//! conversions, and the low-level per-backend `execute` functions
 //! agree with the facade. If a refactor breaks any of these, this file
 //! stops compiling — that is the point.
 //!
@@ -120,34 +120,32 @@ fn serve_layer_is_reachable_through_the_umbrella() {
     handle.join().unwrap();
 }
 
-/// The low-level per-execution entry points (what the 0.1 shims
-/// forwarded to, before their removal in 0.3.0): still public, still in
-/// agreement with the facade, and uniformly parameterized on `threads`
-/// — including the SQL execution, whose `mine_with` now takes the same
-/// thread knob as the other two.
+/// The low-level per-backend entry points: one public `execute` each,
+/// in agreement with the facade, and uniformly parameterized by one
+/// `RunSpec` — the same `threads` knob on all three.
 #[test]
 fn low_level_entry_points_agree_with_the_facade() {
-    use setm::core::setm::{engine, memory, sql, SetmOptions};
+    use setm::core::setm::{engine, memory, sql, RunSpec};
 
     let d = setm::example::paper_example_dataset();
     let params = setm::example::paper_example_params();
     let reference = Miner::new(params).run(&d).unwrap();
+    let spec = RunSpec { threads: 2, ..Default::default() };
 
-    let mem = memory::mine_with(&d, &params, SetmOptions { threads: 2, ..Default::default() });
+    let mem = memory::execute(&d, &params, &spec);
     assert_eq!(mem.frequent_itemsets(), reference.result.frequent_itemsets());
 
-    let eng = engine::mine_with(&d, &params, EngineConfig::default(), 2).unwrap();
-    assert_eq!(eng.result.frequent_itemsets(), reference.result.frequent_itemsets());
+    let (eng, _) = engine::execute(&d, &params, &EngineConfig::default(), &spec).unwrap();
+    assert_eq!(eng.frequent_itemsets(), reference.result.frequent_itemsets());
 
-    let via_sql = sql::mine_with(&d, &params, 2).unwrap();
-    assert_eq!(via_sql.result.frequent_itemsets(), reference.result.frequent_itemsets());
+    let (via_sql, _) = sql::execute(&d, &params, &spec).unwrap();
+    assert_eq!(via_sql.frequent_itemsets(), reference.result.frequent_itemsets());
 }
 
-/// PR 10's API redesign: mining constraints are first-class builder
-/// surface, and per-class mining moved onto the facade
-/// (`Miner::by_class` filling `MiningOutcome::per_class`), with the
-/// free-standing `mine_by_class` deprecated for one release — the same
-/// window the 0.1 entry-point shims got.
+/// Mining constraints are first-class builder surface, and per-class
+/// mining lives on the facade (`Miner::by_class` filling
+/// `MiningOutcome::per_class`; the free-standing `mine_by_class` served
+/// its one-release deprecation window and is gone).
 #[test]
 fn constraints_and_by_class_are_facade_surface() {
     use setm::{ClassedDataset, MiningConstraints};
@@ -174,15 +172,11 @@ fn constraints_and_by_class_are_facade_surface() {
         .run(&d);
     assert!(matches!(err, Err(SetmError::InvalidConstraints { .. })));
 
-    // by_class fills the per-class view; the deprecated shim forwards to
-    // it and therefore agrees exactly.
+    // by_class fills the per-class view.
     let classed = ClassedDataset::partition_by(&d, |tid, _| u32::from(tid >= 50));
     let outcome = Miner::new(params).by_class(&classed).unwrap();
     let per_class = outcome.per_class.expect("by_class fills per_class");
     assert_eq!(per_class.by_class.len(), 2);
-    #[allow(deprecated)]
-    let shim = setm::mine_by_class(&classed, &params).unwrap();
-    assert_eq!(shim, *per_class);
 }
 
 /// `Miner::threads(n)` means the same thing on every backend — the gap

@@ -14,12 +14,23 @@ use setm::core::setm::engine::{self, EngineConfig};
 use setm::core::setm::plan::{
     JoinStrategy, LiveStats, PhysicalPlan, PlanMode, Planner, PlannerConfig,
 };
+use setm::core::setm::RunSpec;
 use setm::core::Dataset;
 use setm::costmodel::{
     btree_model, nested_loop_c2_cost, setm_cost, ComparisonReport, DbParams, WorkloadParams,
 };
 use setm::datagen::{DatasetStats, NeedleConfig, UniformConfig};
-use setm::{MinSupport, MiningParams};
+use setm::{EngineReport, MinSupport, MiningParams, SetmResult};
+
+/// One sequential engine run under `plan_mode`.
+fn sequential(
+    d: &Dataset,
+    params: &MiningParams,
+    plan_mode: PlanMode,
+) -> (SetmResult, EngineReport) {
+    let spec = RunSpec { threads: 1, plan_mode, ..Default::default() };
+    engine::execute(d, params, &EngineConfig::default(), &spec).unwrap()
+}
 
 #[test]
 fn paper_arithmetic_is_exact() {
@@ -50,21 +61,21 @@ fn measured_strategies_order_like_the_model() {
 
     // threads: 1 — these tests validate the *sequential* Section 4.3
     // accounting (see docs/REPRODUCTION.md, Design notes §5).
-    let sm = engine::mine_with(&dataset, &params, EngineConfig::default(), 1).unwrap();
+    let sm = sequential(&dataset, &params, PlanMode::Auto);
     let nl = mine_nested_loop(&dataset, &params, NestedLoopOptions::default()).unwrap();
-    assert_eq!(sm.result.frequent_itemsets(), nl.result.frequent_itemsets());
+    assert_eq!(sm.0.frequent_itemsets(), nl.result.frequent_itemsets());
 
     // The model's core claim: nested-loop needs an order of magnitude
     // more page accesses, and its random fetches make the time gap even
     // larger than the access gap.
     assert!(
-        nl.total_page_accesses > 10 * sm.total_page_accesses,
+        nl.total_page_accesses > 10 * sm.1.page_accesses,
         "nested-loop {} vs SETM {} accesses",
         nl.total_page_accesses,
-        sm.total_page_accesses
+        sm.1.page_accesses
     );
-    let access_ratio = nl.total_page_accesses as f64 / sm.total_page_accesses as f64;
-    let time_ratio = nl.total_estimated_ms / sm.total_estimated_ms;
+    let access_ratio = nl.total_page_accesses as f64 / sm.1.page_accesses as f64;
+    let time_ratio = nl.total_estimated_ms / sm.1.estimated_io_ms;
     assert!(
         time_ratio > access_ratio,
         "random I/O must amplify the gap: time {time_ratio:.1}x vs accesses {access_ratio:.1}x"
@@ -81,15 +92,15 @@ fn measured_setm_accesses_scale_with_the_model() {
 
     let dataset = UniformConfig::paper_scaled(100).generate();
     let params = MiningParams::new(MinSupport::Fraction(0.005), 0.5).with_max_len(2);
-    let run = engine::mine_with(&dataset, &params, EngineConfig::default(), 1).unwrap();
+    let run = sequential(&dataset, &params, PlanMode::Auto);
 
     // The engine materializes sorts the model pipelines, so it may exceed
     // the bound, but by a bounded constant — not an order of magnitude.
-    let ratio = run.total_page_accesses as f64 / bound.page_accesses as f64;
+    let ratio = run.1.page_accesses as f64 / bound.page_accesses as f64;
     assert!(
         (0.3..3.0).contains(&ratio),
         "measured {} vs model bound {} (ratio {ratio:.2})",
-        run.total_page_accesses,
+        run.1.page_accesses,
         bound.page_accesses
     );
 }
@@ -97,11 +108,11 @@ fn measured_setm_accesses_scale_with_the_model() {
 /// Rebuild the per-iteration [`LiveStats`] the planner saw from the
 /// executed trace (the trace carries `|R_{k-1}|` and `|C_{k-1}|` as the
 /// previous row).
-fn replay_stats(dataset: &Dataset, run: &engine::EngineRun) -> Vec<(usize, LiveStats, PhysicalPlan, u64)> {
+fn replay_stats(dataset: &Dataset, run: &SetmResult) -> Vec<(usize, LiveStats, PhysicalPlan, u64)> {
     let s = DatasetStats::of(dataset);
     let mut prev = (dataset.n_rows(), 0u64);
     let mut out = Vec::new();
-    for t in &run.result.trace {
+    for t in &run.trace {
         if let Some(plan) = t.plan {
             let stats = LiveStats {
                 n_txns: dataset.n_transactions(),
@@ -136,8 +147,8 @@ fn planner_predictions_track_measured_io() {
     ];
     let planner = Planner::new(PlanMode::Auto, PlannerConfig::with_max_shards(1));
     for (name, dataset, params) in workloads {
-        let run = engine::mine_with(&dataset, &params, EngineConfig::default(), 1).unwrap();
-        let replayed = replay_stats(&dataset, &run);
+        let run = sequential(&dataset, &params, PlanMode::Auto);
+        let replayed = replay_stats(&dataset, &run.0);
         assert!(!replayed.is_empty(), "{name}: no planned iterations");
         for (k, stats, plan, measured) in replayed {
             let predicted = planner.predict_page_accesses(k, &stats, &plan).max(1);
@@ -160,19 +171,12 @@ fn planner_predictions_track_measured_io() {
 fn auto_planner_switches_joins_and_wins_on_the_needle() {
     let dataset = NeedleConfig::bench().generate();
     let params = MiningParams::new(MinSupport::Count(5), 0.5);
-    let auto = engine::mine_with(&dataset, &params, EngineConfig::default(), 1).unwrap();
-    let fixed = engine::mine_planned(
-        &dataset,
-        &params,
-        EngineConfig::default(),
-        1,
-        PlanMode::Forced(PhysicalPlan::merge_scan()),
-    )
-    .unwrap();
-    assert_eq!(auto.result.frequent_itemsets(), fixed.result.frequent_itemsets());
+    let auto = sequential(&dataset, &params, PlanMode::Auto);
+    let fixed = sequential(&dataset, &params, PlanMode::Forced(PhysicalPlan::merge_scan()));
+    assert_eq!(auto.0.frequent_itemsets(), fixed.0.frequent_itemsets());
 
     let nl_iterations: Vec<usize> = auto
-        .result
+        .0
         .trace
         .iter()
         .filter(|t| t.plan.map(|p| p.join) == Some(JoinStrategy::NestedLoop))
@@ -188,8 +192,8 @@ fn auto_planner_switches_joins_and_wins_on_the_needle() {
     assert_eq!(nl_iterations, vec![3, 4]);
 
     for k in nl_iterations {
-        let a = auto.result.trace.iter().find(|t| t.k == k).unwrap();
-        let f = fixed.result.trace.iter().find(|t| t.k == k).unwrap();
+        let a = auto.0.trace.iter().find(|t| t.k == k).unwrap();
+        let f = fixed.0.trace.iter().find(|t| t.k == k).unwrap();
         assert!(
             a.page_accesses <= f.page_accesses,
             "k={k}: nested-loop measured {} must not lose to merge-scan {}",
@@ -198,12 +202,12 @@ fn auto_planner_switches_joins_and_wins_on_the_needle() {
         );
     }
     assert!(
-        auto.total_page_accesses < fixed.total_page_accesses,
+        auto.1.page_accesses < fixed.1.page_accesses,
         "auto {} accesses must beat all-merge-scan {}",
-        auto.total_page_accesses,
-        fixed.total_page_accesses
+        auto.1.page_accesses,
+        fixed.1.page_accesses
     );
-    assert!(auto.total_estimated_ms < fixed.total_estimated_ms);
+    assert!(auto.1.estimated_io_ms < fixed.1.estimated_io_ms);
 }
 
 #[test]
@@ -221,12 +225,12 @@ fn engine_iteration_io_is_attributed() {
     // are all nonzero until the empty final iteration's residue.
     let dataset = UniformConfig { n_items: 50, n_txns: 500, avg_txn_len: 6.0, seed: 5 }.generate();
     let params = MiningParams::new(MinSupport::Fraction(0.02), 0.5);
-    let run = engine::mine_with(&dataset, &params, EngineConfig::default(), 1).unwrap();
-    assert!(run.result.trace.len() >= 2);
-    for t in &run.result.trace {
+    let run = sequential(&dataset, &params, PlanMode::Auto);
+    assert!(run.0.trace.len() >= 2);
+    for t in &run.0.trace {
         assert!(t.page_accesses > 0, "iteration {} did I/O", t.k);
         assert!(t.estimated_io_ms > 0.0);
     }
-    let sum: u64 = run.result.trace.iter().map(|t| t.page_accesses).sum();
-    assert_eq!(sum, run.total_page_accesses);
+    let sum: u64 = run.0.trace.iter().map(|t| t.page_accesses).sum();
+    assert_eq!(sum, run.1.page_accesses);
 }

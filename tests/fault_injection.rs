@@ -80,8 +80,8 @@ fn every_shard_position_is_attributable() {
         assert_eq!(shard, failing);
     }
     // Control: no hook, the partitioned run succeeds.
-    let ok = mine_sharded_with_prepare(&d, &params, 3, &|_, _| {}).unwrap();
-    assert_eq!(ok.result.max_pattern_len(), 3);
+    let (ok, _) = mine_sharded_with_prepare(&d, &params, 3, &|_, _| {}).unwrap();
+    assert_eq!(ok.max_pattern_len(), 3);
 }
 
 /// Shard attribution holds at *every* point of the pipeline where the

@@ -13,8 +13,20 @@
 
 use proptest::prelude::*;
 use setm::core::setm::engine::{self, EngineConfig};
-use setm::core::setm::{memory, sql, SetmOptions};
+use setm::core::setm::{memory, sql, RunSpec};
 use setm::{generate_rules, Dataset, MinSupport, MiningParams, SetmResult};
+
+fn threads(threads: usize) -> RunSpec<'static> {
+    RunSpec { threads, ..Default::default() }
+}
+
+fn engine_run(d: &Dataset, params: &MiningParams, n: usize) -> SetmResult {
+    engine::execute(d, params, &EngineConfig::default(), &threads(n)).unwrap().0
+}
+
+fn sql_run(d: &Dataset, params: &MiningParams, n: usize) -> SetmResult {
+    sql::execute(d, params, &threads(n)).unwrap().0
+}
 
 const DEFAULT_THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
@@ -64,18 +76,10 @@ proptest! {
     #[test]
     fn memory_parallel_equals_sequential(d in dataset_strategy(), min_count in 1u64..=5) {
         let params = MiningParams::new(MinSupport::Count(min_count), 0.5);
-        let seq = memory::mine_with(
-            &d,
-            &params,
-            SetmOptions { threads: 1, ..Default::default() },
-        );
-        for threads in thread_counts() {
-            let par = memory::mine_with(
-                &d,
-                &params,
-                SetmOptions { threads, ..Default::default() },
-            );
-            assert_equivalent(&seq, &par, &format!("memory threads={threads}"));
+        let seq = memory::execute(&d, &params, &threads(1));
+        for n in thread_counts() {
+            let par = memory::execute(&d, &params, &threads(n));
+            assert_equivalent(&seq, &par, &format!("memory threads={n}"));
         }
     }
 
@@ -83,10 +87,10 @@ proptest! {
     #[test]
     fn engine_parallel_equals_sequential(d in dataset_strategy(), min_count in 1u64..=5) {
         let params = MiningParams::new(MinSupport::Count(min_count), 0.5);
-        let seq = engine::mine_with(&d, &params, EngineConfig::default(), 1).unwrap();
-        for threads in thread_counts() {
-            let par = engine::mine_with(&d, &params, EngineConfig::default(), threads).unwrap();
-            assert_equivalent(&seq.result, &par.result, &format!("engine threads={threads}"));
+        let seq = engine_run(&d, &params, 1);
+        for n in thread_counts() {
+            let par = engine_run(&d, &params, n);
+            assert_equivalent(&seq, &par, &format!("engine threads={n}"));
         }
     }
 
@@ -95,10 +99,10 @@ proptest! {
     #[test]
     fn sql_parallel_equals_sequential(d in dataset_strategy(), min_count in 1u64..=5) {
         let params = MiningParams::new(MinSupport::Count(min_count), 0.5);
-        let seq = sql::mine_with(&d, &params, 1).unwrap();
-        for threads in thread_counts() {
-            let par = sql::mine_with(&d, &params, threads).unwrap();
-            assert_equivalent(&seq.result, &par.result, &format!("sql threads={threads}"));
+        let seq = sql_run(&d, &params, 1);
+        for n in thread_counts() {
+            let par = sql_run(&d, &params, n);
+            assert_equivalent(&seq, &par, &format!("sql threads={n}"));
         }
     }
 
@@ -106,10 +110,10 @@ proptest! {
     #[test]
     fn filter_r1_composes_with_sharding(d in dataset_strategy(), min_count in 1u64..=4) {
         let params = MiningParams::new(MinSupport::Count(min_count), 0.5);
-        let seq = memory::mine_with(&d, &params, SetmOptions { filter_r1: true, threads: 1 });
-        for threads in [2usize, 8] {
-            let par = memory::mine_with(&d, &params, SetmOptions { filter_r1: true, threads });
-            assert_equivalent(&seq, &par, &format!("filter_r1 threads={threads}"));
+        let seq = memory::execute(&d, &params, &RunSpec { filter_r1: true, ..threads(1) });
+        for n in [2usize, 8] {
+            let par = memory::execute(&d, &params, &RunSpec { filter_r1: true, ..threads(n) });
+            assert_equivalent(&seq, &par, &format!("filter_r1 threads={n}"));
         }
     }
 
@@ -117,13 +121,13 @@ proptest! {
     #[test]
     fn max_len_composes_with_sharding(d in dataset_strategy(), cap in 1usize..=3) {
         let params = MiningParams::new(MinSupport::Count(2), 0.5).with_max_len(cap);
-        let seq = memory::mine_with(&d, &params, SetmOptions { threads: 1, ..Default::default() });
-        let par = memory::mine_with(&d, &params, SetmOptions { threads: 4, ..Default::default() });
+        let seq = memory::execute(&d, &params, &threads(1));
+        let par = memory::execute(&d, &params, &threads(4));
         assert_equivalent(&seq, &par, &format!("max_len={cap}"));
-        let eng = engine::mine_with(&d, &params, EngineConfig::default(), 4).unwrap();
-        assert_equivalent(&seq, &eng.result, &format!("engine max_len={cap}"));
-        let sq = sql::mine_with(&d, &params, 4).unwrap();
-        assert_equivalent(&seq, &sq.result, &format!("sql max_len={cap}"));
+        let eng = engine_run(&d, &params, 4);
+        assert_equivalent(&seq, &eng, &format!("engine max_len={cap}"));
+        let sq = sql_run(&d, &params, 4);
+        assert_equivalent(&seq, &sq, &format!("sql max_len={cap}"));
     }
 }
 
@@ -133,13 +137,13 @@ proptest! {
 fn worked_example_invariant_across_all_paths_and_threads() {
     let d = setm::example::paper_example_dataset();
     let params = setm::example::paper_example_params();
-    let reference = memory::mine(&d, &params);
-    for threads in DEFAULT_THREAD_COUNTS {
-        let mem = memory::mine_with(&d, &params, SetmOptions { threads, ..Default::default() });
-        assert_equivalent(&reference, &mem, &format!("memory threads={threads}"));
-        let eng = engine::mine_with(&d, &params, EngineConfig::default(), threads).unwrap();
-        assert_equivalent(&reference, &eng.result, &format!("engine threads={threads}"));
-        let sq = sql::mine_with(&d, &params, threads).unwrap();
-        assert_equivalent(&reference, &sq.result, &format!("sql threads={threads}"));
+    let reference = memory::execute(&d, &params, &RunSpec::default());
+    for n in DEFAULT_THREAD_COUNTS {
+        let mem = memory::execute(&d, &params, &threads(n));
+        assert_equivalent(&reference, &mem, &format!("memory threads={n}"));
+        let eng = engine_run(&d, &params, n);
+        assert_equivalent(&reference, &eng, &format!("engine threads={n}"));
+        let sq = sql_run(&d, &params, n);
+        assert_equivalent(&reference, &sq, &format!("sql threads={n}"));
     }
 }

@@ -16,6 +16,7 @@
 
 use setm::core::setm::engine::{self, EngineConfig};
 use setm::core::setm::plan::PlanMode;
+use setm::core::setm::RunSpec;
 use setm::core::Dataset;
 use setm::datagen::{NeedleConfig, QuestConfig, RetailConfig};
 use setm::{example, Backend, MinSupport, Miner, MiningParams};
@@ -26,11 +27,10 @@ fn planned(dataset: &Dataset, params: MiningParams, threads: usize) -> Vec<Strin
     let mem = Miner::new(params).backend(Backend::Memory).threads(threads).run(dataset).unwrap();
     let lines: Vec<String> =
         mem.result.trace.iter().map(|t| format!("k={}: {}", t.k, t.plan_string())).collect();
-    let eng =
-        engine::mine_planned(dataset, &params, EngineConfig::default(), threads, PlanMode::Auto)
-            .unwrap();
+    let spec = RunSpec { threads, plan_mode: PlanMode::Auto, ..Default::default() };
+    let (eng, _) = engine::execute(dataset, &params, &EngineConfig::default(), &spec).unwrap();
     let eng_lines: Vec<String> =
-        eng.result.trace.iter().map(|t| format!("k={}: {}", t.k, t.plan_string())).collect();
+        eng.trace.iter().map(|t| format!("k={}: {}", t.k, t.plan_string())).collect();
     assert_eq!(lines, eng_lines, "memory and engine planners must agree");
     lines
 }

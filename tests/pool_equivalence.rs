@@ -9,11 +9,12 @@
 //! even-split's, because idle shards' frames are stealable.
 
 use setm::core::rules::generate_rules;
-use setm::core::setm::engine::{self, EngineConfig, EngineRun};
+use setm::core::setm::engine::{self, EngineConfig};
 use setm::core::setm::plan::{JoinStrategy, PhysicalPlan, PlanMode};
+use setm::core::setm::RunSpec;
 use setm::core::Dataset;
 use setm::datagen::{NeedleConfig, RetailConfig};
-use setm::{MinSupport, MiningParams};
+use setm::{EngineReport, MinSupport, MiningParams, SetmResult};
 
 fn retail() -> (Dataset, MiningParams) {
     (RetailConfig::small(1_500, 13).generate(), MiningParams::new(MinSupport::Fraction(0.005), 0.5))
@@ -27,15 +28,15 @@ fn needle() -> (Dataset, MiningParams) {
 /// rules, and the logical (non-I/O) per-iteration series. Page accesses
 /// are deliberately excluded — they are what the pool is allowed to
 /// improve.
-fn fingerprint(run: &EngineRun, params: &MiningParams) -> String {
+fn fingerprint(run: &(SetmResult, EngineReport), params: &MiningParams) -> String {
     let mut out = String::new();
-    for (items, count) in run.result.frequent_itemsets() {
+    for (items, count) in run.0.frequent_itemsets() {
         out.push_str(&format!("{items:?}={count};"));
     }
-    for r in generate_rules(&run.result, params.min_confidence) {
+    for r in generate_rules(&run.0, params.min_confidence) {
         out.push_str(&format!("{:?}=>{} c{:.6};", r.antecedent, r.consequent, r.confidence));
     }
-    for t in &run.result.trace {
+    for t in &run.0.trace {
         // The shard count is thread-dependent by design; every other
         // plan dimension must agree across the matrix.
         let plan = match &t.plan {
@@ -56,9 +57,10 @@ fn run(
     shared_pool: bool,
     threads: usize,
     mode: PlanMode,
-) -> EngineRun {
+) -> (SetmResult, EngineReport) {
     let config = EngineConfig { shared_pool, ..EngineConfig::default() };
-    engine::mine_planned(dataset, params, config, threads, mode).unwrap()
+    let spec = RunSpec { threads, plan_mode: mode, ..Default::default() };
+    engine::execute(dataset, params, &config, &spec).unwrap()
 }
 
 fn forced_nl() -> PlanMode {
@@ -107,10 +109,10 @@ fn shared_pool_never_does_more_io_than_the_even_split() {
             let pooled = run(&dataset, &params, true, threads, PlanMode::Auto);
             let split = run(&dataset, &params, false, threads, PlanMode::Auto);
             assert!(
-                pooled.total_page_accesses <= split.total_page_accesses,
+                pooled.1.page_accesses <= split.1.page_accesses,
                 "{name} threads={threads}: pooled {} vs even-split {} page accesses",
-                pooled.total_page_accesses,
-                split.total_page_accesses
+                pooled.1.page_accesses,
+                split.1.page_accesses
             );
         }
     }
@@ -124,12 +126,12 @@ fn pooled_io_is_deterministic_per_thread_count() {
     for threads in [1, 2, 4] {
         let a = run(&dataset, &params, true, threads, PlanMode::Auto);
         let b = run(&dataset, &params, true, threads, PlanMode::Auto);
-        assert_eq!(a.total_page_accesses, b.total_page_accesses, "threads={threads}");
-        assert_eq!(a.io, b.io, "threads={threads}");
+        assert_eq!(a.1.page_accesses, b.1.page_accesses, "threads={threads}");
+        assert_eq!(a.1.io, b.1.io, "threads={threads}");
         let a_trace: Vec<(u64, u64, u64)> =
-            a.result.trace.iter().map(|t| (t.page_accesses, t.cache_hits, t.pool_steals)).collect();
+            a.0.trace.iter().map(|t| (t.page_accesses, t.cache_hits, t.pool_steals)).collect();
         let b_trace: Vec<(u64, u64, u64)> =
-            b.result.trace.iter().map(|t| (t.page_accesses, t.cache_hits, t.pool_steals)).collect();
+            b.0.trace.iter().map(|t| (t.page_accesses, t.cache_hits, t.pool_steals)).collect();
         assert_eq!(a_trace, b_trace, "threads={threads}");
     }
 }
@@ -145,9 +147,10 @@ fn every_configured_frame_is_granted() {
         for shared_pool in [true, false] {
             for threads in [1, 3, 4] {
                 let config = EngineConfig { cache_frames, shared_pool, ..EngineConfig::default() };
-                let run = engine::mine_with(&dataset, &params, config, threads).unwrap();
+                let spec = RunSpec { threads, ..Default::default() };
+                let (_, report) = engine::execute(&dataset, &params, &config, &spec).unwrap();
                 assert_eq!(
-                    run.cache_frames, cache_frames,
+                    report.cache_frames, cache_frames,
                     "pool={shared_pool} threads={threads}: frames granted != configured"
                 );
             }
@@ -162,9 +165,10 @@ fn zero_frames_disables_caching_for_both_backends() {
     let (dataset, params) = retail();
     for shared_pool in [true, false] {
         let config = EngineConfig { cache_frames: 0, shared_pool, ..EngineConfig::default() };
-        let run = engine::mine_with(&dataset, &params, config, 2).unwrap();
-        assert_eq!(run.cache_frames, 0);
-        assert_eq!(run.io.cache_hits, 0, "pool={shared_pool}");
-        assert_eq!(run.io.pool_steals, 0, "pool={shared_pool}");
+        let spec = RunSpec { threads: 2, ..Default::default() };
+        let (_, report) = engine::execute(&dataset, &params, &config, &spec).unwrap();
+        assert_eq!(report.cache_frames, 0);
+        assert_eq!(report.io.cache_hits, 0, "pool={shared_pool}");
+        assert_eq!(report.io.pool_steals, 0, "pool={shared_pool}");
     }
 }

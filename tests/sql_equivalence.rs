@@ -11,12 +11,16 @@
 //! `parallel` job's matrix); unset, the default spread below runs.
 
 use proptest::prelude::*;
-use setm::core::setm::{memory, sql};
+use setm::core::setm::{memory, sql, RunSpec};
 use setm::datagen::{QuestConfig, RetailConfig};
 use setm::sql::{ExecOptions, JoinPreference, Params, SqlEngine};
-use setm::{Backend, Dataset, MinSupport, Miner, MiningParams, SetmResult};
+use setm::{Backend, Dataset, MinSupport, Miner, MiningParams, SetmResult, SqlReport};
 
 const DEFAULT_THREAD_COUNTS: [usize; 3] = [2, 4, 7];
+
+fn sql_run(d: &Dataset, params: &MiningParams, threads: usize) -> (SetmResult, SqlReport) {
+    sql::execute(d, params, &RunSpec { threads, ..Default::default() }).unwrap()
+}
 
 /// Thread counts to exercise: the `SETM_TEST_THREADS` pin, or the
 /// default spread.
@@ -61,12 +65,12 @@ proptest! {
         min_count in 1u64..=5,
     ) {
         let params = MiningParams::new(MinSupport::Count(min_count), 0.5);
-        let oracle = memory::mine(&d, &params);
-        let seq = sql::mine_with(&d, &params, 1).unwrap();
-        assert_equivalent(&oracle, &seq.result, "sequential sql vs memory");
+        let oracle = memory::execute(&d, &params, &RunSpec::default());
+        let seq = sql_run(&d, &params, 1);
+        assert_equivalent(&oracle, &seq.0, "sequential sql vs memory");
         for threads in thread_counts() {
-            let par = sql::mine_with(&d, &params, threads).unwrap();
-            assert_equivalent(&seq.result, &par.result, &format!("sql threads={threads}"));
+            let par = sql_run(&d, &params, threads);
+            assert_equivalent(&seq.0, &par.0, &format!("sql threads={threads}"));
         }
     }
 
@@ -76,8 +80,8 @@ proptest! {
     #[test]
     fn partitioned_trace_records_shards_and_merge(d in dataset_strategy()) {
         let params = MiningParams::new(MinSupport::Count(2), 0.5);
-        let run = sql::mine_with(&d, &params, 3).unwrap();
-        let all = run.statements.join("\n");
+        let run = sql_run(&d, &params, 3);
+        let all = run.1.statements.join("\n");
         // A single-transaction dataset clamps to one shard and runs the
         // sequential plan — the shard shapes only appear past that.
         if d.n_transactions() >= 2 {
@@ -89,7 +93,7 @@ proptest! {
         }
         // The shard-local GROUP BY must not apply the threshold — support
         // is a global property.
-        for stmt in &run.statements {
+        for stmt in &run.1.statements {
             if stmt.contains("_PART_") && stmt.contains("GROUP BY") {
                 prop_assert!(!stmt.contains("HAVING"), "local counts must be threshold-free");
             }
@@ -101,8 +105,8 @@ proptest! {
     #[test]
     fn sequential_plan_is_untouched_by_the_parallel_feature(d in dataset_strategy()) {
         let params = MiningParams::new(MinSupport::Count(2), 0.5);
-        let run = sql::mine_with(&d, &params, 1).unwrap();
-        let all = run.statements.join("\n");
+        let run = sql_run(&d, &params, 1);
+        let all = run.1.statements.join("\n");
         prop_assert!(!all.contains("SHARD"));
         prop_assert!(!all.contains("SUM("));
         prop_assert!(all.contains("HAVING COUNT(*) >= :minsupport"));
@@ -139,9 +143,9 @@ fn more_threads_than_transactions_is_fine() {
         (3, [1, 2].as_slice()),
     ]);
     let params = MiningParams::new(MinSupport::Count(2), 0.5);
-    let seq = sql::mine_with(&d, &params, 1).unwrap();
-    let par = sql::mine_with(&d, &params, 64).unwrap();
-    assert_equivalent(&seq.result, &par.result, "threads=64 on 3 transactions");
+    let seq = sql_run(&d, &params, 1);
+    let par = sql_run(&d, &params, 64);
+    assert_equivalent(&seq.0, &par.0, "threads=64 on 3 transactions");
 }
 
 /// The partitioned plan on a realistic workload: retail sample across
