@@ -40,14 +40,9 @@
 //!              compare the `deterministic` counters of a candidate
 //!              baseline (default ci_baseline.json) against a reference
 //!              (default BENCH_baseline.json); exit 1 on any drift.
-//!              Wall-clock fields are reported but never gated. Schema
-//!              bridge: v4 pool fields are reported, not gated, against
-//!              a v3-or-older reference (as v3 plan fields are against
-//!              v2); v5 adds only wall-clock sections, v6 only the
-//!              wall-clock queue-wait percentiles, and v7 only the
-//!              constrained_t20_i6 pushdown section, so their
-//!              deterministic subtrees gate identically against a v4
-//!              reference.
+//!              Wall-clock fields are reported but never gated. Only
+//!              files of one `schema` are compared: a mismatch exits 2
+//!              and names both files (regenerate with `baseline`).
 //!   all        every report target above, in order (baseline excluded)
 //! ```
 //!

@@ -14,6 +14,7 @@ use crate::data::{Item, TransId};
 use crate::itemvec::ItemVec;
 use setm_relational::sort::sort_rows;
 use std::borrow::Borrow;
+use std::cmp::Ordering;
 use std::ops::Range;
 
 /// The `R_k` relation: `(trans_id, item_1, .., item_k)` tuples.
@@ -75,6 +76,13 @@ impl PatternRelation {
         debug_assert_eq!(items.len(), self.k);
         self.rows.push(tid);
         self.rows.extend_from_slice(items);
+    }
+
+    /// Append the tuples `rows` of `other`, in its order.
+    pub(crate) fn extend_from(&mut self, other: &PatternRelation, rows: Range<usize>) {
+        debug_assert_eq!(other.k, self.k);
+        let w = self.k + 1;
+        self.rows.extend_from_slice(&other.rows[rows.start * w..rows.end * w]);
     }
 
     /// The tuple at `row`.
@@ -170,12 +178,17 @@ impl CountRelation {
 
     /// Support count of an exact pattern, if supported.
     pub fn get(&self, pattern: &[Item]) -> Option<u64> {
+        self.position(pattern).map(|i| self.counts[i])
+    }
+
+    /// Index of an exact pattern, if supported.
+    pub(crate) fn position(&self, pattern: &[Item]) -> Option<usize> {
         if pattern.len() != self.k {
             return None;
         }
         let n = self.len();
         let idx = partition_point(n, |i| self.pattern_at(i) < pattern);
-        (idx < n && self.pattern_at(idx) == pattern).then(|| self.counts[idx])
+        (idx < n && self.pattern_at(idx) == pattern).then_some(idx)
     }
 
     /// Whether a pattern is supported.
@@ -210,7 +223,8 @@ impl CountRelation {
     /// part's next pattern — is found by galloping and copied in bulk, so
     /// merging a small relation into a large one (the incremental
     /// frontier's shape) costs the large side a memory copy, not a
-    /// comparison per pattern.
+    /// comparison per pattern. Empty parts are skipped, and two parts
+    /// merge in a loop that compares only their two heads.
     ///
     /// Parts are taken by value or by reference, so a caller merging into
     /// a stored relation need not clone it first.
@@ -218,8 +232,9 @@ impl CountRelation {
         parts: &[P],
         min_count: u64,
     ) -> CountRelation {
-        let parts: Vec<&CountRelation> = parts.iter().map(Borrow::borrow).collect();
-        let k = parts.first().map_or(1, |c| c.k);
+        let k = parts.first().map_or(1, |c| c.borrow().k);
+        let parts: Vec<&CountRelation> =
+            parts.iter().map(Borrow::borrow).filter(|c| !c.is_empty()).collect();
         debug_assert!(parts.iter().all(|c| c.k == k), "mixed pattern lengths");
         let mut out = CountRelation::new(k);
         if min_count <= 1 {
@@ -228,6 +243,10 @@ impl CountRelation {
             let total: usize = parts.iter().map(|c| c.len()).sum();
             out.items.reserve(total * k);
             out.counts.reserve(total);
+        }
+        if let [a, b] = parts[..] {
+            out.merge_two(a, b, min_count);
+            return out;
         }
         let mut idx = vec![0usize; parts.len()];
         let head = |p: usize, idx: &[usize]| parts[p].pattern_at(idx[p]);
@@ -273,6 +292,37 @@ impl CountRelation {
             }
         }
         out
+    }
+
+    /// [`Self::merge_sum_filter`] of exactly two parts.
+    fn merge_two(&mut self, a: &CountRelation, b: &CountRelation, min_count: u64) {
+        let (mut i, mut j) = (0usize, 0usize);
+        while i < a.len() && j < b.len() {
+            let (pa, pb) = (a.pattern_at(i), b.pattern_at(j));
+            match pa.cmp(pb) {
+                Ordering::Less => {
+                    let end = a.gallop(i, pb);
+                    self.extend_filtered(a, i..end, min_count);
+                    i = end;
+                }
+                Ordering::Greater => {
+                    let end = b.gallop(j, pa);
+                    self.extend_filtered(b, j..end, min_count);
+                    j = end;
+                }
+                Ordering::Equal => {
+                    let total = a.counts[i] + b.counts[j];
+                    if total >= min_count {
+                        self.items.extend_from_slice(pa);
+                        self.counts.push(total);
+                    }
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        self.extend_filtered(a, i..a.len(), min_count);
+        self.extend_filtered(b, j..b.len(), min_count);
     }
 
     /// First index after `from` whose pattern is not below `bound`, given

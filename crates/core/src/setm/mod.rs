@@ -17,7 +17,9 @@
 //! Three interchangeable executions are provided:
 //!
 //! * [`memory`] — pure in-memory set operators (fast path; used for the
-//!   Figure 5/6 and Section 6.2 reproductions);
+//!   Figure 5/6 and Section 6.2 reproductions), which count `R'_k` into
+//!   a dense `C_{k-1} × C_1` table instead of materialising and sorting
+//!   it, with the same `C_k`, `R_k` and trace;
 //! * [`engine`] — the same loop over the paged storage engine of
 //!   `setm-relational`, with every page access measured (used to validate
 //!   the Section 4.3 cost analysis);
@@ -27,7 +29,8 @@
 //! The loop itself is written once, in a driver shared by all three;
 //! each backend contributes only its physical operators (the sort,
 //! extension join, group-count and filter of one iteration). All three
-//! produce identical `C_k` relations; cross-checked in tests.
+//! produce identical `C_k` relations and trace rows; cross-checked in
+//! tests.
 //!
 //! They are driven uniformly through the [`crate::Miner`] builder
 //! (`Miner::new(params).backend(..).run(dataset)`). Below it, each

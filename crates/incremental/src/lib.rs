@@ -6,11 +6,11 @@
 //! minimum support**, so that borderline itemsets can be promoted when a
 //! delta pushes them over the (recomputed) threshold. [`MiningFrontier`]
 //! snapshots that state; [`MiningFrontier::apply_delta`] runs the
-//! Section 4.1 extension joins over the delta only, merges the delta's
-//! counts into the stored ones via [`CountRelation::merge_sum_filter`],
-//! re-applies the threshold, and rebuilds rules — producing an outcome
-//! byte-identical to a from-scratch [`Miner`] run on the concatenated
-//! dataset (proven by `tests/incremental_equivalence.rs`).
+//! Section 4.1 extension joins over the delta only, adds the delta's
+//! counts to the stored ones, re-applies the threshold, and rebuilds
+//! rules — producing an outcome byte-identical to a from-scratch
+//! [`Miner`] run on the concatenated dataset (proven by
+//! `tests/incremental_equivalence.rs`).
 //!
 //! # Why no stored `R'_k` tuples?
 //!
@@ -24,24 +24,40 @@
 //!
 //! # The frontier invariant
 //!
-//! After capturing dataset `D` at threshold `s`, `cands[k-2]` holds
-//! every pattern `p` of length `k` whose proper prefixes of lengths
-//! `2..k-1` are all frequent in `D` at `s` ("eligible") and whose
-//! support in `D` is at least 1, mapped to its exact support. Three
-//! consequences drive `apply_delta`:
+//! A `(k-1)`-prefix is *live* at level k when its tuples reach the join
+//! that builds `R'_k`: every prefix at k = 2, where the paper joins
+//! against the **unfiltered** `R_1`, and the patterns of `C_{k-1}` above.
+//! After capturing dataset `D` at threshold `s`, level k holds, for every
+//! live prefix, the exact support in `D` of each of its extensions that
+//! occurs in `D`. Three consequences drive `apply_delta`:
 //!
-//! * a pattern whose prefix *stays* frequent keeps its stored count —
-//!   merge the delta's count on top;
-//! * a pattern whose prefix is *demoted* by the recomputed threshold is
-//!   dropped (its tuples would no longer survive the `R_{k-1}` filter);
-//! * a prefix *promoted* from below the capture threshold has no stored
-//!   extensions — those are recounted by one scan of the base dataset,
-//!   restricted to the (rare) promoted prefixes.
+//! * a prefix that *stays* live keeps its stored counts — add the
+//!   delta's counts on top;
+//! * a prefix *demoted* by the recomputed threshold is no longer live:
+//!   its extensions drop out of `|R'_k|` and can never be frequent;
+//! * a prefix *promoted* across the threshold has no stored extensions —
+//!   those are recounted by one scan of the base dataset, restricted to
+//!   the promoted prefixes.
 //!
-//! At `k = 2` the paper joins against the **unfiltered** `R_1`, so
-//! `cands[0]` covers every pair that co-occurs anywhere — promotions
-//! cannot happen below level 3, and the invariant is self-sustaining
-//! across successive appends.
+//! Every prefix is live at k = 2, so promotions cannot happen below
+//! level 3, and the invariant is self-sustaining across successive
+//! appends.
+//!
+//! # Delta time
+//!
+//! An append must not pay for the candidates it does not touch. Each
+//! level keeps its counts as a relation shared by every frontier
+//! advanced from it since its last compaction, plus the counts appended
+//! since, and folds the two together only once the appended part
+//! outgrows half the shared one. The level also keeps `C_k` and
+//! `|R'_k|`. A pattern outside the old `C_k` under a prefix that stays
+//! live had fewer than the old threshold's transactions, so only a
+//! delta pattern gaining more than the threshold's rise needs its stored
+//! count looked up. `|R'_k|` changes by the delta's and the recount's
+//! tuples, less the stored counts under demoted prefixes. So an append
+//! costs the delta's joins, lookups into the stored counts, the
+//! promotion recount and a pass over the appended counts; the
+//! outcome is rebuilt from `C_k` alone.
 
 use setm_core::setm::memory::{count_groups, count_items, filter_supported, merge_scan_extend};
 use setm_core::setm::shard::resolve_threads;
@@ -50,7 +66,9 @@ use setm_core::{
     Miner, MiningOutcome, MiningParams, PatternRelation, PlanMode, Planner, PlannerConfig,
     SetmError, SetmResult, TransId,
 };
-use std::borrow::Cow;
+use std::cell::OnceCell;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Per-iteration mining state snapshotted after a full run, sufficient
 /// to absorb transaction appends in time proportional to the delta.
@@ -61,16 +79,185 @@ pub struct MiningFrontier {
     n_transactions: u64,
     sales_tuples: u64,
     max_txn_len: u64,
-    /// The absolute support threshold resolved at capture — the line
-    /// against which a later `apply_delta` decides which prefixes were
-    /// *promoted* (newly frequent) and need their base-side extensions
-    /// recounted.
+    /// The absolute support threshold resolved at capture: every level's
+    /// `C_k` is filtered at it, and a later `apply_delta` can rule out a
+    /// pattern that was below it and gained too few delta occurrences.
     min_count: u64,
     /// Unfiltered per-item transaction counts (`C_1` before `HAVING`).
     item_counts: CountRelation,
-    /// `cands[k-2]`: unfiltered, eligible group counts of `R'_k` — see
-    /// the module docs for the exact invariant.
-    cands: Vec<CountRelation>,
+    /// `levels[k-2]`: level k's counts, `C_k` and `|R'_k|` — see the
+    /// module docs for the exact invariant.
+    levels: Vec<Level>,
+}
+
+/// Level k of a frontier: for every live `(k-1)`-prefix, the support of
+/// each of its extensions is its count in `stored` plus its count in
+/// `added`. Entries under a prefix that is not live are stale and never
+/// read; they are dropped if that prefix is promoted again.
+#[derive(Debug, Clone)]
+struct Level {
+    /// The counts as of this level's last compaction, shared by every
+    /// frontier advanced from it since.
+    stored: Arc<Stored>,
+    /// The counts appends have added since that compaction.
+    added: CountRelation,
+    /// `C_k`: the patterns meeting the threshold, with their counts.
+    frequent: CountRelation,
+    /// `|R'_k|`: the summed counts under every live prefix.
+    r_prime_tuples: u64,
+}
+
+/// A level's counts as of its last compaction. The entries of at least
+/// `floor` (half the threshold then) are also held apart in `near`: a
+/// pattern missing from it has fewer stored transactions than `floor`,
+/// so most lookups read only the small relation.
+#[derive(Debug)]
+struct Stored {
+    all: CountRelation,
+    near: CountRelation,
+    floor: u64,
+}
+
+impl Stored {
+    fn new(all: CountRelation, min_count: u64) -> Stored {
+        let floor = min_count.div_ceil(2);
+        Stored { near: filter_counts(&all, floor), all, floor }
+    }
+}
+
+impl Level {
+    fn empty(k: usize) -> Level {
+        Level {
+            stored: Arc::new(Stored::new(CountRelation::new(k), 1)),
+            added: CountRelation::new(k),
+            frequent: CountRelation::new(k),
+            r_prime_tuples: 0,
+        }
+    }
+
+    /// The summed counts of the extensions of `prefix`.
+    fn sum_under(&self, prefix: &[Item]) -> u64 {
+        let sum = |c: &CountRelation| under(c, prefix).map(|i| c.count_at(i)).sum::<u64>();
+        sum(&self.stored.all) + sum(&self.added)
+    }
+
+    /// Whether any extension of `prefix` has an entry.
+    fn holds(&self, prefix: &[Item]) -> bool {
+        !under(&self.stored.all, prefix).is_empty() || !under(&self.added, prefix).is_empty()
+    }
+
+    /// `stored` and `added` folded into one shared relation, split at
+    /// half of `min_count`; with `live`, only the entries under its
+    /// patterns are kept.
+    fn compacted(self, live: Option<&CountRelation>, min_count: u64) -> Level {
+        let merged = if self.stored.all.is_empty() {
+            self.added
+        } else {
+            CountRelation::merge_sum_filter(&[&self.stored.all, &self.added], 1)
+        };
+        let all = match live {
+            Some(live) => keep_with_frequent_prefix(&merged, live),
+            None => merged,
+        };
+        Level {
+            added: CountRelation::new(all.k()),
+            stored: Arc::new(Stored::new(all, min_count)),
+            frequent: self.frequent,
+            r_prime_tuples: self.r_prime_tuples,
+        }
+    }
+
+    /// This level after one append. `delta` holds the delta's counts of
+    /// level k; `prefixes` is `C_{k-1}` before and after the append at
+    /// k ≥ 3 (`None` at k = 2, where every prefix stays live); `base` is
+    /// the captured dataset; the threshold moves from `old_min` to
+    /// `new_min`.
+    fn advance(
+        &self,
+        delta: &CountRelation,
+        prefixes: Option<(&CountRelation, &CountRelation)>,
+        base: &Base,
+        (old_min, new_min): (u64, u64),
+    ) -> Level {
+        let k = delta.k();
+        let (promoted, demoted) = match prefixes {
+            Some((before, after)) if base.dataset.n_transactions() > 0 => {
+                prefix_moves(before, after)
+            }
+            _ => (Vec::new(), Vec::new()),
+        };
+        // A promoted prefix that was live once may hold stale entries
+        // from before it was demoted: drop every entry that is not live
+        // before the append (rare).
+        let rebuilt;
+        let old = if promoted.iter().any(|q| self.holds(q)) {
+            rebuilt = self.clone().compacted(prefixes.map(|(before, _)| before), old_min);
+            &rebuilt
+        } else {
+            self
+        };
+        let recount = if promoted.is_empty() {
+            CountRelation::new(k)
+        } else {
+            base.recount(&promoted, k)
+        };
+        let demoted_tuples: u64 = demoted.iter().map(|q| old.sum_under(q)).sum();
+        let r_prime_tuples =
+            old.r_prime_tuples - demoted_tuples + total(&recount) + total(delta);
+
+        // Which delta patterns can be frequent now. One in the old C_k
+        // adds its delta count to its old one (`kept`), one under a
+        // promoted prefix to the recount (`promoted_gains`). Any other
+        // had fewer than `old_min` transactions, so only one gaining more
+        // than the threshold's rise can cross it (`crossing`), and it
+        // needs its old count — unless it is missing from `near`, and so
+        // too far below even with its appended count. Every other delta
+        // pattern stays below `new_min`. Each relation is built in
+        // pattern order, so its lookups walk forward.
+        let mut kept = CountRelation::new(k);
+        let mut in_delta = Seek::new(delta);
+        for (p, count) in old.frequent.iter() {
+            kept.push(p, count + in_delta.count(p));
+        }
+        let mut promoted_gains = CountRelation::new(k);
+        for q in &promoted {
+            for i in under(delta, q) {
+                promoted_gains.push(delta.pattern_at(i), delta.count_at(i));
+            }
+        }
+        let mut crossing = CountRelation::new(k);
+        let stored = &old.stored;
+        let mut was_frequent = Seek::new(&old.frequent);
+        let (mut near, mut all, mut added) =
+            (Seek::new(&stored.near), Seek::new(&stored.all), Seek::new(&old.added));
+        for (p, n) in delta.iter().filter(|&(_, n)| n + old_min > new_min) {
+            let prefix = &p[..k - 1];
+            if promoted.binary_search_by(|q| q.as_slice().cmp(prefix)).is_ok()
+                || was_frequent.count(p) > 0
+            {
+                continue;
+            }
+            let gained = added.count(p);
+            let compacted = match near.count(p) {
+                0 if stored.floor + gained + n > new_min => all.count(p),
+                count => count,
+            };
+            crossing.push(p, compacted + gained + n);
+        }
+        // A demoted prefix's patterns in the old C_k have no delta count
+        // and are no more frequent than it is, so the threshold drops them.
+        let frequent = CountRelation::merge_sum_filter(
+            &[&kept, &recount, &promoted_gains, &crossing],
+            new_min,
+        );
+        let added = CountRelation::merge_sum_filter(&[&old.added, &recount, delta], 1);
+        let next = Level { stored: Arc::clone(stored), added, frequent, r_prime_tuples };
+        if next.added.len() > next.stored.all.len() / 2 {
+            next.compacted(None, new_min)
+        } else {
+            next
+        }
+    }
 }
 
 impl MiningFrontier {
@@ -92,7 +279,7 @@ impl MiningFrontier {
             max_txn_len: 0,
             min_count: params.min_support.to_count(1),
             item_counts: CountRelation::new(1),
-            cands: Vec::new(),
+            levels: Vec::new(),
         };
         empty.apply_delta(&Dataset::from_pairs(std::iter::empty()), dataset, threads)
     }
@@ -123,10 +310,10 @@ impl MiningFrontier {
     /// `trans_id`s disjoint from it (validate with
     /// [`ensure_disjoint_tids`]; violations corrupt counts).
     ///
-    /// Runs the Figure 4 extension joins over the delta only, merges the
-    /// delta counts into the stored unfiltered counts, drops extensions
-    /// of demoted prefixes, recounts extensions of promoted prefixes by
-    /// one base scan, re-applies the recomputed threshold, and rebuilds
+    /// Runs the Figure 4 extension joins over the delta only, adds the
+    /// delta counts to the stored unfiltered counts, drops extensions of
+    /// demoted prefixes, recounts extensions of promoted prefixes by one
+    /// base scan, re-applies the recomputed threshold, and rebuilds
     /// rules. The returned outcome is byte-identical (canonical JSON) to
     /// a from-scratch memory-backend run on `base ∪ delta`.
     pub fn apply_delta(
@@ -154,74 +341,59 @@ impl MiningFrontier {
             .max_txn_len
             .max(delta_sales.iter().map(|(_, i)| i.len()).max().unwrap_or(0) as u64);
 
-        let mut cands: Vec<CountRelation> = Vec::new();
+        let base = Base { dataset: base, signatures: OnceCell::new() };
+        let mut levels: Vec<Level> = Vec::new();
         if max_len > 1 && n_new > 0 {
-            // F_{k-1} at the new threshold; starts as the new C_1.
-            let mut c_prev = filter_counts(&item_counts, min_count_new);
-            // Delta-side R_1: one (tid, [item]) tuple per delta row.
+            // C_{k-1} at the new threshold, and the delta's R_{k-1}; both
+            // are read from k = 3 on (k = 2 joins every delta row).
+            let mut c_prev = CountRelation::new(1);
             let mut delta_r_prev = PatternRelation::new(1);
-            for (tid, items) in &delta_sales {
-                for &it in items {
-                    delta_r_prev.push(*tid, &[it]);
-                }
-            }
 
             let mut k = 1usize;
             loop {
                 k += 1;
-                // Delta side: the literal Figure 4 iteration over the
-                // delta's tuples (sort on trans_id; merge-scan extend;
+                // Delta side: at k = 2 every pair of items in a delta
+                // transaction; then the literal Figure 4 iteration over
+                // the delta's tuples (sort on trans_id; merge-scan extend;
                 // sort on items; count groups).
-                let (delta_counts, delta_r_prime) = if delta_r_prev.is_empty() {
-                    (CountRelation::new(k), PatternRelation::new(k))
+                let (delta_counts, delta_r_prime) = if k == 2 {
+                    (count_pairs(&delta_sales), None)
+                } else if delta_r_prev.is_empty() {
+                    (CountRelation::new(k), None)
                 } else {
                     delta_r_prev.sort_by_tid_items();
                     let mut r_prime =
                         merge_scan_extend(&delta_r_prev, 0..delta_r_prev.n_tuples(), &delta_sales);
                     r_prime.sort_by_items();
-                    (count_groups(&r_prime), r_prime)
+                    (count_groups(&r_prime), Some(r_prime))
                 };
 
-                // Base side, part 1: stored counts whose (k-1)-prefix is
-                // still frequent under the new threshold. At k = 2 the
-                // join side is the unfiltered R_1, so every stored pair
-                // survives regardless of item frequency.
-                let old_kept = match self.cands.get(k - 2) {
-                    Some(old) if k == 2 => Cow::Borrowed(old),
-                    Some(old) => Cow::Owned(keep_with_frequent_prefix(old, &c_prev)),
-                    None => Cow::Owned(CountRelation::new(k)),
+                // Base side: the stored level with the delta's counts
+                // added, its prefixes moved to the new C_{k-1}.
+                let empty;
+                let old = match self.levels.get(k - 2) {
+                    Some(level) => level,
+                    None => {
+                        empty = Level::empty(k);
+                        &empty
+                    }
                 };
-
-                // Base side, part 2: prefixes newly frequent (promoted
-                // across the capture threshold) have no stored
-                // extensions — recount them with one scan of the base.
-                // Impossible at k = 2 (see above), so the scan only runs
-                // on an actual threshold crossing.
-                let promoted: Vec<Vec<Item>> = if k >= 3 && base.n_transactions() > 0 {
-                    c_prev
-                        .iter()
-                        .filter(|(p, _)| !self.was_frequent_at_capture(p))
-                        .map(|(p, _)| p.to_vec())
-                        .collect()
-                } else {
-                    Vec::new()
-                };
-                let promo = if promoted.is_empty() {
-                    CountRelation::new(k)
-                } else {
-                    recount_promoted(base, &promoted, k)
-                };
-
-                // Merge: support over base ∪ delta for every eligible
-                // pattern, still unfiltered — the next frontier's level.
-                let merged =
-                    CountRelation::merge_sum_filter(&[&*old_kept, &promo, &delta_counts], 1);
-                let c_k = filter_counts(&merged, min_count_new);
-                let done = c_k.is_empty() || k >= max_len;
+                let no_prefixes = CountRelation::new(k - 1);
+                let prefixes = (k >= 3).then(|| {
+                    let before = self.levels.get(k - 3).map_or(&no_prefixes, |l| &l.frequent);
+                    (before, &c_prev)
+                });
+                let level =
+                    old.advance(&delta_counts, prefixes, &base, (self.min_count, min_count_new));
+                let done = level.frequent.is_empty() || k >= max_len;
                 // Delta R_k: delta tuples of globally supported groups.
-                delta_r_prev = filter_supported(&delta_r_prime, &c_k);
-                cands.push(merged);
-                c_prev = c_k;
+                delta_r_prev = match &delta_r_prime {
+                    Some(r_prime) => filter_supported(r_prime, &level.frequent),
+                    None if k == 2 => supported_pairs(&delta_sales, &level.frequent),
+                    None => PatternRelation::new(k),
+                };
+                c_prev = level.frequent.clone();
+                levels.push(level);
                 if done {
                     break;
                 }
@@ -236,7 +408,7 @@ impl MiningFrontier {
             max_txn_len,
             min_count: min_count_new,
             item_counts,
-            cands,
+            levels,
         };
         let outcome = next.outcome(threads)?;
         Ok((outcome, next))
@@ -253,8 +425,7 @@ impl MiningFrontier {
         // wins, else `SETM_FORCE_PLAN`.
         let mode = self.plan_mode.resolve()?;
         let n_txns = self.n_transactions;
-        let min_count = self.params.min_support.to_count(n_txns.max(1));
-        let max_len = self.params.max_pattern_len.unwrap_or(usize::MAX);
+        let min_count = self.min_count;
 
         let mut counts: Vec<CountRelation> = Vec::new();
         let mut trace: Vec<IterationTrace> = Vec::new();
@@ -278,7 +449,7 @@ impl MiningFrontier {
             counts.push(c1);
         }
 
-        if max_len > 1 && n_txns > 0 {
+        if !self.levels.is_empty() {
             let planner = Planner::new(
                 mode,
                 PlannerConfig::with_max_shards(
@@ -286,7 +457,7 @@ impl MiningFrontier {
                 ),
             );
             let mut r_prev_tuples = self.sales_tuples;
-            for (idx, merged) in self.cands.iter().enumerate() {
+            for (idx, level) in self.levels.iter().enumerate() {
                 let k = idx + 2;
                 let stats = LiveStats {
                     n_txns,
@@ -296,15 +467,13 @@ impl MiningFrontier {
                     c_prev_len,
                 };
                 let plan = planner.plan_iteration(k, &stats);
-                let c_k = filter_counts(merged, min_count);
-                // |R'_k| is the sum of unfiltered group counts, |R_k|
-                // the sum of surviving ones: each group of count n is n
-                // (trans_id, pattern) tuples.
-                let r_prime_tuples: u64 = merged.iter().map(|(_, c)| c).sum();
-                let r_tuples: u64 = c_k.iter().map(|(_, c)| c).sum();
+                let c_k = &level.frequent;
+                // |R_k| is the sum of surviving group counts: each group
+                // of count n is n (trans_id, pattern) tuples.
+                let r_tuples = total(c_k);
                 trace.push(IterationTrace {
                     k,
-                    r_prime_tuples,
+                    r_prime_tuples: level.r_prime_tuples,
                     r_tuples,
                     r_kbytes: (r_tuples * (k as u64 + 1) * 4) as f64 / 1024.0,
                     c_len: c_k.len() as u64,
@@ -318,7 +487,7 @@ impl MiningFrontier {
                 c_prev_len = c_k.len() as u64;
                 r_prev_tuples = r_tuples;
                 if !c_k.is_empty() {
-                    counts.push(c_k);
+                    counts.push(c_k.clone());
                 }
             }
         }
@@ -331,16 +500,6 @@ impl MiningFrontier {
         };
         let rules = generate_rules(&result, self.params.min_confidence);
         Ok(MiningOutcome { result, rules, report: ExecutionReport::Memory, per_class: None })
-    }
-
-    /// Was `pattern` (length 2 or more) frequent at the capture-time
-    /// threshold? Decides which newly frequent prefixes need the
-    /// base-scan recount.
-    fn was_frequent_at_capture(&self, pattern: &[Item]) -> bool {
-        match self.cands.get(pattern.len().wrapping_sub(2)) {
-            Some(level) => level.get(pattern).is_some_and(|c| c >= self.min_count),
-            None => false,
-        }
     }
 }
 
@@ -379,11 +538,188 @@ fn filter_counts(c: &CountRelation, min_count: u64) -> CountRelation {
     out
 }
 
-/// Stored counts whose (k-1)-prefix survives the new threshold — the
-/// extensions of demoted prefixes vanish exactly as their tuples would
-/// have vanished from `R_{k-1}`. Both sides are pattern-sorted, so the
-/// prefixes of `old` arrive in order and membership is one monotone
-/// cursor over `c_prev`.
+/// `R'_2`'s group counts over `txns`: every pair of items in a
+/// transaction, packed into one `u64` (first item high), sorted and
+/// counted run by run, which leaves the pairs in pattern order.
+fn count_pairs(txns: &[(TransId, Vec<Item>)]) -> CountRelation {
+    let mut keys: Vec<u64> =
+        Vec::with_capacity(txns.iter().map(|(_, t)| t.len() * t.len().saturating_sub(1) / 2).sum());
+    for (_, items) in txns {
+        for (i, &a) in items.iter().enumerate() {
+            keys.extend(items[i + 1..].iter().map(|&b| u64::from(a) << 32 | u64::from(b)));
+        }
+    }
+    radix_sort(&mut keys);
+    let mut counts = CountRelation::new(2);
+    for run in keys.chunk_by(|x, y| x == y) {
+        counts.push(&[(run[0] >> 32) as Item, run[0] as Item], run.len() as u64);
+    }
+    counts
+}
+
+/// Sort `keys` by least-significant-digit radix on 11-bit digits,
+/// skipping every digit on which all keys agree (item ids seldom use
+/// all 32 bits).
+fn radix_sort(keys: &mut Vec<u64>) {
+    const BITS: u32 = 11;
+    const MASK: u64 = (1 << BITS) - 1;
+    let (any, all) = keys.iter().fold((0u64, !0u64), |(any, all), &key| (any | key, all & key));
+    let mut scratch = vec![0u64; keys.len()];
+    let mut starts = vec![0usize; 1 << BITS];
+    for shift in (0..64).step_by(BITS as usize) {
+        if (any ^ all) >> shift & MASK == 0 {
+            continue;
+        }
+        starts.fill(0);
+        for &key in keys.iter() {
+            starts[(key >> shift & MASK) as usize] += 1;
+        }
+        let mut at = 0;
+        for start in starts.iter_mut() {
+            (*start, at) = (at, at + *start);
+        }
+        for &key in keys.iter() {
+            let digit = (key >> shift & MASK) as usize;
+            scratch[starts[digit]] = key;
+            starts[digit] += 1;
+        }
+        std::mem::swap(keys, &mut scratch);
+    }
+}
+
+/// `R_2` over `txns`: each transaction's pairs that are in `c_2`, in
+/// `(trans_id, items)` order. Item `a` of a transaction walks the items
+/// after it alongside the `c_2` patterns that start with `a`.
+fn supported_pairs(txns: &[(TransId, Vec<Item>)], c_2: &CountRelation) -> PatternRelation {
+    // Each first item of `c_2`, with the index its patterns start at.
+    let mut firsts: Vec<(Item, usize)> = Vec::new();
+    for j in 0..c_2.len() {
+        let a = c_2.pattern_at(j)[0];
+        if firsts.last().is_none_or(|&(last, _)| last != a) {
+            firsts.push((a, j));
+        }
+    }
+    let mut r_2 = PatternRelation::new(2);
+    for (tid, items) in txns {
+        for (i, &a) in items.iter().enumerate() {
+            let Ok(f) = firsts.binary_search_by_key(&a, |&(first, _)| first) else {
+                continue;
+            };
+            let patterns = firsts[f].1..firsts.get(f + 1).map_or(c_2.len(), |&(_, j)| j);
+            let mut rest = items[i + 1..].iter().copied().peekable();
+            for j in patterns {
+                let b = c_2.pattern_at(j)[1];
+                while rest.next_if(|&x| x < b).is_some() {}
+                if rest.next_if_eq(&b).is_some() {
+                    r_2.push(*tid, &[a, b]);
+                }
+            }
+        }
+    }
+    r_2
+}
+
+/// The summed counts of a relation: `|R|` of the tuples it counts.
+fn total(c: &CountRelation) -> u64 {
+    c.iter().map(|(_, n)| n).sum()
+}
+
+/// The indices of `c`'s patterns that extend `prefix` (pattern-sorted,
+/// so they are adjacent).
+fn under(c: &CountRelation, prefix: &[Item]) -> Range<usize> {
+    let head = |i: usize| &c.pattern_at(i)[..prefix.len()];
+    // The first index whose pattern is not `before` the prefix's range.
+    let first_not = |before: &dyn Fn(usize) -> bool| {
+        let (mut lo, mut hi) = (0, c.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if before(mid) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    };
+    first_not(&|i| head(i) < prefix)..first_not(&|i| head(i) <= prefix)
+}
+
+/// Lookups into a pattern-sorted relation in ascending pattern order:
+/// each gallops forward from where the last one stopped.
+struct Seek<'a> {
+    rel: &'a CountRelation,
+    at: usize,
+}
+
+impl<'a> Seek<'a> {
+    fn new(rel: &'a CountRelation) -> Self {
+        Seek { rel, at: 0 }
+    }
+
+    /// The count of `pattern` (0 if absent), which must not be below the
+    /// last pattern sought.
+    fn count(&mut self, pattern: &[Item]) -> u64 {
+        let (rel, n) = (self.rel, self.rel.len());
+        let below = |i: usize| rel.pattern_at(i) < pattern;
+        let (mut lo, mut step) = (self.at, 1usize);
+        while lo + step <= n && below(lo + step - 1) {
+            lo += step;
+            step *= 2;
+        }
+        let mut hi = (lo + step - 1).min(n);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if below(mid) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        self.at = lo;
+        if lo < n && rel.pattern_at(lo) == pattern {
+            rel.count_at(lo)
+        } else {
+            0
+        }
+    }
+}
+
+/// The patterns of `after` not in `before` (promoted) and of `before`
+/// not in `after` (demoted), each ascending. Both sides are
+/// pattern-sorted, so one merge walk finds them.
+fn prefix_moves(
+    before: &CountRelation,
+    after: &CountRelation,
+) -> (Vec<Vec<Item>>, Vec<Vec<Item>>) {
+    let (mut promoted, mut demoted) = (Vec::new(), Vec::new());
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < before.len() || j < after.len() {
+        let order = match (i < before.len(), j < after.len()) {
+            (true, true) => before.pattern_at(i).cmp(after.pattern_at(j)),
+            (true, false) => std::cmp::Ordering::Less,
+            _ => std::cmp::Ordering::Greater,
+        };
+        match order {
+            std::cmp::Ordering::Less => {
+                demoted.push(before.pattern_at(i).to_vec());
+                i += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                promoted.push(after.pattern_at(j).to_vec());
+                j += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    (promoted, demoted)
+}
+
+/// Entries of `old` whose (k-1)-prefix is a pattern of `c_prev`. Both
+/// sides are pattern-sorted, so the prefixes of `old` arrive in order
+/// and membership is one monotone cursor over `c_prev`.
 fn keep_with_frequent_prefix(old: &CountRelation, c_prev: &CountRelation) -> CountRelation {
     let k = old.k();
     let mut out = CountRelation::new(k);
@@ -400,31 +736,53 @@ fn keep_with_frequent_prefix(old: &CountRelation, c_prev: &CountRelation) -> Cou
     out
 }
 
-/// Base-side support of every extension of a *promoted* prefix: one scan
-/// of the base dataset, emitting `(tid, prefix + item)` for each
-/// transaction containing the prefix and each item beyond its last —
-/// the same extension rule as the merge-scan join — then one
-/// sort-and-count. Each extension pattern determines its prefix
-/// uniquely, so no group is counted twice.
-fn recount_promoted(base: &Dataset, promoted: &[Vec<Item>], k: usize) -> CountRelation {
-    let plen = k - 1;
-    let mut rel = PatternRelation::new(k);
-    let mut buf: Vec<Item> = vec![0; k];
-    for (tid, items) in base.transactions() {
-        for p in promoted {
-            if !txn_contains(items, p) {
-                continue;
-            }
-            let start = items.partition_point(|&it| it <= p[plen - 1]);
-            for &ext in &items[start..] {
-                buf[..plen].copy_from_slice(p);
-                buf[plen] = ext;
-                rel.push(tid, &buf);
+/// The captured dataset, as the promotion recount scans it.
+struct Base<'a> {
+    dataset: &'a Dataset,
+    /// Each transaction's [`signature`], computed by the first recount of
+    /// an append and reused by the recounts of later levels.
+    signatures: OnceCell<Vec<u128>>,
+}
+
+impl Base<'_> {
+    /// Base-side support of every extension of a *promoted* prefix: one
+    /// scan of the base dataset, counting `prefix + item` for each
+    /// transaction containing the prefix and each item beyond its last —
+    /// the same extension rule as the merge-scan join. A count is keyed
+    /// by the prefix's position in `promoted` and the item, so sorting
+    /// the keys puts the patterns in order.
+    fn recount(&self, promoted: &[Vec<Item>], k: usize) -> CountRelation {
+        let signatures = self.signatures.get_or_init(|| {
+            self.dataset.transactions().map(|(_, items)| signature(items)).collect()
+        });
+        let needs: Vec<u128> = promoted.iter().map(|p| signature(p)).collect();
+        let mut keys: Vec<u64> = Vec::new();
+        for ((_, items), &held) in self.dataset.transactions().zip(signatures) {
+            for (i, (p, &need)) in promoted.iter().zip(&needs).enumerate() {
+                if need & !held != 0 || !txn_contains(items, p) {
+                    continue;
+                }
+                let start = items.partition_point(|&it| it <= p[k - 2]);
+                keys.extend(items[start..].iter().map(|&ext| (i as u64) << 32 | u64::from(ext)));
             }
         }
+        radix_sort(&mut keys);
+        let mut counts = CountRelation::new(k);
+        let mut pattern: Vec<Item> = vec![0; k];
+        for run in keys.chunk_by(|a, b| a == b) {
+            pattern[..k - 1].copy_from_slice(&promoted[(run[0] >> 32) as usize]);
+            pattern[k - 1] = run[0] as u32;
+            counts.push(&pattern, run.len() as u64);
+        }
+        counts
     }
-    rel.sort_by_items();
-    count_groups(&rel)
+}
+
+/// One bit of 128 per item, chosen by a multiplicative hash: a set's
+/// signature covers every subset's, so one mask test rules out most
+/// transactions that cannot contain a pattern before any search.
+fn signature(items: &[Item]) -> u128 {
+    items.iter().fold(0, |sig, &it| sig | 1 << (it.wrapping_mul(0x9E37_79B9) >> 25))
 }
 
 /// Is the sorted `pattern` a subset of the sorted transaction `items`?
@@ -546,7 +904,7 @@ mod tests {
         );
         let (_, frontier) = MiningFrontier::bootstrap(&base, &p, 1).unwrap();
         assert!(
-            !frontier.was_frequent_at_capture(&[1, 2]),
+            !frontier.levels[0].frequent.contains(&[1, 2]),
             "the scenario must actually cross the threshold"
         );
         let (inc, _) = frontier.apply_delta(&base, &delta, 1).unwrap();
@@ -571,6 +929,103 @@ mod tests {
             frontier = next;
             base = concat;
         }
+    }
+
+    /// {1,2} is frequent in the base, demoted by the first append (its
+    /// level-3 entries go stale), promoted again by the second and
+    /// demoted by the third. The stale {1,2,3} must not be added to its
+    /// recount, or the third append takes too much off `|R'_3|`.
+    #[test]
+    fn a_prefix_demoted_and_promoted_again_is_recounted_once() {
+        let p = params(MinSupport::Fraction(0.5));
+        let base = Dataset::from_transactions([
+            (1, [1u32, 2, 3].as_slice()),
+            (2, [1, 2, 3].as_slice()),
+            (3, [7, 8].as_slice()),
+            (4, [7, 8].as_slice()),
+        ]);
+        let batches = [
+            Dataset::from_transactions([(5, [7u32, 8].as_slice()), (6, [7, 8].as_slice())]),
+            Dataset::from_transactions([
+                (7, [1u32, 2, 3].as_slice()),
+                (8, [1, 2, 3].as_slice()),
+                (9, [1, 2, 3].as_slice()),
+                (10, [9].as_slice()),
+            ]),
+            Dataset::from_transactions((11..17).map(|t| (t, [7u32, 8].as_slice()))),
+        ];
+        let (_, mut frontier) = MiningFrontier::bootstrap(&base, &p, 1).unwrap();
+        let mut base = base;
+        for (step, delta) in batches.iter().enumerate() {
+            let concat = concat_datasets(&base, delta);
+            let full = Miner::new(p).threads(1).run(&concat).unwrap();
+            let (inc, next) = frontier.apply_delta(&base, delta, 1).unwrap();
+            outcomes_equal(&inc, &full);
+            let demoted = !next.levels[0].frequent.contains(&[1, 2]);
+            assert_eq!(demoted, step != 1, "step {step}: {{1,2}} frequent only after the second");
+            if step == 0 {
+                assert!(next.levels[1].holds(&[1, 2]), "its level-3 entry must go stale");
+            }
+            if step == 1 {
+                assert_eq!(next.levels[1].frequent.get(&[1, 2, 3]), Some(5));
+            }
+            frontier = next;
+            base = concat;
+        }
+    }
+
+    /// Small appends share the level counts of the frontier they advance
+    /// from; the appended counts are folded in once they outgrow half of
+    /// those. Every step still matches a from-scratch run.
+    #[test]
+    fn appends_share_stored_counts_until_a_compaction() {
+        let p = params(MinSupport::Fraction(0.1));
+        // A fixed pseudo-random basket stream over 30 items.
+        let mut state = 7u32;
+        let mut basket = || {
+            let mut items: Vec<u32> = (0..6)
+                .map(|_| {
+                    state = state.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+                    state >> 16 & 31
+                })
+                .collect();
+            items.sort_unstable();
+            items.dedup();
+            items
+        };
+        let baskets: Vec<Vec<u32>> = (0..400).map(|_| basket()).collect();
+        let dataset = |range: std::ops::Range<usize>| {
+            Dataset::from_transactions(
+                range.map(|i| (i as u32 + 1, baskets[i].as_slice())).collect::<Vec<_>>(),
+            )
+        };
+        let mut base = dataset(0..200);
+        let (_, mut frontier) = MiningFrontier::bootstrap(&base, &p, 1).unwrap();
+        let (mut shared, mut compacted) = (0, 0);
+        for start in (200..400).step_by(10) {
+            let delta = dataset(start..start + 10);
+            let concat = concat_datasets(&base, &delta);
+            let full = Miner::new(p).threads(1).run(&concat).unwrap();
+            let (inc, next) = frontier.apply_delta(&base, &delta, 1).unwrap();
+            outcomes_equal(&inc, &full);
+            if Arc::ptr_eq(&frontier.levels[0].stored, &next.levels[0].stored) {
+                shared += 1;
+            } else {
+                compacted += 1;
+            }
+            frontier = next;
+            base = concat;
+        }
+        assert!(shared > 0 && compacted > 0, "shared {shared}, compacted {compacted}");
+    }
+
+    #[test]
+    fn radix_sort_orders_keys_across_all_64_bits() {
+        let mut keys: Vec<u64> = vec![u64::MAX, 0, 1 << 40, 7, u64::MAX - 1, 1 << 63, 7, 1 << 11];
+        let mut expected = keys.clone();
+        expected.sort_unstable();
+        radix_sort(&mut keys);
+        assert_eq!(keys, expected);
     }
 
     #[test]

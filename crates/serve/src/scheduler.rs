@@ -395,12 +395,16 @@ fn worker_loop(inner: &Inner) {
             Ok(outcome) => JobResult::Finished(outcome),
             Err(_) => JobResult::Panicked,
         };
+        // Count the job before its reply leaves: a client holding an
+        // outcome must see it in `status` and `metrics`.
+        {
+            let mut state = inner.state.lock().expect("scheduler lock");
+            state.running -= 1;
+            inner.metrics.running.set(state.running as u64);
+            inner.metrics.completed.inc();
+            inner.idle.notify_all();
+        }
         let _ = queued.reply.send(result);
-        let mut state = inner.state.lock().expect("scheduler lock");
-        state.running -= 1;
-        inner.metrics.running.set(state.running as u64);
-        inner.metrics.completed.inc();
-        inner.idle.notify_all();
     }
 }
 
@@ -470,7 +474,7 @@ pub(crate) mod tests {
                 other => panic!("unexpected result: {other:?}"),
             }
         }
-        s.drain(); // settle the counters (they land after delivery)
+        s.drain();
         let st = s.status();
         assert_eq!(st.completed, 4);
         assert_eq!(st.queued, 0);
@@ -582,9 +586,19 @@ pub(crate) mod tests {
                 });
             }
         });
-        // The counter lands after the result is delivered; drain first so
-        // every worker has retired its job.
         s.drain();
         assert_eq!(s.status().completed, 32);
+    }
+
+    /// A job is counted before its reply leaves, so a caller holding an
+    /// outcome always sees it in `completed`.
+    #[test]
+    fn a_delivered_job_is_already_counted() {
+        let s = Scheduler::new(2, 8);
+        for waited in 1..=200u64 {
+            let ticket = s.submit(example_job()).unwrap();
+            assert!(matches!(ticket.wait(), JobResult::Finished(Ok(_))));
+            assert_eq!(s.status().completed, waited);
+        }
     }
 }
