@@ -17,6 +17,9 @@
 //!              the in-memory and paged-engine paths
 //!   serve      served mining throughput — an in-process `setm-serve`
 //!              server under a mixed-backend client sweep (1/4/16 clients)
+//!   primitives the paged engine's building blocks in isolation — external
+//!              sort, merge-scan join, grouped count, B+-tree prefix probe
+//!              (median of a fixed number of reps, every result checked)
 //!   poolscale  paper-scale trajectory — Quest T20.I6 at 100K-1M
 //!              transactions across the memory / engine / SQL backends,
 //!              charting where they diverge (engine and SQL are cut off
@@ -73,7 +76,12 @@ use setm_core::setm::plan::{PhysicalPlan, PlanMode};
 use setm_costmodel::ComparisonReport;
 use setm_datagen::{DatasetStats, NeedleConfig, QuestConfig, RetailConfig, UniformConfig};
 use setm_incremental::MiningFrontier;
+use setm_relational::agg::grouped_count;
+use setm_relational::btree::BulkLoader;
+use setm_relational::join::merge_scan_join;
+use setm_relational::{external_sort, HeapFile, Pager, SharedPager, SortOptions};
 use setm_serve::outcome_to_json;
+use std::hint::black_box;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
@@ -132,6 +140,7 @@ fn main() {
         "ablation" => repro_ablation(),
         "parallel" => repro_parallel(),
         "serve" => repro_serve(),
+        "primitives" => repro_primitives(),
         "poolscale" => repro_poolscale(),
         "incremental" => repro_incremental(),
         "baseline" => repro_baseline(positional.get(1).cloned()),
@@ -148,6 +157,7 @@ fn main() {
             repro_ablation();
             repro_parallel();
             repro_serve();
+            repro_primitives();
             repro_poolscale();
             repro_incremental();
         }
@@ -597,6 +607,94 @@ fn repro_serve() {
     stop_bench_server(addr, handle);
     println!("\nthroughput past one client scales with real cores; on a single-core");
     println!("host the sweep measures scheduling + protocol overhead (ROADMAP caveat).");
+}
+
+/// Timed reps of each engine primitive; `primitives` prints their median.
+const PRIMITIVE_REPS: usize = 11;
+
+/// Median wall clock of `reps` runs of `f`, with the last run's result.
+/// Every result passes through `black_box`, so no run is optimized away.
+fn median_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (Duration, T) {
+    let mut times = Vec::with_capacity(reps);
+    let mut out = None;
+    for _ in 0..reps {
+        let t0 = Instant::now();
+        let r = black_box(f());
+        times.push(t0.elapsed());
+        out = Some(r);
+    }
+    times.sort_unstable();
+    (times[reps / 2], out.expect("at least one rep"))
+}
+
+fn heap_file(pager: &SharedPager, rows: &[[u32; 2]]) -> HeapFile {
+    HeapFile::from_rows(pager.clone(), 2, rows.iter().map(|r| r.as_slice()))
+        .expect("build heap file")
+}
+
+fn repro_primitives() {
+    banner("Engine primitives — sort, merge-scan join, grouped count, B+-tree probe");
+    println!("median of {PRIMITIVE_REPS} reps; a sort, join or count rep includes loading");
+    println!("its input heap files onto a fresh pager\n");
+    println!("{:<30} {:>12} {:>12}", "primitive", "rows", "median");
+    let print_row =
+        |name: &str, rows: u32, t: Duration| println!("{name:<30} {rows:>12} {t:>12.2?}");
+
+    for n in [10_000u32, 100_000] {
+        let mut state = 42u32;
+        let rows: Vec<[u32; 2]> = (0..n)
+            .map(|i| {
+                state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+                [state % 997, i]
+            })
+            .collect();
+        let (t, sorted) = median_of(PRIMITIVE_REPS, || {
+            let input = heap_file(&Pager::shared(), &rows);
+            external_sort(&input, &[0, 1], SortOptions { buffer_pages: 64 }).expect("sort")
+        });
+        let sorted = sorted.rows().expect("read sorted file");
+        assert_eq!(sorted.len(), n as usize, "the sort keeps every row");
+        assert!(sorted.is_sorted(), "the sort returns its rows in order");
+        print_row("external_sort (64 pages)", n, t);
+    }
+
+    for n in [10_000u32, 50_000] {
+        // (tid, item) rows sorted on tid, five items per tid.
+        let rows: Vec<[u32; 2]> = (0..n).map(|i| [i / 5, i % 5]).collect();
+        let (t, joined) = median_of(PRIMITIVE_REPS, || {
+            let pager = Pager::shared();
+            let (l, r) = (heap_file(&pager, &rows), heap_file(&pager, &rows));
+            merge_scan_join(&l, &r, &[0], &[0], 3, |a, b| b[1] > a[1], |a, b, out| {
+                out.extend_from_slice(a);
+                out.push(b[1]);
+            })
+            .expect("join")
+        });
+        // Each tid pairs its five items C(5, 2) = 10 ways: 2n rows.
+        assert_eq!(joined.n_records(), 2 * u64::from(n), "self-join row count");
+        print_row("merge_scan_join", n, t);
+    }
+
+    let rows: Vec<[u32; 2]> = (0..100_000u32).map(|i| [i / 50, i]).collect();
+    let (t, counts) = median_of(PRIMITIVE_REPS, || {
+        grouped_count(&heap_file(&Pager::shared(), &rows), &[0], 10).expect("count")
+    });
+    assert_eq!(counts.n_records(), 2_000, "50 rows per group, 2,000 groups");
+    print_row("grouped_count", 100_000, t);
+
+    // 1,000 prefixes of 500 keys each; a rep probes every prefix once.
+    let mut loader = BulkLoader::new(Pager::shared(), 2);
+    for i in 0..500_000u32 {
+        loader.push(&[i / 500, i % 500]).expect("push key");
+    }
+    let mut tree = loader.finish().expect("bulk load");
+    tree.cache_internal_nodes().expect("pin internal nodes");
+    let (t, ()) = median_of(PRIMITIVE_REPS, || {
+        for probe in (0..1_000u32).map(|p| p * 17 % 1_000) {
+            assert_eq!(tree.count_prefix(&[probe]).expect("probe"), 500, "prefix {probe}");
+        }
+    });
+    print_row("btree count_prefix (x1,000)", 500_000, t);
 }
 
 /// Minimum support for the paper-scale trajectory: 1% keeps T20.I6 runs

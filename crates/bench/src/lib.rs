@@ -1,9 +1,8 @@
-//! Shared measurement helpers for the bench targets and the `repro`
-//! binary.
+//! The serve load generator behind the `repro` binary.
 //!
-//! The only module today is [`loadgen`], the concurrent load generator
-//! both `benches/serve_throughput.rs` and `repro -- baseline`'s serve
-//! section drive against an in-process `setm-serve` server.
+//! [`loadgen`] is the concurrent load generator that `repro -- serve`
+//! and `repro -- baseline`'s serve section drive against an in-process
+//! `setm-serve` server.
 
 pub mod loadgen {
     //! A closed-loop load generator for `setm-serve`.

@@ -23,7 +23,6 @@
 //! (survives 5% support), two mid-support triples, and one 35-transaction
 //! quad that is frequent at 0.05% but not at 0.1%.
 
-use crate::stats::DatasetStats;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use setm_core::Dataset;
@@ -223,18 +222,12 @@ impl RetailConfig {
                 .flat_map(|(tid, items)| items.iter().map(move |&it| (tid as u32 + 1, it))),
         )
     }
-
-    /// Generate and return summary statistics alongside the dataset.
-    pub fn generate_with_stats(&self) -> (Dataset, DatasetStats) {
-        let d = self.generate();
-        let s = DatasetStats::of(&d);
-        (d, s)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::DatasetStats;
     use setm_core::{setm::memory, MinSupport, MiningParams};
 
     fn paper_dataset() -> Dataset {
@@ -328,6 +321,7 @@ mod tests {
 #[cfg(test)]
 mod calibration_probe {
     use super::*;
+    use crate::stats::DatasetStats;
     use setm_core::{setm::memory, MinSupport, MiningParams};
 
     #[test]

@@ -145,13 +145,6 @@ impl Database {
         Ok(())
     }
 
-    /// Names of all tables (sorted, for stable output).
-    pub fn table_names(&self) -> Vec<&str> {
-        let mut names: Vec<&str> = self.tables.keys().map(String::as_str).collect();
-        names.sort_unstable();
-        names
-    }
-
     /// Build a B+-tree index named `index_name` on `table_name(columns)`.
     /// The index key is the listed columns in order; internal nodes are
     /// pinned in memory per the paper's Section 3.2 assumption.

@@ -383,11 +383,6 @@ impl Pager {
         }
     }
 
-    /// Replace the cost model used by [`IoStats::estimated_ms`] reporting.
-    pub fn set_cost_model(&mut self, cost: CostModel) {
-        self.cost = cost;
-    }
-
     /// The configured cost model.
     pub fn cost_model(&self) -> CostModel {
         self.cost

@@ -109,11 +109,6 @@ impl SqlEngine {
         SqlEngine { db: Database::new(), opts: ExecOptions::default() }
     }
 
-    /// A session over an existing database.
-    pub fn with_database(db: Database) -> Self {
-        SqlEngine { db, opts: ExecOptions::default() }
-    }
-
     /// Set planner options.
     pub fn set_options(&mut self, opts: ExecOptions) {
         self.opts = opts;
