@@ -23,15 +23,26 @@
 //!   response to the same canonical request key
 //!   (`dataset@version` + full miner configuration); they are replayed
 //!   verbatim, no mining runs.
-//! * **`delta`** — the dataset version moved since a frontier snapshot
-//!   was captured for these parameters; the stored frontier absorbs the
+//! * **`delta`** — the dataset version moved since a frontier entry was
+//!   stored for these parameters; the entry's frontier absorbs the
 //!   appended batches in time proportional to the deltas
 //!   ([`setm_incremental::MiningFrontier::apply_delta`]) and yields an
 //!   outcome byte-identical to a from-scratch run. Memory backend only —
 //!   the paged engine and SQL backends report *measured* I/O that an
 //!   incremental shortcut could not honestly reproduce.
-//! * **`full`** — a from-scratch run; on the memory backend it also
-//!   captures the frontier that makes the next append a `delta`.
+//! * **`full`** — a from-scratch run through the shared Figure 4 driver
+//!   on every backend ([`Miner::run`] with the job's sink, so every
+//!   iteration lands in the span log). It captures no frontier.
+//!
+//! A frontier entry holds a version, the snapshot of that version, and
+//! a frontier that is captured only when needed. A memory full mine
+//! without `filter_r1` or constraints stores an entry with no frontier.
+//! The first replay from an older version captures the frontier on the
+//! entry's snapshot ([`setm_incremental::MiningFrontier::bootstrap`]),
+//! applies every step, and stores the frontier it reached. So only a key
+//! that is appended to and mined again pays for a capture, once; a
+//! one-shot miss costs one dense mine. An entry without a frontier at
+//! the requested version is a miss.
 //!
 //! Both stores are bounded and evict their **least recently used** key
 //! (`Lru`): the outcome cache at `CACHE_CAPACITY` request keys, the
@@ -39,9 +50,9 @@
 //! hit counts as a use, so the keys that keep being asked for — warm
 //! request keys, the frontier a mutable dataset replays after every
 //! append — outlast any number of one-shot requests passing through.
-//! Each frontier entry holds the snapshot it was captured on, so the
-//! registry's weak reference to that version stays live and a one-step
-//! replay never rebuilds its base.
+//! Each frontier entry holds its snapshot, so the registry's weak
+//! reference to that version stays live and a one-step replay never
+//! rebuilds its base.
 //!
 //! # Sockets
 //!
@@ -187,21 +198,26 @@ type FrontierKey = (String, String);
 #[derive(Clone)]
 struct FrontierEntry {
     version: u64,
-    /// The snapshot the frontier was captured on, held only to keep it
-    /// alive: the registry holds superseded versions weakly, so while
-    /// this entry lives a replay from `version` finds its first base
-    /// without a rebuild.
-    _snapshot: Arc<Dataset>,
-    frontier: Arc<MiningFrontier>,
+    /// The snapshot of `version`. An uncaptured entry captures its
+    /// frontier on it; either way it stays alive while the entry does
+    /// (the registry holds superseded versions weakly), so a replay from
+    /// `version` finds its first base without a rebuild.
+    snapshot: Arc<Dataset>,
+    /// The frontier at `version`, or `None` until a replay captures it.
+    frontier: Option<Arc<MiningFrontier>>,
 }
 
 type FrontierStore = Arc<Mutex<Lru<FrontierKey, FrontierEntry>>>;
 
 /// Keep `entry` unless the store already holds a newer snapshot for the
-/// same key.
+/// same key, or a captured frontier at the same version that an
+/// uncaptured `entry` would drop.
 fn store_frontier(store: &FrontierStore, key: FrontierKey, entry: FrontierEntry) {
     let mut lru = store.lock().expect("frontier lock");
-    if lru.get(&key).is_some_and(|e| e.version > entry.version) {
+    if lru.get(&key).is_some_and(|e| {
+        e.version > entry.version
+            || (e.version == entry.version && e.frontier.is_some() && entry.frontier.is_none())
+    }) {
         return;
     }
     lru.insert(key, entry);
@@ -210,9 +226,8 @@ fn store_frontier(store: &FrontierStore, key: FrontierKey, entry: FrontierEntry)
 fn params_fingerprint(miner: &Miner) -> String {
     // Debug form of the params is stable and canonical enough for an
     // internal key (never on the wire). Constraints are part of the key
-    // even though constrained requests are not frontier-eligible today —
-    // a stored frontier must never answer a differently-constrained
-    // request.
+    // even though constrained requests store no entry today — a stored
+    // frontier must never answer a differently-constrained request.
     format!(
         "{:?}|filter_r1={}|constraints={:?}",
         miner.params(),
@@ -247,6 +262,7 @@ struct Telemetry {
     // Registry and frontier occupancy, sampled at render time.
     registry_datasets: Arc<Gauge>,
     registry_datasets_loaded: Arc<Gauge>,
+    /// Frontier-store entries, captured or not.
     frontier_entries: Arc<Gauge>,
     /// Per-job timed phase log (queued → planned → iteration k → …).
     spans: Arc<SpanLog>,
@@ -731,29 +747,36 @@ fn handle_mine(req: MineRequest, shared: &Arc<Shared>, emit: Emit<'_>) -> std::i
         telemetry.cache_misses.inc();
     }
 
-    // Route: a stored frontier for (dataset, params) at version ≤ the
-    // requested one serves via delta replay; otherwise a full run (which
-    // on the memory backend captures the frontier for next time).
+    // Route: a stored entry for (dataset, params) at an older version, or
+    // a captured one at this version, serves via delta replay; otherwise
+    // a full run, which leaves an uncaptured entry for a later replay.
     // Progress requests force the observed full route: a delta replay
     // does not iterate, so it would have nothing to stream.
     let threads = req.miner.configured_threads();
-    // Constrained requests always take the full route: the frontier
-    // replays unconstrained counting, so serving one from it would leak
-    // unpruned candidates (and wrong rules) into a constrained answer.
-    let frontier_eligible = !req.progress
-        && matches!(req.miner.configured_backend(), Backend::Memory)
+    // Constrained requests always take the full route and store nothing:
+    // the frontier replays unconstrained counting, so serving one from it
+    // would leak unpruned candidates (and wrong rules) into a constrained
+    // answer.
+    let frontier_eligible = matches!(req.miner.configured_backend(), Backend::Memory)
         && !req.miner.configured_filter_r1()
         && req.miner.configured_constraints().is_empty();
     let frontier_key = (resolved.name.clone(), params_fingerprint(&req.miner));
-    let replay = if frontier_eligible {
+    let replay = if frontier_eligible && !req.progress {
         let entry = shared.frontiers.lock().expect("frontier lock").get(&frontier_key);
-        entry.filter(|e| e.version <= resolved.version).and_then(|e| {
-            shared
-                .registry
-                .deltas_between(&resolved.name, e.version, resolved.version)
-                .ok()
-                .map(|steps| (e.frontier, steps))
-        })
+        // Capturing on this very version would cost more than the dense
+        // mine it replaces, so an uncaptured entry here is a miss.
+        entry
+            .filter(|e| {
+                e.version < resolved.version
+                    || (e.version == resolved.version && e.frontier.is_some())
+            })
+            .and_then(|e| {
+                shared
+                    .registry
+                    .deltas_between(&resolved.name, e.version, resolved.version)
+                    .ok()
+                    .map(|steps| (e, steps))
+            })
     } else {
         None
     };
@@ -765,13 +788,23 @@ fn handle_mine(req: MineRequest, shared: &Arc<Shared>, emit: Emit<'_>) -> std::i
     telemetry.spans.record(job_id, "queued");
     let mut progress_rx = None;
     let (served_via, job) = match replay {
-        Some((frontier, steps)) => {
+        Some((entry, steps)) => {
             let frontiers = Arc::clone(&shared.frontiers);
             let key = frontier_key;
             let version = resolved.version;
             let snapshot = Arc::clone(&resolved.dataset);
+            let params = *req.miner.params();
             let work = move || {
-                let mut frontier = frontier;
+                // The first replay of an entry a full mine left captures
+                // its frontier now, on the snapshot that mine ran on.
+                let mut frontier = match entry.frontier {
+                    Some(frontier) => frontier,
+                    None => {
+                        let (_, captured) =
+                            MiningFrontier::bootstrap(&entry.snapshot, &params, threads)?;
+                        Arc::new(captured)
+                    }
+                };
                 let mut last = None;
                 for (base, delta) in steps {
                     let (outcome, next) = frontier.apply_delta(&base, &delta, threads)?;
@@ -784,27 +817,11 @@ fn handle_mine(req: MineRequest, shared: &Arc<Shared>, emit: Emit<'_>) -> std::i
                     // requested version; re-derive for these threads.
                     None => frontier.outcome(threads)?,
                 };
-                let entry = FrontierEntry { version, _snapshot: snapshot, frontier };
+                let entry = FrontierEntry { version, snapshot, frontier: Some(frontier) };
                 store_frontier(&frontiers, key, entry);
                 Ok(outcome)
             };
             ("delta", MineJob::from_work(work))
-        }
-        None if frontier_eligible => {
-            let frontiers = Arc::clone(&shared.frontiers);
-            let key = frontier_key;
-            let version = resolved.version;
-            let snapshot = Arc::clone(&resolved.dataset);
-            let miner = req.miner.clone();
-            let work = move || {
-                let (outcome, frontier) =
-                    MiningFrontier::bootstrap(&snapshot, miner.params(), threads)?;
-                let entry =
-                    FrontierEntry { version, _snapshot: snapshot, frontier: Arc::new(frontier) };
-                store_frontier(&frontiers, key, entry);
-                Ok(outcome)
-            };
-            ("full", MineJob::from_work(work))
         }
         None => {
             let tx = req.progress.then(|| {
@@ -825,7 +842,17 @@ fn handle_mine(req: MineRequest, shared: &Arc<Shared>, emit: Emit<'_>) -> std::i
             // the run finishes or a queued cancel drops the closure.
             let miner = req.miner.clone().observer(sink);
             let dataset = Arc::clone(&resolved.dataset);
-            ("full", MineJob::from_work(move || miner.run(&dataset)))
+            let store = frontier_eligible
+                .then(|| (Arc::clone(&shared.frontiers), frontier_key, resolved.version));
+            let work = move || {
+                let outcome = miner.run(&dataset)?;
+                if let Some((frontiers, key, version)) = store {
+                    let entry = FrontierEntry { version, snapshot: dataset, frontier: None };
+                    store_frontier(&frontiers, key, entry);
+                }
+                Ok(outcome)
+            };
+            ("full", MineJob::from_work(work))
         }
     };
     telemetry.spans.record(job_id, "planned");
@@ -1090,6 +1117,87 @@ fn finish_shutdown(shared: &Shared) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::Client;
+    use setm_core::example::{paper_example_dataset, paper_example_params};
+    use setm_core::{MinSupport, MiningParams};
+
+    fn entry(version: u64, frontier: Option<&Arc<MiningFrontier>>) -> FrontierEntry {
+        let snapshot = Arc::new(paper_example_dataset());
+        FrontierEntry { version, snapshot, frontier: frontier.cloned() }
+    }
+
+    /// The stored entry's version and whether its frontier is captured.
+    fn stored(store: &FrontierStore, key: &FrontierKey) -> Option<(u64, bool)> {
+        let lru = store.lock().expect("frontier lock");
+        lru.map.get(key).map(|(_, e)| (e.version, e.frontier.is_some()))
+    }
+
+    #[test]
+    fn an_uncaptured_entry_never_replaces_a_captured_one_at_its_version() {
+        let (_, frontier) =
+            MiningFrontier::bootstrap(&paper_example_dataset(), &paper_example_params(), 1)
+                .expect("bootstrap");
+        let frontier = Arc::new(frontier);
+        let store: FrontierStore = Arc::new(Mutex::new(Lru::new(FRONTIER_CAPACITY)));
+        let key = ("example".to_string(), "params".to_string());
+
+        store_frontier(&store, key.clone(), entry(2, Some(&frontier)));
+        // A `progress` mine of version 2 leaves an uncaptured entry.
+        store_frontier(&store, key.clone(), entry(2, None));
+        assert_eq!(stored(&store, &key), Some((2, true)), "the captured frontier was dropped");
+        // An older version never replaces a newer one, captured or not.
+        store_frontier(&store, key.clone(), entry(1, Some(&frontier)));
+        assert_eq!(stored(&store, &key), Some((2, true)));
+        // A newer version replaces it, and a capture at that version
+        // replaces the uncaptured entry.
+        store_frontier(&store, key.clone(), entry(3, None));
+        assert_eq!(stored(&store, &key), Some((3, false)));
+        store_frontier(&store, key.clone(), entry(3, Some(&frontier)));
+        assert_eq!(stored(&store, &key), Some((3, true)));
+    }
+
+    #[test]
+    fn memory_misses_capture_no_frontier_until_an_append_is_replayed() {
+        let config = ServeConfig { workers: 2, ..ServeConfig::default() };
+        let server = Server::bind(config, Registry::with_builtins()).expect("bind loopback");
+        let shared = Arc::clone(&server.shared);
+        let addr = server.local_addr();
+        let running = std::thread::spawn(move || server.run());
+        let mut client = Client::connect(addr).expect("connect");
+        let miner = |count| Miner::new(MiningParams::new(MinSupport::Count(count), 0.5)).threads(1);
+
+        for count in 1..=6 {
+            let reply = client.mine("example", miner(count)).expect("mine");
+            assert_eq!(reply.served_via.as_deref(), Some("full"));
+        }
+        // Every stored entry's version and whether it is captured.
+        let entries = || {
+            let lru = shared.frontiers.lock().expect("frontier lock");
+            let mut entries: Vec<(u64, bool)> =
+                lru.map.values().map(|(_, e)| (e.version, e.frontier.is_some())).collect();
+            entries.sort_unstable();
+            entries
+        };
+        assert_eq!(entries(), vec![(1, false); 6], "a miss captured a frontier");
+        // Another thread count misses the outcome cache, and an
+        // uncaptured entry at the requested version is a miss too.
+        let reply = client.mine("example", miner(2).threads(2)).expect("mine");
+        assert_eq!(reply.served_via.as_deref(), Some("full"));
+
+        client.append_batch("example", &[(100, vec![1, 2, 3]), (101, vec![2, 4])]).expect("append");
+        let reply = client.mine("example", miner(2)).expect("mine after append");
+        assert_eq!(reply.served_via.as_deref(), Some("delta"));
+        // Only the replayed key captured, at the version it reached.
+        let mut expected = vec![(1, false); 5];
+        expected.push((2, true));
+        assert_eq!(entries(), expected);
+        // A captured entry answers a zero-step replay.
+        let reply = client.mine("example", miner(2).threads(2)).expect("mine");
+        assert_eq!(reply.served_via.as_deref(), Some("delta"));
+
+        client.shutdown().expect("shutdown");
+        running.join().expect("server thread");
+    }
 
     #[test]
     fn outcome_cache_keeps_a_key_read_between_inserts() {

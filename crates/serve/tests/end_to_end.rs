@@ -1040,3 +1040,75 @@ fn live_delta_frontiers_outlast_a_flood_of_one_shot_frontiers() {
     assert_eq!(client.status().unwrap().served_delta, u64::from(rounds));
     shutdown(addr, server);
 }
+
+/// A `progress` mine runs the observed full route and still leaves a
+/// frontier entry behind: after an append, the plain mine of the same
+/// parameters is served via `delta`, byte-equal to a local run.
+#[test]
+fn progress_mines_leave_a_frontier_for_the_next_append() {
+    let (addr, server) = start_server(2, 16);
+    let mut client = Client::connect(addr).unwrap();
+    let miner = Miner::new(MiningParams::new(MinSupport::Count(2), 0.5)).threads(1);
+    client.register_dataset("followed", &stream_base()).unwrap();
+
+    let mut streamed = 0usize;
+    let observed = client.mine_observed("followed", miner.clone(), |_| streamed += 1).unwrap();
+    assert_eq!(observed.served_via.as_deref(), Some("full"));
+    assert!(streamed >= observed.outcome.trace.len(), "one event per iteration at least");
+
+    client.append_batch("followed", &stream_batch()).unwrap();
+    let delta = client.mine("followed", miner.clone()).unwrap();
+    assert_eq!(delta.served_via.as_deref(), Some("delta"));
+    let mut concat = stream_base();
+    concat.extend(stream_batch());
+    assert_eq!(delta.raw_outcome, local_outcome_bytes(&concat, &miner));
+    shutdown(addr, server);
+}
+
+/// A plain memory full mine runs through the shared driver with the
+/// job's sink, so its span log holds one `iteration k` per trace row of
+/// its outcome, in order.
+#[test]
+fn memory_full_mines_trace_every_iteration() {
+    let (addr, server) = start_server(2, 16);
+    let mut client = Client::connect(addr).unwrap();
+    let miner = Miner::new(MiningParams::new(MinSupport::Fraction(0.02), 0.5)).threads(1);
+    let reply = client.mine("quest-t5", miner).unwrap();
+    assert_eq!(reply.served_via.as_deref(), Some("full"));
+
+    let spans = client.trace(reply.job).unwrap();
+    let iterations: Vec<&str> = spans
+        .iter()
+        .map(|(label, _)| label.as_str())
+        .filter(|label| label.starts_with("iteration "))
+        .collect();
+    let expected: Vec<String> =
+        (1..=reply.outcome.trace.len()).map(|k| format!("iteration {k}")).collect();
+    assert!(expected.len() >= 2, "quest-t5 is a multi-iteration workload");
+    assert_eq!(iterations, expected);
+    shutdown(addr, server);
+}
+
+/// An entry stored by a full mine at version 1 answers a mine at version
+/// 3 after two appends: the replay captures the frontier on version 1
+/// and applies both batches, byte-equal to a local run on all the data.
+#[test]
+fn a_deferred_capture_replays_several_appends_at_once() {
+    let (addr, server) = start_server(2, 16);
+    let mut client = Client::connect(addr).unwrap();
+    let miner = Miner::new(MiningParams::new(MinSupport::Count(2), 0.5)).threads(1);
+    client.register_dataset("batched", &stream_base()).unwrap();
+    let first = client.mine("batched", miner.clone()).unwrap();
+    assert_eq!(first.served_via.as_deref(), Some("full"));
+
+    let second = vec![(10, vec![1, 3, 4]), (11, vec![2, 3]), (12, vec![1, 2, 3, 4])];
+    assert_eq!(client.append_batch("batched", &stream_batch()).unwrap(), 2);
+    assert_eq!(client.append_batch("batched", &second).unwrap(), 3);
+    let delta = client.mine("batched@3", miner.clone()).unwrap();
+    assert_eq!(delta.served_via.as_deref(), Some("delta"));
+    let mut all = stream_base();
+    all.extend(stream_batch());
+    all.extend(second);
+    assert_eq!(delta.raw_outcome, local_outcome_bytes(&all, &miner));
+    shutdown(addr, server);
+}
