@@ -5,9 +5,10 @@
 //! count, the live statistics the [`Planner`] sees, the planner call,
 //! trace-row assembly and sink emission, the `R_k = {}` termination, and
 //! collecting `C_k`. A backend supplies only its physical operators
-//! ([`Operators`]) — in-memory relations, paged heap files, or SQL
-//! sessions — the way a query engine lowers one logical plan node by
-//! node onto whatever executes it.
+//! ([`Operators`]) — in-memory relations, paged heap files, SQL
+//! sessions, or an incremental frontier absorbing an append — the way a
+//! query engine lowers one logical plan node by node onto whatever
+//! executes it.
 
 use crate::constraints::CandidateFilter;
 use crate::data::{Dataset, MiningParams};
@@ -16,10 +17,38 @@ use crate::setm::plan::{LiveStats, PhysicalPlan, Planner};
 use crate::setm::{IterationTrace, RunSpec, SetmResult};
 use setm_obs::ObsEvent;
 
+/// The totals of a run's input that the loop needs before any operator
+/// runs: the support threshold resolves against the transactions, and
+/// the k = 1 trace row reports the rest.
+#[derive(Debug, Clone, Copy)]
+pub struct Totals {
+    /// Transactions, the denominator of support.
+    pub n_transactions: u64,
+    /// `|SALES|` rows, which is `|R_1|`.
+    pub sales_rows: u64,
+    /// `SALES` rows whose item constraint pushdown rejects at pattern
+    /// position 0 (the k = 1 row's `candidates_pruned`).
+    pub k1_pruned: u64,
+}
+
+impl Totals {
+    /// The totals of `dataset` under `spec`'s constraints.
+    pub(crate) fn of(dataset: &Dataset, spec: &RunSpec) -> Totals {
+        let cc = spec.constraints;
+        let k1_pruned = if cc.is_empty() {
+            0
+        } else {
+            dataset.items().iter().filter(|&&it| !cc.allows_at(0, it)).count() as u64
+        };
+        Totals { n_transactions: dataset.n_transactions(), sales_rows: dataset.n_rows(), k1_pruned }
+    }
+}
+
 /// Page I/O one step charged. Only the paged engine meters it; the other
-/// backends report zeros.
+/// backends report zeros. Each field becomes the trace column of the
+/// same name.
 #[derive(Default)]
-pub(crate) struct Metered {
+pub struct Metered {
     pub page_accesses: u64,
     pub estimated_io_ms: f64,
     pub cache_hits: u64,
@@ -27,7 +56,7 @@ pub(crate) struct Metered {
 }
 
 /// What one iteration produced.
-pub(crate) struct Step {
+pub struct Step {
     /// `C_k`, with the support threshold applied.
     pub c_k: CountRelation,
     /// `|R'_k|`.
@@ -36,11 +65,13 @@ pub(crate) struct Step {
     pub r_tuples: u64,
     /// Candidate pairs the constraint pushdown rejected.
     pub pruned: u64,
+    /// The page I/O the iteration charged.
     pub io: Metered,
 }
 
 /// One backend's physical operators for the Figure 4 loop.
-pub(crate) trait Operators {
+pub trait Operators {
+    /// What an operator can fail with.
     type Error;
 
     /// `sort R_1 on item; C_1 := generate counts from R_1`, with the
@@ -53,8 +84,9 @@ pub(crate) trait Operators {
     ) -> Result<(CountRelation, Metered), Self::Error>;
 
     /// The load-time statistics of the `SALES` relation the loop joins
-    /// against, as [`LiveStats::of_sales`] builds them. Read after
-    /// [`Operators::count_c1`].
+    /// against: its transactions, rows and longest transaction, with
+    /// `r_prev_tuples` equal to its rows (`R_1` is `SALES`). The driver
+    /// fills in `c_prev_len`. Read after [`Operators::count_c1`].
     fn sales_stats(&self) -> LiveStats;
 
     /// Iteration `k`: extend `R_{k-1}` into `R'_k`, count `C_k`, and
@@ -89,15 +121,16 @@ pub(crate) fn first_layout(planner: &Planner, sales: LiveStats) -> usize {
     planner.plan_iteration(2, &LiveStats { c_prev_len: 1, ..sales }).shards
 }
 
-/// Run Algorithm SETM on `ops`, re-planning every iteration.
-pub(crate) fn drive<O: Operators>(
+/// Run Algorithm SETM on `ops` over an input of `totals`, re-planning
+/// every iteration. The trace records each plan as `iterate` leaves it.
+pub fn drive<O: Operators>(
     ops: &mut O,
-    dataset: &Dataset,
+    totals: Totals,
     params: &MiningParams,
     planner: &Planner,
     spec: &RunSpec,
 ) -> Result<SetmResult, O::Error> {
-    let n_txns = dataset.n_transactions();
+    let n_txns = totals.n_transactions;
     let min_count = params.min_support.to_count(n_txns.max(1));
     let max_len = params.max_pattern_len.unwrap_or(usize::MAX);
     let mut result = SetmResult {
@@ -113,18 +146,18 @@ pub(crate) fn drive<O: Operators>(
     // pruned; R_1 itself stays the paper's unfiltered SALES.
     let (c1, io) = ops.count_c1(min_count, spec)?;
     let cc = spec.constraints;
-    let (c1, pruned) = if cc.is_empty() {
-        (c1, 0)
+    let c1 = if cc.is_empty() {
+        c1
     } else {
         let mut kept = CountRelation::new(1);
         for (pattern, count) in c1.iter().filter(|(p, _)| cc.allows_at(0, p[0])) {
             kept.push(pattern, count);
         }
-        (kept, dataset.items().iter().filter(|&&it| !cc.allows_at(0, it)).count() as u64)
+        kept
     };
     let c1_len = c1.len() as u64;
-    let sales = dataset.n_rows();
-    let k1 = Step { c_k: c1, r_prime_tuples: sales, r_tuples: sales, pruned, io };
+    let sales = totals.sales_rows;
+    let k1 = Step { c_k: c1, r_prime_tuples: sales, r_tuples: sales, pruned: totals.k1_pruned, io };
     record(&mut result, spec, 1, None, k1);
     // `<= 1` (not `== 1`): a cap of 0 stops after C1 on every backend
     // (the facade rejects 0 up front, but the executions must still

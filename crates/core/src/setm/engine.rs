@@ -56,7 +56,7 @@ use crate::data::{Dataset, MiningParams};
 use crate::miner::EngineReport;
 use crate::nested_loop::SalesIndex;
 use crate::pattern::CountRelation;
-use crate::setm::driver::{drive, first_layout, Metered, Operators, Step};
+use crate::setm::driver::{drive, first_layout, Metered, Operators, Step, Totals};
 use crate::setm::plan::{JoinStrategy, LiveStats, PhysicalPlan, Planner, PlannerConfig};
 use crate::setm::shard::{partition_by_weight, resolve_threads};
 use crate::setm::{RunSpec, SetmResult};
@@ -174,7 +174,7 @@ pub fn execute(
         cost_model,
         retired: IoStats::default(),
     };
-    let result = drive(&mut ops, dataset, params, &planner, spec)?;
+    let result = drive(&mut ops, Totals::of(dataset, spec), params, &planner, spec)?;
     for sh in &mut ops.shards {
         sh.free_prev()?;
     }

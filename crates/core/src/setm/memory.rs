@@ -61,7 +61,7 @@
 use crate::constraints::{CandidateFilter, Unconstrained};
 use crate::data::{Dataset, Item, MiningParams, TransId};
 use crate::pattern::{CountRelation, PatternRelation};
-use crate::setm::driver::{drive, Metered, Operators, Step};
+use crate::setm::driver::{drive, Metered, Operators, Step, Totals};
 use crate::setm::plan::{JoinStrategy, LiveStats, PhysicalPlan, Planner, PlannerConfig};
 use crate::setm::shard::{partition_by_weight, resolve_threads};
 use crate::setm::{RunSpec, SetmResult};
@@ -127,7 +127,7 @@ fn run(dataset: &Dataset, params: &MiningParams, spec: &RunSpec, budget: usize) 
         r_prev_ids: None,
         tid_sorted: true,
     };
-    match drive(&mut ops, dataset, params, &planner, spec) {
+    match drive(&mut ops, Totals::of(dataset, spec), params, &planner, spec) {
         Ok(result) => result,
         Err(never) => match never {},
     }

@@ -26,11 +26,12 @@
 //! * [`sql`] — emits the Section 4.1 SQL statements verbatim and runs them
 //!   through `setm-sql` (the paper's headline claim: mining as SQL).
 //!
-//! The loop itself is written once, in a driver shared by all three;
+//! The loop itself is written once, in a [`driver`] shared by all three;
 //! each backend contributes only its physical operators (the sort,
 //! extension join, group-count and filter of one iteration). All three
 //! produce identical `C_k` relations and trace rows; cross-checked in
-//! tests.
+//! tests. The driver is public so the incremental frontier
+//! (`setm-incremental`) runs an append as one more operator set.
 //!
 //! They are driven uniformly through the [`crate::Miner`] builder
 //! (`Miner::new(params).backend(..).run(dataset)`). Below it, each
@@ -38,7 +39,7 @@
 //! [`engine::execute`] and [`sql::execute`] — configured by a
 //! [`RunSpec`].
 
-mod driver;
+pub mod driver;
 pub mod engine;
 pub mod memory;
 pub mod plan;

@@ -203,7 +203,7 @@ impl PlanMode {
 /// Statistics the planner sees before planning iteration `k`. The first
 /// three are fixed at load time; the last two are observed on iteration
 /// `k - 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LiveStats {
     /// Transactions in the dataset.
     pub n_txns: u64,

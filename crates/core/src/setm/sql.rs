@@ -61,7 +61,7 @@ use crate::constraints::CompiledConstraints;
 use crate::data::{Dataset, MiningParams};
 use crate::miner::SqlReport;
 use crate::pattern::CountRelation;
-use crate::setm::driver::{drive, first_layout, Metered, Operators, Step};
+use crate::setm::driver::{drive, first_layout, Metered, Operators, Step, Totals};
 use crate::setm::plan::{JoinStrategy, LiveStats, PhysicalPlan, PlanMode, Planner, PlannerConfig};
 use crate::setm::shard::{partition_by_weight, resolve_threads};
 use crate::setm::{RunSpec, SetmResult};
@@ -117,7 +117,7 @@ pub fn execute(
         let rows = dataset.sales_rows();
         session.load_table("SALES", &["trans_id", "item"], rows.iter().map(|r| r.as_slice()))?;
         let mut ops = Session { engine: session, statements: Vec::new(), sales };
-        let result = drive(&mut ops, dataset, params, &planner, spec)?;
+        let result = drive(&mut ops, Totals::of(dataset, spec), params, &planner, spec)?;
         Ok((result, SqlReport { statements: ops.statements }))
     } else {
         mine_sharded(dataset, params, layout, &planner, &|_, _| {}, spec)
@@ -172,7 +172,7 @@ fn mine_sharded(
         statements: Vec::new(),
         sales: LiveStats::of_sales(weights),
     };
-    let result = drive(&mut ops, dataset, params, planner, spec)?;
+    let result = drive(&mut ops, Totals::of(dataset, spec), params, planner, spec)?;
     Ok((result, SqlReport { statements: ops.statements }))
 }
 

@@ -9,8 +9,16 @@
 //! Section 4.1 extension joins over the delta only, adds the delta's
 //! counts to the stored ones, re-applies the threshold, and rebuilds
 //! rules — producing an outcome byte-identical to a from-scratch
-//! [`Miner`] run on the concatenated dataset (proven by
-//! `tests/incremental_equivalence.rs`).
+//! [`Miner`](setm_core::Miner) run on the concatenated dataset (proven
+//! by `tests/incremental_equivalence.rs`).
+//!
+//! An append is one more operator set of the shared Figure 4 driver
+//! ([`setm_core::setm::driver`]): its `C_1` merges the stored item
+//! counts with the delta's, each iteration joins the delta and advances
+//! the stored level, and the driver plans every iteration and assembles
+//! the trace, exactly as for a full run. A capture
+//! ([`MiningFrontier::bootstrap`]) is an append to the empty frontier,
+//! and replaying a frontier at its own version is an append of nothing.
 //!
 //! # Why no stored `R'_k` tuples?
 //!
@@ -59,14 +67,17 @@
 //! promotion recount and a pass over the appended counts; the
 //! outcome is rebuilt from `C_k` alone.
 
+use setm_core::setm::driver::{drive, Metered, Operators, Step, Totals};
 use setm_core::setm::memory::{count_groups, count_items, filter_supported, merge_scan_extend};
 use setm_core::setm::shard::resolve_threads;
+use setm_core::setm::RunSpec;
 use setm_core::{
-    generate_rules, CountRelation, Dataset, ExecutionReport, Item, IterationTrace, LiveStats,
-    Miner, MiningOutcome, MiningParams, PatternRelation, PlanMode, Planner, PlannerConfig,
-    SetmError, SetmResult, TransId,
+    generate_rules, CountRelation, Dataset, ExecutionReport, Item, LiveStats, MiningOutcome,
+    MiningParams, PatternRelation, PhysicalPlan, PlanMode, Planner, PlannerConfig, SetmError,
+    TransId,
 };
 use std::cell::OnceCell;
+use std::convert::Infallible;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -75,10 +86,9 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct MiningFrontier {
     params: MiningParams,
-    plan_mode: PlanMode,
-    n_transactions: u64,
-    sales_tuples: u64,
-    max_txn_len: u64,
+    /// The captured dataset's `SALES` statistics, as the planner sees
+    /// them before k = 2.
+    sales: LiveStats,
     /// The absolute support threshold resolved at capture: every level's
     /// `C_k` is filtered at it, and a later `apply_delta` can rule out a
     /// pattern that was below it and gained too few delta occurrences.
@@ -121,7 +131,7 @@ struct Stored {
 impl Stored {
     fn new(all: CountRelation, min_count: u64) -> Stored {
         let floor = min_count.div_ceil(2);
-        Stored { near: filter_counts(&all, floor), all, floor }
+        Stored { near: CountRelation::merge_sum_filter(&[&all], floor), all, floor }
     }
 }
 
@@ -273,23 +283,12 @@ impl MiningFrontier {
         params.validate()?;
         let empty = MiningFrontier {
             params: *params,
-            plan_mode: PlanMode::Auto,
-            n_transactions: 0,
-            sales_tuples: 0,
-            max_txn_len: 0,
+            sales: LiveStats::default(),
             min_count: params.min_support.to_count(1),
             item_counts: CountRelation::new(1),
             levels: Vec::new(),
         };
         empty.apply_delta(&Dataset::from_pairs(std::iter::empty()), dataset, threads)
-    }
-
-    /// Select how iteration plans are chosen when reconstructing traces
-    /// (default [`PlanMode::Auto`]; `SETM_FORCE_PLAN` is honored exactly
-    /// as by [`Miner::run`]).
-    pub fn plan_mode(mut self, plan_mode: PlanMode) -> Self {
-        self.plan_mode = plan_mode;
-        self
     }
 
     /// The parameters this frontier was captured under. A frontier only
@@ -302,7 +301,7 @@ impl MiningFrontier {
 
     /// Transactions in the captured dataset.
     pub fn n_transactions(&self) -> u64 {
-        self.n_transactions
+        self.sales.n_txns
     }
 
     /// Absorb a batch of new transactions. `base` must be the exact
@@ -310,196 +309,169 @@ impl MiningFrontier {
     /// `trans_id`s disjoint from it (validate with
     /// [`ensure_disjoint_tids`]; violations corrupt counts).
     ///
-    /// Runs the Figure 4 extension joins over the delta only, adds the
-    /// delta counts to the stored unfiltered counts, drops extensions of
-    /// demoted prefixes, recounts extensions of promoted prefixes by one
-    /// base scan, re-applies the recomputed threshold, and rebuilds
-    /// rules. The returned outcome is byte-identical (canonical JSON) to
-    /// a from-scratch memory-backend run on `base ∪ delta`.
+    /// Runs the Figure 4 loop on the shared driver with the delta's
+    /// operators: the extension joins over the delta only, the delta
+    /// counts added to the stored unfiltered counts, extensions of
+    /// demoted prefixes dropped, extensions of promoted prefixes
+    /// recounted by one base scan, and the recomputed threshold
+    /// re-applied; then rules are rebuilt. The returned outcome is
+    /// byte-identical (canonical JSON) to a from-scratch memory-backend
+    /// run on `base ∪ delta` with `threads` workers, whose plans the
+    /// driver derives from the same statistics. An empty `delta`
+    /// re-derives this frontier's own outcome.
     pub fn apply_delta(
         &self,
         base: &Dataset,
         delta: &Dataset,
         threads: usize,
     ) -> Result<(MiningOutcome, MiningFrontier), SetmError> {
-        debug_assert_eq!(base.n_transactions(), self.n_transactions, "frontier/base mismatch");
+        debug_assert_eq!(base.n_transactions(), self.sales.n_txns, "frontier/base mismatch");
         debug_assert!(ensure_disjoint_tids(base, delta).is_ok(), "delta trans_ids overlap base");
 
-        let n_new = self.n_transactions + delta.n_transactions();
-        let min_count_new = self.params.min_support.to_count(n_new.max(1));
-        let max_len = self.params.max_pattern_len.unwrap_or(usize::MAX);
-
-        // k = 1: merge unfiltered item counts; the new C_1 falls out of
-        // the new threshold.
-        let delta_item_counts = count_items(delta, 1);
-        let item_counts =
-            CountRelation::merge_sum_filter(&[&self.item_counts, &delta_item_counts], 1);
-
+        // The same resolution `Miner::run` applies: `SETM_FORCE_PLAN`
+        // overrides the auto planner.
+        let spec = RunSpec { threads, plan_mode: PlanMode::Auto.resolve()?, ..RunSpec::default() };
+        let planner =
+            Planner::new(spec.plan_mode, PlannerConfig::with_max_shards(resolve_threads(threads)));
         let delta_sales: Vec<(TransId, Vec<Item>)> =
             delta.transactions().map(|(t, i)| (t, i.to_vec())).collect();
-        let max_txn_len = self
-            .max_txn_len
-            .max(delta_sales.iter().map(|(_, i)| i.len()).max().unwrap_or(0) as u64);
-
-        let base = Base { dataset: base, signatures: OnceCell::new() };
-        let mut levels: Vec<Level> = Vec::new();
-        if max_len > 1 && n_new > 0 {
-            // C_{k-1} at the new threshold, and the delta's R_{k-1}; both
-            // are read from k = 3 on (k = 2 joins every delta row).
-            let mut c_prev = CountRelation::new(1);
-            let mut delta_r_prev = PatternRelation::new(1);
-
-            let mut k = 1usize;
-            loop {
-                k += 1;
-                // Delta side: at k = 2 every pair of items in a delta
-                // transaction; then the literal Figure 4 iteration over
-                // the delta's tuples (sort on trans_id; merge-scan extend;
-                // sort on items; count groups).
-                let (delta_counts, delta_r_prime) = if k == 2 {
-                    (count_pairs(&delta_sales), None)
-                } else if delta_r_prev.is_empty() {
-                    (CountRelation::new(k), None)
-                } else {
-                    delta_r_prev.sort_by_tid_items();
-                    let mut r_prime =
-                        merge_scan_extend(&delta_r_prev, 0..delta_r_prev.n_tuples(), &delta_sales);
-                    r_prime.sort_by_items();
-                    (count_groups(&r_prime), Some(r_prime))
-                };
-
-                // Base side: the stored level with the delta's counts
-                // added, its prefixes moved to the new C_{k-1}.
-                let empty;
-                let old = match self.levels.get(k - 2) {
-                    Some(level) => level,
-                    None => {
-                        empty = Level::empty(k);
-                        &empty
-                    }
-                };
-                let no_prefixes = CountRelation::new(k - 1);
-                let prefixes = (k >= 3).then(|| {
-                    let before = self.levels.get(k - 3).map_or(&no_prefixes, |l| &l.frequent);
-                    (before, &c_prev)
-                });
-                let level =
-                    old.advance(&delta_counts, prefixes, &base, (self.min_count, min_count_new));
-                let done = level.frequent.is_empty() || k >= max_len;
-                // Delta R_k: delta tuples of globally supported groups.
-                delta_r_prev = match &delta_r_prime {
-                    Some(r_prime) => filter_supported(r_prime, &level.frequent),
-                    None if k == 2 => supported_pairs(&delta_sales, &level.frequent),
-                    None => PatternRelation::new(k),
-                };
-                c_prev = level.frequent.clone();
-                levels.push(level);
-                if done {
-                    break;
-                }
-            }
-        }
-
+        let longest = delta_sales.iter().map(|(_, i)| i.len() as u64).max().unwrap_or(0);
+        let sales_tuples = self.sales.sales_tuples + delta.n_rows();
+        let sales = LiveStats {
+            n_txns: self.sales.n_txns + delta.n_transactions(),
+            sales_tuples,
+            max_txn_len: self.sales.max_txn_len.max(longest),
+            r_prev_tuples: sales_tuples,
+            c_prev_len: 0,
+        };
+        let mut ops = Append {
+            frontier: self,
+            base: Base { dataset: base, signatures: OnceCell::new() },
+            delta,
+            delta_sales,
+            sales,
+            item_counts: CountRelation::new(1),
+            levels: Vec::new(),
+            delta_r_prime: None,
+            delta_r_prev: PatternRelation::new(1),
+        };
+        let totals =
+            Totals { n_transactions: sales.n_txns, sales_rows: sales_tuples, k1_pruned: 0 };
+        let result = match drive(&mut ops, totals, &self.params, &planner, &spec) {
+            Ok(result) => result,
+            Err(never) => match never {},
+        };
         let next = MiningFrontier {
             params: self.params,
-            plan_mode: self.plan_mode,
-            n_transactions: n_new,
-            sales_tuples: self.sales_tuples + delta.n_rows(),
-            max_txn_len,
-            min_count: min_count_new,
-            item_counts,
-            levels,
-        };
-        let outcome = next.outcome(threads)?;
-        Ok((outcome, next))
-    }
-
-    /// Reconstruct the full [`MiningOutcome`] from the frontier alone —
-    /// counts, rules, and the `|R'_k|`/`|R_k|`/`|C_k|` trace with
-    /// per-iteration plans chosen for `threads` workers. Byte-identical
-    /// to the memory-backend [`Miner::run`] on the captured dataset at
-    /// any thread count (plans are a pure function of live statistics,
-    /// which the frontier stores).
-    pub fn outcome(&self, threads: usize) -> Result<MiningOutcome, SetmError> {
-        // The same resolution `Miner::run` applies: an explicit `Forced`
-        // wins, else `SETM_FORCE_PLAN`.
-        let mode = self.plan_mode.resolve()?;
-        let n_txns = self.n_transactions;
-        let min_count = self.min_count;
-
-        let mut counts: Vec<CountRelation> = Vec::new();
-        let mut trace: Vec<IterationTrace> = Vec::new();
-
-        let c1 = filter_counts(&self.item_counts, min_count);
-        trace.push(IterationTrace {
-            k: 1,
-            r_prime_tuples: self.sales_tuples,
-            r_tuples: self.sales_tuples,
-            r_kbytes: self.sales_tuples as f64 * 8.0 / 1024.0,
-            c_len: c1.len() as u64,
-            page_accesses: 0,
-            estimated_io_ms: 0.0,
-            cache_hits: 0,
-            pool_steals: 0,
-            candidates_pruned: 0,
-            plan: None,
-        });
-        let mut c_prev_len = c1.len() as u64;
-        if !c1.is_empty() {
-            counts.push(c1);
-        }
-
-        if !self.levels.is_empty() {
-            let planner = Planner::new(
-                mode,
-                PlannerConfig::with_max_shards(
-                    resolve_threads(threads).min((n_txns as usize).max(1)),
-                ),
-            );
-            let mut r_prev_tuples = self.sales_tuples;
-            for (idx, level) in self.levels.iter().enumerate() {
-                let k = idx + 2;
-                let stats = LiveStats {
-                    n_txns,
-                    sales_tuples: self.sales_tuples,
-                    max_txn_len: self.max_txn_len,
-                    r_prev_tuples,
-                    c_prev_len,
-                };
-                let plan = planner.plan_iteration(k, &stats);
-                let c_k = &level.frequent;
-                // |R_k| is the sum of surviving group counts: each group
-                // of count n is n (trans_id, pattern) tuples.
-                let r_tuples = total(c_k);
-                trace.push(IterationTrace {
-                    k,
-                    r_prime_tuples: level.r_prime_tuples,
-                    r_tuples,
-                    r_kbytes: (r_tuples * (k as u64 + 1) * 4) as f64 / 1024.0,
-                    c_len: c_k.len() as u64,
-                    page_accesses: 0,
-                    estimated_io_ms: 0.0,
-                    cache_hits: 0,
-                    pool_steals: 0,
-                    candidates_pruned: 0,
-                    plan: Some(plan),
-                });
-                c_prev_len = c_k.len() as u64;
-                r_prev_tuples = r_tuples;
-                if !c_k.is_empty() {
-                    counts.push(c_k.clone());
-                }
-            }
-        }
-
-        let result = SetmResult {
-            counts,
-            trace,
-            n_transactions: n_txns,
-            min_support_count: min_count,
+            sales,
+            min_count: result.min_support_count,
+            item_counts: ops.item_counts,
+            levels: ops.levels,
         };
         let rules = generate_rules(&result, self.params.min_confidence);
-        Ok(MiningOutcome { result, rules, report: ExecutionReport::Memory, per_class: None })
+        let outcome =
+            MiningOutcome { result, rules, report: ExecutionReport::Memory, per_class: None };
+        Ok((outcome, next))
+    }
+}
+
+/// One append as the driver's operator set. The delta's tuples are
+/// joined as a full run joins them; the base contributes only the
+/// stored levels' counts (and the promotion recount).
+struct Append<'a> {
+    frontier: &'a MiningFrontier,
+    base: Base<'a>,
+    delta: &'a Dataset,
+    /// The delta's transactions, the `SALES` side of its joins.
+    delta_sales: Vec<(TransId, Vec<Item>)>,
+    /// The `SALES` statistics of `base ∪ delta`.
+    sales: LiveStats,
+    /// The unfiltered item counts of `base ∪ delta`, once `count_c1` ran.
+    item_counts: CountRelation,
+    /// The advanced levels, one per iteration run so far.
+    levels: Vec<Level>,
+    /// The delta's `R'_k` from the last `iterate`, when it built one.
+    delta_r_prime: Option<PatternRelation>,
+    /// The delta's `R_{k-1}`, which the next `iterate` extends (k ≥ 3).
+    delta_r_prev: PatternRelation,
+}
+
+impl Operators for Append<'_> {
+    type Error = Infallible;
+
+    /// The stored item counts plus the delta's; the new `C_1` falls out
+    /// of the new threshold.
+    fn count_c1(
+        &mut self,
+        min_count: u64,
+        _: &RunSpec,
+    ) -> Result<(CountRelation, Metered), Infallible> {
+        let delta_counts = count_items(self.delta, 1);
+        self.item_counts =
+            CountRelation::merge_sum_filter(&[&self.frontier.item_counts, &delta_counts], 1);
+        Ok((CountRelation::merge_sum_filter(&[&self.item_counts], min_count), Metered::default()))
+    }
+
+    fn sales_stats(&self) -> LiveStats {
+        self.sales
+    }
+
+    /// The delta's join — at k = 2 every pair of items in a delta
+    /// transaction ([`count_pairs`]), then the literal Figure 4
+    /// iteration over the delta's tuples (sort on trans_id; merge-scan
+    /// extend; sort on items; count groups) — and the stored level
+    /// advanced by its counts, its prefixes moved to the new `C_{k-1}`.
+    /// The plan is left as planned: a full memory run records it so too.
+    fn iterate(
+        &mut self,
+        k: usize,
+        _: &mut PhysicalPlan,
+        min_count: u64,
+        _: &RunSpec,
+    ) -> Result<Step, Infallible> {
+        let (delta_counts, r_prime) = if k == 2 {
+            (count_pairs(&self.delta_sales), None)
+        } else if self.delta_r_prev.is_empty() {
+            (CountRelation::new(k), None)
+        } else {
+            let r_prev = &mut self.delta_r_prev;
+            r_prev.sort_by_tid_items();
+            let mut r_prime = merge_scan_extend(r_prev, 0..r_prev.n_tuples(), &self.delta_sales);
+            r_prime.sort_by_items();
+            (count_groups(&r_prime), Some(r_prime))
+        };
+        let empty = Level::empty(k);
+        let old = self.frontier.levels.get(k - 2).unwrap_or(&empty);
+        let no_prefixes = CountRelation::new(k - 1);
+        let prefixes = (k >= 3).then(|| {
+            let before = self.frontier.levels.get(k - 3).map_or(&no_prefixes, |l| &l.frequent);
+            (before, &self.levels[k - 3].frequent)
+        });
+        let level =
+            old.advance(&delta_counts, prefixes, &self.base, (self.frontier.min_count, min_count));
+        self.delta_r_prime = r_prime;
+        // |R_k| is the sum of surviving group counts: each group of count
+        // n is n (trans_id, pattern) tuples.
+        let step = Step {
+            c_k: level.frequent.clone(),
+            r_prime_tuples: level.r_prime_tuples,
+            r_tuples: total(&level.frequent),
+            pruned: 0,
+            io: Metered::default(),
+        };
+        self.levels.push(level);
+        Ok(step)
+    }
+
+    /// The delta's `R_k`: its tuples of the patterns now in `C_k`.
+    fn carry(&mut self, k: usize, _: &PhysicalPlan, _: &RunSpec) -> Result<(), Infallible> {
+        let c_k = &self.levels[k - 2].frequent;
+        self.delta_r_prev = match self.delta_r_prime.take() {
+            Some(r_prime) => filter_supported(&r_prime, c_k),
+            None if k == 2 => supported_pairs(&self.delta_sales, c_k),
+            None => PatternRelation::new(k),
+        };
+        Ok(())
     }
 }
 
@@ -525,17 +497,6 @@ pub fn ensure_disjoint_tids(base: &Dataset, delta: &Dataset) -> Result<(), Trans
 /// equivalence proof, and what a registry snapshot stores per version).
 pub fn concat_datasets(base: &Dataset, delta: &Dataset) -> Dataset {
     Dataset::from_pairs(base.iter_rows().chain(delta.iter_rows()))
-}
-
-/// `HAVING count >= min_count` over an unfiltered count relation.
-fn filter_counts(c: &CountRelation, min_count: u64) -> CountRelation {
-    let mut out = CountRelation::new(c.k());
-    for (p, n) in c.iter() {
-        if n >= min_count {
-            out.push(p, n);
-        }
-    }
-    out
 }
 
 /// `R'_2`'s group counts over `txns`: every pair of items in a
@@ -797,24 +758,10 @@ fn txn_contains(items: &[Item], pattern: &[Item]) -> bool {
     true
 }
 
-/// Convenience for callers that route by backend: mine `base ∪ delta`
-/// from scratch with an arbitrary [`Miner`]. The engine and SQL
-/// backends measure physical I/O that a count-merge cannot synthesize,
-/// so their "incremental" path is this honest full run (see
-/// REPRODUCTION.md §12); only the memory backend absorbs deltas through
-/// [`MiningFrontier::apply_delta`].
-pub fn full_remine(
-    base: &Dataset,
-    delta: &Dataset,
-    miner: &Miner,
-) -> Result<MiningOutcome, SetmError> {
-    miner.run(&concat_datasets(base, delta))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use setm_core::{Backend, MinSupport};
+    use setm_core::{MinSupport, Miner};
 
     fn params(support: MinSupport) -> MiningParams {
         MiningParams::new(support, 0.5)
@@ -839,7 +786,8 @@ mod tests {
             let full = Miner::new(p).threads(threads).run(&d).unwrap();
             let (inc, frontier) = MiningFrontier::bootstrap(&d, &p, threads).unwrap();
             outcomes_equal(&inc, &full);
-            outcomes_equal(&frontier.outcome(threads).unwrap(), &full);
+            let empty = Dataset::from_pairs(std::iter::empty());
+            outcomes_equal(&frontier.apply_delta(&d, &empty, threads).unwrap().0, &full);
         }
     }
 
@@ -1038,17 +986,5 @@ mod tests {
         let c = concat_datasets(&base, &fresh);
         assert_eq!(c.n_transactions(), 2);
         assert_eq!(c.n_rows(), 3);
-    }
-
-    #[test]
-    fn full_remine_serves_the_non_memory_backends() {
-        let base = setm_core::example::paper_example_dataset();
-        let p = setm_core::example::paper_example_params();
-        let delta = Dataset::from_transactions([(100, [10u32, 20].as_slice())]);
-        let miner = Miner::new(p).backend(Backend::Engine(Default::default())).threads(1);
-        let via_helper = full_remine(&base, &delta, &miner).unwrap();
-        let direct = miner.run(&concat_datasets(&base, &delta)).unwrap();
-        assert_eq!(via_helper.result.trace, direct.result.trace);
-        assert_eq!(via_helper.rules, direct.rules);
     }
 }

@@ -38,7 +38,7 @@
 
 use crate::page::Page;
 use crate::pager::{Cache, FileId};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 
 /// Split `total` frames proportionally to `weights` (largest-remainder
@@ -108,11 +108,6 @@ struct PoolInner {
     /// frames return to `free` when its handle drops, not when the pool
     /// forgets it.
     owners: Mutex<Vec<Weak<Mutex<OwnerRegion>>>>,
-    /// Lifetime telemetry: re-divisions applied and frames that changed
-    /// owner across them. Monotonic over the pool's life (never reset by
-    /// attach cycles), for export to a metrics layer.
-    rebalances: AtomicU64,
-    frames_moved: AtomicU64,
 }
 
 /// A shared, concurrently accessible pool of buffer frames. Cheap to
@@ -130,8 +125,6 @@ impl BufferPool {
                 frames,
                 free: AtomicUsize::new(frames),
                 owners: Mutex::new(Vec::new()),
-                rebalances: AtomicU64::new(0),
-                frames_moved: AtomicU64::new(0),
             }),
         }
     }
@@ -144,19 +137,6 @@ impl BufferPool {
     /// Frames currently in the steal reserve (claimed by no owner).
     pub fn free_frames(&self) -> usize {
         self.inner.free.load(Ordering::SeqCst)
-    }
-
-    /// Lifetime count of adaptive re-divisions applied (rebalance calls
-    /// that matched the live owner layout, whether or not frames moved).
-    pub fn lifetime_rebalances(&self) -> u64 {
-        self.inner.rebalances.load(Ordering::Relaxed)
-    }
-
-    /// Lifetime count of frames that changed owner across all
-    /// re-divisions — the cumulative form of the per-call return of
-    /// [`BufferPool::rebalance`].
-    pub fn lifetime_frames_moved(&self) -> u64 {
-        self.inner.frames_moved.load(Ordering::Relaxed)
     }
 
     /// Attach one owner per weight, dividing the *currently free* frames
@@ -217,8 +197,6 @@ impl BufferPool {
                 region.cache.set_capacity(have + gain);
             }
         }
-        self.inner.rebalances.fetch_add(1, Ordering::Relaxed);
-        self.inner.frames_moved.fetch_add(moved, Ordering::Relaxed);
         moved
     }
 }
@@ -383,13 +361,9 @@ mod tests {
         // Equal weights move them back.
         assert_eq!(pool.rebalance(&[1, 1]), 3);
         assert_eq!(handles[0].frames(), 4);
-        // The lifetime counters accumulate across re-divisions; a
-        // stale-weights call (wrong owner count) counts in neither.
-        assert_eq!(pool.lifetime_rebalances(), 2);
-        assert_eq!(pool.lifetime_frames_moved(), 6);
+        // A stale-weights call (wrong owner count) keeps the layout.
         assert_eq!(pool.rebalance(&[1, 1, 1]), 0);
-        assert_eq!(pool.lifetime_rebalances(), 2);
-        assert_eq!(pool.lifetime_frames_moved(), 6);
+        assert_eq!(handles[0].frames(), 4);
     }
 
     #[test]

@@ -26,8 +26,11 @@
 //! * **`delta`** — the dataset version moved since a frontier entry was
 //!   stored for these parameters; the entry's frontier absorbs the
 //!   appended batches in time proportional to the deltas
-//!   ([`setm_incremental::MiningFrontier::apply_delta`]) and yields an
-//!   outcome byte-identical to a from-scratch run. Memory backend only —
+//!   ([`setm_incremental::MiningFrontier::apply_delta`], which runs the
+//!   shared Figure 4 driver with the frontier's operators) and yields an
+//!   outcome byte-identical to a from-scratch run. A captured entry
+//!   already at the requested version answers with an empty append,
+//!   which re-plans for the request's `threads`. Memory backend only —
 //!   the paged engine and SQL backends report *measured* I/O that an
 //!   incremental shortcut could not honestly reproduce.
 //! * **`full`** — a from-scratch run through the shared Figure 4 driver
@@ -814,8 +817,12 @@ fn handle_mine(req: MineRequest, shared: &Arc<Shared>, emit: Emit<'_>) -> std::i
                 let outcome = match last {
                     Some(outcome) => outcome,
                     // Zero steps: the frontier already sits at the
-                    // requested version; re-derive for these threads.
-                    None => frontier.outcome(threads)?,
+                    // requested version; appending nothing re-derives its
+                    // outcome for these threads.
+                    None => {
+                        let empty = Dataset::from_pairs(std::iter::empty());
+                        frontier.apply_delta(&entry.snapshot, &empty, threads)?.0
+                    }
                 };
                 let entry = FrontierEntry { version, snapshot, frontier: Some(frontier) };
                 store_frontier(&frontiers, key, entry);
@@ -1191,9 +1198,13 @@ mod tests {
         let mut expected = vec![(1, false); 5];
         expected.push((2, true));
         assert_eq!(entries(), expected);
-        // A captured entry answers a zero-step replay.
+        // A captured entry answers a zero-step replay, with the bytes of
+        // a from-scratch run at the request's thread count.
         let reply = client.mine("example", miner(2).threads(2)).expect("mine");
         assert_eq!(reply.served_via.as_deref(), Some("delta"));
+        let appended = shared.registry.get("example").expect("appended version");
+        let local = miner(2).threads(2).run(&appended).expect("local run");
+        assert_eq!(reply.raw_outcome, protocol::outcome_to_json(&local).to_string());
 
         client.shutdown().expect("shutdown");
         running.join().expect("server thread");

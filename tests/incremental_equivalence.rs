@@ -4,15 +4,17 @@
 //! **byte-identical** (canonical serve JSON) to a from-scratch
 //! `Miner::run` on the concatenated dataset — itemsets, rules, *and* the
 //! per-iteration trace with its plan strings — on the memory backend at
-//! threads {1, 4}. The engine backend routes through the documented
-//! full-run fallback (`full_remine`), pinned byte-identical too, and its
-//! itemsets/rules must agree with the incremental memory outcome.
+//! threads {1, 4}. After each append the advanced frontier also replays
+//! an empty batch at the other thread count, which must match a
+//! from-scratch run at that count (the server's zero-step replay). The
+//! engine backend re-mines from scratch, and its itemsets/rules must
+//! agree with the incremental memory outcome.
 //!
 //! `SETM_TEST_THREADS=<n>` pins the exercised thread count, as in the
 //! other equivalence suites.
 
 use proptest::prelude::*;
-use setm::incremental::{concat_datasets, ensure_disjoint_tids, full_remine, MiningFrontier};
+use setm::incremental::{concat_datasets, ensure_disjoint_tids, MiningFrontier};
 use setm::{Backend, Dataset, MinSupport, Miner, MiningParams};
 use setm_serve::outcome_to_json;
 
@@ -61,21 +63,26 @@ fn check_sequence(base_baskets: &[Vec<u32>], batches: &[Vec<Vec<u32>>], params: 
                 "append #{step}, threads={threads}, memory"
             );
 
-            // Engine lane: the fallback full run must be byte-identical
-            // to a direct engine run, and agree with the incremental
-            // memory outcome on everything both backends report.
+            // Zero-step replay: the advanced frontier absorbs an empty
+            // batch at the other thread count, re-planning for it.
+            let other = if threads == 1 { 4 } else { 1 };
+            let empty = Dataset::from_pairs(std::iter::empty());
+            let (replayed, _) = advanced.apply_delta(&concat, &empty, other).unwrap();
+            assert_eq!(
+                outcome_to_json(&replayed).to_string(),
+                outcome_to_json(&Miner::new(params).threads(other).run(&concat).unwrap())
+                    .to_string(),
+                "append #{step} replayed at threads={other}"
+            );
+
+            // Engine lane: a from-scratch engine run agrees with the
+            // incremental memory outcome on everything both report.
             let engine = Miner::new(params)
                 .backend(Backend::Engine(Default::default()))
                 .threads(threads);
-            let eng_inc = full_remine(&base, &delta, &engine).unwrap();
-            let eng_full = engine.run(&concat).unwrap();
-            assert_eq!(
-                outcome_to_json(&eng_inc).to_string(),
-                outcome_to_json(&eng_full).to_string(),
-                "append #{step}, threads={threads}, engine"
-            );
-            assert_eq!(eng_inc.frequent_itemsets(), inc.frequent_itemsets());
-            assert_eq!(eng_inc.rules, inc.rules);
+            let eng = engine.run(&concat).unwrap();
+            assert_eq!(eng.frequent_itemsets(), inc.frequent_itemsets());
+            assert_eq!(eng.rules, inc.rules);
 
             frontier = advanced;
             base = concat;
