@@ -76,10 +76,8 @@ pub fn mine(dataset: &Dataset, params: &MiningParams) -> BaselineResult {
             });
         }
 
-        let mut qualifying: Vec<(ItemVec, u64)> = candidate_counts
-            .into_iter()
-            .filter(|&(_, c)| c >= min_count)
-            .collect();
+        let mut qualifying: Vec<(ItemVec, u64)> =
+            candidate_counts.into_iter().filter(|&(_, c)| c >= min_count).collect();
         qualifying.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let mut l_k = CountRelation::new(k);
         for (pattern, count) in &qualifying {

@@ -45,11 +45,8 @@ pub fn mine(dataset: &Dataset, params: &MiningParams) -> BaselineResult {
 
     // Encoding entries: (pattern ids contained, sorted by pattern order).
     // Pattern id i refers to counts.last().pattern_at(i).
-    let id_of_item: HashMap<u32, u32> = c1
-        .iter()
-        .enumerate()
-        .map(|(i, (pattern, _))| (pattern[0], i as u32))
-        .collect();
+    let id_of_item: HashMap<u32, u32> =
+        c1.iter().enumerate().map(|(i, (pattern, _))| (pattern[0], i as u32)).collect();
     let mut encoding: Vec<Vec<u32>> = dataset
         .transactions()
         .map(|(_, items)| {
@@ -121,7 +118,9 @@ pub fn mine(dataset: &Dataset, params: &MiningParams) -> BaselineResult {
         // Re-map the encoding to the surviving candidates' new ids.
         encoding = next_encoding
             .into_iter()
-            .map(|ids| ids.into_iter().filter_map(|id| keep.get(&id).copied()).collect::<Vec<u32>>())
+            .map(|ids| {
+                ids.into_iter().filter_map(|id| keep.get(&id).copied()).collect::<Vec<u32>>()
+            })
             .filter(|ids| !ids.is_empty())
             .collect();
         counts.push(l_k);

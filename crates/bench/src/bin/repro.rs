@@ -71,8 +71,8 @@ use setm_bench::loadgen::{
 };
 use setm_core::nested_loop::{mine_nested_loop, NestedLoopOptions};
 use setm_core::setm::engine::EngineConfig;
-use setm_core::{Backend, MinSupport, Miner, MiningConstraints, MiningParams, SetmResult};
 use setm_core::setm::plan::{PhysicalPlan, PlanMode};
+use setm_core::{Backend, MinSupport, Miner, MiningConstraints, MiningParams, SetmResult};
 use setm_costmodel::ComparisonReport;
 use setm_datagen::{DatasetStats, NeedleConfig, QuestConfig, RetailConfig, UniformConfig};
 use setm_incremental::MiningFrontier;
@@ -218,13 +218,10 @@ fn repro_example() {
     banner("Worked example (Section 4.2, Figures 1-3, Section 5)");
     let d = example::paper_example_dataset();
     let params = example::paper_example_params();
-    let outcome = Miner::new(params)
-        .backend(backend())
-        .run(&d)
-        .unwrap_or_else(|e| {
-            eprintln!("mining failed: {e}");
-            std::process::exit(1);
-        });
+    let outcome = Miner::new(params).backend(backend()).run(&d).unwrap_or_else(|e| {
+        eprintln!("mining failed: {e}");
+        std::process::exit(1);
+    });
     println!("backend: {}", outcome.report.backend_name());
     let result = &outcome.result;
     for k in 1..=result.max_pattern_len() {
@@ -424,8 +421,7 @@ fn repro_baselines() {
                 let n = f();
                 (t0.elapsed(), n)
             };
-            let (t1, n1) =
-                timed(&|| run_miner(&dataset, &params, 0).frequent_itemsets().len());
+            let (t1, n1) = timed(&|| run_miner(&dataset, &params, 0).frequent_itemsets().len());
             let (t2, n2) = timed(&|| ais::mine(&dataset, &params).frequent_itemsets().len());
             let (t3, n3) = timed(&|| apriori::mine(&dataset, &params).frequent_itemsets().len());
             let (t4, n4) =
@@ -482,11 +478,7 @@ fn repro_ablation() {
     assert_eq!(plain.frequent_itemsets(), filtered.frequent_itemsets());
     println!("{:<26} {:>14}", "variant", "|R'_2| tuples");
     println!("{:<26} {:>14}", "paper (unfiltered R_1)", plain.result.trace[1].r_prime_tuples);
-    println!(
-        "{:<26} {:>14}",
-        "filtered R_1 (extension)",
-        filtered.result.trace[1].r_prime_tuples
-    );
+    println!("{:<26} {:>14}", "filtered R_1 (extension)", filtered.result.trace[1].r_prime_tuples);
 
     banner("E8 ablation — buffer-cache frames (engine execution, retail/20)");
     let small = RetailConfig::small(2_500, 11).generate();
@@ -543,7 +535,8 @@ fn repro_parallel() {
     let params = MiningParams::new(MinSupport::Fraction(0.005), 0.5);
     println!("  {:<10} {:>12} {:>15}", "threads", "wall", "page accesses");
     for threads in PARALLEL_SWEEP {
-        let (t, run) = best_of(3, || run_on_engine(&small, &params, EngineConfig::default(), threads));
+        let (t, run) =
+            best_of(3, || run_on_engine(&small, &params, EngineConfig::default(), threads));
         println!(
             "  {:<10} {:>12.2?} {:>15}",
             threads,
@@ -664,10 +657,18 @@ fn repro_primitives() {
         let (t, joined) = median_of(PRIMITIVE_REPS, || {
             let pager = Pager::shared();
             let (l, r) = (heap_file(&pager, &rows), heap_file(&pager, &rows));
-            merge_scan_join(&l, &r, &[0], &[0], 3, |a, b| b[1] > a[1], |a, b, out| {
-                out.extend_from_slice(a);
-                out.push(b[1]);
-            })
+            merge_scan_join(
+                &l,
+                &r,
+                &[0],
+                &[0],
+                3,
+                |a, b| b[1] > a[1],
+                |a, b, out| {
+                    out.extend_from_slice(a);
+                    out.push(b[1]);
+                },
+            )
             .expect("join")
         });
         // Each tid pairs its five items C(5, 2) = 10 ways: 2n rows.
@@ -735,10 +736,7 @@ fn poolscale_rows(threads: usize) -> Vec<PoolscaleRow> {
         .map(|n| {
             let dataset = QuestConfig::t20_i6(n).generate();
             let t0 = Instant::now();
-            let mem = Miner::new(params)
-                .threads(threads)
-                .run(&dataset)
-                .expect("memory run");
+            let mem = Miner::new(params).threads(threads).run(&dataset).expect("memory run");
             let memory_ms = t0.elapsed().as_secs_f64() * 1e3;
             let patterns = mem.result.frequent_itemsets().len();
             let engine = (n <= engine_max).then(|| {
@@ -845,11 +843,10 @@ fn measure_incremental(threads: usize) -> IncrementalReport {
     let base = split(0..base_n as usize);
     let delta = split(base_n as usize..txns.len());
 
-    let (_, frontier) = MiningFrontier::bootstrap(&base, &params, threads)
-        .expect("frontier bootstrap on the base");
+    let (_, frontier) =
+        MiningFrontier::bootstrap(&base, &params, threads).expect("frontier bootstrap on the base");
     let t0 = Instant::now();
-    let (incremental, _) =
-        frontier.apply_delta(&base, &delta, threads).expect("apply_delta");
+    let (incremental, _) = frontier.apply_delta(&base, &delta, threads).expect("apply_delta");
     let delta_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let t0 = Instant::now();
@@ -885,10 +882,7 @@ fn repro_incremental() {
     println!("{:<28} {:>12.2}", "full re-mine (base ∪ delta)", r.full_ms / 1e3);
     println!("{:<28} {:>12.2}", "frontier apply_delta", r.delta_ms / 1e3);
     let ratio = r.delta_ms / r.full_ms;
-    println!(
-        "\nincremental cost: {:.1}% of the re-mine (outcomes byte-identical)",
-        ratio * 100.0
-    );
+    println!("\nincremental cost: {:.1}% of the re-mine (outcomes byte-identical)", ratio * 100.0);
     assert!(
         ratio < 0.25,
         "apply_delta took {:.1}% of the full re-mine — the <25% acceptance bar failed",
@@ -957,12 +951,8 @@ fn measure_constrained(threads: usize) -> ConstrainedReport {
 
     let t0 = Instant::now();
     let unconstrained = Miner::new(params).threads(threads).run(&dataset).expect("memory run");
-    let filtered: Vec<_> = unconstrained
-        .rules
-        .iter()
-        .filter(|r| constraints.matches_rule(r))
-        .cloned()
-        .collect();
+    let filtered: Vec<_> =
+        unconstrained.rules.iter().filter(|r| constraints.matches_rule(r)).cloned().collect();
     let postfilter_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let t0 = Instant::now();
@@ -973,10 +963,7 @@ fn measure_constrained(threads: usize) -> ConstrainedReport {
         .expect("constrained run");
     let pushed_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-    assert_eq!(
-        pushed.rules, filtered,
-        "pushdown must mine exactly the post-filtered rule set"
-    );
+    assert_eq!(pushed.rules, filtered, "pushdown must mine exactly the post-filtered rule set");
     assert!(!pushed.rules.is_empty(), "the planted target must yield rules");
     let sum_c = |r: &SetmResult| r.trace.iter().map(|t| t.c_len).sum::<u64>();
     let (pushed_candidates, postfilter_candidates) =
@@ -1047,12 +1034,7 @@ fn uncached() -> EngineConfig {
 fn write_deterministic_section(j: &mut Json) {
     println!("  deterministic counters (fixed workloads) ...");
     j.field(1, "deterministic", "{", true);
-    j.field(
-        2,
-        "note",
-        "\"machine-independent; gated by `repro -- check-baseline` in CI\"",
-        false,
-    );
+    j.field(2, "note", "\"machine-independent; gated by `repro -- check-baseline` in CI\"", false);
 
     let retail = RetailConfig::small(1_500, 13).generate();
     let params = MiningParams::new(MinSupport::Fraction(0.005), 0.5);
@@ -1100,10 +1082,8 @@ fn write_deterministic_section(j: &mut Json) {
                 "pooled engine threads={threads} must match memory"
             );
             let accesses = run.report.page_accesses().expect("engine report");
-            let (_, cold) = uncached_by_threads
-                .iter()
-                .find(|(t, _)| *t == threads)
-                .expect("same sweep");
+            let (_, cold) =
+                uncached_by_threads.iter().find(|(t, _)| *t == threads).expect("same sweep");
             assert!(
                 accesses < *cold,
                 "shared pool at threads={threads} must strictly beat uncached: {accesses} vs {cold}"
@@ -1432,7 +1412,10 @@ fn repro_baseline(path: Option<String>) {
             "      {{ \"clients\": {}, \"requests\": {}, \"errors\": {}, \"rps\": {:.1}, \"p50_ms\": {:.2}, \"p99_ms\": {:.2} }}{}\n",
             clients, report.completed, report.errors, report.rps, report.p50_ms, report.p99_ms, sep
         ));
-        println!("  saturation clients={clients} done ({:.1} req/s, p99 {:.1} ms)", report.rps, report.p99_ms);
+        println!(
+            "  saturation clients={clients} done ({:.1} req/s, p99 {:.1} ms)",
+            report.rps, report.p99_ms
+        );
     }
     j.0.push_str("    ],\n");
     // Queue-wait percentiles (v6) after the saturation sweep — the same
@@ -1499,10 +1482,7 @@ fn repro_baseline(path: Option<String>) {
     j.field(2, "apply_delta_wall_ms", &format!("{:.1}", inc.delta_ms), false);
     j.field(2, "delta_over_full", &format!("{inc_ratio:.4}"), true);
     j.0.push_str("  },\n");
-    println!(
-        "  incremental done (apply_delta {:.1}% of re-mine)",
-        inc_ratio * 100.0
-    );
+    println!("  incremental done (apply_delta {:.1}% of re-mine)", inc_ratio * 100.0);
 
     // Constraint pushdown (v7): anchored counting vs mine-all-then-
     // filter on the planted-target T20.I6 workload. Rule byte-equality
@@ -1533,8 +1513,8 @@ fn repro_baseline(path: Option<String>) {
     let uniform = UniformConfig::paper_scaled(uniform_scale).generate();
     let params = MiningParams::new(MinSupport::Fraction(0.005), 0.5).with_max_len(2);
     let sm = run_on_engine(&uniform, &params, EngineConfig::default(), 1);
-    let nl = mine_nested_loop(&uniform, &params, NestedLoopOptions::default())
-        .expect("nested loop");
+    let nl =
+        mine_nested_loop(&uniform, &params, NestedLoopOptions::default()).expect("nested loop");
     j.field(1, "engine_uniform_scaled100_analysis", "{", true);
     j.field(2, "scale_down", &uniform_scale.to_string(), false);
     j.field(
@@ -1589,8 +1569,7 @@ fn repro_check_baseline(candidate: Option<String>, reference: Option<String>) {
     let reference = load(&ref_path);
     // Counters are compared only between files of one schema: a schema
     // change moves fields, so a cross-schema diff would report noise.
-    let schema_of =
-        |v: &JsonValue| v.get("schema").and_then(JsonValue::as_str).map(str::to_string);
+    let schema_of = |v: &JsonValue| v.get("schema").and_then(JsonValue::as_str).map(str::to_string);
     let (ref_schema, cand_schema) = (schema_of(&reference), schema_of(&cand));
     if ref_schema != cand_schema {
         eprintln!(
@@ -1675,11 +1654,7 @@ fn diff_deterministic(
         }
         (J::Arr(ra), J::Arr(ca)) => {
             if ra.len() != ca.len() {
-                drifts.push(format!(
-                    "{path}: length {} != baseline length {}",
-                    ca.len(),
-                    ra.len()
-                ));
+                drifts.push(format!("{path}: length {} != baseline length {}", ca.len(), ra.len()));
             } else {
                 for (i, (rv, cv)) in ra.iter().zip(ca.iter()).enumerate() {
                     diff_deterministic(&format!("{path}[{i}]"), rv, cv, drifts);
@@ -1710,7 +1685,11 @@ fn collect_wall_leaves(path: &str, value: &setm_serve::json::Json, out: &mut Vec
         }
         J::Num(n) => {
             let leaf = path.rsplit('.').next().unwrap_or(path);
-            if leaf.contains("wall_ms") || leaf == "rps" || leaf.contains("p50") || leaf.contains("p99") {
+            if leaf.contains("wall_ms")
+                || leaf == "rps"
+                || leaf.contains("p50")
+                || leaf.contains("p99")
+            {
                 out.push((path.to_string(), *n));
             }
         }

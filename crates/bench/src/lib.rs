@@ -55,7 +55,8 @@ pub mod loadgen {
         let hist = metrics
             .get("setm_scheduler_queue_wait_ms")
             .expect("scheduler queue-wait histogram is always registered");
-        let leaf = |key: &str| hist.get(key).and_then(setm_serve::json::Json::as_f64).unwrap_or(0.0);
+        let leaf =
+            |key: &str| hist.get(key).and_then(setm_serve::json::Json::as_f64).unwrap_or(0.0);
         (leaf("p50_ms"), leaf("p99_ms"))
     }
 
@@ -164,8 +165,7 @@ mod tests {
 
     #[test]
     fn loadgen_measures_a_small_run() {
-        let server =
-            Server::bind(ServeConfig::default(), Registry::with_builtins()).expect("bind");
+        let server = Server::bind(ServeConfig::default(), Registry::with_builtins()).expect("bind");
         let addr = server.local_addr();
         let handle = std::thread::spawn(move || server.run());
 

@@ -464,10 +464,8 @@ mod tests {
 
     #[test]
     fn remap_moves_required_items_to_the_front() {
-        let d = Dataset::from_transactions([
-            (1, [10u32, 50, 90].as_slice()),
-            (2, [10, 90].as_slice()),
-        ]);
+        let d =
+            Dataset::from_transactions([(1, [10u32, 50, 90].as_slice()), (2, [10, 90].as_slice())]);
         let c = MiningConstraints::new().require([90]);
         let plan = c.compile(&d);
         let remap = plan.remap.as_ref().expect("require builds a remap");

@@ -157,8 +157,7 @@ impl Dataset {
         I: IntoIterator<Item = (TransId, &'a [Item])>,
     {
         Dataset::from_pairs(
-            txns.into_iter()
-                .flat_map(|(tid, items)| items.iter().map(move |&it| (tid, it))),
+            txns.into_iter().flat_map(|(tid, items)| items.iter().map(move |&it| (tid, it))),
         )
     }
 
@@ -224,9 +223,7 @@ impl Dataset {
     pub fn support_of(&self, itemset: &[Item]) -> u64 {
         debug_assert!(itemset.windows(2).all(|w| w[0] < w[1]), "itemset must be sorted+unique");
         self.transactions()
-            .filter(|(_, items)| {
-                itemset.iter().all(|needle| items.binary_search(needle).is_ok())
-            })
+            .filter(|(_, items)| itemset.iter().all(|needle| items.binary_search(needle).is_ok()))
             .count() as u64
     }
 }
@@ -255,12 +252,8 @@ mod tests {
     #[test]
     fn transactions_iterate_groupwise() {
         let d = sample();
-        let txns: Vec<(u32, Vec<u32>)> =
-            d.transactions().map(|(t, i)| (t, i.to_vec())).collect();
-        assert_eq!(
-            txns,
-            vec![(10, vec![1, 2, 3]), (20, vec![1, 2, 4]), (30, vec![2, 3])]
-        );
+        let txns: Vec<(u32, Vec<u32>)> = d.transactions().map(|(t, i)| (t, i.to_vec())).collect();
+        assert_eq!(txns, vec![(10, vec![1, 2, 3]), (20, vec![1, 2, 4]), (30, vec![2, 3])]);
     }
 
     #[test]

@@ -94,14 +94,7 @@ pub fn expected_c1() -> Vec<(Item, u64)> {
 
 /// The expected `C_2` contents (Figure 2).
 pub fn expected_c2() -> Vec<([Item; 2], u64)> {
-    vec![
-        ([A, B], 3),
-        ([A, C], 3),
-        ([B, C], 3),
-        ([D, E], 3),
-        ([D, F], 3),
-        ([E, F], 3),
-    ]
+    vec![([A, B], 3), ([A, C], 3), ([B, C], 3), ([D, E], 3), ([D, F], 3), ([E, F], 3)]
 }
 
 /// The expected `C_3` contents (Figure 3).
@@ -131,8 +124,7 @@ mod tests {
     fn mining_reproduces_figures_1_through_3() {
         let d = paper_example_dataset();
         let result = setm::memory::execute(&d, &paper_example_params(), &Default::default());
-        let c1: Vec<(u32, u64)> =
-            result.c(1).unwrap().iter().map(|(p, n)| (p[0], n)).collect();
+        let c1: Vec<(u32, u64)> = result.c(1).unwrap().iter().map(|(p, n)| (p[0], n)).collect();
         assert_eq!(c1, expected_c1());
         let c2: Vec<([u32; 2], u64)> =
             result.c(2).unwrap().iter().map(|(p, n)| ([p[0], p[1]], n)).collect();
@@ -176,15 +168,11 @@ mod tests {
         let d = paper_example_dataset();
         let result = setm::memory::execute(&d, &paper_example_params(), &Default::default());
         let rules = generate_rules(&result, 0.0);
-        let a_b = rules
-            .iter()
-            .find(|r| r.antecedent.as_slice() == [A] && r.consequent == B)
-            .unwrap();
+        let a_b =
+            rules.iter().find(|r| r.antecedent.as_slice() == [A] && r.consequent == B).unwrap();
         assert!((a_b.confidence - 0.5).abs() < 1e-12);
         let at_70 = generate_rules(&result, 0.70);
-        assert!(!at_70
-            .iter()
-            .any(|r| r.antecedent.as_slice() == [A] && r.consequent == B));
+        assert!(!at_70.iter().any(|r| r.antecedent.as_slice() == [A] && r.consequent == B));
     }
 
     #[test]

@@ -134,7 +134,10 @@ impl std::error::Error for LoadError {
 }
 
 /// Read and parse a basket file from disk in the given format.
-pub fn load_path(path: impl AsRef<std::path::Path>, format: FileFormat) -> Result<Dataset, LoadError> {
+pub fn load_path(
+    path: impl AsRef<std::path::Path>,
+    format: FileFormat,
+) -> Result<Dataset, LoadError> {
     let text = std::fs::read_to_string(path).map_err(LoadError::Io)?;
     parse_as(format, &text).map_err(LoadError::Parse)
 }
@@ -150,9 +153,10 @@ pub fn parse_pairs(text: &str) -> Result<Dataset, ParseError> {
                 message: "expected exactly two fields: trans_id item".to_string(),
             });
         };
-        let tid: u32 = t
-            .parse()
-            .map_err(|_| ParseError { line: line_no, message: format!("invalid trans_id {t:?}") })?;
+        let tid: u32 = t.parse().map_err(|_| ParseError {
+            line: line_no,
+            message: format!("invalid trans_id {t:?}"),
+        })?;
         let item: u32 = i
             .parse()
             .map_err(|_| ParseError { line: line_no, message: format!("invalid item {i:?}") })?;

@@ -30,14 +30,18 @@ pub mod pattern;
 pub mod rules;
 pub mod setm;
 
+pub use classes::{ClassedDataset, ClassedMiningResult, ClassedRule};
 pub use constraints::{CompiledConstraints, ConstraintPlan, ItemRemap, MiningConstraints};
 pub use data::{Dataset, Item, MinSupport, MiningParams, TransId};
 pub use error::SetmError;
 pub use itemvec::ItemVec;
-pub use miner::{Backend, EngineReport, ExecutionReport, Miner, MiningOutcome, SqlReport, UnknownBackend};
+pub use miner::{
+    Backend, EngineReport, ExecutionReport, Miner, MiningOutcome, SqlReport, UnknownBackend,
+};
 pub use pattern::{CountRelation, PatternRelation};
-pub use classes::{ClassedDataset, ClassedMiningResult, ClassedRule};
-pub use rules::{generate_constrained_rules, generate_extended_rules, generate_rules, ExtendedRule, Rule};
+pub use rules::{
+    generate_constrained_rules, generate_extended_rules, generate_rules, ExtendedRule, Rule,
+};
 pub use setm::engine::EngineConfig;
 pub use setm::plan::{JoinStrategy, LiveStats, PhysicalPlan, PlanMode, Planner, PlannerConfig};
 pub use setm::{IterationTrace, SetmResult};

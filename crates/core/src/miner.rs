@@ -617,9 +617,10 @@ mod tests {
         let ok = Miner::new(params).backend(Backend::Sql).threads(4).run(&d).unwrap();
         assert_eq!(ok.rules.len(), 11);
         let e = Miner::new(params).backend(Backend::Sql).filter_r1(true).run(&d);
-        assert!(
-            matches!(e, Err(SetmError::UnsupportedOption { backend: "sql", option: "filter_r1" }))
-        );
+        assert!(matches!(
+            e,
+            Err(SetmError::UnsupportedOption { backend: "sql", option: "filter_r1" })
+        ));
         let e = Miner::new(params)
             .backend(Backend::Engine(EngineConfig::default()))
             .filter_r1(true)
@@ -666,10 +667,7 @@ mod tests {
         assert!(miner.configured_filter_r1());
         assert_eq!(miner.configured_plan_mode(), PlanMode::Auto);
         let forced = miner.clone().plan_mode(PlanMode::Forced(PhysicalPlan::merge_scan()));
-        assert_eq!(
-            forced.configured_plan_mode(),
-            PlanMode::Forced(PhysicalPlan::merge_scan())
-        );
+        assert_eq!(forced.configured_plan_mode(), PlanMode::Forced(PhysicalPlan::merge_scan()));
         assert_eq!(miner.params(), &params);
     }
 

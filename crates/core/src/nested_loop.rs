@@ -26,7 +26,6 @@ use crate::constraints::CandidateFilter;
 use crate::data::{Dataset, MiningParams};
 use crate::pattern::CountRelation;
 use crate::setm::{IterationTrace, SetmResult};
-use std::cell::Cell;
 use setm_relational::btree::{BTree, BulkLoader};
 use setm_relational::heap::{HeapFile, HeapFileBuilder};
 use setm_relational::join::index_nested_loop_join;
@@ -34,6 +33,7 @@ use setm_relational::pager::Pager;
 use setm_relational::pool::BufferPool;
 use setm_relational::sort::{external_sort, SortOptions};
 use setm_relational::Result;
+use std::cell::Cell;
 
 /// The nested-loop extension step promoted to a reusable physical
 /// operator, so the per-iteration planner can swap it in for the
@@ -258,12 +258,7 @@ pub fn mine_nested_loop(
     let total = pager.lock().stats();
     let total_ms = total.estimated_ms(&pager.lock().cost_model());
     Ok(NestedLoopRun {
-        result: SetmResult {
-            counts,
-            trace,
-            n_transactions: n_txns,
-            min_support_count: min_count,
-        },
+        result: SetmResult { counts, trace, n_transactions: n_txns, min_support_count: min_count },
         total_page_accesses: total.accesses(),
         total_estimated_ms: total_ms,
     })

@@ -418,10 +418,7 @@ mod tests {
         r.push(10, &[1, 9]);
         r.sort_by_tid_items();
         let rows: Vec<_> = r.iter().map(|(t, i)| (t, i.to_vec())).collect();
-        assert_eq!(
-            rows,
-            vec![(10, vec![1, 9]), (10, vec![5, 6]), (20, vec![1, 2])]
-        );
+        assert_eq!(rows, vec![(10, vec![1, 9]), (10, vec![5, 6]), (20, vec![1, 2])]);
         assert!(r.is_sorted_by_tid_items());
     }
 
@@ -433,10 +430,7 @@ mod tests {
         r.push(20, &[0, 9]);
         r.sort_by_items();
         let rows: Vec<_> = r.iter().map(|(t, i)| (t, i.to_vec())).collect();
-        assert_eq!(
-            rows,
-            vec![(20, vec![0, 9]), (10, vec![1, 2]), (30, vec![1, 2])]
-        );
+        assert_eq!(rows, vec![(20, vec![0, 9]), (10, vec![1, 2]), (30, vec![1, 2])]);
     }
 
     #[test]
@@ -484,10 +478,7 @@ mod tests {
         b.push(&[2, 9], 3);
         let merged = CountRelation::merge_sum_filter(&[a, b], 3);
         // {1,2}: 2+1 = 3 kept; {2,9}: 3 kept; {1,3} and {4,5} filtered.
-        assert_eq!(merged.to_vec(), vec![
-            (ItemVec::from([1, 2]), 3),
-            (ItemVec::from([2, 9]), 3),
-        ]);
+        assert_eq!(merged.to_vec(), vec![(ItemVec::from([1, 2]), 3), (ItemVec::from([2, 9]), 3),]);
     }
 
     #[test]

@@ -171,9 +171,8 @@ pub struct ExtendedRule {
 
 impl fmt::Display for ExtendedRule {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let side = |items: &ItemVec| {
-            items.iter().map(|i| i.to_string()).collect::<Vec<_>>().join(" ")
-        };
+        let side =
+            |items: &ItemVec| items.iter().map(|i| i.to_string()).collect::<Vec<_>>().join(" ");
         write!(
             f,
             "{} ==> {}, [{:.1}%, {:.1}%]",
@@ -254,18 +253,14 @@ mod tests {
         let r = mined();
         let rules = generate_rules(&r, 0.0);
         // {1,2} count 3; antecedent {1} count 3 -> 1 ==> 2 @ 100%.
-        let rule = rules
-            .iter()
-            .find(|r| r.antecedent.as_slice() == [1] && r.consequent == 2)
-            .unwrap();
+        let rule =
+            rules.iter().find(|r| r.antecedent.as_slice() == [1] && r.consequent == 2).unwrap();
         assert!((rule.confidence - 1.0).abs() < 1e-12);
         assert_eq!(rule.support_count, 3);
         assert!((rule.support - 0.75).abs() < 1e-12);
         // {1,3} count 2; antecedent {3} count 3 -> 3 ==> 1 @ 2/3.
-        let rule = rules
-            .iter()
-            .find(|r| r.antecedent.as_slice() == [3] && r.consequent == 1)
-            .unwrap();
+        let rule =
+            rules.iter().find(|r| r.antecedent.as_slice() == [3] && r.consequent == 1).unwrap();
         assert!((rule.confidence - 2.0 / 3.0).abs() < 1e-12);
     }
 
@@ -279,19 +274,15 @@ mod tests {
         // Threshold is inclusive ("meets or exceeds"): rules at exactly
         // 2/3 confidence survive a 2/3 threshold.
         let at_boundary = generate_rules(&r, 2.0 / 3.0);
-        assert!(at_boundary
-            .iter()
-            .any(|rule| (rule.confidence - 2.0 / 3.0).abs() < 1e-12));
+        assert!(at_boundary.iter().any(|rule| (rule.confidence - 2.0 / 3.0).abs() < 1e-12));
     }
 
     #[test]
     fn rules_from_length_three_patterns_use_pair_antecedents() {
         let r = mined();
         let rules = generate_rules(&r, 0.0);
-        let rule = rules
-            .iter()
-            .find(|r| r.antecedent.as_slice() == [1, 2] && r.consequent == 3)
-            .unwrap();
+        let rule =
+            rules.iter().find(|r| r.antecedent.as_slice() == [1, 2] && r.consequent == 3).unwrap();
         // {1,2,3} count 2, {1,2} count 3.
         assert!((rule.confidence - 2.0 / 3.0).abs() < 1e-12);
         assert_eq!(rule.pattern().as_slice(), &[1, 2, 3]);
@@ -302,14 +293,10 @@ mod tests {
         let r = mined();
         let rules = generate_rules(&r, 0.0);
         // Within pattern {1,2}: antecedent {1} before antecedent {2}.
-        let i12 = rules
-            .iter()
-            .position(|r| r.antecedent.as_slice() == [1] && r.consequent == 2)
-            .unwrap();
-        let i21 = rules
-            .iter()
-            .position(|r| r.antecedent.as_slice() == [2] && r.consequent == 1)
-            .unwrap();
+        let i12 =
+            rules.iter().position(|r| r.antecedent.as_slice() == [1] && r.consequent == 2).unwrap();
+        let i21 =
+            rules.iter().position(|r| r.antecedent.as_slice() == [2] && r.consequent == 1).unwrap();
         assert!(i12 < i21);
     }
 

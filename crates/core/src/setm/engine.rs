@@ -342,10 +342,8 @@ fn build_shards(
     pool: Option<&BufferPool>,
 ) -> Result<Vec<EngineShard>> {
     let ranges = partition_by_weight(weights, n_shards);
-    let range_weights: Vec<u64> = ranges
-        .iter()
-        .map(|r| weights[r.clone()].iter().map(|&w| w as u64).sum())
-        .collect();
+    let range_weights: Vec<u64> =
+        ranges.iter().map(|r| weights[r.clone()].iter().map(|&w| w as u64).sum()).collect();
     let mut pool_handles: Vec<_> = match pool {
         Some(pool) => pool.attach_weighted(&range_weights).into_iter().map(Some).collect(),
         None => (0..ranges.len()).map(|_| None).collect(),
@@ -823,11 +821,7 @@ mod tests {
         let seq = run(&d, &params, cfg(), 1);
         for threads in [2usize, 3, 4, 8] {
             let par = run(&d, &params, cfg(), threads);
-            assert_eq!(
-                par.0.frequent_itemsets(),
-                seq.0.frequent_itemsets(),
-                "threads={threads}"
-            );
+            assert_eq!(par.0.frequent_itemsets(), seq.0.frequent_itemsets(), "threads={threads}");
             assert_eq!(par.0.trace.len(), seq.0.trace.len());
             for (a, b) in seq.0.trace.iter().zip(par.0.trace.iter()) {
                 assert_eq!(a.k, b.k);
@@ -841,9 +835,8 @@ mod tests {
     #[test]
     fn sort_tracking_saves_sort_passes() {
         // A dataset big enough that R_2 spans multiple pages.
-        let txns: Vec<(u32, Vec<u32>)> = (0..400)
-            .map(|t| (t, vec![1, 2, 3, 4 + (t % 3)]))
-            .collect();
+        let txns: Vec<(u32, Vec<u32>)> =
+            (0..400).map(|t| (t, vec![1, 2, 3, 4 + (t % 3)])).collect();
         let d = Dataset::from_transactions(txns.iter().map(|(t, i)| (*t, i.as_slice())));
         let params = MiningParams::new(MinSupport::Fraction(0.2), 0.5);
         let tracked = run(&d, &params, EngineConfig { track_sort_order: true, ..cfg() }, 1);
@@ -863,9 +856,8 @@ mod tests {
 
     #[test]
     fn sort_tracking_saves_io_in_parallel_mode_too() {
-        let txns: Vec<(u32, Vec<u32>)> = (0..400)
-            .map(|t| (t, vec![1, 2, 3, 4 + (t % 3)]))
-            .collect();
+        let txns: Vec<(u32, Vec<u32>)> =
+            (0..400).map(|t| (t, vec![1, 2, 3, 4 + (t % 3)])).collect();
         let d = Dataset::from_transactions(txns.iter().map(|(t, i)| (*t, i.as_slice())));
         let params = MiningParams::new(MinSupport::Fraction(0.2), 0.5);
         let tracked = run(&d, &params, EngineConfig { track_sort_order: true, ..cfg() }, 4);
@@ -919,11 +911,13 @@ mod tests {
         // access pattern, which a warm pool would absorb.
         let uncached = EngineConfig { cache_frames: 0, ..cfg() };
         let forced = |plan: PhysicalPlan| {
-            let spec = RunSpec { threads: 1, plan_mode: PlanMode::Forced(plan), ..Default::default() };
+            let spec =
+                RunSpec { threads: 1, plan_mode: PlanMode::Forced(plan), ..Default::default() };
             execute(&d, &params, &uncached, &spec).unwrap()
         };
         let ms = forced(PhysicalPlan::merge_scan());
-        let nl = forced(PhysicalPlan { join: JoinStrategy::NestedLoop, ..PhysicalPlan::merge_scan() });
+        let nl =
+            forced(PhysicalPlan { join: JoinStrategy::NestedLoop, ..PhysicalPlan::merge_scan() });
         assert_eq!(nl.0.frequent_itemsets(), ms.0.frequent_itemsets());
         for (a, b) in ms.0.trace.iter().zip(nl.0.trace.iter()) {
             assert_eq!(a.r_prime_tuples, b.r_prime_tuples, "k={}", a.k);
@@ -942,8 +936,7 @@ mod tests {
         // 80 transactions of {1,2,3} plus a unique cold item each:
         // R_2 = 240 tuples (under a page at k = 3), so a 4-shard run
         // collapses to 1 shard from k = 3 on.
-        let txns: Vec<(u32, Vec<u32>)> =
-            (0..80u32).map(|t| (t, vec![1, 2, 3, 100 + t])).collect();
+        let txns: Vec<(u32, Vec<u32>)> = (0..80u32).map(|t| (t, vec![1, 2, 3, 100 + t])).collect();
         let d = Dataset::from_transactions(txns.iter().map(|(t, i)| (*t, i.as_slice())));
         let params = MiningParams::new(MinSupport::Count(40), 0.5);
         let seq = run(&d, &params, cfg(), 1);

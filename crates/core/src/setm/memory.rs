@@ -106,7 +106,12 @@ enum Counting {
 /// whose table would have `c_prev_len × c1_len` cells and whose plan asks
 /// for `shards`: the dense count on as many of them as keep all their
 /// tables within `budget` cells, else Figure 4's operators on all of them.
-fn counting_for(c_prev_len: usize, c1_len: usize, shards: usize, budget: usize) -> (Counting, usize) {
+fn counting_for(
+    c_prev_len: usize,
+    c1_len: usize,
+    shards: usize,
+    budget: usize,
+) -> (Counting, usize) {
     match budget / c_prev_len.saturating_mul(c1_len).max(1) {
         0 => (Counting::Figure4, shards),
         fit => (Counting::Dense, shards.min(fit)),
@@ -522,8 +527,7 @@ impl Iteration<'_> {
         filter: &F,
     ) -> Counted {
         let counted = par_map(shards, |shard| {
-            let (mut r_prime, pruned) =
-                extend(self.prefixes, self.sales, shard.clone(), filter);
+            let (mut r_prime, pruned) = extend(self.prefixes, self.sales, shard.clone(), filter);
             r_prime.sort_by_items();
             let local = count_groups(&r_prime);
             (r_prime, local, pruned)
@@ -570,13 +574,7 @@ impl Iteration<'_> {
                 .into_iter()
                 .unzip()
         };
-        Counted {
-            c_k,
-            r_k: concat(k, parts),
-            r_k_ids: Some(ids.concat()),
-            r_prime_tuples,
-            pruned,
-        }
+        Counted { c_k, r_k: concat(k, parts), r_k_ids: Some(ids.concat()), r_prime_tuples, pruned }
     }
 
     /// One shard's table, `|R'_k|` and pruned pairs. Every pair the join
@@ -699,7 +697,11 @@ impl Iteration<'_> {
 
 /// The first index of `range` whose `trans_id` is at least `tid`
 /// (`range.end` if none), for `tid_of` ascending over the range.
-fn first_at_or_after(range: Range<usize>, tid: TransId, tid_of: impl Fn(usize) -> TransId) -> usize {
+fn first_at_or_after(
+    range: Range<usize>,
+    tid: TransId,
+    tid_of: impl Fn(usize) -> TransId,
+) -> usize {
     let (mut lo, mut hi) = (range.start, range.end);
     while lo < hi {
         let mid = lo + (hi - lo) / 2;
@@ -1010,15 +1012,10 @@ mod tests {
         for join in [JoinStrategy::MergeScan, JoinStrategy::NestedLoop] {
             for reuse_sort in [true, false] {
                 for shards in [1usize, 3] {
-                    let plan =
-                        PhysicalPlan { join, reuse_sort, shards, sort_buffer_pages: 256 };
+                    let plan = PhysicalPlan { join, reuse_sort, shards, sort_buffer_pages: 256 };
                     let spec = RunSpec { plan_mode: PlanMode::Forced(plan), ..Default::default() };
                     let forced = execute(&d, &params, &spec);
-                    assert_eq!(
-                        forced.frequent_itemsets(),
-                        auto.frequent_itemsets(),
-                        "plan {plan}"
-                    );
+                    assert_eq!(forced.frequent_itemsets(), auto.frequent_itemsets(), "plan {plan}");
                     assert_eq!(forced.trace.len(), auto.trace.len(), "plan {plan}");
                     for (a, b) in auto.trace.iter().zip(forced.trace.iter()) {
                         assert_eq!(
@@ -1114,8 +1111,7 @@ mod tests {
             for reuse_sort in [true, false] {
                 for shards in [1usize, 3] {
                     let plan = PhysicalPlan { join, reuse_sort, shards, sort_buffer_pages: 256 };
-                    let spec =
-                        RunSpec { threads: 3, plan_mode: PlanMode::Forced(plan), ..spec };
+                    let spec = RunSpec { threads: 3, plan_mode: PlanMode::Forced(plan), ..spec };
                     let mixed = run(&d, &params, &spec, 40);
                     assert_eq!(
                         operators(&mixed, 40),

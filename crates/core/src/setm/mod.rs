@@ -244,12 +244,8 @@ mod tests {
     /// support, never NaN (the old `count / 0` arithmetic).
     #[test]
     fn support_fraction_of_empty_result_is_zero_not_nan() {
-        let result = SetmResult {
-            counts: vec![],
-            trace: vec![],
-            n_transactions: 0,
-            min_support_count: 1,
-        };
+        let result =
+            SetmResult { counts: vec![], trace: vec![], n_transactions: 0, min_support_count: 1 };
         let s = result.support_fraction(0);
         assert!(!s.is_nan());
         assert_eq!(s, 0.0);

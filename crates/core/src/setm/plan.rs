@@ -155,8 +155,7 @@ impl FromStr for PhysicalPlan {
                     }
                 }
                 "shards" => {
-                    plan.shards =
-                        value.parse().map_err(|_| format!("bad shard count `{value}`"))?
+                    plan.shards = value.parse().map_err(|_| format!("bad shard count `{value}`"))?
                 }
                 "buf" => {
                     plan.sort_buffer_pages =
@@ -336,8 +335,7 @@ impl Planner {
                     JoinStrategy::MergeScan
                 };
                 let db = &self.config.db;
-                let residue_bytes =
-                    stats.r_prev_tuples.saturating_mul(k as u64 * db.value_bytes);
+                let residue_bytes = stats.r_prev_tuples.saturating_mul(k as u64 * db.value_bytes);
                 let shards = if k > 2 && residue_bytes <= db.usable_page_bytes {
                     1
                 } else {
@@ -380,8 +378,7 @@ impl Planner {
         // One leaf fetch per probe; `leaf_pages / n_txns` extra leaves
         // when a transaction's run of index entries spans page
         // boundaries.
-        let leaves_per_probe =
-            1.0 + index.leaf_pages as f64 / stats.n_txns.max(1) as f64;
+        let leaves_per_probe = 1.0 + index.leaf_pages as f64 / stats.n_txns.max(1) as f64;
         let probe_fetches = stats.r_prev_tuples as f64 * leaves_per_probe;
         // With a shard's buffer frames large enough to hold the leaf
         // level plus the probing relation, every leaf is fetched at most
@@ -457,10 +454,7 @@ mod tests {
             let s = plan.to_string();
             assert_eq!(s.parse::<PhysicalPlan>().unwrap(), plan, "{s}");
         }
-        assert_eq!(
-            PhysicalPlan::merge_scan().to_string(),
-            "merge-scan,reuse=1,shards=1,buf=256"
-        );
+        assert_eq!(PhysicalPlan::merge_scan().to_string(), "merge-scan,reuse=1,shards=1,buf=256");
     }
 
     #[test]
@@ -497,8 +491,7 @@ mod tests {
             r_prev_tuples: 2_000_000,
             c_prev_len: 1_000,
         };
-        let planner =
-            Planner::new(PlanMode::Auto, PlannerConfig::with_max_shards(1));
+        let planner = Planner::new(PlanMode::Auto, PlannerConfig::with_max_shards(1));
         let (ms, nl) = planner.join_cost_ms(2, &stats);
         assert!(nl > 30.0 * ms, "Section 3.2 vs 4.3: nested-loop must lose big ({nl} vs {ms})");
         assert_eq!(planner.plan_iteration(2, &stats).join, JoinStrategy::MergeScan);
@@ -533,8 +526,7 @@ mod tests {
             shards: 8,
             sort_buffer_pages: 32,
         };
-        let planner =
-            Planner::new(PlanMode::Forced(forced), PlannerConfig::with_max_shards(1));
+        let planner = Planner::new(PlanMode::Forced(forced), PlannerConfig::with_max_shards(1));
         let stats = LiveStats {
             n_txns: 3,
             sales_tuples: 9,

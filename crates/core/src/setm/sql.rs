@@ -501,8 +501,7 @@ fn position_clause(col: &str, pos: usize, cc: &CompiledConstraints) -> Option<St
     if pos < cc.anchor_len() {
         Some(format!("{col} IN ({pos})"))
     } else if !cc.excluded().is_empty() {
-        let list =
-            cc.excluded().iter().map(|i| i.to_string()).collect::<Vec<_>>().join(", ");
+        let list = cc.excluded().iter().map(|i| i.to_string()).collect::<Vec<_>>().join(", ");
         Some(format!("{col} NOT IN ({list})"))
     } else {
         None
@@ -679,11 +678,7 @@ mod tests {
         let seq = run(&d, &params, 1);
         for threads in [2usize, 3, 4, 8] {
             let par = run(&d, &params, threads);
-            assert_eq!(
-                par.0.frequent_itemsets(),
-                seq.0.frequent_itemsets(),
-                "threads={threads}"
-            );
+            assert_eq!(par.0.frequent_itemsets(), seq.0.frequent_itemsets(), "threads={threads}");
             assert_eq!(par.0.trace.len(), seq.0.trace.len());
             for (a, b) in seq.0.trace.iter().zip(par.0.trace.iter()) {
                 assert_eq!(
@@ -705,7 +700,9 @@ mod tests {
         assert!(all.contains("C1_PART_0"), "{all}");
         assert!(all.contains("HAVING SUM(p.cnt) >= :minsupport"), "{all}");
         // Shard-local counts carry no threshold — it is global.
-        assert!(!all.contains("COUNT(*)\nFROM R2_PRIME_SHARD_0 p\nGROUP BY p.item_1, p.item_2\nHAVING"));
+        assert!(
+            !all.contains("COUNT(*)\nFROM R2_PRIME_SHARD_0 p\nGROUP BY p.item_1, p.item_2\nHAVING")
+        );
     }
 
     #[test]
@@ -727,11 +724,7 @@ mod tests {
         let mem = memory::execute(&d, &params, &RunSpec::default());
         for threads in [1usize, 4] {
             let sql = run(&d, &params, threads);
-            assert_eq!(
-                sql.0.frequent_itemsets(),
-                mem.frequent_itemsets(),
-                "threads={threads}"
-            );
+            assert_eq!(sql.0.frequent_itemsets(), mem.frequent_itemsets(), "threads={threads}");
         }
     }
 

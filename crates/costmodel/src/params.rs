@@ -63,7 +63,12 @@ pub struct WorkloadParams {
 impl WorkloadParams {
     /// The paper's hypothetical database.
     pub fn paper() -> Self {
-        WorkloadParams { n_items: 1000, n_txns: 200_000, avg_txn_len: 10.0, min_support_frac: 0.005 }
+        WorkloadParams {
+            n_items: 1000,
+            n_txns: 200_000,
+            avg_txn_len: 10.0,
+            min_support_frac: 0.005,
+        }
     }
 
     /// `SALES` rows: transactions × average length.

@@ -51,7 +51,11 @@ impl fmt::Display for ComparisonReport {
             self.nested_loop.tid_index.nonleaf_pages,
         )?;
         writeln!(f)?;
-        writeln!(f, "{:<22} {:>14} {:>12} {:>12}", "strategy", "page accesses", "type", "est. time")?;
+        writeln!(
+            f,
+            "{:<22} {:>14} {:>12} {:>12}",
+            "strategy", "page accesses", "type", "est. time"
+        )?;
         writeln!(
             f,
             "{:<22} {:>14} {:>12} {:>11.1}h",
@@ -63,10 +67,7 @@ impl fmt::Display for ComparisonReport {
         writeln!(
             f,
             "{:<22} {:>14} {:>12} {:>10.0}s",
-            "SETM (Sec. 4)",
-            self.setm.page_accesses,
-            "sequential",
-            self.setm.time_s
+            "SETM (Sec. 4)", self.setm.page_accesses, "sequential", self.setm.time_s
         )?;
         writeln!(f)?;
         write!(f, "SETM advantage: {:.1}x", self.speedup())

@@ -33,9 +33,8 @@ pub struct SetmCost {
 /// Price an n-pass SETM run under the uniform model.
 pub fn setm_cost(w: &WorkloadParams, db: &DbParams, n: u32) -> SetmCost {
     assert!(n >= 2, "the loop makes at least one pass");
-    let r_pages: Vec<u64> = (1..n)
-        .map(|i| db.pages_for(w.r_tuples(i), (i as u64 + 1) * db.value_bytes))
-        .collect();
+    let r_pages: Vec<u64> =
+        (1..n).map(|i| db.pages_for(w.r_tuples(i), (i as u64 + 1) * db.value_bytes)).collect();
     let r1 = r_pages[0];
     // n reads of R1 (q side of every pass + p side of pass 2).
     let mut accesses = n as u64 * r1;

@@ -65,9 +65,7 @@ impl NeedleConfig {
         if s == 1 {
             return vec![self.n_txns - 1];
         }
-        (0..s)
-            .map(|i| (i as u64 * (self.n_txns as u64 - 1) / (s as u64 - 1)) as u32)
-            .collect()
+        (0..s).map(|i| (i as u64 * (self.n_txns as u64 - 1) / (s as u64 - 1)) as u32).collect()
     }
 
     /// Generate the dataset.

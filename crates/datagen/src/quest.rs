@@ -66,12 +66,7 @@ impl QuestConfig {
     /// transaction count — the paper-scale trajectory (100K–1M
     /// transactions) benched by `repro -- poolscale`.
     pub fn t20_i6(n_txns: u32) -> Self {
-        QuestConfig {
-            avg_txn_len: 20.0,
-            avg_pattern_len: 6.0,
-            n_txns,
-            ..Self::t5_i2_d100k(1)
-        }
+        QuestConfig { avg_txn_len: 20.0, avg_pattern_len: 6.0, n_txns, ..Self::t5_i2_d100k(1) }
     }
 
     /// Generate the dataset.
@@ -81,8 +76,8 @@ impl QuestConfig {
         // Potential large itemsets.
         let mut patterns: Vec<Vec<u32>> = Vec::with_capacity(self.n_patterns as usize);
         for p in 0..self.n_patterns {
-            let len = poisson(&mut rng, self.avg_pattern_len).max(1).min(self.n_items as u64)
-                as usize;
+            let len =
+                poisson(&mut rng, self.avg_pattern_len).max(1).min(self.n_items as u64) as usize;
             let mut items: Vec<u32> = Vec::with_capacity(len);
             if p > 0 {
                 // Carry over a correlated fraction from the predecessor.
@@ -167,11 +162,7 @@ mod tests {
         let d = cfg.generate();
         let s = DatasetStats::of(&d);
         assert_eq!(s.n_transactions, 2_000);
-        assert!(
-            (3.0..8.0).contains(&s.avg_transaction_len),
-            "avg len {}",
-            s.avg_transaction_len
-        );
+        assert!((3.0..8.0).contains(&s.avg_transaction_len), "avg len {}", s.avg_transaction_len);
         assert!(s.n_distinct_items as u32 <= cfg.n_items);
     }
 

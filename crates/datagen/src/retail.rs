@@ -112,9 +112,8 @@ impl RetailConfig {
         let mut rng = SmallRng::seed_from_u64(self.seed);
 
         // Zipf cumulative weights over head items.
-        let weights: Vec<f64> = (1..=self.n_head_items)
-            .map(|r| (r as f64).powf(-self.zipf_s))
-            .collect();
+        let weights: Vec<f64> =
+            (1..=self.n_head_items).map(|r| (r as f64).powf(-self.zipf_s)).collect();
         let total_w: f64 = weights.iter().sum();
         let mut cumulative = Vec::with_capacity(weights.len());
         let mut acc = 0.0;
@@ -329,18 +328,27 @@ mod calibration_probe {
     fn probe() {
         let d = RetailConfig::paper().generate();
         let s = DatasetStats::of(&d);
-        println!("txns={} rows={} avg={:.4} distinct={}",
-            s.n_transactions, s.n_rows, s.avg_transaction_len, s.n_distinct_items);
+        println!(
+            "txns={} rows={} avg={:.4} distinct={}",
+            s.n_transactions, s.n_rows, s.avg_transaction_len, s.n_distinct_items
+        );
         println!("items>=47: {}", s.items_with_support_at_least(47));
-        let mut head: Vec<(u32,u64)> = s.item_counts.iter().filter(|(&i,_)| i < 100).map(|(&i,&c)|(i,c)).collect();
-        head.sort_by_key(|&(_,c)| std::cmp::Reverse(c));
+        let mut head: Vec<(u32, u64)> =
+            s.item_counts.iter().filter(|(&i, _)| i < 100).map(|(&i, &c)| (i, c)).collect();
+        head.sort_by_key(|&(_, c)| std::cmp::Reverse(c));
         println!("top10 head: {:?}", &head[..10.min(head.len())]);
         println!("quad support: {}", d.support_of(&CLUSTER_QUAD));
         for ms in [0.0005, 0.001, 0.005, 0.01, 0.02, 0.05] {
             let params = MiningParams::new(MinSupport::Fraction(ms), 0.5).with_max_len(6);
             let r = memory::execute(&d, &params, &Default::default());
-            let sizes: Vec<(usize, u64, u64)> = r.trace.iter().map(|t| (t.k, t.c_len, t.r_tuples)).collect();
-            println!("minsup {:.2}% -> maxlen={} trace(k,|C|,|R|)={:?}", ms*100.0, r.max_pattern_len(), sizes);
+            let sizes: Vec<(usize, u64, u64)> =
+                r.trace.iter().map(|t| (t.k, t.c_len, t.r_tuples)).collect();
+            println!(
+                "minsup {:.2}% -> maxlen={} trace(k,|C|,|R|)={:?}",
+                ms * 100.0,
+                r.max_pattern_len(),
+                sizes
+            );
         }
     }
 }

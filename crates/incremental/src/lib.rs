@@ -206,14 +206,10 @@ impl Level {
         } else {
             self
         };
-        let recount = if promoted.is_empty() {
-            CountRelation::new(k)
-        } else {
-            base.recount(&promoted, k)
-        };
+        let recount =
+            if promoted.is_empty() { CountRelation::new(k) } else { base.recount(&promoted, k) };
         let demoted_tuples: u64 = demoted.iter().map(|q| old.sum_under(q)).sum();
-        let r_prime_tuples =
-            old.r_prime_tuples - demoted_tuples + total(&recount) + total(delta);
+        let r_prime_tuples = old.r_prime_tuples - demoted_tuples + total(&recount) + total(delta);
 
         // Which delta patterns can be frequent now. One in the old C_k
         // adds its delta count to its old one (`kept`), one under a
@@ -648,10 +644,7 @@ impl<'a> Seek<'a> {
 /// The patterns of `after` not in `before` (promoted) and of `before`
 /// not in `after` (demoted), each ascending. Both sides are
 /// pattern-sorted, so one merge walk finds them.
-fn prefix_moves(
-    before: &CountRelation,
-    after: &CountRelation,
-) -> (Vec<Vec<Item>>, Vec<Vec<Item>>) {
+fn prefix_moves(before: &CountRelation, after: &CountRelation) -> (Vec<Vec<Item>>, Vec<Vec<Item>>) {
     let (mut promoted, mut demoted) = (Vec::new(), Vec::new());
     let (mut i, mut j) = (0usize, 0usize);
     while i < before.len() || j < after.len() {
@@ -839,17 +832,12 @@ mod tests {
             (5, [2, 3].as_slice()),
             (6, [1, 2, 3, 9].as_slice()),
         ]);
-        let delta = Dataset::from_transactions([
-            (7, [1u32, 2, 3].as_slice()),
-            (8, [1, 2, 3].as_slice()),
-        ]);
+        let delta =
+            Dataset::from_transactions([(7, [1u32, 2, 3].as_slice()), (8, [1, 2, 3].as_slice())]);
         let p = params(MinSupport::Fraction(0.5));
         let concat = concat_datasets(&base, &delta);
         let full = Miner::new(p).threads(1).run(&concat).unwrap();
-        assert!(
-            full.result.c(3).is_some(),
-            "the scenario must actually reach k=3 after promotion"
-        );
+        assert!(full.result.c(3).is_some(), "the scenario must actually reach k=3 after promotion");
         let (_, frontier) = MiningFrontier::bootstrap(&base, &p, 1).unwrap();
         assert!(
             !frontier.levels[0].frequent.contains(&[1, 2]),

@@ -96,11 +96,7 @@ impl Histogram {
     /// Record one observation, in milliseconds.
     pub fn observe(&self, ms: f64) {
         let ms = if ms.is_finite() && ms > 0.0 { ms } else { 0.0 };
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| ms <= b)
-            .unwrap_or(self.bounds.len());
+        let idx = self.bounds.iter().position(|&b| ms <= b).unwrap_or(self.bounds.len());
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         self.sum_us.fetch_add((ms * 1000.0).round() as u64, Ordering::Relaxed);
     }
@@ -254,11 +250,9 @@ impl MetricsRegistry {
                 }
                 MetricValue::Histogram(snap) => {
                     out.push_str(&format!("# TYPE {name} summary\n"));
-                    for (q, v) in [
-                        ("0.5", snap.p50_ms),
-                        ("0.9", snap.p90_ms),
-                        ("0.99", snap.p99_ms),
-                    ] {
+                    for (q, v) in
+                        [("0.5", snap.p50_ms), ("0.9", snap.p90_ms), ("0.99", snap.p99_ms)]
+                    {
                         out.push_str(&format!("{name}{{quantile=\"{q}\"}} {v}\n"));
                     }
                     out.push_str(&format!("{name}_sum {}\n", snap.sum_ms));

@@ -12,11 +12,7 @@ use crate::heap::{HeapFile, HeapFileBuilder};
 /// Count consecutive groups of `input` (sorted on `group_cols`), keeping
 /// groups with count `>= min_count`. Output rows are the group columns
 /// followed by the count.
-pub fn grouped_count(
-    input: &HeapFile,
-    group_cols: &[usize],
-    min_count: u64,
-) -> Result<HeapFile> {
+pub fn grouped_count(input: &HeapFile, group_cols: &[usize], min_count: u64) -> Result<HeapFile> {
     let pager = input.pager().clone();
     let out_arity = group_cols.len() + 1;
     let mut out = HeapFileBuilder::new(pager, out_arity);
@@ -37,8 +33,7 @@ pub fn grouped_count(
     };
 
     while let Some(row) = cursor.next_row()? {
-        let same =
-            count > 0 && group_cols.iter().enumerate().all(|(i, &c)| row[c] == current[i]);
+        let same = count > 0 && group_cols.iter().enumerate().all(|(i, &c)| row[c] == current[i]);
         if same {
             count += 1;
         } else {
@@ -90,9 +85,8 @@ pub fn grouped_sum(
             // disagree (pushed-down >= sees the true u64, post-applied
             // = / < would see the clamp).
             row_buf.push(
-                u32::try_from(sum).map_err(|_| crate::errors::Error::AggregateOverflow {
-                    value: sum,
-                })?,
+                u32::try_from(sum)
+                    .map_err(|_| crate::errors::Error::AggregateOverflow { value: sum })?,
             );
             out.push(&row_buf)?;
         }
@@ -100,8 +94,7 @@ pub fn grouped_sum(
     };
 
     while let Some(row) = cursor.next_row()? {
-        let same =
-            started && group_cols.iter().enumerate().all(|(i, &c)| row[c] == current[i]);
+        let same = started && group_cols.iter().enumerate().all(|(i, &c)| row[c] == current[i]);
         if same {
             sum += row[sum_col] as u64;
         } else {
@@ -178,16 +171,9 @@ mod tests {
     fn multi_column_groups() {
         let pager = Pager::shared();
         // (tid, a, b) counting on (a, b).
-        let input = hf(
-            &pager,
-            &[vec![9, 1, 2], vec![8, 1, 2], vec![7, 1, 3], vec![6, 2, 2]],
-            3,
-        );
+        let input = hf(&pager, &[vec![9, 1, 2], vec![8, 1, 2], vec![7, 1, 3], vec![6, 2, 2]], 3);
         let out = grouped_count(&input, &[1, 2], 1).unwrap();
-        assert_eq!(
-            out.rows().unwrap(),
-            vec![vec![1, 2, 2], vec![1, 3, 1], vec![2, 2, 1]]
-        );
+        assert_eq!(out.rows().unwrap(), vec![vec![1, 2, 2], vec![1, 3, 1], vec![2, 2, 1]]);
     }
 
     #[test]
@@ -211,11 +197,7 @@ mod tests {
         let pager = Pager::shared();
         // Two shards' partial counts of the same patterns, unioned and
         // sorted: (item, cnt).
-        let input = hf(
-            &pager,
-            &[vec![1, 2], vec![1, 3], vec![2, 1], vec![3, 1], vec![3, 1]],
-            2,
-        );
+        let input = hf(&pager, &[vec![1, 2], vec![1, 3], vec![2, 1], vec![3, 1], vec![3, 1]], 2);
         let out = grouped_sum(&input, &[0], 1, 1).unwrap();
         assert_eq!(out.rows().unwrap(), vec![vec![1, 5], vec![2, 1], vec![3, 2]]);
         // The HAVING SUM(..) >= threshold pushdown.

@@ -106,12 +106,8 @@ impl Database {
             old.file.free()?;
         }
         // Also drop indexes that referenced the old contents.
-        let stale: Vec<String> = self
-            .indexes
-            .values()
-            .filter(|i| i.table == name)
-            .map(|i| i.name.clone())
-            .collect();
+        let stale: Vec<String> =
+            self.indexes.values().filter(|i| i.table == name).map(|i| i.name.clone()).collect();
         for idx in stale {
             self.indexes.remove(&idx);
         }
@@ -133,12 +129,8 @@ impl Database {
     pub fn drop_table(&mut self, name: &str) -> Result<()> {
         let table = self.tables.remove(name).ok_or_else(|| Error::NoSuchTable(name.to_string()))?;
         table.file.free()?;
-        let stale: Vec<String> = self
-            .indexes
-            .values()
-            .filter(|i| i.table == name)
-            .map(|i| i.name.clone())
-            .collect();
+        let stale: Vec<String> =
+            self.indexes.values().filter(|i| i.table == name).map(|i| i.name.clone()).collect();
         for idx in stale {
             self.indexes.remove(&idx);
         }
@@ -155,10 +147,8 @@ impl Database {
         columns: &[&str],
     ) -> Result<&Index> {
         let table = self.table(table_name)?;
-        let key_cols: Vec<usize> = columns
-            .iter()
-            .map(|c| table.schema.column_index(c))
-            .collect::<Result<_>>()?;
+        let key_cols: Vec<usize> =
+            columns.iter().map(|c| table.schema.column_index(c)).collect::<Result<_>>()?;
         // Project the key columns, sort, bulk load, discard the temp.
         let projected = crate::agg::filter_project(&table.file, &key_cols, |_| true)?;
         let all_cols: Vec<usize> = (0..key_cols.len()).collect();
@@ -167,12 +157,8 @@ impl Database {
         let mut btree = BTree::from_sorted_heapfile(&sorted)?;
         sorted.free()?;
         btree.cache_internal_nodes()?;
-        let index = Index {
-            name: index_name.to_string(),
-            table: table_name.to_string(),
-            key_cols,
-            btree,
-        };
+        let index =
+            Index { name: index_name.to_string(), table: table_name.to_string(), key_cols, btree };
         self.indexes.insert(index_name.to_string(), index);
         Ok(&self.indexes[index_name])
     }
@@ -220,12 +206,8 @@ mod tests {
     fn create_and_scan_table() {
         let mut db = Database::new();
         let rows = sales_rows();
-        db.create_table_from_rows(
-            "SALES",
-            Schema::sales(),
-            rows.iter().map(|r| r.as_slice()),
-        )
-        .unwrap();
+        db.create_table_from_rows("SALES", Schema::sales(), rows.iter().map(|r| r.as_slice()))
+            .unwrap();
         let t = db.table("SALES").unwrap();
         assert_eq!(t.file.n_records(), 5);
         assert_eq!(t.file.rows().unwrap(), rows);
@@ -237,10 +219,7 @@ mod tests {
     fn duplicate_table_rejected() {
         let mut db = Database::new();
         db.create_table("T", Schema::new(["a"])).unwrap();
-        assert!(matches!(
-            db.create_table("T", Schema::new(["a"])),
-            Err(Error::TableExists(_))
-        ));
+        assert!(matches!(db.create_table("T", Schema::new(["a"])), Err(Error::TableExists(_))));
     }
 
     #[test]
@@ -288,16 +267,12 @@ mod tests {
     fn replace_table_swaps_contents_and_invalidates_indexes() {
         let mut db = Database::new();
         let rows = sales_rows();
-        db.create_table_from_rows("R", Schema::sales(), rows.iter().map(|r| r.as_slice()))
-            .unwrap();
+        db.create_table_from_rows("R", Schema::sales(), rows.iter().map(|r| r.as_slice())).unwrap();
         db.create_index("R_idx", "R", &["item"]).unwrap();
         let new_rows = vec![vec![99u32, 9u32]];
-        let file = HeapFile::from_rows(
-            db.pager().clone(),
-            2,
-            new_rows.iter().map(|r| r.as_slice()),
-        )
-        .unwrap();
+        let file =
+            HeapFile::from_rows(db.pager().clone(), 2, new_rows.iter().map(|r| r.as_slice()))
+                .unwrap();
         db.replace_table("R", Schema::sales(), file, Some(vec![0, 1])).unwrap();
         assert_eq!(db.table("R").unwrap().file.rows().unwrap(), new_rows);
         assert_eq!(db.table("R").unwrap().sorted_by, Some(vec![0, 1]));

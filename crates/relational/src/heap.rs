@@ -219,8 +219,7 @@ impl HeapCursor<'_> {
                     self.done = true;
                     return Ok(None);
                 }
-                let page =
-                    self.file.pager.lock().read_page(self.file.fid, self.next_pno)?;
+                let page = self.file.pager.lock().read_page(self.file.fid, self.next_pno)?;
                 self.next_pno += 1;
                 self.idx = 0;
                 self.page = Some(page);
@@ -245,8 +244,7 @@ mod tests {
     fn round_trip_small() {
         let pager = Pager::shared();
         let rows: Vec<Vec<u32>> = vec![vec![1, 10], vec![2, 20], vec![3, 30]];
-        let f =
-            HeapFile::from_rows(pager, 2, rows.iter().map(|r| r.as_slice())).unwrap();
+        let f = HeapFile::from_rows(pager, 2, rows.iter().map(|r| r.as_slice())).unwrap();
         assert_eq!(f.n_records(), 3);
         assert_eq!(f.n_pages(), 1);
         assert_eq!(f.rows().unwrap(), rows);
@@ -257,8 +255,7 @@ mod tests {
         let pager = Pager::shared();
         let n = 2000u32; // 511 two-column records per page -> 4 pages
         let rows: Vec<Vec<u32>> = (0..n).map(|i| vec![i, i * 7]).collect();
-        let f = HeapFile::from_rows(pager.clone(), 2, rows.iter().map(|r| r.as_slice()))
-            .unwrap();
+        let f = HeapFile::from_rows(pager.clone(), 2, rows.iter().map(|r| r.as_slice())).unwrap();
         assert_eq!(f.n_pages(), 4);
         assert_eq!(f.n_records(), n as u64);
         let back = f.rows().unwrap();
@@ -287,10 +284,7 @@ mod tests {
     fn arity_mismatch_is_rejected() {
         let pager = Pager::shared();
         let mut b = HeapFileBuilder::new(pager, 2);
-        assert!(matches!(
-            b.push(&[1, 2, 3]),
-            Err(Error::ArityMismatch { expected: 2, got: 3 })
-        ));
+        assert!(matches!(b.push(&[1, 2, 3]), Err(Error::ArityMismatch { expected: 2, got: 3 })));
     }
 
     #[test]

@@ -69,8 +69,7 @@ impl<'a> GroupReader<'a> {
             match self.cursor.next_row()? {
                 None => break,
                 Some(r) => {
-                    let same =
-                        self.key_cols.iter().enumerate().all(|(i, &c)| r[c] == group.key[i]);
+                    let same = self.key_cols.iter().enumerate().all(|(i, &c)| r[c] == group.key[i]);
                     if same {
                         group.rows.extend_from_slice(r);
                     } else {
@@ -196,9 +195,17 @@ mod tests {
         // left(tid, x) sorted on tid; right(tid, y) sorted on tid.
         let left = hf(&pager, &[vec![1, 10], vec![2, 20], vec![2, 21], vec![4, 40]], 2);
         let right = hf(&pager, &[vec![2, 200], vec![3, 300], vec![4, 400], vec![4, 401]], 2);
-        let out = merge_scan_join(&left, &right, &[0], &[0], 3, |_, _| true, |l, r, b| {
-            b.extend_from_slice(&[l[0], l[1], r[1]]);
-        })
+        let out = merge_scan_join(
+            &left,
+            &right,
+            &[0],
+            &[0],
+            3,
+            |_, _| true,
+            |l, r, b| {
+                b.extend_from_slice(&[l[0], l[1], r[1]]);
+            },
+        )
         .unwrap();
         assert_eq!(
             out.rows().unwrap(),
@@ -212,14 +219,19 @@ mod tests {
         // The SETM extension join: q.item > p.item within a transaction.
         let left = hf(&pager, &[vec![1, 2], vec![1, 5]], 2);
         let right = hf(&pager, &[vec![1, 2], vec![1, 5], vec![1, 7]], 2);
-        let out = merge_scan_join(&left, &right, &[0], &[0], 3, |l, r| r[1] > l[1], |l, r, b| {
-            b.extend_from_slice(&[l[0], l[1], r[1]]);
-        })
+        let out = merge_scan_join(
+            &left,
+            &right,
+            &[0],
+            &[0],
+            3,
+            |l, r| r[1] > l[1],
+            |l, r, b| {
+                b.extend_from_slice(&[l[0], l[1], r[1]]);
+            },
+        )
         .unwrap();
-        assert_eq!(
-            out.rows().unwrap(),
-            vec![vec![1, 2, 5], vec![1, 2, 7], vec![1, 5, 7]]
-        );
+        assert_eq!(out.rows().unwrap(), vec![vec![1, 2, 5], vec![1, 2, 7], vec![1, 5, 7]]);
     }
 
     #[test]
@@ -227,14 +239,30 @@ mod tests {
         let pager = Pager::shared();
         let left = hf(&pager, &[vec![1, 1]], 2);
         let empty = HeapFile::empty(pager.clone(), 2).unwrap();
-        let out = merge_scan_join(&left, &empty, &[0], &[0], 2, |_, _| true, |l, _, b| {
-            b.extend_from_slice(l);
-        })
+        let out = merge_scan_join(
+            &left,
+            &empty,
+            &[0],
+            &[0],
+            2,
+            |_, _| true,
+            |l, _, b| {
+                b.extend_from_slice(l);
+            },
+        )
         .unwrap();
         assert_eq!(out.n_records(), 0);
-        let out = merge_scan_join(&empty, &left, &[0], &[0], 2, |_, _| true, |l, _, b| {
-            b.extend_from_slice(l);
-        })
+        let out = merge_scan_join(
+            &empty,
+            &left,
+            &[0],
+            &[0],
+            2,
+            |_, _| true,
+            |l, _, b| {
+                b.extend_from_slice(l);
+            },
+        )
         .unwrap();
         assert_eq!(out.n_records(), 0);
     }
@@ -244,9 +272,17 @@ mod tests {
         let pager = Pager::shared();
         let left = hf(&pager, &[vec![7, 1], vec![7, 2], vec![7, 3]], 2);
         let right = hf(&pager, &[vec![7, 10], vec![7, 20]], 2);
-        let out = merge_scan_join(&left, &right, &[0], &[0], 2, |_, _| true, |l, r, b| {
-            b.extend_from_slice(&[l[1], r[1]]);
-        })
+        let out = merge_scan_join(
+            &left,
+            &right,
+            &[0],
+            &[0],
+            2,
+            |_, _| true,
+            |l, r, b| {
+                b.extend_from_slice(&[l[1], r[1]]);
+            },
+        )
         .unwrap();
         assert_eq!(out.n_records(), 6);
     }
@@ -264,9 +300,17 @@ mod tests {
         }
         let left = hf(&pager, &left_rows, 2);
         let right = hf(&pager, &right_rows, 2);
-        let merged = merge_scan_join(&left, &right, &[0], &[0], 3, |_, _| true, |l, r, b| {
-            b.extend_from_slice(&[l[0], l[1], r[1]]);
-        })
+        let merged = merge_scan_join(
+            &left,
+            &right,
+            &[0],
+            &[0],
+            3,
+            |_, _| true,
+            |l, r, b| {
+                b.extend_from_slice(&[l[0], l[1], r[1]]);
+            },
+        )
         .unwrap();
 
         // Same join via an index on right(tid, y).
@@ -275,9 +319,16 @@ mod tests {
             loader.push(r).unwrap();
         }
         let idx = loader.finish().unwrap();
-        let indexed = index_nested_loop_join(&left, &idx, &[0], 3, |_, _| true, |l, k, b| {
-            b.extend_from_slice(&[l[0], l[1], k[1]]);
-        })
+        let indexed = index_nested_loop_join(
+            &left,
+            &idx,
+            &[0],
+            3,
+            |_, _| true,
+            |l, k, b| {
+                b.extend_from_slice(&[l[0], l[1], k[1]]);
+            },
+        )
         .unwrap();
 
         let mut a = merged.rows().unwrap();
@@ -303,16 +354,31 @@ mod tests {
         idx.cache_internal_nodes().unwrap();
 
         pager.lock().reset_stats();
-        merge_scan_join(&left, &right, &[0], &[0], 2, |_, _| true, |l, _, b| {
-            b.extend_from_slice(l);
-        })
+        merge_scan_join(
+            &left,
+            &right,
+            &[0],
+            &[0],
+            2,
+            |_, _| true,
+            |l, _, b| {
+                b.extend_from_slice(l);
+            },
+        )
         .unwrap();
         let merge_stats = pager.lock().stats();
 
         pager.lock().reset_stats();
-        index_nested_loop_join(&left, &idx, &[0], 2, |_, _| true, |l, _, b| {
-            b.extend_from_slice(l);
-        })
+        index_nested_loop_join(
+            &left,
+            &idx,
+            &[0],
+            2,
+            |_, _| true,
+            |l, _, b| {
+                b.extend_from_slice(l);
+            },
+        )
         .unwrap();
         let index_stats = pager.lock().stats();
 

@@ -361,8 +361,11 @@ impl Pager {
     /// assume. (Pinned by the `zero_frames_means_no_cache` test; any
     /// previously installed cache or pool attachment is dropped.)
     pub fn set_cache_frames(&mut self, frames: usize) {
-        self.cache =
-            if frames == 0 { CacheBackend::None } else { CacheBackend::Private(Cache::new(frames)) };
+        self.cache = if frames == 0 {
+            CacheBackend::None
+        } else {
+            CacheBackend::Private(Cache::new(frames))
+        };
     }
 
     /// Attach this pager to a shared [`crate::pool::BufferPool`] region,
@@ -460,11 +463,11 @@ impl Pager {
         self.tick_fault()?;
         let file = self.file_mut(fid)?;
         let len = file.pages.len() as u32;
-        let page = file
-            .pages
-            .get(pno as usize)
-            .cloned()
-            .ok_or(Error::PageOutOfBounds { file: fid.0, page: pno, len })?;
+        let page = file.pages.get(pno as usize).cloned().ok_or(Error::PageOutOfBounds {
+            file: fid.0,
+            page: pno,
+            len,
+        })?;
         let sequential = match file.last_read {
             Some(prev) => pno == prev + 1,
             None => pno == 0,
@@ -506,10 +509,11 @@ impl Pager {
         self.tick_fault()?;
         let file = self.file_mut(fid)?;
         let len = file.pages.len() as u32;
-        let slot = file
-            .pages
-            .get_mut(pno as usize)
-            .ok_or(Error::PageOutOfBounds { file: fid.0, page: pno, len })?;
+        let slot = file.pages.get_mut(pno as usize).ok_or(Error::PageOutOfBounds {
+            file: fid.0,
+            page: pno,
+            len,
+        })?;
         *slot = page.clone();
         let sequential = match file.last_write {
             Some(prev) => pno == prev + 1,
@@ -690,6 +694,7 @@ mod tests {
         cache.put((keep, 2), page_with(4)); // full pass + evict slot 0, hand = 1
         cache.put((keep, 3), page_with(5)); // evict slot 1, hand = 2
         cache.put((keep, 4), page_with(6)); // evict slot 2, hand = 3
+
         // Trailing pop only: slots.len() drops to 3, hand stays at 3.
         cache.evict_file(gone);
         assert_eq!(cache.len(), 3);

@@ -385,6 +385,7 @@ mod tests {
         handles[0].put(keep, 4, Page::new()); // sweep: hand -> 2
         handles[0].put(keep, 5, Page::new()); // sweep: hand -> 3
         handles[0].evict_file(gone); // trailing pop, hand stays at 3
+
         // Shrink owner 0 at-or-below the stale hand via rebalance.
         let moved = pool.rebalance(&[1, 3]);
         assert_eq!(moved, 2);

@@ -328,10 +328,7 @@ mod tests {
         let rows = vec![vec![3, 1], vec![1, 2], vec![2, 0], vec![1, 1]];
         let f = build(&pager, &rows, 2);
         let sorted = external_sort(&f, &[0, 1], SortOptions::default()).unwrap();
-        assert_eq!(
-            sorted.rows().unwrap(),
-            vec![vec![1, 1], vec![1, 2], vec![2, 0], vec![3, 1]]
-        );
+        assert_eq!(sorted.rows().unwrap(), vec![vec![1, 1], vec![1, 2], vec![2, 0], vec![3, 1]]);
     }
 
     #[test]
@@ -339,7 +336,8 @@ mod tests {
         let pager = Pager::shared();
         // Force multiple runs: tiny buffer (3 pages) and > 3*511 rows.
         let n = 5000u32;
-        let mut rows: Vec<Vec<u32>> = (0..n).map(|i| vec![i.wrapping_mul(2654435761) % 997, i]).collect();
+        let mut rows: Vec<Vec<u32>> =
+            (0..n).map(|i| vec![i.wrapping_mul(2654435761) % 997, i]).collect();
         let f = build(&pager, &rows, 2);
         let sorted = external_sort(&f, &[0], SortOptions { buffer_pages: 3 }).unwrap();
         let mut got = sorted.rows().unwrap();

@@ -26,12 +26,12 @@ fn fault_in_scan_propagates() {
 #[test]
 fn fault_during_sort_propagates_at_every_phase() {
     let rows = sample_rows(4000); // multiple runs with a tiny buffer
+
     // Probe fault points across the whole sort (run generation, merging,
     // final writes): every one must yield an error, none may panic.
     for fail_at in [1u64, 5, 10, 20, 30] {
         let pager = Pager::shared();
-        let f =
-            HeapFile::from_rows(pager.clone(), 2, rows.iter().map(|r| r.as_slice())).unwrap();
+        let f = HeapFile::from_rows(pager.clone(), 2, rows.iter().map(|r| r.as_slice())).unwrap();
         pager.lock().fail_after(Some(fail_at));
         let result = external_sort(&f, &[0], SortOptions { buffer_pages: 3 });
         assert!(result.is_err(), "fault at access {fail_at} must surface");
@@ -52,9 +52,17 @@ fn fault_during_join_propagates() {
     let l = HeapFile::from_rows(pager.clone(), 2, sorted.iter().map(|r| r.as_slice())).unwrap();
     let r = HeapFile::from_rows(pager.clone(), 2, sorted.iter().map(|r| r.as_slice())).unwrap();
     pager.lock().fail_after(Some(4));
-    let result = merge_scan_join(&l, &r, &[0], &[0], 3, |_, _| true, |a, b, out| {
-        out.extend_from_slice(&[a[0], a[1], b[1]]);
-    });
+    let result = merge_scan_join(
+        &l,
+        &r,
+        &[0],
+        &[0],
+        3,
+        |_, _| true,
+        |a, b, out| {
+            out.extend_from_slice(&[a[0], a[1], b[1]]);
+        },
+    );
     assert!(result.is_err());
 }
 

@@ -53,9 +53,7 @@ fn parse_item_list(flag: &str, text: &str) -> Vec<u32> {
     text.split(',')
         .filter(|i| !i.trim().is_empty())
         .map(|i| {
-            i.trim()
-                .parse()
-                .unwrap_or_else(|_| usage_exit(&format!("{flag}: bad item {i:?}")))
+            i.trim().parse().unwrap_or_else(|_| usage_exit(&format!("{flag}: bad item {i:?}")))
         })
         .collect()
 }
@@ -77,10 +75,7 @@ fn main() {
     let mut i = 0;
     while i < args.len() {
         if args[i] == "--addr" {
-            addr = args
-                .get(i + 1)
-                .cloned()
-                .unwrap_or_else(|| usage_exit("--addr needs a value"));
+            addr = args.get(i + 1).cloned().unwrap_or_else(|| usage_exit("--addr needs a value"));
             i += 2;
         } else {
             rest.push(args[i].clone());
@@ -160,16 +155,19 @@ fn run_mine(client: &mut Client, options: &[String]) -> CmdResult {
                     .unwrap_or_else(|e: setm_core::UnknownBackend| usage_exit(&e.to_string()));
             }
             "--threads" => {
-                threads = value().parse().unwrap_or_else(|_| usage_exit("--threads needs a number"));
+                threads =
+                    value().parse().unwrap_or_else(|_| usage_exit("--threads needs a number"));
             }
             "--min-support" => min_support = parse_min_support(&value()),
             "--min-confidence" => {
-                min_confidence =
-                    value().parse().unwrap_or_else(|_| usage_exit("--min-confidence needs a number"));
+                min_confidence = value()
+                    .parse()
+                    .unwrap_or_else(|_| usage_exit("--min-confidence needs a number"));
             }
             "--max-len" => {
-                max_len =
-                    Some(value().parse().unwrap_or_else(|_| usage_exit("--max-len needs a number")));
+                max_len = Some(
+                    value().parse().unwrap_or_else(|_| usage_exit("--max-len needs a number")),
+                );
             }
             "--require" => require.extend(parse_item_list(flag, &value())),
             "--exclude" => exclude.extend(parse_item_list(flag, &value())),
@@ -194,8 +192,7 @@ fn run_mine(client: &mut Client, options: &[String]) -> CmdResult {
 
     let mut params = MiningParams::new(min_support, min_confidence);
     params.max_pattern_len = max_len;
-    let constraints =
-        MiningConstraints::new().require(require).exclude(exclude).targets(targets);
+    let constraints = MiningConstraints::new().require(require).exclude(exclude).targets(targets);
     let miner = Miner::new(params)
         .backend(backend)
         .threads(threads)
@@ -270,10 +267,8 @@ fn parse_transactions_spec(spec: &str) -> Vec<(u32, Vec<u32>)> {
             let Some((tid, items)) = t.split_once(':') else {
                 usage_exit(&format!("bad transaction {t:?}; expected tid:item,item"));
             };
-            let tid = tid
-                .trim()
-                .parse()
-                .unwrap_or_else(|_| usage_exit(&format!("bad trans_id {tid:?}")));
+            let tid =
+                tid.trim().parse().unwrap_or_else(|_| usage_exit(&format!("bad trans_id {tid:?}")));
             let items = items
                 .split(',')
                 .filter(|i| !i.trim().is_empty())
@@ -396,7 +391,10 @@ fn run_trace(client: &mut Client, job: u64) -> CmdResult {
 
 fn run_cancel(client: &mut Client, job: u64) -> CmdResult {
     let dequeued = client.cancel(job)?;
-    println!("job {job}: {}", if dequeued { "cancelled" } else { "not queued (unknown or running)" });
+    println!(
+        "job {job}: {}",
+        if dequeued { "cancelled" } else { "not queued (unknown or running)" }
+    );
     Ok(())
 }
 

@@ -40,9 +40,7 @@ fn main() {
     while i < args.len() {
         let flag = args[i].as_str();
         let value = || {
-            args.get(i + 1)
-                .cloned()
-                .unwrap_or_else(|| usage_exit(&format!("{flag} needs a value")))
+            args.get(i + 1).cloned().unwrap_or_else(|| usage_exit(&format!("{flag} needs a value")))
         };
         match flag {
             "--addr" => config.addr = value(),
@@ -74,9 +72,7 @@ fn main() {
                 let Some((path, format)) = rest.rsplit_once(':') else {
                     usage_exit("--dataset needs NAME=PATH:FORMAT (fimi or pairs)");
                 };
-                let format = format
-                    .parse()
-                    .unwrap_or_else(|e: String| usage_exit(&e));
+                let format = format.parse().unwrap_or_else(|e: String| usage_exit(&e));
                 registry.register_file(name, path, format);
             }
             "--help" | "-h" => usage_exit("setm-serve: serve SETM mining over TCP"),

@@ -167,9 +167,7 @@ impl Client {
     fn expect_event(v: &Json, event: &str) -> Result<(), ClientError> {
         match v.get("event").and_then(Json::as_str) {
             Some(e) if e == event => Ok(()),
-            other => Err(ClientError::Protocol(format!(
-                "expected event {event:?}, got {other:?}"
-            ))),
+            other => Err(ClientError::Protocol(format!("expected event {event:?}, got {other:?}"))),
         }
     }
 
@@ -185,7 +183,11 @@ impl Client {
     /// stream: `progress` event lines arrive between `accepted` and the
     /// outcome. Collect with [`Client::wait_outcome_observed`] (or
     /// [`Client::wait_outcome`], which discards them).
-    pub fn submit_with_progress(&mut self, dataset: &str, miner: Miner) -> Result<u64, ClientError> {
+    pub fn submit_with_progress(
+        &mut self,
+        dataset: &str,
+        miner: Miner,
+    ) -> Result<u64, ClientError> {
         self.submit_request(dataset, miner, true)
     }
 

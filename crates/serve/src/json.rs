@@ -362,8 +362,8 @@ impl<'a> Parser<'a> {
                     let start = self.pos;
                     let rest = &self.bytes[start..];
                     let len = utf8_len(rest[0]);
-                    let s = std::str::from_utf8(&rest[..len])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
+                    let s =
+                        std::str::from_utf8(&rest[..len]).map_err(|_| self.err("invalid UTF-8"))?;
                     out.push_str(s);
                     self.pos += len;
                 }
@@ -487,10 +487,7 @@ mod tests {
             ("nested", Json::obj([("z", Json::Null), ("a", Json::num(1.5))])),
         ]);
         round_trip(&v);
-        assert_eq!(
-            v.to_string(),
-            r#"{"ok":true,"items":[1,2],"nested":{"z":null,"a":1.5}}"#
-        );
+        assert_eq!(v.to_string(), r#"{"ok":true,"items":[1,2],"nested":{"z":null,"a":1.5}}"#);
     }
 
     #[test]
@@ -508,10 +505,7 @@ mod tests {
     #[test]
     fn whitespace_and_escapes_parse() {
         let v = parse(" { \"k\" : [ 1 , 2.5e1 , \"a\\u0041\\n\" ] } ").unwrap();
-        assert_eq!(
-            v.get("k").unwrap().as_array().unwrap()[2].as_str(),
-            Some("aA\n")
-        );
+        assert_eq!(v.get("k").unwrap().as_array().unwrap()[2].as_str(), Some("aA\n"));
         assert_eq!(v.get("k").unwrap().as_array().unwrap()[1].as_f64(), Some(25.0));
         let v = parse(r#""\ud83e\udd80""#).unwrap();
         assert_eq!(v.as_str(), Some("🦀"));

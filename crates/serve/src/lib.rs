@@ -46,8 +46,8 @@ pub mod server;
 pub use client::{Client, ClientError, MineReply, ServerStatus};
 pub use protocol::{
     outcome_from_json, outcome_to_json, progress_event_from_json, progress_event_to_json,
-    setm_error_code, ErrorCode, MineRequest, OutcomePayload, ProgressEvent, ReportPayload,
-    Request, RulePayload, TracePayload,
+    setm_error_code, ErrorCode, MineRequest, OutcomePayload, ProgressEvent, ReportPayload, Request,
+    RulePayload, TracePayload,
 };
 pub use registry::{DatasetInfo, Registry, RegistryError};
 pub use scheduler::{

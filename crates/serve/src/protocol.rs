@@ -192,17 +192,17 @@ fn constraints_from_json(v: &Json) -> Result<MiningConstraints, String> {
     let items = |key: &str| -> Result<Vec<u32>, String> {
         match v.get(key) {
             None => Ok(Vec::new()),
-            Some(arr) => arr
-                .as_array()
-                .ok_or_else(|| format!("constraints `{key}` must be an array of items"))?
-                .iter()
-                .map(|i| {
-                    i.as_u64()
-                        .filter(|&i| i <= u32::MAX as u64)
-                        .map(|i| i as u32)
-                        .ok_or_else(|| format!("constraints `{key}` items must be u32 integers"))
-                })
-                .collect(),
+            Some(arr) => {
+                arr.as_array()
+                    .ok_or_else(|| format!("constraints `{key}` must be an array of items"))?
+                    .iter()
+                    .map(|i| {
+                        i.as_u64().filter(|&i| i <= u32::MAX as u64).map(|i| i as u32).ok_or_else(
+                            || format!("constraints `{key}` items must be u32 integers"),
+                        )
+                    })
+                    .collect()
+            }
         }
     };
     let mut c = MiningConstraints::new()
@@ -210,9 +210,9 @@ fn constraints_from_json(v: &Json) -> Result<MiningConstraints, String> {
         .exclude(items("exclude")?)
         .targets(items("targets")?);
     if let Some(len) = v.get("min_len") {
-        c = c.min_len(
-            len.as_u64().ok_or("constraints `min_len` must be a non-negative integer")? as usize,
-        );
+        c = c
+            .min_len(len.as_u64().ok_or("constraints `min_len` must be a non-negative integer")?
+                as usize);
     }
     Ok(c)
 }
@@ -238,8 +238,14 @@ fn transactions_from_json(v: &Json, op: &str) -> Result<Vec<(u32, Vec<u32>)>, St
         .ok_or_else(|| format!("{op} needs a `transactions` array of [tid,[items...]] pairs"))?
         .iter()
         .map(|pair| {
-            let pair = pair.as_array().filter(|p| p.len() == 2).ok_or("each transaction must be a [tid,[items...]] pair")?;
-            let tid = pair[0].as_u64().filter(|&t| t <= u32::MAX as u64).ok_or("trans_id must fit a u32")?;
+            let pair = pair
+                .as_array()
+                .filter(|p| p.len() == 2)
+                .ok_or("each transaction must be a [tid,[items...]] pair")?;
+            let tid = pair[0]
+                .as_u64()
+                .filter(|&t| t <= u32::MAX as u64)
+                .ok_or("trans_id must fit a u32")?;
             let items = pair[1]
                 .as_array()
                 .ok_or("transaction items must be an array")?
@@ -288,7 +294,8 @@ pub fn parse_request(v: &Json) -> Result<Request, String> {
             Ok(Request::Metrics { text })
         }
         "trace" => {
-            let job = v.get("job").and_then(Json::as_u64).ok_or("trace needs a numeric `job` id")?;
+            let job =
+                v.get("job").and_then(Json::as_u64).ok_or("trace needs a numeric `job` id")?;
             Ok(Request::Trace { job })
         }
         "cancel" => {
@@ -410,8 +417,7 @@ pub fn outcome_to_json(outcome: &MiningOutcome) -> Json {
             // Only present when constraint pushdown pruned something —
             // unconstrained outcomes keep their pre-constraint bytes.
             if t.candidates_pruned > 0 {
-                members
-                    .push(("candidates_pruned".to_string(), Json::u64(t.candidates_pruned)));
+                members.push(("candidates_pruned".to_string(), Json::u64(t.candidates_pruned)));
             }
             members.push(("plan".to_string(), Json::str(t.plan_string())));
             Json::Obj(members)
@@ -517,7 +523,9 @@ pub enum ReportPayload {
         /// Pool frames that changed owner (0 from a pre-pool server).
         pool_steals: u64,
     },
-    Sql { statements: Vec<String> },
+    Sql {
+        statements: Vec<String>,
+    },
 }
 
 impl ReportPayload {
@@ -903,8 +911,7 @@ mod tests {
         // Outcome trace rows: absent unconstrained, present when pruning
         // happened — and the decode defaults to zero either way.
         let d = example::paper_example_dataset();
-        let unconstrained =
-            Miner::new(example::paper_example_params()).run(&d).unwrap();
+        let unconstrained = Miner::new(example::paper_example_params()).run(&d).unwrap();
         let text = outcome_to_json(&unconstrained).to_string();
         assert!(!text.contains("candidates_pruned"));
         let constrained = Miner::new(example::paper_example_params())
@@ -916,12 +923,7 @@ mod tests {
         let payload = outcome_from_json(&wire).unwrap();
         assert_eq!(
             payload.trace.iter().map(|t| t.candidates_pruned).collect::<Vec<_>>(),
-            constrained
-                .result
-                .trace
-                .iter()
-                .map(|t| t.candidates_pruned)
-                .collect::<Vec<_>>(),
+            constrained.result.trace.iter().map(|t| t.candidates_pruned).collect::<Vec<_>>(),
             "pruned counts survive the wire"
         );
         assert!(payload.trace.iter().any(|t| t.candidates_pruned > 0));
@@ -1004,13 +1006,19 @@ mod tests {
                     assert_eq!(row.c_len, s.c_len);
                     assert_eq!(row.plan, s.plan);
                 }
-                (ObsEvent::PhaseStart { name, k }, ProgressEvent::Phase { phase, state, k: dk }) => {
+                (
+                    ObsEvent::PhaseStart { name, k },
+                    ProgressEvent::Phase { phase, state, k: dk },
+                ) => {
                     assert_eq!((phase.as_str(), state.as_str(), *dk), (*name, "start", *k));
                 }
                 (ObsEvent::PhaseEnd { name, k }, ProgressEvent::Phase { phase, state, k: dk }) => {
                     assert_eq!((phase.as_str(), state.as_str(), *dk), (*name, "end", *k));
                 }
-                (ObsEvent::Note { name, k, value }, ProgressEvent::Note { name: dn, k: dk, value: dv }) => {
+                (
+                    ObsEvent::Note { name, k, value },
+                    ProgressEvent::Note { name: dn, k: dk, value: dv },
+                ) => {
                     assert_eq!((dn.as_str(), *dk, *dv), (*name, *k, *value));
                 }
                 (sent, got) => panic!("kind mismatch: sent {sent:?}, decoded {got:?}"),
@@ -1024,8 +1032,9 @@ mod tests {
     #[test]
     fn mutation_verbs_parse_and_round_trip() {
         let parse = |s: &str| parse_request(&crate::json::parse(s).unwrap());
-        let req = parse(r#"{"op":"register-dataset","name":"s","transactions":[[1,[10,20]],[2,[20]]]}"#)
-            .unwrap();
+        let req =
+            parse(r#"{"op":"register-dataset","name":"s","transactions":[[1,[10,20]],[2,[20]]]}"#)
+                .unwrap();
         let expected = vec![(1u32, vec![10u32, 20]), (2, vec![20])];
         assert_eq!(
             req,
@@ -1044,8 +1053,12 @@ mod tests {
         // An empty batch is well-formed (the registry decides semantics).
         assert!(parse(r#"{"op":"append-batch","name":"s","transactions":[]}"#).is_ok());
         // Malformed shapes are described.
-        assert!(parse(r#"{"op":"register-dataset","transactions":[]}"#).unwrap_err().contains("name"));
-        assert!(parse(r#"{"op":"register-dataset","name":"s"}"#).unwrap_err().contains("transactions"));
+        assert!(parse(r#"{"op":"register-dataset","transactions":[]}"#)
+            .unwrap_err()
+            .contains("name"));
+        assert!(parse(r#"{"op":"register-dataset","name":"s"}"#)
+            .unwrap_err()
+            .contains("transactions"));
         assert!(parse(r#"{"op":"append-batch","name":"s","transactions":[[1]]}"#)
             .unwrap_err()
             .contains("pair"));
@@ -1080,10 +1093,10 @@ mod tests {
         let parse = |s: &str| parse_request(&crate::json::parse(s).unwrap()).unwrap_err();
         assert!(parse(r#"{"op":"mine"}"#).contains("dataset"));
         assert!(parse(r#"{"op":"mine","dataset":"x"}"#).contains("min_support"));
-        assert!(
-            parse(r#"{"op":"mine","dataset":"x","min_support":{"pages":1},"min_confidence":0.5}"#)
-                .contains("min_support")
-        );
+        assert!(parse(
+            r#"{"op":"mine","dataset":"x","min_support":{"pages":1},"min_confidence":0.5}"#
+        )
+        .contains("min_support"));
         assert!(parse(
             r#"{"op":"mine","dataset":"x","backend":"oracle","min_support":{"count":1},"min_confidence":0.5}"#
         )
@@ -1117,10 +1130,11 @@ mod tests {
             }
             // Every mining iteration carries its executed plan; only the
             // k = 1 scan reports none.
-            assert!(payload
-                .trace
-                .iter()
-                .all(|t| (t.k == 1) == (t.plan == "-")), "{}", backend.name());
+            assert!(
+                payload.trace.iter().all(|t| (t.k == 1) == (t.plan == "-")),
+                "{}",
+                backend.name()
+            );
             if let ReportPayload::Engine { page_accesses, .. } = &payload.report {
                 assert_eq!(Some(*page_accesses), outcome.report.page_accesses());
             }
@@ -1142,7 +1156,11 @@ mod tests {
             (E::InvalidConfidence { confidence: 2.0 }, "invalid_confidence", 400),
             (E::InvalidMaxPatternLen, "invalid_max_pattern_len", 400),
             (E::InvalidEngineConfig { reason: "x".into() }, "invalid_engine_config", 400),
-            (E::UnsupportedOption { backend: "sql", option: "filter_r1" }, "unsupported_option", 400),
+            (
+                E::UnsupportedOption { backend: "sql", option: "filter_r1" },
+                "unsupported_option",
+                400,
+            ),
             (E::InvalidPlan { reason: "x".into() }, "invalid_plan", 400),
             (E::InvalidConstraints { reason: "x".into() }, "invalid_constraints", 400),
             (E::Engine(setm_relational::Error::NoSuchFile(1)), "engine_fault", 500),

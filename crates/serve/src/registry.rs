@@ -145,9 +145,16 @@ impl Entry {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RegistryError {
     UnknownDataset(String),
-    Load { name: String, message: String },
+    Load {
+        name: String,
+        message: String,
+    },
     /// `name@v` where `v` does not exist (yet).
-    UnknownVersion { name: String, version: u64, latest: u64 },
+    UnknownVersion {
+        name: String,
+        version: u64,
+        latest: u64,
+    },
     /// A version spec that is not `name` or `name@<positive integer>`,
     /// or a runtime registration under a name containing `@`.
     BadSpec(String),
@@ -155,7 +162,10 @@ pub enum RegistryError {
     /// it instead — re-registering would silently orphan its versions).
     AlreadyRegistered(String),
     /// An appended batch reuses a `trans_id` of the current snapshot.
-    OverlappingTransIds { name: String, tid: u32 },
+    OverlappingTransIds {
+        name: String,
+        tid: u32,
+    },
 }
 
 impl std::fmt::Display for RegistryError {
@@ -351,10 +361,9 @@ impl Registry {
             return Err(RegistryError::OverlappingTransIds { name: name.to_string(), tid });
         }
         let snapshot = Arc::new(concat_datasets(&latest, &batch));
-        history.appended.push(AppendedVersion {
-            delta: Arc::new(batch),
-            snapshot: Arc::downgrade(&snapshot),
-        });
+        history
+            .appended
+            .push(AppendedVersion { delta: Arc::new(batch), snapshot: Arc::downgrade(&snapshot) });
         history.latest = Some(Arc::clone(&snapshot));
         Ok(Appended { version: history.latest_version(), snapshot })
     }
@@ -489,10 +498,7 @@ mod tests {
     #[test]
     fn unknown_names_are_typed_errors() {
         let r = Registry::with_builtins();
-        assert_eq!(
-            r.get("nope").unwrap_err(),
-            RegistryError::UnknownDataset("nope".to_string())
-        );
+        assert_eq!(r.get("nope").unwrap_err(), RegistryError::UnknownDataset("nope".to_string()));
     }
 
     #[test]
@@ -533,11 +539,7 @@ mod tests {
     #[test]
     fn preloaded_datasets_resolve() {
         let mut r = Registry::empty();
-        r.register_dataset(
-            "inline",
-            "test data",
-            Dataset::from_pairs([(1, 1), (1, 2), (2, 1)]),
-        );
+        r.register_dataset("inline", "test data", Dataset::from_pairs([(1, 1), (1, 2), (2, 1)]));
         assert_eq!(r.get("inline").unwrap().n_rows(), 3);
         assert!(!r.is_empty());
     }
@@ -545,8 +547,7 @@ mod tests {
     #[test]
     fn appends_bump_versions_and_old_snapshots_stay_addressable() {
         let r = Registry::with_builtins();
-        r.register_runtime("stream", "wire data", Dataset::from_pairs([(1, 1), (1, 2)]))
-            .unwrap();
+        r.register_runtime("stream", "wire data", Dataset::from_pairs([(1, 1), (1, 2)])).unwrap();
         let v1 = r.resolve("stream").unwrap();
         assert_eq!((v1.version, v1.dataset.n_transactions()), (1, 1));
 
@@ -631,10 +632,7 @@ mod tests {
             .append_batch("s", Dataset::from_transactions([(8, [9u32].as_slice())]))
             .err()
             .unwrap();
-        assert_eq!(
-            err,
-            RegistryError::OverlappingTransIds { name: "s".to_string(), tid: 8 }
-        );
+        assert_eq!(err, RegistryError::OverlappingTransIds { name: "s".to_string(), tid: 8 });
         // Nothing was appended.
         assert_eq!(r.resolve("s").unwrap().version, 1);
     }

@@ -217,11 +217,7 @@ impl Scheduler {
 
     /// Like [`Scheduler::new`], recording into the given metric handles
     /// (typically [`SchedulerMetrics::registered`]).
-    pub fn with_metrics(
-        workers: usize,
-        queue_capacity: usize,
-        metrics: SchedulerMetrics,
-    ) -> Self {
+    pub fn with_metrics(workers: usize, queue_capacity: usize, metrics: SchedulerMetrics) -> Self {
         let workers = workers.max(1);
         let inner = Arc::new(Inner {
             state: Mutex::new(State::default()),

@@ -904,11 +904,7 @@ fn handle_mine(req: MineRequest, shared: &Arc<Shared>, emit: Emit<'_>) -> std::i
         }
         JobResult::Cancelled => {
             telemetry.spans.record(job, "cancelled");
-            protocol::error_response(
-                codes::CANCELLED,
-                "job was cancelled before it ran",
-                Some(job),
-            )
+            protocol::error_response(codes::CANCELLED, "job was cancelled before it ran", Some(job))
         }
         JobResult::Panicked => {
             telemetry.spans.record(job, "panicked");
@@ -988,10 +984,7 @@ fn status_response(shared: &Shared) -> Json {
         // The buffer budget an engine-backed request gets unless its
         // `engine_config` overrides it; per-run effective frames are on
         // the outcome report (`report.cache_frames`).
-        (
-            "engine_cache_frames",
-            Json::u64(setm_core::EngineConfig::default().cache_frames as u64),
-        ),
+        ("engine_cache_frames", Json::u64(setm_core::EngineConfig::default().cache_frames as u64)),
         ("engine_shared_pool", Json::Bool(setm_core::EngineConfig::default().shared_pool)),
         // Incremental serving: what a `threads: 0` request actually gets,
         // and how responses have been produced so far.

@@ -18,8 +18,12 @@ use std::time::{Duration, Instant};
 /// Start a server with the builtin registry; returns its address and the
 /// handle that joins once the server has drained.
 fn start_server(workers: usize, queue_capacity: usize) -> (SocketAddr, JoinHandle<()>) {
-    let config =
-        ServeConfig { addr: "127.0.0.1:0".to_string(), workers, queue_capacity, ..Default::default() };
+    let config = ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers,
+        queue_capacity,
+        ..Default::default()
+    };
     let server = Server::bind(config, Registry::with_builtins()).expect("bind loopback");
     let addr = server.local_addr();
     let handle = std::thread::spawn(move || server.run());
@@ -539,8 +543,7 @@ fn constrained_mines_never_ride_unconstrained_caches_or_frontiers() {
     let mut client = Client::connect(addr).unwrap();
     let params = MiningParams::new(MinSupport::Count(2), 0.5);
     let plain = Miner::new(params).threads(1);
-    let constrained =
-        plain.clone().constraints(MiningConstraints::new().require([2]).exclude([4]));
+    let constrained = plain.clone().constraints(MiningConstraints::new().require([2]).exclude([4]));
 
     assert_eq!(client.register_dataset("guarded", &stream_base()).unwrap(), 1);
     // Unconstrained mine: full route, captures the version-1 frontier
@@ -831,10 +834,7 @@ fn metrics_text_parses_and_counters_are_monotonic() {
         if let Some(rest) = line.strip_prefix("# TYPE ") {
             let (name, kind) = rest.split_once(' ').expect("# TYPE name kind");
             assert!(name.starts_with("setm_"), "canonical prefix: {line}");
-            assert!(
-                matches!(kind, "counter" | "gauge" | "summary"),
-                "known metric kind: {line}"
-            );
+            assert!(matches!(kind, "counter" | "gauge" | "summary"), "known metric kind: {line}");
             names.push(name.to_string());
             continue;
         }

@@ -164,15 +164,14 @@ impl SqlEngine {
                 JoinPreference::IndexNestedLoop => "index nested-loop join",
                 JoinPreference::Auto => {
                     if !step.left_keys.is_empty()
-                        && self
-                            .db
-                            .find_index_on(&binding.table, &step.right_keys)
-                            .is_some_and(|idx| {
+                        && self.db.find_index_on(&binding.table, &step.right_keys).is_some_and(
+                            |idx| {
                                 self.db
                                     .table(&binding.table)
                                     .map(|t| idx.key_cols.len() == t.schema.arity())
                                     .unwrap_or(false)
-                            })
+                            },
+                        )
                     {
                         "index nested-loop join"
                     } else {
@@ -193,7 +192,9 @@ impl SqlEngine {
                 }
             ));
         }
-        if !plan.filters.is_empty() || !plan.cross_filters.is_empty() || !plan.set_filters.is_empty()
+        if !plan.filters.is_empty()
+            || !plan.cross_filters.is_empty()
+            || !plan.set_filters.is_empty()
         {
             out.push_str(&format!(
                 "filter: {} constant, {} column-column, {} set-membership\n",
@@ -312,11 +313,8 @@ impl SqlEngine {
 
         // 1. Left-deep join pipeline in FROM order.
         let first = self.db.table(&plan.tables[0].table)?;
-        let mut current = Working {
-            file: first.file.clone(),
-            owned: false,
-            sorted_by: first.sorted_by.clone(),
-        };
+        let mut current =
+            Working { file: first.file.clone(), owned: false, sorted_by: first.sorted_by.clone() };
         for (idx, binding) in plan.tables.iter().enumerate().skip(1) {
             let step = &plan.join_steps[idx - 1];
             current = self.join_step(current, binding, step, sort_opts, params)?;
@@ -324,7 +322,9 @@ impl SqlEngine {
 
         // 2. Residual filters (single-table ones included; correctness
         // over micro-optimization).
-        if !plan.filters.is_empty() || !plan.cross_filters.is_empty() || !plan.set_filters.is_empty()
+        if !plan.filters.is_empty()
+            || !plan.cross_filters.is_empty()
+            || !plan.set_filters.is_empty()
         {
             let bound: Vec<(usize, CmpOp, u64)> = plan
                 .filters
@@ -407,8 +407,7 @@ impl SqlEngine {
                     }
                 }
             }
-            let identity =
-                positions.iter().copied().eq(0..current.file.arity()) && current.owned;
+            let identity = positions.iter().copied().eq(0..current.file.arity()) && current.owned;
             if identity {
                 out_file = current.file.clone();
                 sorted_cols = current.sorted_by.clone();
@@ -417,10 +416,8 @@ impl SqlEngine {
                 // Sort order survives projection if the sorted prefix maps
                 // into projected positions; conservatively recompute.
                 sorted_cols = current.sorted_by.as_ref().and_then(|s| {
-                    let mapped: Option<Vec<usize>> = s
-                        .iter()
-                        .map(|c| positions.iter().position(|p| p == c))
-                        .collect();
+                    let mapped: Option<Vec<usize>> =
+                        s.iter().map(|c| positions.iter().position(|p| p == c)).collect();
                     mapped
                 });
                 current.free()?;
@@ -432,10 +429,10 @@ impl SqlEngine {
 
         // 4. ORDER BY.
         if !plan.order_positions.is_empty() {
-            let already = sorted_cols
-                .as_ref()
-                .is_some_and(|s| s.len() >= plan.order_positions.len()
-                    && s[..plan.order_positions.len()] == plan.order_positions[..]);
+            let already = sorted_cols.as_ref().is_some_and(|s| {
+                s.len() >= plan.order_positions.len()
+                    && s[..plan.order_positions.len()] == plan.order_positions[..]
+            });
             if !already {
                 let sorted = external_sort(&out_file, &plan.order_positions, sort_opts)?;
                 if owned {
@@ -494,15 +491,12 @@ impl SqlEngine {
         };
 
         if use_index {
-            let idx = self
-                .db
-                .find_index_on(&binding.table, &step.right_keys)
-                .ok_or_else(|| {
-                    SqlError::Plan(format!(
-                        "index nested-loop requested but no index on {}({:?})",
-                        binding.table, step.right_keys
-                    ))
-                })?;
+            let idx = self.db.find_index_on(&binding.table, &step.right_keys).ok_or_else(|| {
+                SqlError::Plan(format!(
+                    "index nested-loop requested but no index on {}({:?})",
+                    binding.table, step.right_keys
+                ))
+            })?;
             if idx.key_cols.len() != right.file.arity() {
                 return Err(SqlError::Plan(format!(
                     "index on {} does not cover all columns",
@@ -521,7 +515,9 @@ impl SqlEngine {
                 out_arity,
                 move |l, key| {
                     residual2.iter().all(|&(lc, op, rc)| {
-                        let keypos = key_to_table.iter().position(|&t| t == rc)
+                        let keypos = key_to_table
+                            .iter()
+                            .position(|&t| t == rc)
                             .expect("covering index contains every column");
                         op.eval(l[lc] as u64, key[keypos] as u64)
                     })
@@ -569,12 +565,9 @@ impl SqlEngine {
         sort_opts: SortOptions,
     ) -> Result<HeapFile> {
         // Sort on the group columns unless already sorted.
-        let sorted = if current
-            .sorted_by
-            .as_ref()
-            .is_some_and(|s| s.len() >= plan.group_cols.len()
-                && s[..plan.group_cols.len()] == plan.group_cols[..])
-        {
+        let sorted = if current.sorted_by.as_ref().is_some_and(|s| {
+            s.len() >= plan.group_cols.len() && s[..plan.group_cols.len()] == plan.group_cols[..]
+        }) {
             Working { file: current.file.clone(), owned: false, sorted_by: None }
         } else {
             let f = external_sort(&current.file, &plan.group_cols, sort_opts)?;
@@ -678,15 +671,11 @@ impl ShardPool {
                 .enumerate()
                 .map(|(i, engine)| {
                     s.spawn(move || {
-                        f(i, engine)
-                            .map_err(|e| SqlError::Shard { shard: i, source: Box::new(e) })
+                        f(i, engine).map_err(|e| SqlError::Shard { shard: i, source: Box::new(e) })
                     })
                 })
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("SQL shard worker panicked"))
-                .collect()
+            handles.into_iter().map(|h| h.join().expect("SQL shard worker panicked")).collect()
         })
     }
 }
@@ -701,9 +690,7 @@ fn eval_const(s: &Scalar, params: &Params) -> Result<u64> {
 
 fn ensure_sorted(w: Working, key: &[usize], sort_opts: SortOptions) -> Result<Working> {
     let ok = key.is_empty()
-        || w.sorted_by
-            .as_ref()
-            .is_some_and(|s| s.len() >= key.len() && s[..key.len()] == key[..]);
+        || w.sorted_by.as_ref().is_some_and(|s| s.len() >= key.len() && s[..key.len()] == key[..]);
     if ok {
         Ok(w)
     } else {
@@ -899,11 +886,7 @@ impl<'a> Resolver<'a> {
                     let (_, fb, _) = resolve_col(b)?;
                     filters.push(ConstFilter { col: fb, op: pred.op.flipped(), rhs: lhs.clone() });
                 }
-                _ => {
-                    return Err(SqlError::Unsupported(
-                        "constant-to-constant predicates".into(),
-                    ))
-                }
+                _ => return Err(SqlError::Unsupported("constant-to-constant predicates".into())),
             }
         }
 
@@ -1031,8 +1014,8 @@ impl<'a> Resolver<'a> {
                     .iter()
                     .position(|it| matches!(it, ResolvedItem::GroupCol(g, _) if *g == gi))
                     .ok_or_else(|| {
-                        SqlError::Plan(format!("ORDER BY column {o} is not in the SELECT list"))
-                    })?
+                    SqlError::Plan(format!("ORDER BY column {o} is not in the SELECT list"))
+                })?
             } else {
                 items
                     .iter()
@@ -1045,10 +1028,7 @@ impl<'a> Resolver<'a> {
         }
 
         Ok(ResolvedSelect {
-            tables: bindings
-                .into_iter()
-                .map(|(_, table, _, _)| BoundTable { table })
-                .collect(),
+            tables: bindings.into_iter().map(|(_, table, _, _)| BoundTable { table }).collect(),
             join_steps,
             filters,
             cross_filters,
@@ -1082,12 +1062,9 @@ mod tests {
             (90, [4, 5, 6]),
             (99, [4, 5, 6]),
         ];
-        let rows: Vec<Vec<u32>> = txns
-            .iter()
-            .flat_map(|(t, items)| items.iter().map(move |&i| vec![*t, i]))
-            .collect();
-        e.load_table("SALES", &["trans_id", "item"], rows.iter().map(|r| r.as_slice()))
-            .unwrap();
+        let rows: Vec<Vec<u32>> =
+            txns.iter().flat_map(|(t, items)| items.iter().map(move |&i| vec![*t, i])).collect();
+        e.load_table("SALES", &["trans_id", "item"], rows.iter().map(|r| r.as_slice())).unwrap();
         e
     }
 
@@ -1314,9 +1291,7 @@ mod tests {
         e.execute("CREATE TABLE t (k INT, v INT)", &p).unwrap();
         let err = e.query("SELECT k, COUNT(*), SUM(v) FROM t GROUP BY k", &p).unwrap_err();
         assert!(matches!(err, SqlError::Unsupported(_)), "{err:?}");
-        let err = e
-            .query("SELECT k, SUM(k) FROM t GROUP BY k HAVING SUM(v) >= 1", &p)
-            .unwrap_err();
+        let err = e.query("SELECT k, SUM(k) FROM t GROUP BY k HAVING SUM(v) >= 1", &p).unwrap_err();
         assert!(matches!(err, SqlError::Unsupported(_)), "{err:?}");
     }
 
@@ -1355,10 +1330,7 @@ mod tests {
             e.query("SELECT item FROM NOPE", &p),
             Err(SqlError::Engine(setm_relational::Error::NoSuchTable(_)))
         ));
-        assert!(matches!(
-            e.query("SELECT z.item FROM SALES r1", &p),
-            Err(SqlError::Plan(_))
-        ));
+        assert!(matches!(e.query("SELECT z.item FROM SALES r1", &p), Err(SqlError::Plan(_))));
         // Ambiguous unqualified column across a self-join.
         assert!(matches!(
             e.query("SELECT item FROM SALES r1, SALES r2 WHERE r1.trans_id = r2.trans_id", &p),
@@ -1506,9 +1478,6 @@ mod explain_tests {
         let e = engine_with_sales();
         let plan = e.explain("SELECT trans_id, item FROM SALES ORDER BY item").unwrap();
         assert!(plan.contains("sort output"), "{plan}");
-        assert!(matches!(
-            e.explain("CREATE TABLE t (a INT)"),
-            Err(SqlError::Plan(_))
-        ));
+        assert!(matches!(e.explain("CREATE TABLE t (a INT)"), Err(SqlError::Plan(_))));
     }
 }

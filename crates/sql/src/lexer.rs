@@ -37,9 +37,8 @@ pub enum Token {
 }
 
 const KEYWORDS: &[&str] = &[
-    "SELECT", "FROM", "WHERE", "AND", "GROUP", "BY", "HAVING", "ORDER", "INSERT", "INTO",
-    "VALUES", "CREATE", "TABLE", "DROP", "COUNT", "SUM", "AS", "INT", "INTEGER", "ASC", "DESC",
-    "IN", "NOT",
+    "SELECT", "FROM", "WHERE", "AND", "GROUP", "BY", "HAVING", "ORDER", "INSERT", "INTO", "VALUES",
+    "CREATE", "TABLE", "DROP", "COUNT", "SUM", "AS", "INT", "INTEGER", "ASC", "DESC", "IN", "NOT",
 ];
 
 /// Tokenize a statement.
@@ -115,7 +114,10 @@ pub fn lex(input: &str) -> Result<Vec<Token>> {
                     j += 1;
                 }
                 if j == start {
-                    return Err(SqlError::Lex { offset: i, message: "empty parameter name".into() });
+                    return Err(SqlError::Lex {
+                        offset: i,
+                        message: "empty parameter name".into(),
+                    });
                 }
                 tokens.push(Token::Param(input[start..j].to_string()));
                 i = j;
@@ -175,10 +177,8 @@ mod tests {
 
     #[test]
     fn lexes_the_paper_c1_query() {
-        let toks = lex(
-            "INSERT INTO C1 SELECT r1.item, COUNT(*) FROM SALES r1 \
-             GROUP BY r1.item HAVING COUNT(*) >= :minsupport",
-        )
+        let toks = lex("INSERT INTO C1 SELECT r1.item, COUNT(*) FROM SALES r1 \
+             GROUP BY r1.item HAVING COUNT(*) >= :minsupport")
         .unwrap();
         assert_eq!(toks[0], Token::Keyword("INSERT".into()));
         assert!(toks.contains(&Token::Param("minsupport".into())));

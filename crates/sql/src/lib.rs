@@ -44,5 +44,7 @@ pub mod parser;
 
 pub use ast::Statement;
 pub use error::{Result, SqlError};
-pub use exec::{ExecOptions, ExecOutcome, JoinPreference, Params, QueryResult, ShardPool, SqlEngine};
+pub use exec::{
+    ExecOptions, ExecOutcome, JoinPreference, Params, QueryResult, ShardPool, SqlEngine,
+};
 pub use parser::{parse, parse_script};

@@ -221,11 +221,7 @@ impl Parser {
                             "IN requires a column on the left-hand side".into(),
                         ));
                     };
-                    set_predicates.push(SetPredicate {
-                        col,
-                        items: self.literal_list()?,
-                        negated,
-                    });
+                    set_predicates.push(SetPredicate { col, items: self.literal_list()?, negated });
                 } else {
                     let op = self.cmp_op()?;
                     let right = self.scalar()?;

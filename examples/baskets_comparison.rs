@@ -45,14 +45,10 @@ fn main() {
                     .len()
             });
             let (t_ais, n_ais) = time(|| ais::mine(&dataset, &params).frequent_itemsets().len());
-            let (t_ap, n_ap) =
-                time(|| apriori::mine(&dataset, &params).frequent_itemsets().len());
+            let (t_ap, n_ap) = time(|| apriori::mine(&dataset, &params).frequent_itemsets().len());
             let (t_tid, n_tid) =
                 time(|| apriori_tid::mine(&dataset, &params).frequent_itemsets().len());
-            assert!(
-                n_setm == n_ais && n_ais == n_ap && n_ap == n_tid,
-                "all miners must agree"
-            );
+            assert!(n_setm == n_ais && n_ais == n_ap && n_ap == n_tid, "all miners must agree");
             println!(
                 "{:>7.1}% {:>12.2?} {:>12.2?} {:>12.2?} {:>12.2?} {:>10}",
                 frac * 100.0,

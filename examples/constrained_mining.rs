@@ -32,7 +32,10 @@ fn main() {
     // they could enter R'_k.
     println!("\nPer-iteration pushdown:");
     for t in &constrained.result.trace {
-        println!("  k={}: |C_k|={}, pruned {} candidate extensions", t.k, t.c_len, t.candidates_pruned);
+        println!(
+            "  k={}: |C_k|={}, pruned {} candidate extensions",
+            t.k, t.c_len, t.candidates_pruned
+        );
     }
 
     // The same rules come out of a plain mine followed by a rule filter

@@ -44,10 +44,7 @@ fn main() {
         "both strategies must find the same patterns"
     );
 
-    println!(
-        "{:<22} {:>14} {:>14}",
-        "strategy", "page accesses", "est. time (s)"
-    );
+    println!("{:<22} {:>14} {:>14}", "strategy", "page accesses", "est. time (s)");
     println!(
         "{:<22} {:>14} {:>14.1}",
         "nested-loop (Sec. 3)",

@@ -71,8 +71,7 @@ fn main() {
     }
 
     println!("\nShared rules with the largest confidence spread:");
-    let mut shared: Vec<_> =
-        result.merged.iter().filter(|r| r.holds_in_all(&classes)).collect();
+    let mut shared: Vec<_> = result.merged.iter().filter(|r| r.holds_in_all(&classes)).collect();
     shared.sort_by(|a, b| b.confidence_spread().total_cmp(&a.confidence_spread()));
     for rule in shared.iter().take(5) {
         println!(

@@ -12,7 +12,9 @@ const SUPPORTS: [f64; 5] = [0.001, 0.005, 0.01, 0.02, 0.05];
 
 fn main() {
     println!("Generating the retail-like dataset (substitute for the paper's");
-    println!("proprietary 46,873-transaction retail data; see docs/REPRODUCTION.md, Design notes §4)...");
+    println!(
+        "proprietary 46,873-transaction retail data; see docs/REPRODUCTION.md, Design notes §4)..."
+    );
     let dataset = RetailConfig::paper().generate();
     let stats = DatasetStats::of(&dataset);
     println!(

@@ -28,25 +28,23 @@ fn main() {
 
     // Three concurrent clients, one per physical execution.
     let replies: Vec<(String, usize, usize)> = std::thread::scope(|s| {
-        let handles: Vec<_> = [
-            Backend::Memory,
-            Backend::Engine(EngineConfig::default()),
-            Backend::Sql,
-        ]
-        .into_iter()
-        .map(|backend| {
-            s.spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
-                let miner = Miner::new(setm::example::paper_example_params()).backend(backend);
-                let reply = client.mine("example", miner).expect("served mine");
-                (
-                    reply.outcome.report.backend_name().to_string(),
-                    reply.outcome.itemsets.len(),
-                    reply.outcome.rules.len(),
-                )
-            })
-        })
-        .collect();
+        let handles: Vec<_> =
+            [Backend::Memory, Backend::Engine(EngineConfig::default()), Backend::Sql]
+                .into_iter()
+                .map(|backend| {
+                    s.spawn(move || {
+                        let mut client = Client::connect(addr).expect("connect");
+                        let miner =
+                            Miner::new(setm::example::paper_example_params()).backend(backend);
+                        let reply = client.mine("example", miner).expect("served mine");
+                        (
+                            reply.outcome.report.backend_name().to_string(),
+                            reply.outcome.itemsets.len(),
+                            reply.outcome.rules.len(),
+                        )
+                    })
+                })
+                .collect();
         handles.into_iter().map(|h| h.join().expect("client thread")).collect()
     });
     for (backend, itemsets, rules) in &replies {

@@ -43,7 +43,8 @@ fn main() {
     // The point of the paper: plain SQL produces exactly what the
     // special-purpose implementation produces — same facade, same
     // outcome type, different backend.
-    let reference = miner.clone().backend(Backend::Memory).run(&dataset).expect("memory run succeeds");
+    let reference =
+        miner.clone().backend(Backend::Memory).run(&dataset).expect("memory run succeeds");
     assert_eq!(run.result.frequent_itemsets(), reference.result.frequent_itemsets());
     assert_eq!(run.rules, reference.rules);
     println!("\nSQL-driven results identical to the in-memory execution. QED (Section 7).");
@@ -53,7 +54,8 @@ fn main() {
     // concurrently, shard-local counts merged by one global
     // GROUP BY … HAVING SUM(cnt) >= :minsupport — mines the identical
     // outcome.
-    let parallel = miner.clone().backend(Backend::Sql).threads(2).run(&dataset).expect("sharded SQL run");
+    let parallel =
+        miner.clone().backend(Backend::Sql).threads(2).run(&dataset).expect("sharded SQL run");
     assert_eq!(parallel.result.frequent_itemsets(), reference.result.frequent_itemsets());
     assert_eq!(parallel.rules, reference.rules);
     let shard_statements = parallel.report.statements().expect("statements recorded");

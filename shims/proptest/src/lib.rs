@@ -241,10 +241,7 @@ pub mod string {
                         Some((lo, hi)) => (lo, hi),
                         None => (spec.as_str(), spec.as_str()),
                     };
-                    (
-                        lo.trim().parse().unwrap_or(0),
-                        hi.trim().parse().unwrap_or(0),
-                    )
+                    (lo.trim().parse().unwrap_or(0), hi.trim().parse().unwrap_or(0))
                 }
                 Some('*') => {
                     chars.next();
@@ -285,10 +282,8 @@ pub mod string {
                 if ranges.is_empty() {
                     return '?';
                 }
-                let total: u64 = ranges
-                    .iter()
-                    .map(|&(lo, hi)| (hi as u64).saturating_sub(lo as u64) + 1)
-                    .sum();
+                let total: u64 =
+                    ranges.iter().map(|&(lo, hi)| (hi as u64).saturating_sub(lo as u64) + 1).sum();
                 let mut pick = rng.below(total.max(1));
                 for &(lo, hi) in ranges {
                     let span = (hi as u64).saturating_sub(lo as u64) + 1;

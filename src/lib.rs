@@ -58,11 +58,11 @@
 //! assert_eq!(via_sql.rules, on_engine.rules);
 //! ```
 
-pub use setm_core as core;
 pub use setm_baselines as baselines;
-pub use setm_incremental as incremental;
+pub use setm_core as core;
 pub use setm_costmodel as costmodel;
 pub use setm_datagen as datagen;
+pub use setm_incremental as incremental;
 pub use setm_relational as relational;
 pub use setm_serve as serve;
 pub use setm_sql as sql;
@@ -70,10 +70,9 @@ pub use setm_sql as sql;
 // The everyday API at the top level.
 pub use setm_core::{
     example, generate_rules, rules, setm, Backend, ClassedDataset, ClassedMiningResult,
-    ClassedRule, CountRelation, Dataset, EngineConfig, EngineReport, ExecutionReport,
-    IterationTrace, Item, ItemVec, MinSupport, Miner, MiningConstraints, MiningOutcome,
-    MiningParams, PatternRelation, Rule, SetmError, SetmResult, SqlReport, TransId,
-    UnknownBackend,
+    ClassedRule, CountRelation, Dataset, EngineConfig, EngineReport, ExecutionReport, Item,
+    ItemVec, IterationTrace, MinSupport, Miner, MiningConstraints, MiningOutcome, MiningParams,
+    PatternRelation, Rule, SetmError, SetmResult, SqlReport, TransId, UnknownBackend,
 };
 
 #[cfg(test)]
@@ -82,9 +81,8 @@ mod tests {
     fn umbrella_reexports_work_together() {
         use crate as setm_crate;
         let d = setm_crate::example::paper_example_dataset();
-        let outcome = setm_crate::Miner::new(setm_crate::example::paper_example_params())
-            .run(&d)
-            .unwrap();
+        let outcome =
+            setm_crate::Miner::new(setm_crate::example::paper_example_params()).run(&d).unwrap();
         assert_eq!(outcome.result.max_pattern_len(), 3);
         let report = setm_crate::costmodel::ComparisonReport::paper(3);
         assert!(report.speedup() > 30.0);

@@ -112,9 +112,7 @@ fn serve_layer_is_reachable_through_the_umbrella() {
     let addr = server.local_addr();
     let handle = std::thread::spawn(move || server.run());
     let mut client = setm::serve::Client::connect(addr).unwrap();
-    let reply = client
-        .mine("example", Miner::new(setm::example::paper_example_params()))
-        .unwrap();
+    let reply = client.mine("example", Miner::new(setm::example::paper_example_params())).unwrap();
     assert_eq!(reply.outcome.rules.len(), 11);
     client.shutdown().unwrap();
     handle.join().unwrap();
@@ -154,7 +152,9 @@ fn constraints_and_by_class_are_facade_surface() {
     let params = setm::example::paper_example_params();
     // The documented chain: constrain, run, read the pruning evidence.
     let outcome = Miner::new(params)
-        .constraints(MiningConstraints::new().require([setm::example::D]).exclude([setm::example::C]))
+        .constraints(
+            MiningConstraints::new().require([setm::example::D]).exclude([setm::example::C]),
+        )
         .run(&d)
         .unwrap();
     assert!(!outcome.rules.is_empty());
@@ -168,7 +168,9 @@ fn constraints_and_by_class_are_facade_surface() {
 
     // Contradictory constraints are a typed error, not a silent empty run.
     let err = Miner::new(params)
-        .constraints(MiningConstraints::new().require([setm::example::D]).exclude([setm::example::D]))
+        .constraints(
+            MiningConstraints::new().require([setm::example::D]).exclude([setm::example::D]),
+        )
         .run(&d);
     assert!(matches!(err, Err(SetmError::InvalidConstraints { .. })));
 

@@ -185,9 +185,8 @@ fn planted_t20_i6() -> (Dataset, u32) {
             (tid, items)
         })
         .collect();
-    let planted = Dataset::from_transactions(
-        txns.iter().map(|(tid, items)| (*tid, items.as_slice())),
-    );
+    let planted =
+        Dataset::from_transactions(txns.iter().map(|(tid, items)| (*tid, items.as_slice())));
     (planted, target)
 }
 

@@ -138,8 +138,9 @@ proptest! {
 /// Regression cases that once mattered (kept deterministic).
 #[test]
 fn single_item_transactions_everywhere() {
-    let d = Dataset::from_transactions((1..=5u32).map(|t| (t, [7u32])).collect::<Vec<_>>()
-        .iter().map(|(t, i)| (*t, i.as_slice())));
+    let d = Dataset::from_transactions(
+        (1..=5u32).map(|t| (t, [7u32])).collect::<Vec<_>>().iter().map(|(t, i)| (*t, i.as_slice())),
+    );
     let params = MiningParams::new(MinSupport::Count(3), 0.5);
     let r = mine_ref(&d, &params);
     assert_eq!(r.frequent_itemsets(), vec![(ItemVec::from([7]), 5)]);

@@ -39,9 +39,11 @@ fn case_strategy() -> impl Strategy<Value = (Dataset, Vec<u32>, Vec<u32>)> {
     )
         .prop_map(|(base, txns, require, exclude)| {
             let item = |i: &u32| base + i;
-            let d = Dataset::from_pairs(txns.iter().enumerate().flat_map(|(tid, items)| {
-                items.iter().map(move |i| (tid as u32 + 1, item(i)))
-            }));
+            let d = Dataset::from_pairs(
+                txns.iter()
+                    .enumerate()
+                    .flat_map(|(tid, items)| items.iter().map(move |i| (tid as u32 + 1, item(i)))),
+            );
             (d, require.iter().map(item).collect(), exclude.iter().map(item).collect())
         })
 }
@@ -75,8 +77,8 @@ fn check(d: &Dataset, params: &MiningParams, c: &MiningConstraints, label: &str)
     let plan = c.compile(d);
     let mined = plan.remap().map_or_else(|| d.clone(), |r| r.remap_dataset(d));
     let spec = RunSpec { threads: 1, constraints: plan.compiled(), ..Default::default() };
-    let (oracle, _) = engine::execute(&mined, params, &EngineConfig::default(), &spec)
-        .expect("engine run");
+    let (oracle, _) =
+        engine::execute(&mined, params, &EngineConfig::default(), &spec).expect("engine run");
     for threads in thread_counts() {
         let spec = RunSpec { threads, ..spec };
         let label = format!("{label} threads={threads}");

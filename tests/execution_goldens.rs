@@ -30,10 +30,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 fn statements(outcome: &MiningOutcome) -> &[String] {
-    outcome
-        .report
-        .statements()
-        .expect("a SQL run reports its statements")
+    outcome.report.statements().expect("a SQL run reports its statements")
 }
 
 /// Pin a statement list by count and digest; print the text on mismatch.
@@ -41,11 +38,7 @@ fn assert_statements(label: &str, outcome: &MiningOutcome, count: usize, digest:
     let stmts = statements(outcome);
     let joined = stmts.join("\n;\n");
     let got = (stmts.len(), fnv1a(joined.as_bytes()));
-    assert_eq!(
-        got,
-        (count, digest),
-        "{label}: statements changed; the emitted text is\n{joined}"
-    );
+    assert_eq!(got, (count, digest), "{label}: statements changed; the emitted text is\n{joined}");
 }
 
 /// The worked example's 23 statements at `threads(1)`: Section 3.1's
@@ -77,9 +70,7 @@ const WORKED_EXAMPLE_SQL: [&str; 23] = [
 ];
 
 fn sql(threads: usize) -> Miner {
-    Miner::new(example::paper_example_params())
-        .backend(Backend::Sql)
-        .threads(threads)
+    Miner::new(example::paper_example_params()).backend(Backend::Sql).threads(threads)
 }
 
 #[test]
@@ -92,12 +83,7 @@ fn sequential_sql_is_the_papers_script_verbatim() {
 #[test]
 fn partitioned_forced_and_constrained_sql_are_pinned() {
     let d = example::paper_example_dataset();
-    assert_statements(
-        "threads(2)",
-        &sql(2).run(&d).unwrap(),
-        58,
-        9675684343295330009,
-    );
+    assert_statements("threads(2)", &sql(2).run(&d).unwrap(), 58, 9675684343295330009);
 
     let plan: PhysicalPlan = "nested-loop,reuse=1,shards=1,buf=256".parse().unwrap();
     let forced = sql(1).plan_mode(PlanMode::Forced(plan)).run(&d).unwrap();
@@ -106,12 +92,7 @@ fn partitioned_forced_and_constrained_sql_are_pinned() {
     // Items are the worked example's A..F = 1..6: require D, exclude C.
     let constraints = MiningConstraints::new().require([4]).exclude([3]);
     let constrained = sql(2).constraints(constraints).run(&d).unwrap();
-    assert_statements(
-        "require D, exclude C at threads(2)",
-        &constrained,
-        76,
-        343876183558843120,
-    );
+    assert_statements("require D, exclude C at threads(2)", &constrained, 76, 343876183558843120);
 }
 
 /// `engine.rs::midrun_shard_collapse_repartitions_consistently`'s data:
@@ -125,9 +106,7 @@ fn midrun_collapse() -> (Dataset, MiningParams) {
 
 fn engine(threads: usize) -> Miner {
     let (_, params) = midrun_collapse();
-    Miner::new(params)
-        .backend(Backend::Engine(EngineConfig::default()))
-        .threads(threads)
+    Miner::new(params).backend(Backend::Engine(EngineConfig::default())).threads(threads)
 }
 
 /// Every trace field (f64s by bits) plus the engine's I/O report.

@@ -128,9 +128,7 @@ fn empty_dataset_is_a_clean_empty_outcome_everywhere() {
 fn facade_is_safe_under_concurrent_mixed_backend_use() {
     use std::sync::Arc;
 
-    let dataset = Arc::new(
-        setm::datagen::RetailConfig::small(600, 29).generate(),
-    );
+    let dataset = Arc::new(setm::datagen::RetailConfig::small(600, 29).generate());
     let params = MiningParams::new(MinSupport::Fraction(0.01), 0.6);
     let configs: Vec<(Miner, String)> = (0..8)
         .map(|i| {
@@ -163,9 +161,7 @@ fn facade_is_safe_under_concurrent_mixed_backend_use() {
                 .collect();
             handles.into_iter().map(|h| h.join().expect("mining thread")).collect()
         });
-        for ((outcome, reference), (_, label)) in
-            outcomes.iter().zip(&references).zip(&configs)
-        {
+        for ((outcome, reference), (_, label)) in outcomes.iter().zip(&references).zip(&configs) {
             assert_equivalent(reference, outcome, &format!("round {round}: {label}"));
             assert_eq!(
                 outcome.report.backend_name(),

@@ -15,9 +15,7 @@ fn fault_reaches_the_sql_layer() {
     let mut engine = SqlEngine::new();
     let d: Dataset = example::paper_example_dataset();
     let rows = d.sales_rows();
-    engine
-        .load_table("SALES", &["trans_id", "item"], rows.iter().map(|r| r.as_slice()))
-        .unwrap();
+    engine.load_table("SALES", &["trans_id", "item"], rows.iter().map(|r| r.as_slice())).unwrap();
     engine.database().pager().lock().fail_after(Some(3));
     let result = engine.query(
         "SELECT item, COUNT(*) FROM SALES GROUP BY item HAVING COUNT(*) >= 3",
@@ -122,9 +120,7 @@ fn failed_insert_select_leaves_no_partial_rows() {
     let mut engine = SqlEngine::new();
     let d: Dataset = example::paper_example_dataset();
     let rows = d.sales_rows();
-    engine
-        .load_table("SALES", &["trans_id", "item"], rows.iter().map(|r| r.as_slice()))
-        .unwrap();
+    engine.load_table("SALES", &["trans_id", "item"], rows.iter().map(|r| r.as_slice())).unwrap();
     let p = Params::new();
     engine.execute("CREATE TABLE R2 (trans_id INT, item_1 INT, item_2 INT)", &p).unwrap();
 
@@ -169,9 +165,6 @@ fn healthy_engine_control_run() {
     use setm::{Backend, EngineConfig, Miner};
     let d = example::paper_example_dataset();
     let params = MiningParams::new(MinSupport::Fraction(0.3), 0.7);
-    let run = Miner::new(params)
-        .backend(Backend::Engine(EngineConfig::default()))
-        .run(&d)
-        .unwrap();
+    let run = Miner::new(params).backend(Backend::Engine(EngineConfig::default())).run(&d).unwrap();
     assert_eq!(run.result.max_pattern_len(), 3);
 }

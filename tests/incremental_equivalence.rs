@@ -77,9 +77,8 @@ fn check_sequence(base_baskets: &[Vec<u32>], batches: &[Vec<Vec<u32>>], params: 
 
             // Engine lane: a from-scratch engine run agrees with the
             // incremental memory outcome on everything both report.
-            let engine = Miner::new(params)
-                .backend(Backend::Engine(Default::default()))
-                .threads(threads);
+            let engine =
+                Miner::new(params).backend(Backend::Engine(Default::default())).threads(threads);
             let eng = engine.run(&concat).unwrap();
             assert_eq!(eng.frequent_itemsets(), inc.frequent_itemsets());
             assert_eq!(eng.rules, inc.rules);
@@ -142,14 +141,8 @@ fn a_batch_promoting_a_below_threshold_itemset_matches() {
     // {1,2} sits at 2 of 6 under a 50% threshold; the appended baskets
     // lift it (and then {1,2,3}) over the recomputed line, exercising
     // the promoted-prefix recount of the base dataset.
-    let base: Vec<Vec<u32>> = vec![
-        vec![1, 2, 3],
-        vec![1, 3],
-        vec![2, 3],
-        vec![1, 3],
-        vec![2, 3],
-        vec![1, 2, 3, 9],
-    ];
+    let base: Vec<Vec<u32>> =
+        vec![vec![1, 2, 3], vec![1, 3], vec![2, 3], vec![1, 3], vec![2, 3], vec![1, 2, 3, 9]];
     let batches = vec![vec![vec![1, 2, 3], vec![1, 2, 3]]];
     check_sequence(&base, &batches, MiningParams::new(MinSupport::Fraction(0.5), 0.5));
 }
@@ -157,10 +150,8 @@ fn a_batch_promoting_a_below_threshold_itemset_matches() {
 #[test]
 fn a_batch_of_entirely_new_items_matches() {
     let base: Vec<Vec<u32>> = vec![vec![1, 2], vec![1, 2, 3], vec![2, 3]];
-    let batches = vec![
-        vec![vec![100, 101], vec![100, 101, 102], vec![101, 102]],
-        vec![vec![100, 101, 102]],
-    ];
+    let batches =
+        vec![vec![vec![100, 101], vec![100, 101, 102], vec![101, 102]], vec![vec![100, 101, 102]]];
     check_sequence(&base, &batches, MiningParams::new(MinSupport::Count(2), 0.5));
 }
 

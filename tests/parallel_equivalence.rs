@@ -54,11 +54,7 @@ fn assert_equivalent(seq: &SetmResult, par: &SetmResult, label: &str) {
     assert_eq!(par.frequent_itemsets(), seq.frequent_itemsets(), "{label}: itemsets");
     assert_eq!(par.min_support_count, seq.min_support_count, "{label}: threshold");
     // Rule sets (the Section 5 output) must match, including order.
-    assert_eq!(
-        generate_rules(par, 0.5),
-        generate_rules(seq, 0.5),
-        "{label}: rules"
-    );
+    assert_eq!(generate_rules(par, 0.5), generate_rules(seq, 0.5), "{label}: rules");
     // Trace series: same length and same logical columns per iteration.
     assert_eq!(par.trace.len(), seq.trace.len(), "{label}: trace length");
     for (a, b) in seq.trace.iter().zip(par.trace.iter()) {

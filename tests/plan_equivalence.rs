@@ -68,12 +68,7 @@ fn every_forced_plan_matches_auto_on_the_worked_example() {
     for backend in backends() {
         for threads in [1, 4] {
             let auto = mine(&dataset, params, backend, threads, PlanMode::Auto);
-            assert_eq!(
-                fingerprint(&auto),
-                reference,
-                "auto {} threads={threads}",
-                backend.name()
-            );
+            assert_eq!(fingerprint(&auto), reference, "auto {} threads={threads}", backend.name());
             for plan in plan_grid() {
                 let forced = mine(&dataset, params, backend, threads, PlanMode::Forced(plan));
                 assert_eq!(

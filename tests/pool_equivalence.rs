@@ -40,7 +40,12 @@ fn fingerprint(run: &(SetmResult, EngineReport), params: &MiningParams) -> Strin
         // The shard count is thread-dependent by design; every other
         // plan dimension must agree across the matrix.
         let plan = match &t.plan {
-            Some(p) => format!("{},reuse={},buf={}", p.join.name(), p.reuse_sort as u8, p.sort_buffer_pages),
+            Some(p) => format!(
+                "{},reuse={},buf={}",
+                p.join.name(),
+                p.reuse_sort as u8,
+                p.sort_buffer_pages
+            ),
             None => "-".to_string(),
         };
         out.push_str(&format!(
@@ -78,7 +83,8 @@ fn pool_and_split_mine_identical_results_across_the_matrix() {
         for shared_pool in [true, false] {
             for threads in [1, 4] {
                 for (mode_name, mode) in [("auto", PlanMode::Auto), ("nl", forced_nl())] {
-                    let got = fingerprint(&run(&dataset, &params, shared_pool, threads, mode), &params);
+                    let got =
+                        fingerprint(&run(&dataset, &params, shared_pool, threads, mode), &params);
                     let reference_for_mode = if mode_name == "auto" {
                         reference.clone()
                     } else {

@@ -31,12 +31,7 @@ fn figure5_shape_r_decreases_faster_at_higher_support() {
     // R_i decreases with i for every support level.
     for r in [&lo, &hi] {
         for w in r.trace.windows(2) {
-            assert!(
-                w[1].r_kbytes <= w[0].r_kbytes,
-                "R_i must shrink: {:?} -> {:?}",
-                w[0],
-                w[1]
-            );
+            assert!(w[1].r_kbytes <= w[0].r_kbytes, "R_i must shrink: {:?} -> {:?}", w[0], w[1]);
         }
     }
     // And shrinks faster at higher support: R_2 at 2% is a fraction of

@@ -14,8 +14,7 @@ fn figures_1_to_3_from_every_execution() {
     let engine =
         miner.clone().backend(Backend::Engine(EngineConfig::default())).run(&d).unwrap().result;
     let sql = miner.clone().backend(Backend::Sql).run(&d).unwrap().result;
-    let nested =
-        mine_nested_loop(&d, miner.params(), NestedLoopOptions::default()).unwrap();
+    let nested = mine_nested_loop(&d, miner.params(), NestedLoopOptions::default()).unwrap();
 
     let reference = memory.frequent_itemsets();
     assert_eq!(engine.frequent_itemsets(), reference, "engine execution");
@@ -39,8 +38,7 @@ fn figures_1_to_3_from_every_execution() {
 fn section_5_rule_listing_verbatim() {
     let d = example::paper_example_dataset();
     let outcome = Miner::new(example::paper_example_params()).run(&d).unwrap();
-    let rendered: Vec<String> =
-        outcome.rules.iter().map(example::format_rule_lettered).collect();
+    let rendered: Vec<String> = outcome.rules.iter().map(example::format_rule_lettered).collect();
     assert_eq!(rendered, example::expected_rules());
 }
 
