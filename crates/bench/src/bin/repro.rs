@@ -18,7 +18,8 @@
 //!   serve      served mining throughput — an in-process `setm-serve`
 //!              server under a mixed-backend client sweep (1/4/16 clients)
 //!   primitives the paged engine's building blocks in isolation — external
-//!              sort, merge-scan join, grouped count, B+-tree prefix probe
+//!              sort (single- and multi-pass merges), INSERT … SELECT,
+//!              merge-scan join, grouped count, B+-tree prefix probe
 //!              (median of a fixed number of reps, every result checked)
 //!   poolscale  paper-scale trajectory — Quest T20.I6 at 100K-1M
 //!              transactions across the memory / engine / SQL backends,
@@ -79,8 +80,10 @@ use setm_incremental::MiningFrontier;
 use setm_relational::agg::grouped_count;
 use setm_relational::btree::BulkLoader;
 use setm_relational::join::merge_scan_join;
+use setm_relational::sort::sort_rows;
 use setm_relational::{external_sort, HeapFile, Pager, SharedPager, SortOptions};
 use setm_serve::outcome_to_json;
+use setm_sql::{Params, SqlEngine};
 use std::hint::black_box;
 use std::sync::OnceLock;
 use std::time::{Duration, Instant};
@@ -620,15 +623,34 @@ fn median_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (Duration, T) {
     (times[reps / 2], out.expect("at least one rep"))
 }
 
+/// Reps of the 500K-row sorts and `INSERT … SELECT`, which take tens to
+/// hundreds of milliseconds each.
+const PRIMITIVE_SORT_REPS: usize = 5;
+
+/// `n` flat `(tid, item, item)` rows: 20 rows per tid, items drawn from
+/// 1,000, so keys repeat across runs.
+fn wide_rows(n: u32) -> Vec<u32> {
+    let mut state = 7u32;
+    let mut item = || {
+        state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+        (state >> 8) % 1_000
+    };
+    (0..n).flat_map(|i| [i / 20, item(), item()]).collect()
+}
+
 fn heap_file(pager: &SharedPager, rows: &[[u32; 2]]) -> HeapFile {
     HeapFile::from_rows(pager.clone(), 2, rows.iter().map(|r| r.as_slice()))
         .expect("build heap file")
 }
 
 fn repro_primitives() {
-    banner("Engine primitives — sort, merge-scan join, grouped count, B+-tree probe");
-    println!("median of {PRIMITIVE_REPS} reps; a sort, join or count rep includes loading");
-    println!("its input heap files onto a fresh pager\n");
+    banner(
+        "Engine primitives — sort, INSERT … SELECT, merge-scan join, grouped count, B+-tree probe",
+    );
+    println!(
+        "median of {PRIMITIVE_REPS} reps ({PRIMITIVE_SORT_REPS} for the 500K-row rows); a sort,"
+    );
+    println!("join or count rep includes loading its input heap files onto a fresh pager\n");
     println!("{:<30} {:>12} {:>12}", "primitive", "rows", "median");
     let print_row =
         |name: &str, rows: u32, t: Duration| println!("{name:<30} {rows:>12} {t:>12.2?}");
@@ -650,6 +672,45 @@ fn repro_primitives() {
         assert!(sorted.is_sorted(), "the sort returns its rows in order");
         print_row("external_sort (64 pages)", n, t);
     }
+
+    // Merge-dominated sorts: 500K three-column rows are six runs merged
+    // in one pass at the default 256 pages, and 489 runs merged over nine
+    // passes of fan-in 2 at 3 pages.
+    let wide = wide_rows(500_000);
+    let key = [2, 0];
+    let mut expect = wide.clone();
+    sort_rows(&mut expect, 3, &key);
+    for (label, buffer_pages) in
+        [("external_sort (256 pages)", 256), ("external_sort (3 pages)", 3)]
+    {
+        let (t, sorted) = median_of(PRIMITIVE_SORT_REPS, || {
+            let pager = Pager::shared();
+            let input = HeapFile::from_rows(pager, 3, wide.chunks_exact(3)).expect("load");
+            external_sort(&input, &key, SortOptions { buffer_pages }).expect("sort")
+        });
+        assert_eq!(sorted.n_records(), 500_000, "the sort keeps every row");
+        assert!(sorted.read_all().expect("read sorted file") == expect, "sorted like sort_rows");
+        print_row(label, 500_000, t);
+    }
+
+    // INSERT … SELECT of the same 500K rows: SELECT, sort, copy into the
+    // target (a rep includes CREATE TABLE; the source is loaded once).
+    let mut engine = SqlEngine::new();
+    engine.load_table("src", &["a", "b", "c"], wide.chunks_exact(3)).expect("load src");
+    let p = Params::new();
+    let (t, ()) = median_of(PRIMITIVE_SORT_REPS, || {
+        if engine.database().has_table("dst") {
+            engine.execute("DROP TABLE dst", &p).expect("drop");
+        }
+        engine.execute("CREATE TABLE dst (a INT, b INT, c INT)", &p).expect("create");
+        engine
+            .execute("INSERT INTO dst SELECT a, b, c FROM src ORDER BY c, a", &p)
+            .expect("insert");
+    });
+    let dst = &engine.database().table("dst").expect("dst exists").file;
+    assert_eq!(dst.n_records(), 500_000, "INSERT … SELECT copies every row");
+    assert!(dst.read_all().expect("read dst") == expect, "dst is sorted like sort_rows");
+    print_row("INSERT … SELECT ORDER BY", 500_000, t);
 
     for n in [10_000u32, 50_000] {
         // (tid, item) rows sorted on tid, five items per tid.

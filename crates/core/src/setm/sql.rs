@@ -579,7 +579,7 @@ fn merge_shard_counts(
     bind: &Params,
     k: usize,
 ) -> Result<CountRelation> {
-    let mut union_rows: Vec<Vec<u32>> = Vec::new();
+    let mut union_rows: Vec<u32> = Vec::new();
     for i in 0..pool.len() {
         // Reading a shard's partials touches that shard's storage, so a
         // fault here must still name the shard (same contract as
@@ -590,11 +590,11 @@ fn merge_shard_counts(
             .database()
             .table(&format!("C{k}_PART_{i}"))
             .map_err(|e| shard_err(e.into()))?;
-        union_rows.extend(table.file.rows().map_err(|e| shard_err(e.into()))?);
+        union_rows.extend(table.file.read_all().map_err(|e| shard_err(e.into()))?);
     }
     let col_names = count_table_cols(k);
     let col_refs: Vec<&str> = col_names.iter().map(String::as_str).collect();
-    merge.load_table(&format!("C{k}_PARTS"), &col_refs, union_rows.iter().map(|r| r.as_slice()))?;
+    merge.load_table(&format!("C{k}_PARTS"), &col_refs, union_rows.chunks_exact(k + 1))?;
 
     let items = item_cols("p", k);
     exec_on(merge, statements, bind, format!("CREATE TABLE C{k} ({}, cnt INT)", item_defs(k)))?;

@@ -22,11 +22,21 @@ pub struct HeapFile {
 
 /// Incrementally builds a heap file; call [`HeapFileBuilder::finish`] to
 /// flush the final partial page and obtain the read handle.
+///
+/// Records are staged flat until they fill a page, which is then encoded
+/// in one [`Page::push_records`] call and appended. A full page is written
+/// only once a further record arrives (or at `finish`), so the pages
+/// written, and when, do not depend on whether records come one by one
+/// ([`push`](Self::push)) or in bulk ([`extend_flat`](Self::extend_flat)).
+/// After an error, drop it unfinished.
 pub struct HeapFileBuilder {
     pager: SharedPager,
     fid: FileId,
     arity: usize,
-    tail: Page,
+    /// Values of one full page: `Page::capacity(arity) * arity`.
+    page_values: usize,
+    /// The tail page's records, flat row-major.
+    staged: Vec<u32>,
     n_records: u64,
     n_pages: u32,
 }
@@ -36,7 +46,16 @@ impl HeapFileBuilder {
     pub fn new(pager: SharedPager, arity: usize) -> Self {
         assert!(arity > 0, "records must have at least one column");
         let fid = pager.lock().create_file();
-        HeapFileBuilder { pager, fid, arity, tail: Page::new(), n_records: 0, n_pages: 0 }
+        let page_values = Page::capacity(arity) * arity;
+        HeapFileBuilder {
+            pager,
+            fid,
+            arity,
+            page_values,
+            staged: Vec::with_capacity(page_values),
+            n_records: 0,
+            n_pages: 0,
+        }
     }
 
     /// Append one record.
@@ -44,13 +63,10 @@ impl HeapFileBuilder {
         if row.len() != self.arity {
             return Err(Error::ArityMismatch { expected: self.arity, got: row.len() });
         }
-        if !self.tail.push_record(row)? {
-            let full = std::mem::take(&mut self.tail);
-            self.pager.lock().append_page(self.fid, full)?;
-            self.n_pages += 1;
-            let fit = self.tail.push_record(row)?;
-            debug_assert!(fit, "empty page must accept one record");
+        if self.staged.len() == self.page_values {
+            self.flush()?;
         }
+        self.staged.extend_from_slice(row);
         self.n_records += 1;
         Ok(())
     }
@@ -63,6 +79,38 @@ impl HeapFileBuilder {
         Ok(())
     }
 
+    /// Append the records of a flat row-major buffer (`arity` values per
+    /// record), a page's worth at a time.
+    pub fn extend_flat(&mut self, rows: &[u32]) -> Result<()> {
+        if !rows.len().is_multiple_of(self.arity) {
+            return Err(Error::ArityMismatch {
+                expected: self.arity,
+                got: rows.len() % self.arity,
+            });
+        }
+        let mut rest = rows;
+        while !rest.is_empty() {
+            if self.staged.len() == self.page_values {
+                self.flush()?;
+            }
+            let take = (self.page_values - self.staged.len()).min(rest.len());
+            self.staged.extend_from_slice(&rest[..take]);
+            rest = &rest[take..];
+        }
+        self.n_records += (rows.len() / self.arity) as u64;
+        Ok(())
+    }
+
+    /// Encode the staged records into a page and append it.
+    fn flush(&mut self) -> Result<()> {
+        let mut page = Page::new();
+        page.push_records(&self.staged, self.arity)?;
+        self.pager.lock().append_page(self.fid, page)?;
+        self.n_pages += 1;
+        self.staged.clear();
+        Ok(())
+    }
+
     /// Records appended so far.
     pub fn n_records(&self) -> u64 {
         self.n_records
@@ -70,10 +118,8 @@ impl HeapFileBuilder {
 
     /// Flush the tail page and return the read-only handle.
     pub fn finish(mut self) -> Result<HeapFile> {
-        if self.tail.record_count() > 0 {
-            let tail = std::mem::take(&mut self.tail);
-            self.pager.lock().append_page(self.fid, tail)?;
-            self.n_pages += 1;
+        if !self.staged.is_empty() {
+            self.flush()?;
         }
         Ok(HeapFile {
             pager: self.pager,
@@ -139,18 +185,11 @@ impl HeapFile {
         self.pager.lock().free_file(self.fid)
     }
 
-    /// Visit every record in storage order. This is the hot path: one page
-    /// read per page, records decoded into a reused buffer.
-    pub fn for_each_row<F: FnMut(&[u32])>(&self, mut f: F) -> Result<()> {
-        let mut row = vec![0u32; self.arity];
-        for pno in 0..self.n_pages {
-            let page = self.pager.lock().read_page(self.fid, pno)?;
-            let n = page.record_count();
-            for idx in 0..n {
-                page.read_record(idx, self.arity, &mut row);
-                f(&row);
-            }
-        }
+    /// Read page `pno` and append its records to `out` as flat row-major
+    /// values: one page access, decoded once.
+    pub fn read_page_into(&self, pno: u32, out: &mut Vec<u32>) -> Result<()> {
+        let page = self.pager.lock().read_page(self.fid, pno)?;
+        page.read_all(self.arity, out);
         Ok(())
     }
 
@@ -159,30 +198,20 @@ impl HeapFile {
     pub fn read_all(&self) -> Result<Vec<u32>> {
         let mut out = Vec::with_capacity(self.n_records as usize * self.arity);
         for pno in 0..self.n_pages {
-            let page = self.pager.lock().read_page(self.fid, pno)?;
-            page.read_all(self.arity, &mut out);
+            self.read_page_into(pno, &mut out)?;
         }
         Ok(out)
     }
 
     /// Materialize as a vector of row vectors (test/debug convenience).
     pub fn rows(&self) -> Result<Vec<Vec<u32>>> {
-        let mut out = Vec::with_capacity(self.n_records as usize);
-        self.for_each_row(|r| out.push(r.to_vec()))?;
-        Ok(out)
+        Ok(self.read_all()?.chunks_exact(self.arity).map(<[u32]>::to_vec).collect())
     }
 
     /// A streaming cursor over the file (used by merge joins, which must
     /// interleave two scans).
     pub fn cursor(&self) -> HeapCursor<'_> {
-        HeapCursor {
-            file: self,
-            next_pno: 0,
-            page: None,
-            idx: 0,
-            row: vec![0u32; self.arity],
-            done: self.n_pages == 0,
-        }
+        HeapCursor { file: self, next_pno: 0, page: Vec::new(), next: 0 }
     }
 }
 
@@ -196,42 +225,45 @@ impl std::fmt::Debug for HeapFile {
     }
 }
 
-/// Streaming cursor: holds the current page and decodes one row at a time.
+/// Streaming cursor: decodes its current page once and hands out slices
+/// of it. The next page is read only when a row past the current page is
+/// asked for, so interleaved scans (merge joins, the sort's k-way merge)
+/// read each page at the moment a row-at-a-time scan would.
 pub struct HeapCursor<'a> {
     file: &'a HeapFile,
     next_pno: u32,
-    page: Option<Page>,
-    idx: usize,
-    row: Vec<u32>,
-    done: bool,
+    /// The current page's records, flat row-major.
+    page: Vec<u32>,
+    /// Offset in `page` just past the current row.
+    next: usize,
 }
 
 impl HeapCursor<'_> {
+    /// Move to the next record; `false` at end of file. After `true`,
+    /// [`row`](Self::row) is that record.
+    pub fn advance(&mut self) -> Result<bool> {
+        while self.next == self.page.len() {
+            if self.next_pno >= self.file.n_pages {
+                return Ok(false);
+            }
+            self.page.clear();
+            self.next = 0;
+            self.file.read_page_into(self.next_pno, &mut self.page)?;
+            self.next_pno += 1;
+        }
+        self.next += self.file.arity;
+        Ok(true)
+    }
+
+    /// The record the last successful [`advance`](Self::advance) moved to.
+    pub fn row(&self) -> &[u32] {
+        &self.page[self.next - self.file.arity..self.next]
+    }
+
     /// Advance to the next record; returns the decoded row, or `None` at
     /// end of file. The returned slice is valid until the next call.
     pub fn next_row(&mut self) -> Result<Option<&[u32]>> {
-        if self.done {
-            return Ok(None);
-        }
-        loop {
-            if self.page.is_none() {
-                if self.next_pno >= self.file.n_pages {
-                    self.done = true;
-                    return Ok(None);
-                }
-                let page = self.file.pager.lock().read_page(self.file.fid, self.next_pno)?;
-                self.next_pno += 1;
-                self.idx = 0;
-                self.page = Some(page);
-            }
-            let page = self.page.as_ref().expect("page was just loaded");
-            if self.idx < page.record_count() {
-                page.read_record(self.idx, self.file.arity, &mut self.row);
-                self.idx += 1;
-                return Ok(Some(&self.row));
-            }
-            self.page = None;
-        }
+        Ok(if self.advance()? { Some(self.row()) } else { None })
     }
 }
 
@@ -263,7 +295,7 @@ mod tests {
         // Scan I/O: one read per page; at most the initial rewind (the
         // head sits at the end of the previous scan) counts as random.
         pager.lock().reset_stats();
-        f.for_each_row(|_| {}).unwrap();
+        f.read_all().unwrap();
         let s = pager.lock().stats();
         assert_eq!(s.reads(), 4);
         assert!(s.rand_reads <= 1, "only the rewind may be random: {s:?}");

@@ -12,7 +12,8 @@
 //! * [`pager::Pager`] — a simulated disk that classifies every page access
 //!   as sequential or random and prices it with the paper's cost model;
 //! * [`heap::HeapFile`] — fixed-length-record relations;
-//! * [`sort::external_sort`] — two-phase external merge sort;
+//! * [`sort::external_sort`] — two-phase external merge sort: radix-sorted
+//!   runs written a page at a time, then a loser-tree k-way merge;
 //! * [`join::merge_scan_join`] / [`join::index_nested_loop_join`] — the
 //!   Section 4 and Section 3 join strategies, respectively;
 //! * [`btree::BTree`] — bulk-loaded key-only B+-trees matching the
@@ -25,6 +26,14 @@
 //!
 //! All values are `u32` integers, as in the paper ("each item and
 //! transaction id is represented using 4 bytes").
+//!
+//! Operators do their per-row work on flat row-major `u32` buffers: a
+//! [`heap::HeapCursor`] decodes each page once and hands out slices of it,
+//! [`heap::HeapFile::read_all`] and [`heap::HeapFile::read_page_into`]
+//! decode whole pages, and [`heap::HeapFileBuilder`] stages records flat
+//! and encodes a page at a time ([`page::Page::push_records`]). None of
+//! this moves a page access: pages are read and written in the order, and
+//! at the moments, a row-at-a-time scan would touch them.
 
 pub mod agg;
 pub mod btree;

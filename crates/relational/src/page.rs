@@ -48,50 +48,32 @@ impl Page {
         self.data[0..4].copy_from_slice(&(n as u32).to_le_bytes());
     }
 
-    /// Append a record; returns `true` if it fit, `false` if the page is full.
-    pub fn push_record(&mut self, row: &[u32]) -> Result<bool> {
-        let arity = row.len();
+    /// Append as many whole records of `arity` columns from the flat
+    /// row-major `rows` as fit, in order; returns how many were copied
+    /// (0 when the page is full).
+    pub fn push_records(&mut self, rows: &[u32], arity: usize) -> Result<usize> {
         let rec_bytes = arity * VALUE_BYTES;
         if rec_bytes > PAGE_SIZE - PAGE_HEADER_BYTES {
             return Err(Error::RecordTooLarge { record_bytes: rec_bytes, page_bytes: PAGE_SIZE });
         }
         let n = self.record_count();
-        if n >= Self::capacity(arity) {
-            return Ok(false);
-        }
+        let fit = Self::capacity(arity).saturating_sub(n).min(rows.len() / arity);
         let off = PAGE_HEADER_BYTES + n * rec_bytes;
-        for (i, v) in row.iter().enumerate() {
-            self.data[off + i * VALUE_BYTES..off + (i + 1) * VALUE_BYTES]
-                .copy_from_slice(&v.to_le_bytes());
+        let dst = &mut self.data[off..off + fit * rec_bytes];
+        for (b, v) in dst.chunks_exact_mut(VALUE_BYTES).zip(&rows[..fit * arity]) {
+            b.copy_from_slice(&v.to_le_bytes());
         }
-        self.set_record_count(n + 1);
-        Ok(true)
-    }
-
-    /// Read record `idx` (arity values) into `out`.
-    pub fn read_record(&self, idx: usize, arity: usize, out: &mut [u32]) {
-        debug_assert!(idx < self.record_count());
-        debug_assert_eq!(out.len(), arity);
-        let rec_bytes = arity * VALUE_BYTES;
-        let off = PAGE_HEADER_BYTES + idx * rec_bytes;
-        for (i, o) in out.iter_mut().enumerate() {
-            let b = &self.data[off + i * VALUE_BYTES..off + (i + 1) * VALUE_BYTES];
-            *o = u32::from_le_bytes([b[0], b[1], b[2], b[3]]);
-        }
+        self.set_record_count(n + fit);
+        Ok(fit)
     }
 
     /// Append all records of arity `arity` in this page to `out` as flat values.
     pub fn read_all(&self, arity: usize, out: &mut Vec<u32>) {
-        let n = self.record_count();
-        let rec_bytes = arity * VALUE_BYTES;
-        out.reserve(n * arity);
-        for idx in 0..n {
-            let off = PAGE_HEADER_BYTES + idx * rec_bytes;
-            for i in 0..arity {
-                let b = &self.data[off + i * VALUE_BYTES..off + (i + 1) * VALUE_BYTES];
-                out.push(u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
-            }
-        }
+        let end = PAGE_HEADER_BYTES + self.record_count() * arity * VALUE_BYTES;
+        let bytes = &self.data[PAGE_HEADER_BYTES..end];
+        out.extend(
+            bytes.chunks_exact(VALUE_BYTES).map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+        );
     }
 
     /// Raw byte access (used by the B+-tree, which defines its own layout).
@@ -127,13 +109,24 @@ mod tests {
     fn push_and_read_round_trip() {
         let mut p = Page::new();
         assert_eq!(p.record_count(), 0);
-        assert!(p.push_record(&[7, 42]).unwrap());
-        assert!(p.push_record(&[8, 43]).unwrap());
-        let mut buf = [0u32; 2];
-        p.read_record(0, 2, &mut buf);
-        assert_eq!(buf, [7, 42]);
-        p.read_record(1, 2, &mut buf);
-        assert_eq!(buf, [8, 43]);
+        assert_eq!(p.push_records(&[7, 42], 2).unwrap(), 1);
+        assert_eq!(p.push_records(&[8, 43], 2).unwrap(), 1);
+        let mut out = vec![];
+        p.read_all(2, &mut out);
+        assert_eq!(out, vec![7, 42, 8, 43]);
+    }
+
+    #[test]
+    fn push_records_copies_as_many_as_fit() {
+        let mut p = Page::new();
+        let cap = Page::capacity(3);
+        let rows: Vec<u32> = (0..(cap as u32 + 2) * 3).collect();
+        assert_eq!(p.push_records(&rows[..6], 3).unwrap(), 2);
+        assert_eq!(p.push_records(&rows[6..], 3).unwrap(), cap - 2, "fills the page");
+        assert_eq!(p.push_records(&rows[6..], 3).unwrap(), 0, "a full page takes none");
+        let mut out = vec![];
+        p.read_all(3, &mut out);
+        assert_eq!(out, rows[..cap * 3]);
     }
 
     #[test]
@@ -141,17 +134,16 @@ mod tests {
         let mut p = Page::new();
         let cap = Page::capacity(2);
         for i in 0..cap {
-            assert!(p.push_record(&[i as u32, 0]).unwrap(), "record {i} should fit");
+            assert_eq!(p.push_records(&[i as u32, 0], 2).unwrap(), 1, "record {i} should fit");
         }
-        assert!(!p.push_record(&[0, 0]).unwrap(), "page must reject overflow");
+        assert_eq!(p.push_records(&[0, 0], 2).unwrap(), 0, "page must reject overflow");
         assert_eq!(p.record_count(), cap);
     }
 
     #[test]
     fn read_all_returns_flat_values_in_order() {
         let mut p = Page::new();
-        p.push_record(&[1, 2, 3]).unwrap();
-        p.push_record(&[4, 5, 6]).unwrap();
+        p.push_records(&[1, 2, 3, 4, 5, 6], 3).unwrap();
         let mut out = vec![];
         p.read_all(3, &mut out);
         assert_eq!(out, vec![1, 2, 3, 4, 5, 6]);
@@ -161,6 +153,6 @@ mod tests {
     fn oversized_record_is_rejected() {
         let mut p = Page::new();
         let big = vec![0u32; (PAGE_SIZE / VALUE_BYTES) + 1];
-        assert!(matches!(p.push_record(&big), Err(Error::RecordTooLarge { .. })));
+        assert!(matches!(p.push_records(&big, big.len()), Err(Error::RecordTooLarge { .. })));
     }
 }

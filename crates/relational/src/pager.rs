@@ -440,13 +440,20 @@ impl Pager {
         }
     }
 
-    /// Admit a page into the cache backend, recording pool steals.
-    fn cache_put(&mut self, fid: FileId, pno: u32, page: Page) {
-        match &mut self.cache {
+    /// Admit a copy of a page into the cache backend, recording pool
+    /// steals. Without a cache nothing is copied.
+    fn cache_put(
+        cache: &mut CacheBackend,
+        stats: &mut IoStats,
+        fid: FileId,
+        pno: u32,
+        page: &Page,
+    ) {
+        match cache {
             CacheBackend::None => {}
-            CacheBackend::Private(cache) => cache.put((fid, pno), page),
+            CacheBackend::Private(cache) => cache.put((fid, pno), page.clone()),
             CacheBackend::Pooled(handle) => {
-                self.stats.pool_steals += handle.put(fid, pno, page);
+                stats.pool_steals += handle.put(fid, pno, page.clone());
             }
         }
     }
@@ -478,7 +485,7 @@ impl Pager {
         } else {
             self.stats.rand_reads += 1;
         }
-        self.cache_put(fid, pno, page.clone());
+        Self::cache_put(&mut self.cache, &mut self.stats, fid, pno, &page);
         Ok(page)
     }
 
@@ -499,8 +506,8 @@ impl Pager {
             self.stats.rand_writes += 1;
         }
         // Appends go through the cache too (write-through).
-        let page = self.files[fid.0 as usize].pages[pno as usize].clone();
-        self.cache_put(fid, pno, page);
+        let page = &self.files[fid.0 as usize].pages[pno as usize];
+        Self::cache_put(&mut self.cache, &mut self.stats, fid, pno, page);
         Ok(pno)
     }
 
@@ -514,7 +521,7 @@ impl Pager {
             page: pno,
             len,
         })?;
-        *slot = page.clone();
+        *slot = page;
         let sequential = match file.last_write {
             Some(prev) => pno == prev + 1,
             None => pno == 0,
@@ -525,7 +532,8 @@ impl Pager {
         } else {
             self.stats.rand_writes += 1;
         }
-        self.cache_put(fid, pno, page);
+        let page = &self.files[fid.0 as usize].pages[pno as usize];
+        Self::cache_put(&mut self.cache, &mut self.stats, fid, pno, page);
         Ok(())
     }
 
@@ -557,7 +565,7 @@ mod tests {
 
     fn page_with(v: u32) -> Page {
         let mut p = Page::new();
-        p.push_record(&[v]).unwrap();
+        p.push_records(&[v], 1).unwrap();
         p
     }
 

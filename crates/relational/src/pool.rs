@@ -429,7 +429,7 @@ mod tests {
             let f = p.create_file();
             for i in 0..3u32 {
                 let mut page = Page::new();
-                page.push_record(&[i]).unwrap();
+                page.push_records(&[i], 1).unwrap();
                 p.append_page(f, page).unwrap();
             }
             p.reset_stats();

@@ -14,13 +14,25 @@
 //! Run formation is CPU-only: a run is read once and written once however
 //! it is ordered in memory, so the in-memory sort never changes the page
 //! accounting.
+//!
+//! The per-row work happens on flat buffers. Run formation reads the input
+//! a page at a time into the run buffer and writes each sorted run with
+//! one bulk append that fills whole pages. The merge is a loser tree over
+//! one [`HeapCursor`] per run, each decoding its current page once; rows
+//! compare on the first four columns of [`row_order`]'s sequence packed
+//! into a `u128`, then on the remaining columns, then on the run index.
+//! What must not change is *when* each page is touched: the merge pushes
+//! the winning row and only then advances its run, and a cursor reads its
+//! next page only when a row past the current page is asked for. So every
+//! run page is read, and every output page written, in the order a
+//! row-at-a-time merge produces, and a cached or pooled pager sees the
+//! same hits, evictions and steals (`tests/sort_io_pins.rs`).
 
 use crate::errors::Result;
-use crate::heap::{HeapFile, HeapFileBuilder};
+use crate::heap::{HeapCursor, HeapFile, HeapFileBuilder};
 use crate::page::Page;
 use crate::tuple::{cmp_all, cmp_on};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// Tuning knobs for [`external_sort`].
 #[derive(Debug, Clone, Copy)]
@@ -77,13 +89,7 @@ pub fn sort_rows(rows: &mut Vec<u32>, arity: usize, key: &[usize]) {
     if rows.len() / arity < 2 {
         return;
     }
-    // The column sequence `row_order` compares: key first, then the rest.
-    let mut cols: Vec<usize> = Vec::with_capacity(arity);
-    for c in key.iter().copied().chain(0..arity) {
-        if !cols.contains(&c) {
-            cols.push(c);
-        }
-    }
+    let cols = order_columns(arity, key);
     let unsorted = unsorted_prefix(rows, arity, &cols);
     let digits = varying_digits(rows, arity, &cols[..unsorted]);
     if digits.is_empty() {
@@ -102,6 +108,18 @@ pub fn sort_rows(rows: &mut Vec<u32>, arity: usize, key: &[usize]) {
         }
         std::mem::swap(rows, &mut scratch);
     }
+}
+
+/// The column sequence [`row_order`] compares: the key columns (each
+/// once), then the other columns in ascending position.
+fn order_columns(arity: usize, key: &[usize]) -> Vec<usize> {
+    let mut cols: Vec<usize> = Vec::with_capacity(arity);
+    for c in key.iter().copied().chain(0..arity) {
+        if !cols.contains(&c) {
+            cols.push(c);
+        }
+    }
+    cols
 }
 
 /// One 16-bit digit of one column, with the smallest and largest value it
@@ -191,39 +209,6 @@ fn radix_pass<const A: usize>(
     }
 }
 
-struct MergeEntry {
-    key: Vec<u32>,
-    row: Vec<u32>,
-    run: usize,
-}
-
-impl PartialEq for MergeEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for MergeEntry {}
-impl PartialOrd for MergeEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for MergeEntry {
-    // Reversed: BinaryHeap is a max-heap, we need the minimum row first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .key
-            .cmp(&self.key)
-            .then_with(|| other.row.cmp(&self.row))
-            .then_with(|| other.run.cmp(&self.run))
-    }
-}
-
-fn extract_key(row: &[u32], key: &[usize], out: &mut Vec<u32>) {
-    out.clear();
-    out.extend(key.iter().map(|&k| row[k]));
-}
-
 /// Externally sort `input` on the given key columns, producing a new heap
 /// file on the same pager. The input file is left intact (the caller frees
 /// it when the paper's loop discards the unsorted relation).
@@ -231,23 +216,20 @@ pub fn external_sort(input: &HeapFile, key: &[usize], opts: SortOptions) -> Resu
     let arity = input.arity();
     let pager = input.pager().clone();
     let buffer_pages = opts.buffer_pages.max(3);
-    let rows_per_run = buffer_pages * Page::capacity(arity);
+    let run_values = buffer_pages * Page::capacity(arity) * arity;
 
-    // Phase 1: run generation.
+    // Phase 1: run generation, a page at a time. A run is cut as soon as
+    // it holds `buffer_pages` pages' worth of rows, before the next page
+    // is read, as a row-at-a-time scan would cut it.
     let mut runs: Vec<HeapFile> = Vec::new();
-    let mut chunk: Vec<u32> = Vec::with_capacity(rows_per_run.min(1 << 20) * arity);
-    let mut cursor = input.cursor();
-    loop {
-        let row = cursor.next_row()?;
-        match row {
-            Some(r) => {
-                chunk.extend_from_slice(r);
-                if chunk.len() / arity >= rows_per_run {
-                    runs.push(write_run(&pager, &mut chunk, arity, key)?);
-                    chunk.clear();
-                }
-            }
-            None => break,
+    let mut chunk: Vec<u32> = Vec::with_capacity(run_values.min(1 << 20));
+    for pno in 0..input.n_pages() {
+        input.read_page_into(pno, &mut chunk)?;
+        if chunk.len() >= run_values {
+            let spill = chunk.split_off(run_values);
+            runs.push(write_run(&pager, &mut chunk, arity, key)?);
+            chunk.clear();
+            chunk.extend_from_slice(&spill);
         }
     }
     if !chunk.is_empty() || runs.is_empty() {
@@ -278,36 +260,126 @@ fn write_run(
 ) -> Result<HeapFile> {
     sort_rows(chunk, arity, key);
     let mut b = HeapFileBuilder::new(pager.clone(), arity);
-    for row in chunk.chunks_exact(arity) {
-        b.push(row)?;
-    }
+    b.extend_flat(chunk)?;
     b.finish()
 }
 
+/// The runs of one merge. Rows compare in [`row_order`]'s column
+/// sequence: its first four columns (`packed`) packed into one `u128`,
+/// kept per run for the current row in `keys` (`u128::MAX` once the run
+/// is exhausted), then the `rest` one by one.
+struct MergeRuns<'a> {
+    packed: Vec<usize>,
+    rest: Vec<usize>,
+    cursors: Vec<HeapCursor<'a>>,
+    keys: Vec<u128>,
+    done: Vec<bool>,
+}
+
+impl<'a> MergeRuns<'a> {
+    /// Open a cursor on every run and read each run's first row, in run
+    /// order.
+    fn new(runs: &'a [HeapFile], key: &[usize]) -> Result<Self> {
+        let mut packed = order_columns(runs[0].arity(), key);
+        let rest = packed.split_off(packed.len().min(4));
+        let n = runs.len();
+        let cursors = runs.iter().map(HeapFile::cursor).collect();
+        let mut m = MergeRuns { packed, rest, cursors, keys: vec![0; n], done: vec![false; n] };
+        for run in 0..n {
+            m.advance(run)?;
+        }
+        Ok(m)
+    }
+
+    fn advance(&mut self, run: usize) -> Result<()> {
+        let live = self.cursors[run].advance()?;
+        self.keys[run] = if live {
+            let row = self.cursors[run].row();
+            self.packed.iter().fold(0, |acc, &c| (acc << 32) | u128::from(row[c]))
+        } else {
+            u128::MAX
+        };
+        self.done[run] = !live;
+        Ok(())
+    }
+
+    /// Whether run `a`'s current row comes before run `b`'s: in
+    /// [`row_order`], then the lower run first. An exhausted run comes
+    /// after every live one (it packs as `u128::MAX`, so only a live row
+    /// packing to the same value reaches that check).
+    #[inline]
+    fn precedes(&self, a: usize, b: usize) -> bool {
+        let (ka, kb) = (self.keys[a], self.keys[b]);
+        if ka != kb {
+            return ka < kb;
+        }
+        if self.done[a] || self.done[b] {
+            return self.done[b] && !self.done[a];
+        }
+        let rest = &self.rest;
+        cmp_on(self.cursors[a].row(), self.cursors[b].row(), rest).then(a.cmp(&b)).is_lt()
+    }
+}
+
+/// A loser tree over `n` runs: leaf `i` sits at node `n + i`, node `j`'s
+/// children are `2j` and `2j + 1`, and each internal node keeps the loser
+/// of the match played there. When the winner's run advances, one walk up
+/// its path (about log2 n comparisons) finds the next winner.
+struct LoserTree {
+    losers: Vec<usize>,
+    winner: usize,
+}
+
+impl LoserTree {
+    fn new(n: usize, precedes: impl Fn(usize, usize) -> bool) -> Self {
+        // The winner of every subtree: internal nodes 1..n (slot 0 unused),
+        // then the leaves.
+        let mut winners: Vec<usize> = (0..n).chain(0..n).collect();
+        let mut losers = vec![0; n];
+        for node in (1..n).rev() {
+            let (l, r) = (winners[2 * node], winners[2 * node + 1]);
+            let (w, lost) = if precedes(r, l) { (r, l) } else { (l, r) };
+            winners[node] = w;
+            losers[node] = lost;
+        }
+        LoserTree { losers, winner: winners[1] }
+    }
+
+    /// Replay the winner's path after its run advanced.
+    fn replay(&mut self, precedes: impl Fn(usize, usize) -> bool) {
+        let n = self.losers.len();
+        let mut w = self.winner;
+        let mut node = (w + n) / 2;
+        while node > 0 {
+            let l = self.losers[node];
+            let swap = precedes(l, w);
+            self.losers[node] = if swap { w } else { l };
+            w = if swap { l } else { w };
+            node /= 2;
+        }
+        self.winner = w;
+    }
+}
+
+/// Merge sorted runs into one: push the least current row (ties to the
+/// lower run), then advance that run. A run's cursor reads its next page
+/// only once the last row of its current page has been pushed, so pages
+/// are read and written in the one order a row-at-a-time merge gives, and
+/// the page accounting (cache hits and pool steals included) does not
+/// depend on how rows are compared.
 fn merge_runs(
     pager: &crate::pager::SharedPager,
     runs: &[HeapFile],
     key: &[usize],
 ) -> Result<HeapFile> {
-    let arity = runs[0].arity();
-    let mut cursors: Vec<_> = runs.iter().map(|r| r.cursor()).collect();
-    let mut heap: BinaryHeap<MergeEntry> = BinaryHeap::with_capacity(cursors.len());
-    for (i, cur) in cursors.iter_mut().enumerate() {
-        if let Some(row) = cur.next_row()? {
-            let mut k = Vec::with_capacity(key.len());
-            extract_key(row, key, &mut k);
-            heap.push(MergeEntry { key: k, row: row.to_vec(), run: i });
-        }
-    }
-    let mut out = HeapFileBuilder::new(pager.clone(), arity);
-    while let Some(mut entry) = heap.pop() {
-        out.push(&entry.row)?;
-        if let Some(row) = cursors[entry.run].next_row()? {
-            entry.row.clear();
-            entry.row.extend_from_slice(row);
-            extract_key(&entry.row, key, &mut entry.key);
-            heap.push(entry);
-        }
+    let mut m = MergeRuns::new(runs, key)?;
+    let mut out = HeapFileBuilder::new(pager.clone(), runs[0].arity());
+    let mut tree = LoserTree::new(runs.len(), |a, b| m.precedes(a, b));
+    while !m.done[tree.winner] {
+        let run = tree.winner;
+        out.push(m.cursors[run].row())?;
+        m.advance(run)?;
+        tree.replay(|a, b| m.precedes(a, b));
     }
     out.finish()
 }
@@ -362,6 +434,29 @@ mod tests {
         assert!(is_sorted_on(got.iter().map(|r| r.as_slice()), &[0]));
         assert_eq!(got[0], vec![1]);
         assert_eq!(got[n as usize - 1], vec![n]);
+    }
+
+    #[test]
+    fn merge_keeps_live_rows_that_pack_like_an_exhausted_run() {
+        // The merge packs four columns into a u128 and gives an exhausted
+        // run u128::MAX; rows whose four packed columns are all u32::MAX
+        // must still come out, in order, whichever runs finish first.
+        let m = u32::MAX;
+        for arity in [4usize, 5] {
+            let pager = Pager::shared();
+            let rows: Vec<Vec<u32>> = (0..3000u32)
+                .map(|i| {
+                    let mut r = vec![if i % 3 == 0 { i } else { m }; arity];
+                    r[arity - 1] = if i % 3 == 0 { i } else { m - i % 7 };
+                    r
+                })
+                .collect();
+            let f = build(&pager, &rows, arity);
+            let sorted = external_sort(&f, &[0], SortOptions { buffer_pages: 3 }).unwrap();
+            let mut expect = rows.clone();
+            expect.sort_by(|a, b| row_order(a, b, &[0]));
+            assert_eq!(sorted.rows().unwrap(), expect, "arity {arity}");
+        }
     }
 
     #[test]

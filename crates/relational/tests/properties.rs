@@ -43,31 +43,6 @@ fn order_columns(arity: usize, key: &[usize]) -> Vec<usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// External sort returns a permutation of its input, ordered on the
-    /// key, regardless of buffer size (single-run and multi-run paths).
-    #[test]
-    fn external_sort_is_sorted_permutation(
-        rows in rows_strategy(2, 300),
-        buffer_pages in 3usize..6,
-        key_col in 0usize..2,
-    ) {
-        let pager = Pager::shared();
-        let f = build(&pager, &rows, 2);
-        let sorted = external_sort(&f, &[key_col], SortOptions { buffer_pages }).unwrap();
-        let got = sorted.rows().unwrap();
-        prop_assert_eq!(got.len(), rows.len());
-        // Ordered on the key.
-        for w in got.windows(2) {
-            prop_assert!(w[0][key_col] <= w[1][key_col]);
-        }
-        // Permutation: equal multisets.
-        let mut a = rows.clone();
-        let mut b = got;
-        a.sort();
-        b.sort();
-        prop_assert_eq!(a, b);
-    }
-
     /// The radix kernel produces exactly `sort_by(row_order)`, for keys
     /// `[1]`, `[2, 0]` and every column, on inputs of any length from 0
     /// rows up, with duplicate rows, values on both sides of 2^16, and
@@ -231,17 +206,57 @@ proptest! {
         prop_assert_eq!(f.rows().unwrap(), rows);
     }
 
-    /// I/O accounting: scanning an n-page file costs exactly n reads and
-    /// the sequential/random split never loses accesses.
+    /// I/O accounting: scanning an n-page file with a cursor costs
+    /// exactly n reads and the sequential/random split never loses
+    /// accesses.
     #[test]
     fn scan_io_accounting_is_exact(rows in rows_strategy(2, 2000)) {
         let pager = Pager::shared();
         let f = build(&pager, &rows, 2);
         pager.lock().reset_stats();
-        f.for_each_row(|_| {}).unwrap();
+        let mut cursor = f.cursor();
+        let mut scanned = 0;
+        while cursor.advance().unwrap() {
+            scanned += 1;
+        }
+        prop_assert_eq!(scanned, rows.len());
         let s = pager.lock().stats();
         prop_assert_eq!(s.reads(), f.n_pages() as u64);
         prop_assert_eq!(s.seq_reads + s.rand_reads, s.reads());
         prop_assert_eq!(s.writes(), 0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// External sort returns exactly `sort_by(row_order)` of its input at
+    /// every arity from 1 to 6, on inputs of up to about 20 runs, so the
+    /// k-way merge runs with every fan-in from 2 to 4 (3–5 buffer pages)
+    /// and over several passes, on keys of any shape (repeated columns
+    /// included). Values come from `radix_value`, so 0, `u32::MAX` and
+    /// duplicate rows land in different runs; one case in three narrows
+    /// every value to 0..3, so whole rows repeat across runs at every
+    /// arity.
+    #[test]
+    fn external_sort_is_sorted_permutation(
+        key_cols in prop::collection::vec(0usize..6, 1..=6),
+        values in prop::collection::vec(radix_value(), 0..=60_000),
+        buffer_pages in 3usize..=5,
+        narrow in 0usize..3,
+    ) {
+        for arity in 1..=6 {
+            let key: Vec<usize> = key_cols.iter().map(|&c| c % arity).collect();
+            let mut rows: Vec<Vec<u32>> = values
+                .chunks_exact(arity)
+                .map(|r| r.iter().map(|&v| if narrow == 0 { v % 3 } else { v }).collect())
+                .collect();
+            let pager = Pager::shared();
+            let f = build(&pager, &rows, arity);
+            let sorted = external_sort(&f, &key, SortOptions { buffer_pages }).unwrap();
+            let got = sorted.read_all().unwrap();
+            rows.sort_by(|a, b| row_order(a, b, &key));
+            prop_assert_eq!(got, rows.concat(), "arity {}, key {:?}", arity, key);
+        }
     }
 }

@@ -238,58 +238,75 @@ impl SqlEngine {
                 Ok(ExecOutcome::Dropped)
             }
             Statement::InsertValues { table, rows } => {
-                let rows32: Vec<Vec<u32>> = rows
-                    .iter()
-                    .map(|r| r.iter().map(|&v| u32::try_from(v).unwrap_or(u32::MAX)).collect())
-                    .collect();
-                let n = rows32.len() as u64;
-                self.append_rows(table, rows32.iter().map(|r| r.as_slice()), None)?;
-                Ok(ExecOutcome::Inserted(n))
+                let arity = self.db.table(table)?.schema.arity();
+                let mut flat = Vec::with_capacity(rows.len() * arity);
+                for row in rows {
+                    if row.len() != arity {
+                        return Err(SqlError::Engine(setm_relational::Error::ArityMismatch {
+                            expected: arity,
+                            got: row.len(),
+                        }));
+                    }
+                    for &v in row {
+                        flat.push(u32::try_from(v).map_err(|_| {
+                            SqlError::Plan(format!(
+                                "value {v} does not fit a 4-byte column (at most {})",
+                                u32::MAX
+                            ))
+                        })?);
+                    }
+                }
+                self.append_rows(table, arity, &flat, None)?;
+                Ok(ExecOutcome::Inserted(rows.len() as u64))
             }
             Statement::InsertSelect { table, select } => {
                 let out = self.run_select(select, params)?;
-                let n = out.file.n_records();
-                let rows = out.file.rows()?;
-                let sorted = out.sorted_by.clone();
+                let (arity, n) = (out.file.arity(), out.file.n_records());
+                let rows = out.file.read_all()?;
                 out.file.free()?;
-                self.append_rows(table, rows.iter().map(|r| r.as_slice()), sorted)?;
+                self.append_rows(table, arity, &rows, out.sorted_by)?;
                 Ok(ExecOutcome::Inserted(n))
             }
             Statement::Select(select) => {
                 let out = self.run_select(select, params)?;
-                let rows = out.file.rows()?;
+                let arity = out.file.arity();
+                let flat = out.file.read_all()?;
                 out.file.free()?;
+                let rows = flat.chunks_exact(arity).map(<[u32]>::to_vec).collect();
                 Ok(ExecOutcome::Rows(QueryResult { columns: out.columns, rows }))
             }
         }
     }
 
-    fn append_rows<'a, I: IntoIterator<Item = &'a [u32]>>(
+    /// Append the flat row-major `rows` (`arity` values each) to `table`.
+    /// A non-empty table is rewritten: its rows are copied page by page
+    /// into a new file ahead of the new ones, which reads and writes the
+    /// pages in the order a row-at-a-time copy would. Any error leaves
+    /// the table as it was.
+    fn append_rows(
         &mut self,
         table: &str,
-        rows: I,
+        arity: usize,
+        rows: &[u32],
         sorted_by: Option<Vec<usize>>,
     ) -> Result<()> {
         let t = self.db.table(table)?;
         let schema = t.schema.clone();
+        if !rows.is_empty() && arity != schema.arity() {
+            return Err(SqlError::Engine(setm_relational::Error::ArityMismatch {
+                expected: schema.arity(),
+                got: arity,
+            }));
+        }
         let was_empty = t.file.n_records() == 0;
-        let pager = t.file.pager().clone();
-        let mut builder = HeapFileBuilder::new(pager, schema.arity());
-        if !was_empty {
-            t.file.for_each_row(|r| {
-                // Re-copy existing rows; errors surface on finish.
-                let _ = builder.push(r);
-            })?;
+        let mut builder = HeapFileBuilder::new(t.file.pager().clone(), schema.arity());
+        let mut page = Vec::new();
+        for pno in 0..t.file.n_pages() {
+            page.clear();
+            t.file.read_page_into(pno, &mut page)?;
+            builder.extend_flat(&page)?;
         }
-        for row in rows {
-            if row.len() != schema.arity() {
-                return Err(SqlError::Engine(setm_relational::Error::ArityMismatch {
-                    expected: schema.arity(),
-                    got: row.len(),
-                }));
-            }
-            builder.push(row)?;
-        }
+        builder.extend_flat(rows)?;
         let file = builder.finish()?;
         // Sort order is only trustworthy when the insert fully defines the
         // table contents.
@@ -1426,6 +1443,20 @@ mod tests {
         e.execute("INSERT INTO dst SELECT a FROM src", &p).unwrap();
         let r = e.query("SELECT a FROM dst", &p).unwrap();
         assert_eq!(r.rows, vec![vec![1], vec![5], vec![6]]);
+    }
+
+    #[test]
+    fn insert_values_rejects_literals_over_u32_max() {
+        let mut e = SqlEngine::new();
+        let p = Params::new();
+        e.execute("CREATE TABLE t (a INT, b INT)", &p).unwrap();
+        let err = e.execute("INSERT INTO t VALUES (1, 2), (4294967296, 99999999999)", &p);
+        let Err(SqlError::Plan(msg)) = err else { panic!("expected a plan error, got {err:?}") };
+        assert!(msg.contains("4294967296"), "the error names the value: {msg}");
+        assert!(e.query("SELECT a, b FROM t", &p).unwrap().rows.is_empty(), "nothing inserted");
+        // The largest 4-byte value is still accepted as is.
+        e.execute("INSERT INTO t VALUES (4294967295, 0)", &p).unwrap();
+        assert_eq!(e.query("SELECT a, b FROM t", &p).unwrap().rows, vec![vec![u32::MAX, 0]]);
     }
 }
 

@@ -160,6 +160,50 @@ fn failed_insert_select_leaves_no_partial_rows() {
     assert_eq!(r2.rows.len(), 30, "C(3,2) pairs per 3-item transaction");
 }
 
+/// An `INSERT … SELECT` into a non-empty table rewrites it: the old rows
+/// are copied into a new file ahead of the selected ones. The pager has
+/// no cache, so every page access of the statement reaches the disk, and
+/// a fault at any of them must fail the statement and leave the table as
+/// it was — never a success that lost a page of the old rows.
+#[test]
+fn insert_select_into_a_non_empty_table_is_all_or_nothing() {
+    let p = Params::new();
+    let old: Vec<[u32; 1]> = (0..3_000u32).map(|i| [i * 7 % 3_001]).collect();
+    let new: Vec<[u32; 1]> = (0..100u32).map(|i| [1_000_000 + i]).collect();
+    let setup = || {
+        let mut engine = SqlEngine::new();
+        engine.load_table("t", &["a"], old.iter().map(|r| r.as_slice())).unwrap();
+        engine.load_table("src", &["a"], new.iter().map(|r| r.as_slice())).unwrap();
+        engine.database().reset_io_stats();
+        engine
+    };
+    let insert = "INSERT INTO t SELECT a FROM src";
+    let contents = |engine: &mut SqlEngine| engine.query("SELECT a FROM t", &p).unwrap().rows;
+    let expect_old: Vec<Vec<u32>> = old.iter().map(|r| r.to_vec()).collect();
+    let expect_all: Vec<Vec<u32>> = old.iter().chain(&new).map(|r| r.to_vec()).collect();
+
+    // A healthy run counts the statement's disk accesses: the fault
+    // points to sweep.
+    let mut engine = setup();
+    engine.execute(insert, &p).unwrap();
+    let accesses = engine.database().io_stats().accesses();
+    assert_eq!(contents(&mut engine), expect_all);
+    assert!(accesses > 6, "the statement reads and rewrites several pages: {accesses}");
+
+    for fail_at in 1..=accesses {
+        let mut engine = setup();
+        engine.database().pager().lock().fail_after(Some(fail_at));
+        let result = engine.execute(insert, &p);
+        match result {
+            Err(SqlError::Engine(Error::Corrupt(_))) => {
+                assert_eq!(contents(&mut engine), expect_old, "fault at access {fail_at}");
+            }
+            Ok(_) => panic!("fault at access {fail_at} of {accesses} was swallowed"),
+            Err(e) => panic!("fault at access {fail_at}: unexpected error {e:?}"),
+        }
+    }
+}
+
 #[test]
 fn healthy_engine_control_run() {
     use setm::{Backend, EngineConfig, Miner};
