@@ -37,9 +37,8 @@
 //!              percentiles), the poolscale trajectory, the
 //!              incremental-vs-remine ratio, the constrained-pushdown
 //!              vs post-filter comparison, and a machine-independent
-//!              `deterministic` counter section with a shared-pool vs
-//!              even-split ablation) for perf diffing; honors
-//!              SETM_BENCH_TINY=1
+//!              `deterministic` counter section) for perf diffing;
+//!              honors SETM_BENCH_TINY=1
 //!   check-baseline [candidate] [reference]
 //!              compare the `deterministic` counters of a candidate
 //!              baseline (default ci_baseline.json) against a reference
@@ -70,7 +69,7 @@ use setm_bench::loadgen::{
     mixed_request, queue_wait_percentiles, run_load, start_bench_server, stop_bench_server,
     LoadConfig,
 };
-use setm_core::nested_loop::{mine_nested_loop, NestedLoopOptions};
+use setm_core::nested_loop::mine_nested_loop;
 use setm_core::setm::engine::EngineConfig;
 use setm_core::setm::plan::{PhysicalPlan, PlanMode};
 use setm_core::{Backend, MinSupport, Miner, MiningConstraints, MiningParams, SetmResult};
@@ -382,8 +381,7 @@ fn repro_analysis() {
     let sm = run_on_engine(&dataset, &params, EngineConfig::default(), 1);
     let sm_accesses = sm.report.page_accesses().expect("engine report");
     let sm_ms = sm.report.estimated_io_ms().expect("engine report");
-    let nl =
-        mine_nested_loop(&dataset, &params, NestedLoopOptions::default()).expect("nested loop");
+    let nl = mine_nested_loop(&dataset, &params).expect("nested loop");
     assert_eq!(sm.result.frequent_itemsets(), nl.result.frequent_itemsets());
     println!("{:<22} {:>14} {:>14}", "strategy", "page accesses", "est. time (s)");
     println!(
@@ -1076,9 +1074,9 @@ fn bench_tiny() -> bool {
 }
 
 /// The engine config the legacy deterministic counters are pinned to:
-/// caching off, as every baseline up to v3 measured (the pool became the
-/// default after v3, so the historical numbers stay byte-identical under
-/// this explicit config).
+/// caching off, as every baseline up to v3 measured (a buffer cache
+/// became the default after v3, so the historical numbers stay
+/// byte-identical under this explicit config).
 fn uncached() -> EngineConfig {
     EngineConfig { cache_frames: 0, ..Default::default() }
 }
@@ -1087,9 +1085,9 @@ fn uncached() -> EngineConfig {
 /// workloads (identical under `SETM_BENCH_TINY`), counters that depend
 /// only on the algorithms — |R'_k|/|R_k|/|C_k| traces, engine page
 /// accesses across the thread sweep (uncached, matching v3, plus the
-/// v4 shared-pool series), SQL statement counts across the thread
-/// sweep, the nested-loop-vs-SETM I/O ratio, and the v4 shared-pool
-/// vs even-split ablation. The CI bench-trajectory guard
+/// series under the default buffer cache on the retail and needle
+/// workloads), SQL statement counts across the thread sweep, and the
+/// nested-loop-vs-SETM I/O ratio. The CI bench-trajectory guard
 /// (`repro -- check-baseline`) fails on any drift in these; wall-clock
 /// fields are never gated.
 fn write_deterministic_section(j: &mut Json) {
@@ -1130,24 +1128,24 @@ fn write_deterministic_section(j: &mut Json) {
         })
         .collect();
     j.field(3, "engine_page_accesses", &format!("{{ {} }}", engine_accesses.join(", ")), false);
-    // v4: the same sweep under the default shared pool. The pool must
-    // strictly beat the uncached accounting at every parallel thread
-    // count — that is the tentpole's acceptance bar.
-    let pooled_accesses: Vec<String> = PARALLEL_SWEEP
+    // v4: the same sweep under the default buffer cache (the key keeps
+    // the name of the shared pool that served it until v8). The cache
+    // must strictly beat the uncached accounting at every thread count.
+    let cached_accesses: Vec<String> = PARALLEL_SWEEP
         .iter()
         .map(|&threads| {
             let run = run_on_engine(&retail, &params, EngineConfig::default(), threads);
             assert_eq!(
                 run.result.frequent_itemsets(),
                 mem.result.frequent_itemsets(),
-                "pooled engine threads={threads} must match memory"
+                "cached engine threads={threads} must match memory"
             );
             let accesses = run.report.page_accesses().expect("engine report");
             let (_, cold) =
                 uncached_by_threads.iter().find(|(t, _)| *t == threads).expect("same sweep");
             assert!(
                 accesses < *cold,
-                "shared pool at threads={threads} must strictly beat uncached: {accesses} vs {cold}"
+                "the cache at threads={threads} must strictly beat uncached: {accesses} vs {cold}"
             );
             format!("\"p{threads}\": {accesses}")
         })
@@ -1155,7 +1153,7 @@ fn write_deterministic_section(j: &mut Json) {
     j.field(
         3,
         "engine_page_accesses_pool",
-        &format!("{{ {} }}", pooled_accesses.join(", ")),
+        &format!("{{ {} }}", cached_accesses.join(", ")),
         false,
     );
     let sql_statements: Vec<String> = PARALLEL_SWEEP
@@ -1178,8 +1176,7 @@ fn write_deterministic_section(j: &mut Json) {
     let uniform = UniformConfig::paper_scaled(400).generate();
     let params = MiningParams::new(MinSupport::Fraction(0.005), 0.5).with_max_len(2);
     let sm = run_on_engine(&uniform, &params, uncached(), 1);
-    let nl =
-        mine_nested_loop(&uniform, &params, NestedLoopOptions::default()).expect("nested loop");
+    let nl = mine_nested_loop(&uniform, &params).expect("nested loop");
     assert_eq!(sm.result.frequent_itemsets(), nl.result.frequent_itemsets());
     j.field(2, "uniform_scaled400_max2", "{", true);
     j.field(
@@ -1217,58 +1214,18 @@ fn write_deterministic_section(j: &mut Json) {
         auto.result.trace.iter().map(|t| format!("\"{}\"", t.plan_string())).collect();
     j.field(3, "plans", &format!("[{}]", plans.join(", ")), false);
     j.field(3, "auto_page_accesses", &auto_accesses.to_string(), false);
-    j.field(3, "merge_scan_page_accesses", &fixed_accesses.to_string(), true);
-    j.0.push_str("    },\n");
-
-    // v4: the shared-pool vs even-split ablation at the default frame
-    // budget, on both guard workloads. The pool may never do more I/O
-    // than the even split — idle shards' frames are stealable, the
-    // split's are not. `tests/pool_equivalence.rs` pins the same
-    // invariant; this entry makes a regression visible as baseline
-    // drift under `SETM_BENCH_TINY=1` too.
-    let retail_params = MiningParams::new(MinSupport::Fraction(0.005), 0.5);
-    let needle_params = MiningParams::new(MinSupport::Count(5), 0.5);
-    j.field(2, "pool_ablation", "{", true);
-    j.field(3, "cache_frames", &EngineConfig::default().cache_frames.to_string(), false);
-    let workloads: [(&str, &setm_core::Dataset, &MiningParams); 2] =
-        [("retail_small_1500", &retail, &retail_params), ("needle_bench", &needle, &needle_params)];
-    for (w, (name, dataset, params)) in workloads.iter().enumerate() {
-        let measure = |shared_pool: bool| -> Vec<u64> {
-            PARALLEL_SWEEP
-                .iter()
-                .map(|&threads| {
-                    let config = EngineConfig { shared_pool, ..Default::default() };
-                    let run = run_on_engine(dataset, params, config, threads);
-                    run.report.page_accesses().expect("engine report")
-                })
-                .collect()
-        };
-        let (pooled, split) = (measure(true), measure(false));
-        for ((&threads, &p), &s) in PARALLEL_SWEEP.iter().zip(&pooled).zip(&split) {
-            assert!(
-                p <= s,
-                "{name} threads={threads}: shared pool ({p}) must not exceed even split ({s})"
-            );
-        }
-        let fmt = |vals: &[u64]| -> String {
-            PARALLEL_SWEEP
-                .iter()
-                .zip(vals)
-                .map(|(t, v)| format!("\"p{t}\": {v}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        j.field(
-            3,
-            name,
-            &format!(
-                "{{ \"pooled\": {{ {} }}, \"even_split\": {{ {} }} }}",
-                fmt(&pooled),
-                fmt(&split)
-            ),
-            w + 1 == workloads.len(),
-        );
-    }
+    j.field(3, "merge_scan_page_accesses", &fixed_accesses.to_string(), false);
+    // v8: the auto plan's sweep under the default buffer cache, which
+    // v4-v7 gated as the needle row of the pool ablation.
+    let cached_accesses: Vec<String> = PARALLEL_SWEEP
+        .iter()
+        .map(|&threads| {
+            let run = run_on_engine(&needle, &params, EngineConfig::default(), threads);
+            assert_eq!(run.result.frequent_itemsets(), auto.result.frequent_itemsets());
+            format!("\"p{threads}\": {}", run.report.page_accesses().expect("engine report"))
+        })
+        .collect();
+    j.field(3, "engine_page_accesses_pool", &format!("{{ {} }}", cached_accesses.join(", ")), true);
     j.0.push_str("    }\n");
     j.0.push_str("  },\n");
 }
@@ -1289,7 +1246,7 @@ fn repro_baseline(path: Option<String>) {
     let reps = if tiny { 1 } else { 3 };
 
     let mut j = Json::new();
-    j.field(1, "schema", "\"setm-bench-baseline/v7\"", false);
+    j.field(1, "schema", "\"setm-bench-baseline/v8\"", false);
     j.field(1, "config", if tiny { "\"tiny\"" } else { "\"full\"" }, false);
     j.field(1, "machine", "{", true);
     j.field(2, "available_parallelism", &hw.to_string(), false);
@@ -1574,8 +1531,7 @@ fn repro_baseline(path: Option<String>) {
     let uniform = UniformConfig::paper_scaled(uniform_scale).generate();
     let params = MiningParams::new(MinSupport::Fraction(0.005), 0.5).with_max_len(2);
     let sm = run_on_engine(&uniform, &params, EngineConfig::default(), 1);
-    let nl =
-        mine_nested_loop(&uniform, &params, NestedLoopOptions::default()).expect("nested loop");
+    let nl = mine_nested_loop(&uniform, &params).expect("nested loop");
     j.field(1, "engine_uniform_scaled100_analysis", "{", true);
     j.field(2, "scale_down", &uniform_scale.to_string(), false);
     j.field(

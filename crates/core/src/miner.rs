@@ -102,8 +102,8 @@ pub struct EngineReport {
     pub page_accesses: u64,
     /// Estimated milliseconds under the pager's cost model.
     pub estimated_io_ms: f64,
-    /// The full I/O breakdown (sequential vs random reads/writes,
-    /// cache hits, pool steals).
+    /// The full I/O breakdown (sequential vs random reads/writes, cache
+    /// hits).
     pub io: IoStats,
     /// Effective buffer frames the run ended with, summed over shard
     /// pagers — equals the configured `cache_frames` (no frame is
@@ -336,7 +336,7 @@ impl Miner {
 
     /// Attach a telemetry sink. The executions call it at iteration
     /// boundaries (with the just-computed trace row) and around
-    /// noteworthy phases — sorts, shard repartitions, pool rebalances.
+    /// noteworthy phases — sorts, shard repartitions.
     /// Strictly a side channel: events are copies of already-computed
     /// numbers, so the outcome is byte-identical with or without an
     /// observer (pinned by `tests/facade_equivalence.rs` and the serve

@@ -30,7 +30,6 @@ use setm_relational::btree::{BTree, BulkLoader};
 use setm_relational::heap::{HeapFile, HeapFileBuilder};
 use setm_relational::join::index_nested_loop_join;
 use setm_relational::pager::Pager;
-use setm_relational::pool::BufferPool;
 use setm_relational::sort::{external_sort, SortOptions};
 use setm_relational::Result;
 use std::cell::Cell;
@@ -88,27 +87,6 @@ impl SalesIndex {
     }
 }
 
-/// Knobs for the nested-loop run.
-#[derive(Debug, Clone, Copy)]
-pub struct NestedLoopOptions {
-    /// Buffer-cache frames (0 = every access charged, matching the
-    /// paper's Section 3.2 accounting and the checked-in baseline). The
-    /// paper's analysis assumes only non-leaf index pages are cached;
-    /// internal B+-tree nodes are always pinned, this knob adds a general
-    /// cache on top — served from a single-owner [`BufferPool`] region so
-    /// index probes and sort runs share the same frames the SETM engine
-    /// pools.
-    pub cache_frames: usize,
-    /// Workspace for the counting sort, in pages.
-    pub sort_buffer_pages: usize,
-}
-
-impl Default for NestedLoopOptions {
-    fn default() -> Self {
-        NestedLoopOptions { cache_frames: 0, sort_buffer_pages: 256 }
-    }
-}
-
 /// Outcome of a nested-loop run (same shape as the SETM engine run).
 #[derive(Debug)]
 pub struct NestedLoopRun {
@@ -120,21 +98,17 @@ pub struct NestedLoopRun {
 /// Mine `dataset` with the Section 3 strategy. Produces the same count
 /// relations as SETM (cross-checked in tests) at a very different I/O
 /// cost.
-pub fn mine_nested_loop(
-    dataset: &Dataset,
-    params: &MiningParams,
-    opts: NestedLoopOptions,
-) -> Result<NestedLoopRun> {
+///
+/// The pager has no buffer cache, so every page access is charged: the
+/// paper's Section 3.2 accounting, which keeps only the non-leaf index
+/// pages in memory (both indexes pin their internal nodes). The counting
+/// sorts get a 256-page workspace.
+pub fn mine_nested_loop(dataset: &Dataset, params: &MiningParams) -> Result<NestedLoopRun> {
     let pager = Pager::shared();
-    if opts.cache_frames > 0 {
-        let pool = BufferPool::new(opts.cache_frames);
-        let handle = pool.attach_weighted(&[1]).pop().expect("one owner");
-        pager.lock().attach_pool(handle);
-    }
     let n_txns = dataset.n_transactions();
     let min_count = params.min_support.to_count(n_txns.max(1));
     let max_len = params.max_pattern_len.unwrap_or(usize::MAX);
-    let sort_opts = SortOptions { buffer_pages: opts.sort_buffer_pages };
+    let sort_opts = SortOptions { buffer_pages: 256 };
 
     // Load SALES and build the two indexes of Section 3.2. Internal nodes
     // are pinned in memory, as the paper assumes.
@@ -179,7 +153,6 @@ pub fn mine_nested_loop(
         page_accesses: delta.accesses(),
         estimated_io_ms: delta.estimated_ms(&pager.lock().cost_model()),
         cache_hits: delta.cache_hits,
-        pool_steals: delta.pool_steals,
         candidates_pruned: 0,
         plan: None,
     });
@@ -244,7 +217,6 @@ pub fn mine_nested_loop(
             page_accesses: delta.accesses(),
             estimated_io_ms: delta.estimated_ms(&pager.lock().cost_model()),
             cache_hits: delta.cache_hits,
-            pool_steals: delta.pool_steals,
             candidates_pruned: 0,
             plan: None,
         });
@@ -303,7 +275,7 @@ mod tests {
         let d = example::paper_example_dataset();
         let params = example::paper_example_params();
         let mem = memory::execute(&d, &params, &RunSpec::default());
-        let nl = mine_nested_loop(&d, &params, NestedLoopOptions::default()).unwrap();
+        let nl = mine_nested_loop(&d, &params).unwrap();
         assert_eq!(nl.result.frequent_itemsets(), mem.frequent_itemsets());
     }
 
@@ -325,7 +297,7 @@ mod tests {
         let d = Dataset::from_transactions(txns.iter().map(|(t, i)| (*t, i.as_slice())));
         let params = MiningParams::new(MinSupport::Fraction(0.1), 0.5);
         let mem = memory::execute(&d, &params, &RunSpec::default());
-        let nl = mine_nested_loop(&d, &params, NestedLoopOptions::default()).unwrap();
+        let nl = mine_nested_loop(&d, &params).unwrap();
         assert_eq!(nl.result.frequent_itemsets(), mem.frequent_itemsets());
     }
 
@@ -333,7 +305,7 @@ mod tests {
     fn nested_loop_io_is_dominated_by_random_fetches() {
         let d = example::paper_example_dataset();
         let params = example::paper_example_params();
-        let nl = mine_nested_loop(&d, &params, NestedLoopOptions::default()).unwrap();
+        let nl = mine_nested_loop(&d, &params).unwrap();
         assert!(nl.total_page_accesses > 0);
         // Per-iteration accesses sum to the total.
         let sum: u64 = nl.result.trace.iter().map(|t| t.page_accesses).sum();
@@ -345,18 +317,8 @@ mod tests {
         // More candidate patterns -> more probes -> more accesses than a
         // higher-support run on the same data.
         let d = example::paper_example_dataset();
-        let lo = mine_nested_loop(
-            &d,
-            &MiningParams::new(MinSupport::Count(2), 0.5),
-            NestedLoopOptions::default(),
-        )
-        .unwrap();
-        let hi = mine_nested_loop(
-            &d,
-            &MiningParams::new(MinSupport::Count(5), 0.5),
-            NestedLoopOptions::default(),
-        )
-        .unwrap();
+        let lo = mine_nested_loop(&d, &MiningParams::new(MinSupport::Count(2), 0.5)).unwrap();
+        let hi = mine_nested_loop(&d, &MiningParams::new(MinSupport::Count(5), 0.5)).unwrap();
         assert!(lo.total_page_accesses > hi.total_page_accesses);
     }
 }

@@ -52,7 +52,6 @@ pub struct Metered {
     pub page_accesses: u64,
     pub estimated_io_ms: f64,
     pub cache_hits: u64,
-    pub pool_steals: u64,
 }
 
 /// What one iteration produced.
@@ -202,7 +201,6 @@ fn record(
         page_accesses: step.io.page_accesses,
         estimated_io_ms: step.io.estimated_io_ms,
         cache_hits: step.io.cache_hits,
-        pool_steals: step.io.pool_steals,
         candidates_pruned: step.pruned,
         plan,
     };

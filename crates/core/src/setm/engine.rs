@@ -65,7 +65,6 @@ use setm_obs::ObsEvent;
 use setm_relational::heap::{HeapFile, HeapFileBuilder};
 use setm_relational::join::merge_scan_join;
 use setm_relational::pager::{CostModel, IoStats, Pager, SharedPager};
-use setm_relational::pool::{split_frames_evenly, BufferPool};
 use setm_relational::sort::{external_sort, SortOptions};
 use setm_relational::Result;
 use std::cell::Cell;
@@ -82,18 +81,11 @@ pub struct EngineConfig {
     /// iteration's workspace below this, never above.
     pub sort_buffer_pages: usize,
     /// Buffer-cache frames (0 = every page access is charged, the
-    /// worst-case accounting the paper's formulas use). With
-    /// `shared_pool` the budget is one [`BufferPool`] all shard pagers
-    /// attach to; without it each shard gets a private cache slice
-    /// ([`split_frames_evenly`], remainder to the heaviest shards).
+    /// worst-case accounting the paper's formulas use). Each shard's
+    /// pager owns a private CLOCK cache of an even slice of the budget,
+    /// the remainder going one frame each to the heaviest shards, so
+    /// every configured frame is granted.
     pub cache_frames: usize,
-    /// Share `cache_frames` through one weighted buffer pool instead of
-    /// private per-shard slices. Admission quotas follow shard weight,
-    /// rebalanced between iterations from the live `|R_{k-1}|` sizes, so
-    /// idle shards' frames migrate to the shards still carrying tuples.
-    /// Results are identical either way (pool-vs-split equivalence
-    /// suite); only the charged access counts differ.
-    pub shared_pool: bool,
     /// Track sort order across iterations (Section 4.1 optimization).
     /// When false, the auto planner emits `reuse_sort = 0` plans from
     /// k = 3 on: the loop-top sort re-sorts `R_{k-1}` even though the
@@ -103,12 +95,7 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig {
-            sort_buffer_pages: 256,
-            cache_frames: 256,
-            shared_pool: true,
-            track_sort_order: true,
-        }
+        EngineConfig { sort_buffer_pages: 256, cache_frames: 256, track_sort_order: true }
     }
 }
 
@@ -117,11 +104,11 @@ impl Default for EngineConfig {
 /// Every legal [`crate::setm::plan::PlanMode::Forced`] plan mines the
 /// identical result; only the access pattern — and therefore the
 /// measured I/O in the trace and the [`EngineReport`] — changes. Shard
-/// repartitions and adaptive pool rebalances are reported to the sink as
-/// [`ObsEvent::Note`]s, on the coordinator thread between parallel
-/// phases, so the charged I/O is identical to an unobserved run. With
-/// constraints, the checks run inside the join predicates: a pruned pair
-/// never reaches `R'_k`, never gets sorted, and never gets counted.
+/// repartitions are reported to the sink as [`ObsEvent::Note`]s, on the
+/// coordinator thread between parallel phases, so the charged I/O is
+/// identical to an unobserved run. With constraints, the checks run
+/// inside the join predicates: a pruned pair never reaches `R'_k`, never
+/// gets sorted, and never gets counted.
 ///
 /// This is the low-level execution behind [`crate::Backend::Engine`];
 /// prefer driving it through the [`crate::Miner`] facade, which
@@ -140,35 +127,29 @@ pub fn execute(
             max_shards,
             sort_buffer_cap: config.sort_buffer_pages,
             reuse_sort_order: config.track_sort_order,
-            // The join runs per shard, each probing through its own cache
-            // region, so the warm-probe discount must see one shard's
+            // The join runs per shard, each probing through its own
+            // cache, so the warm-probe discount must see one shard's
             // slice of the frame budget — the whole budget would price
-            // probes as warm when no single region can hold the working
-            // set. The even slice is also the pool's expected share under
-            // balanced weights (rebalance can only grow it).
-            pool_frames: config.cache_frames / max_shards.max(1),
+            // probes as warm when no single cache can hold the working
+            // set.
+            shard_cache_frames: config.cache_frames / max_shards.max(1),
             db: DbParams::paper(),
         },
     );
 
-    // One shared pool for the whole run (when enabled); shard pagers
-    // attach weighted regions on every (re)layout.
-    let pool = (config.shared_pool && config.cache_frames > 0)
-        .then(|| BufferPool::new(config.cache_frames));
     let weights: Vec<usize> = dataset.transactions().map(|(_, items)| items.len()).collect();
     let sales = LiveStats::of_sales(weights.iter().copied());
 
     // The k = 1 count precedes any live observation, so `SALES` is laid
     // out for the plan the first real iteration will run.
     let layout_shards = first_layout(&planner, sales);
-    let shards = build_shards(dataset, &weights, layout_shards, config, pool.as_ref())?;
+    let shards = build_shards(dataset, &weights, layout_shards, config)?;
     let cost_model = shards[0].pager.lock().cost_model();
     let mut ops = Paged {
         dataset,
         config,
         weights,
         sales,
-        pool,
         shards,
         layout_shards,
         cost_model,
@@ -204,7 +185,6 @@ struct Paged<'a> {
     /// Row count of each transaction, the partitioner's weights.
     weights: Vec<usize>,
     sales: LiveStats,
-    pool: Option<BufferPool>,
     shards: Vec<EngineShard>,
     /// The shard count `shards` is laid out for.
     layout_shards: usize,
@@ -221,7 +201,6 @@ impl Paged<'_> {
             page_accesses: delta.accesses(),
             estimated_io_ms: delta.estimated_ms(&self.cost_model),
             cache_hits: delta.cache_hits,
-            pool_steals: delta.pool_steals,
         }
     }
 }
@@ -263,32 +242,17 @@ impl Operators for Paged<'_> {
         // attributed to this iteration's trace row.
         let mut moved = IoStats::default();
         if plan.shards != self.layout_shards {
-            let (drained, shards) = repartition(
+            (moved, self.shards) = repartition(
                 self.dataset,
                 &self.weights,
                 std::mem::take(&mut self.shards),
                 plan.shards,
                 self.config,
-                self.pool.as_ref(),
                 &mut self.retired,
             )?;
-            self.shards = shards;
             self.layout_shards = plan.shards;
             let note = ObsEvent::Note { name: "repartition", k, value: plan.shards as u64 };
             spec.sink.on_event(&note);
-            moved = drained;
-        } else if let (Some(pool), true) = (&self.pool, self.shards.len() > 1) {
-            // Adaptive admission: re-divide the pool's frames in
-            // proportion to the live |R_{k-1}| each shard carries into
-            // this iteration. Runs on this thread between parallel
-            // phases, so charged accesses stay deterministic; the moved
-            // frames are the iteration's steal count.
-            let live_weights: Vec<u64> =
-                self.shards.iter().map(|sh| sh.r_prev.n_records().max(1)).collect();
-            let frames = pool.rebalance(&live_weights);
-            spec.sink.on_event(&ObsEvent::Note { name: "pool_rebalance", k, value: frames });
-            moved.pool_steals += frames;
-            self.retired.pool_steals += frames;
         }
 
         // Figure 4 replays the loop-top sort literally when the plan does
@@ -330,33 +294,23 @@ impl Operators for Paged<'_> {
 /// Lay `SALES` out across `n_shards` contiguous `trans_id` ranges
 /// balanced by row count, one pager per shard. The load itself is
 /// excluded from the meter (the paper's accounting starts with the data
-/// resident). Shard pagers either attach weighted regions of the shared
-/// pool or get private [`split_frames_evenly`] cache slices — both grant
-/// every configured frame (the old `cache_frames / n` dropped the
-/// remainder on the floor).
+/// resident). Each shard pager gets a private cache of its
+/// [`split_frames_evenly`] share of the frame budget.
 fn build_shards(
     dataset: &Dataset,
     weights: &[usize],
     n_shards: usize,
     config: &EngineConfig,
-    pool: Option<&BufferPool>,
 ) -> Result<Vec<EngineShard>> {
     let ranges = partition_by_weight(weights, n_shards);
     let range_weights: Vec<u64> =
         ranges.iter().map(|r| weights[r.clone()].iter().map(|&w| w as u64).sum()).collect();
-    let mut pool_handles: Vec<_> = match pool {
-        Some(pool) => pool.attach_weighted(&range_weights).into_iter().map(Some).collect(),
-        None => (0..ranges.len()).map(|_| None).collect(),
-    };
-    let private_frames = split_frames_evenly(config.cache_frames, &range_weights);
+    let frames = split_frames_evenly(config.cache_frames, &range_weights);
     let mut shards: Vec<EngineShard> = Vec::with_capacity(ranges.len());
     let mut txns = dataset.transactions();
-    for (i, range) in ranges.iter().enumerate() {
+    for (range, frames) in ranges.iter().zip(frames) {
         let pager = Pager::shared();
-        match pool_handles[i].take() {
-            Some(handle) => pager.lock().attach_pool(handle),
-            None => pager.lock().set_cache_frames(private_frames[i]),
-        }
+        pager.lock().set_cache_frames(frames);
         let mut rows: Vec<[u32; 2]> = Vec::new();
         for (tid, items) in txns.by_ref().take(range.len()) {
             rows.extend(items.iter().map(|&it| [tid, it]));
@@ -393,7 +347,6 @@ fn repartition(
     mut old: Vec<EngineShard>,
     n_shards: usize,
     config: &EngineConfig,
-    pool: Option<&BufferPool>,
     retired: &mut IoStats,
 ) -> Result<(IoStats, Vec<EngineShard>)> {
     let arity = old[0].r_prev.arity();
@@ -410,12 +363,9 @@ fn repartition(
         moved = moved.plus(&sh.take_delta());
         *retired = retired.plus(&sh.measured);
     }
-    // Dropping the old shards detaches their pool regions, so the whole
-    // frame budget is back in the free reserve before the new layout
-    // attaches.
     drop(old);
 
-    let mut shards = build_shards(dataset, weights, n_shards, config, pool)?;
+    let mut shards = build_shards(dataset, weights, n_shards, config)?;
     let ranges = partition_by_weight(weights, n_shards);
     let tids: Vec<u32> = dataset.transactions().map(|(tid, _)| tid).collect();
     let mut ri = 0usize;
@@ -436,6 +386,26 @@ fn repartition(
         sh.r_prev = r_prev;
     }
     Ok((moved, shards))
+}
+
+/// Split `total` cache frames evenly across shards of the given weights:
+/// every shard gets `total / n` frames and the `total % n` leftover frames
+/// go one each to the heaviest shards (ties to the lower index), so the
+/// shares always sum to exactly `total`.
+fn split_frames_evenly(total: usize, weights: &[u64]) -> Vec<usize> {
+    let n = weights.len();
+    if n == 0 {
+        return Vec::new();
+    }
+    let base = total / n;
+    let remainder = total % n;
+    let mut order: Vec<usize> = (0..n).collect();
+    order.sort_by(|&a, &b| weights[b].cmp(&weights[a]).then(a.cmp(&b)));
+    let mut shares = vec![base; n];
+    for &i in order.iter().take(remainder) {
+        shares[i] += 1;
+    }
+    shares
 }
 
 /// The paper's closing step: ORDER BY (trans_id, item_1, .., item_k).
@@ -877,6 +847,17 @@ mod tests {
     }
 
     #[test]
+    fn split_frames_evenly_sends_remainder_to_heaviest() {
+        // A plain `7 / 3 = 2` per shard would drop 1 frame.
+        assert_eq!(split_frames_evenly(7, &[10, 30, 20]), vec![2, 3, 2]);
+        assert_eq!(split_frames_evenly(11, &[1, 1, 1, 1]), vec![3, 3, 3, 2]);
+        for (total, weights) in [(7usize, vec![1u64, 2, 3]), (256, vec![9, 9, 9, 9, 9])] {
+            let shares = split_frames_evenly(total, &weights);
+            assert_eq!(shares.iter().sum::<usize>(), total, "total frames granted");
+        }
+    }
+
+    #[test]
     fn empty_dataset() {
         let d = Dataset::from_pairs(std::iter::empty());
         let params = MiningParams::new(MinSupport::Count(1), 0.5);
@@ -908,7 +889,7 @@ mod tests {
         let d = example::paper_example_dataset();
         let params = example::paper_example_params();
         // Uncached: the I/O-shape assertion below is about the disk
-        // access pattern, which a warm pool would absorb.
+        // access pattern, which a warm cache would absorb.
         let uncached = EngineConfig { cache_frames: 0, ..cfg() };
         let forced = |plan: PhysicalPlan| {
             let spec =

@@ -120,13 +120,9 @@ pub struct IterationTrace {
     /// Estimated I/O milliseconds under the pager's cost model (engine
     /// execution only).
     pub estimated_io_ms: f64,
-    /// Page reads absorbed by the buffer cache / pool this iteration
-    /// (engine execution only; never counted in `page_accesses`).
+    /// Page reads absorbed by the buffer cache this iteration (engine
+    /// execution only; never counted in `page_accesses`).
     pub cache_hits: u64,
-    /// Buffer-pool frames that changed owner this iteration — reserve
-    /// steals plus adaptive rebalance moves (engine execution with a
-    /// shared pool only).
-    pub pool_steals: u64,
     /// Candidate extensions rejected by constraint pushdown this
     /// iteration (`(p, q)` join pairs that passed the paper's
     /// `q.item > p.item_{k-1}` predicate but failed the compiled
@@ -161,7 +157,6 @@ impl IterationTrace {
             page_accesses: self.page_accesses,
             estimated_io_ms: self.estimated_io_ms,
             cache_hits: self.cache_hits,
-            pool_steals: self.pool_steals,
             candidates_pruned: self.candidates_pruned,
             plan: self.plan_string(),
         }

@@ -260,14 +260,14 @@ pub struct PlannerConfig {
     /// Buffer frames available to *one shard* (0 = uncached, the
     /// memory/SQL backends and the paper's own accounting). The engine
     /// passes its per-shard slice of the frame budget, not the run
-    /// total — each shard probes through its own cache region, whether
-    /// a private slice or a weighted pool quota. Consulted only when
+    /// total — each shard probes through its own private cache.
+    /// Consulted only when
     /// pricing the k ≥ 3 nested-loop join: once the probe working set —
     /// the index leaf level plus `R_{k-1}` — fits in a shard's frames, a
     /// leaf page is fetched at most once, so the charged random fetches
     /// are bounded by the distinct leaf count instead of the probe
     /// count.
-    pub pool_frames: usize,
+    pub shard_cache_frames: usize,
     /// Cost-model constants (page sizes, sequential/random access
     /// milliseconds).
     pub db: DbParams,
@@ -281,7 +281,7 @@ impl PlannerConfig {
             max_shards: max_shards.max(1),
             sort_buffer_cap: 256,
             reuse_sort_order: true,
-            pool_frames: 0,
+            shard_cache_frames: 0,
             db: DbParams::paper(),
         }
     }
@@ -384,12 +384,12 @@ impl Planner {
         // level plus the probing relation, every leaf is fetched at most
         // once (repeat probes hit the cache) — the Section 3.2 "non-leaf
         // pages reside in memory" assumption extended to the measured
-        // cache. `pool_frames` is the per-shard slice (see
-        // `PlannerConfig::pool_frames`), so the bound holds for every
-        // shard's own probe stream.
-        let pooled = self.config.pool_frames as u64 >= index.leaf_pages + p_prev;
+        // cache. `shard_cache_frames` is the per-shard slice (see
+        // `PlannerConfig::shard_cache_frames`), so the bound holds for
+        // every shard's own probe stream.
+        let warm = self.config.shard_cache_frames as u64 >= index.leaf_pages + p_prev;
         let charged_fetches =
-            if pooled { probe_fetches.min(index.leaf_pages as f64) } else { probe_fetches };
+            if warm { probe_fetches.min(index.leaf_pages as f64) } else { probe_fetches };
         let nl = charged_fetches * db.random_ms + p_prev as f64 * db.seq_ms;
         (ms, nl)
     }
@@ -567,7 +567,7 @@ mod tests {
         assert_eq!(forced.resolve().unwrap(), forced, "an explicit plan always stands");
     }
 
-    /// The pool-aware nested-loop price: with the probe working set
+    /// The cache-aware nested-loop price: with the probe working set
     /// resident, charged fetches collapse from one-per-probe to
     /// one-per-leaf. The discount never flips a decision — a leaf page
     /// holds as many entries as a heap page, so `leaf_pages` random
@@ -575,7 +575,7 @@ mod tests {
     /// reads (10 ms) they replace — which is what keeps the engine's
     /// plan lines identical to the uncached memory backend's.
     #[test]
-    fn pool_frames_discount_nested_loop_probes() {
+    fn shard_cache_frames_discount_nested_loop_probes() {
         let stats = LiveStats {
             n_txns: 2_000,
             sales_tuples: 20_000,
@@ -584,29 +584,29 @@ mod tests {
             c_prev_len: 400,
         };
         let uncached = Planner::new(PlanMode::Auto, PlannerConfig::with_max_shards(1));
-        let pooled = Planner::new(
+        let cached = Planner::new(
             PlanMode::Auto,
-            PlannerConfig { pool_frames: 4096, ..PlannerConfig::with_max_shards(1) },
+            PlannerConfig { shard_cache_frames: 4096, ..PlannerConfig::with_max_shards(1) },
         );
         let (ms, nl_cold) = uncached.join_cost_ms(3, &stats);
-        let (_, nl_warm) = pooled.join_cost_ms(3, &stats);
+        let (_, nl_warm) = cached.join_cost_ms(3, &stats);
         assert!(nl_cold > ms, "6k cold probes must lose to the scan");
         assert!(nl_warm < nl_cold, "a resident working set must cheapen the probes");
         assert!(nl_warm > ms, "leaf randoms still cost 2x the sequential scan");
         assert_eq!(
-            pooled.plan_iteration(3, &stats).join,
+            cached.plan_iteration(3, &stats).join,
             uncached.plan_iteration(3, &stats).join,
             "the discount must not flip the plan"
         );
         // Too small for leaves + R_{k-1}: no discount.
         let tiny = Planner::new(
             PlanMode::Auto,
-            PlannerConfig { pool_frames: 8, ..PlannerConfig::with_max_shards(1) },
+            PlannerConfig { shard_cache_frames: 8, ..PlannerConfig::with_max_shards(1) },
         );
         assert_eq!(tiny.join_cost_ms(3, &stats).1, nl_cold);
         // k = 2 is the paper's Section 3.2 vs 4.3 comparison: never
         // discounted.
-        assert_eq!(pooled.join_cost_ms(2, &stats), uncached.join_cost_ms(2, &stats));
+        assert_eq!(cached.join_cost_ms(2, &stats), uncached.join_cost_ms(2, &stats));
     }
 
     #[test]

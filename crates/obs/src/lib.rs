@@ -9,7 +9,7 @@
 //!
 //! * [`ObsSink`] — a callback trait the executions invoke at iteration
 //!   boundaries ([`ObsEvent::Iteration`]) and around noteworthy phases
-//!   (sorts, shard repartitions, pool rebalances). Telemetry is strictly
+//!   (sorts, shard repartitions). Telemetry is strictly
 //!   a side channel: sinks receive copies of already-computed numbers
 //!   and can never feed anything back into the run, so deterministic
 //!   counters (tuple counts, page accesses, plan strings) are

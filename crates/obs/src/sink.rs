@@ -22,10 +22,8 @@ pub struct IterationSnapshot {
     pub page_accesses: u64,
     /// Estimated I/O milliseconds under the pager's cost model.
     pub estimated_io_ms: f64,
-    /// Page reads absorbed by the buffer cache / pool this iteration.
+    /// Page reads absorbed by the buffer cache this iteration.
     pub cache_hits: u64,
-    /// Pool frames that changed owner this iteration.
-    pub pool_steals: u64,
     /// Candidate extensions rejected by constraint pushdown this
     /// iteration (zero for unconstrained runs).
     pub candidates_pruned: u64,
@@ -43,8 +41,8 @@ pub enum ObsEvent {
     PhaseStart { name: &'static str, k: usize },
     /// The matching phase ended.
     PhaseEnd { name: &'static str, k: usize },
-    /// A one-shot annotated measurement: `pool_rebalance` reports moved
-    /// frames, `repartition` the new shard count, and so on.
+    /// A one-shot annotated measurement: `repartition` reports the new
+    /// shard count, and so on.
     Note { name: &'static str, k: usize, value: u64 },
 }
 
@@ -120,11 +118,11 @@ mod tests {
         let sink = VecSink::new();
         sink.on_event(&ObsEvent::PhaseStart { name: "sort", k: 2 });
         sink.on_event(&ObsEvent::PhaseEnd { name: "sort", k: 2 });
-        sink.on_event(&ObsEvent::Note { name: "pool_rebalance", k: 3, value: 7 });
+        sink.on_event(&ObsEvent::Note { name: "repartition", k: 3, value: 1 });
         let events = sink.take();
         assert_eq!(events.len(), 3);
         assert_eq!(events[0].k(), 2);
-        assert_eq!(events[2], ObsEvent::Note { name: "pool_rebalance", k: 3, value: 7 });
+        assert_eq!(events[2], ObsEvent::Note { name: "repartition", k: 3, value: 1 });
         assert!(sink.is_empty(), "take drains");
     }
 

@@ -28,7 +28,9 @@ pub struct HeapFile {
 /// only once a further record arrives (or at `finish`), so the pages
 /// written, and when, do not depend on whether records come one by one
 /// ([`push`](Self::push)) or in bulk ([`extend_flat`](Self::extend_flat)).
-/// After an error, drop it unfinished.
+/// After an error, drop it unfinished: a builder dropped before
+/// [`finish`](Self::finish) succeeds frees its file, so a failed operator
+/// leaves no pages behind.
 pub struct HeapFileBuilder {
     pager: SharedPager,
     fid: FileId,
@@ -39,6 +41,8 @@ pub struct HeapFileBuilder {
     staged: Vec<u32>,
     n_records: u64,
     n_pages: u32,
+    /// Set once `finish` hands the file out; until then drop frees it.
+    finished: bool,
 }
 
 impl HeapFileBuilder {
@@ -55,6 +59,7 @@ impl HeapFileBuilder {
             staged: Vec::with_capacity(page_values),
             n_records: 0,
             n_pages: 0,
+            finished: false,
         }
     }
 
@@ -121,13 +126,24 @@ impl HeapFileBuilder {
         if !self.staged.is_empty() {
             self.flush()?;
         }
+        self.finished = true;
         Ok(HeapFile {
-            pager: self.pager,
+            pager: self.pager.clone(),
             fid: self.fid,
             arity: self.arity,
             n_records: self.n_records,
             n_pages: self.n_pages,
         })
+    }
+}
+
+impl Drop for HeapFileBuilder {
+    fn drop(&mut self) {
+        if !self.finished {
+            // The file was never handed out, so nothing else can free it.
+            // Freeing a live file cannot fail.
+            let _ = self.pager.lock().free_file(self.fid);
+        }
     }
 }
 
@@ -317,6 +333,21 @@ mod tests {
         let pager = Pager::shared();
         let mut b = HeapFileBuilder::new(pager, 2);
         assert!(matches!(b.push(&[1, 2, 3]), Err(Error::ArityMismatch { expected: 2, got: 3 })));
+    }
+
+    #[test]
+    fn an_unfinished_builder_frees_its_pages() {
+        let pager = Pager::shared();
+        let mut b = HeapFileBuilder::new(pager.clone(), 1);
+        b.extend_flat(&(0..3_000).collect::<Vec<u32>>()).unwrap();
+        assert!(pager.lock().total_pages() > 0, "full pages were written");
+        drop(b);
+        assert_eq!(pager.lock().total_pages(), 0);
+        // A finished builder's file outlives the builder.
+        let mut b = HeapFileBuilder::new(pager.clone(), 1);
+        b.push(&[7]).unwrap();
+        let f = b.finish().unwrap();
+        assert_eq!(f.rows().unwrap(), vec![vec![7]]);
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! check the paper's claims:
 //!
 //! * [`pager::Pager`] — a simulated disk that classifies every page access
-//!   as sequential or random and prices it with the paper's cost model;
+//!   as sequential or random and prices it with the paper's cost model,
+//!   with an optional private CLOCK buffer cache (Design notes §11);
 //! * [`heap::HeapFile`] — fixed-length-record relations;
 //! * [`sort::external_sort`] — two-phase external merge sort: radix-sorted
 //!   runs written a page at a time, then a loser-tree k-way merge;
@@ -19,8 +20,6 @@
 //! * [`btree::BTree`] — bulk-loaded key-only B+-trees matching the
 //!   Section 3.2 index layout;
 //! * [`agg::grouped_count`] — the `GROUP BY … HAVING COUNT(*) >= s` step;
-//! * [`pool::BufferPool`] — a shared, weight-partitioned page cache that
-//!   sharded parallel runs attach their pagers to (Design notes §11);
 //! * [`engine::Database`] — a catalog tying it all together, with
 //!   sort-order tracking across iterations (the Section 4.1 optimization).
 //!
@@ -43,7 +42,6 @@ pub mod heap;
 pub mod join;
 pub mod page;
 pub mod pager;
-pub mod pool;
 pub mod schema;
 pub mod sort;
 pub mod tuple;
@@ -53,6 +51,5 @@ pub use errors::{Error, Result};
 pub use heap::{HeapFile, HeapFileBuilder};
 pub use page::{Page, PAGE_SIZE};
 pub use pager::{CostModel, FileId, IoStats, Pager, SharedPager};
-pub use pool::{distribute_frames, split_frames_evenly, BufferPool, PoolHandle};
 pub use schema::Schema;
 pub use sort::{external_sort, SortOptions};

@@ -7,20 +7,16 @@
 //! first access to a file) or random, so measured runs can be priced with
 //! the paper's own constants and compared against `setm-costmodel`.
 //!
-//! An optional buffer cache (CLOCK eviction, write-through) models the
-//! "non-leaf index pages reside in memory" assumption of Section 3.2 and
-//! supports the buffer-size ablation (E8; see docs/REPRODUCTION.md,
-//! Design notes §3). The cache is either *private* to the pager
-//! ([`Pager::set_cache_frames`]; `0` frames disables caching entirely —
-//! every access is charged, the worst-case accounting the paper's
-//! formulas assume) or an attachment to a shared [`BufferPool`]
-//! ([`Pager::attach_pool`]; see [`crate::pool`], Design notes §11).
-//!
-//! [`BufferPool`]: crate::pool::BufferPool
+//! An optional private buffer cache (CLOCK eviction, write-through) models
+//! the "non-leaf index pages reside in memory" assumption of Section 3.2
+//! and supports the buffer-size ablation (E8; see docs/REPRODUCTION.md,
+//! Design notes §3 and §11). [`Pager::set_cache_frames`] installs it; `0`
+//! frames disables caching entirely — every access is charged, the
+//! worst-case accounting the paper's formulas assume. A sharded engine run
+//! gives each shard's pager its own slice of the frame budget.
 
 use crate::errors::{Error, Result};
 use crate::page::Page;
-use crate::pool::PoolHandle;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -58,9 +54,11 @@ pub struct IoStats {
     pub rand_writes: u64,
     /// Reads absorbed by the buffer cache (not charged as I/O).
     pub cache_hits: u64,
-    /// Frames this pager's shared-pool owner stole from the pool's free
-    /// reserve on admission (see [`crate::pool`]). Zero for private
-    /// caches. Not an I/O access — never charged.
+    /// Always 0. It counted frames a shared buffer pool moved between
+    /// shard pagers; every pager now owns a private cache, so nothing
+    /// moves. It stays only because the benchmark's per-layer report
+    /// still reads it, and goes with that report's `engine.pool_steals`
+    /// layer.
     pub pool_steals: u64,
 }
 
@@ -123,10 +121,9 @@ struct CacheEntry {
     referenced: bool,
 }
 
-/// CLOCK (second-chance) page cache, write-through. Private per-pager
-/// caches use it directly; the shared [`crate::pool::BufferPool`] runs
-/// one per attached owner, resizing it as frames move between owners.
-pub(crate) struct Cache {
+/// CLOCK (second-chance) page cache, write-through, of a fixed number of
+/// frames.
+struct Cache {
     capacity: usize,
     map: HashMap<(FileId, u32), usize>,
     slots: Vec<Option<((FileId, u32), CacheEntry)>>,
@@ -134,74 +131,18 @@ pub(crate) struct Cache {
 }
 
 impl Cache {
-    pub(crate) fn new(capacity: usize) -> Self {
+    fn new(capacity: usize) -> Self {
         Cache { capacity, map: HashMap::new(), slots: Vec::new(), hand: 0 }
     }
 
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Occupied frames.
-    fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether every frame of the current capacity is occupied (a
-    /// further `put` of a non-resident page would evict).
-    pub(crate) fn is_full(&self) -> bool {
-        self.len() >= self.capacity
-    }
-
-    pub(crate) fn contains(&self, key: (FileId, u32)) -> bool {
-        self.map.contains_key(&key)
-    }
-
-    /// Resize the cache. Shrinking below the resident page count evicts
-    /// in CLOCK order until the new capacity fits.
-    pub(crate) fn set_capacity(&mut self, capacity: usize) {
-        while self.len() > capacity {
-            self.evict_one();
-        }
-        self.capacity = capacity;
-        self.compact();
-    }
-
-    /// Evict one page chosen by the CLOCK sweep, leaving a hole.
-    fn evict_one(&mut self) {
-        debug_assert!(self.len() > 0);
-        // A trailing-pop compact can leave the hand past the shortened
-        // slot vector; re-enter the ring before indexing (see `compact`).
-        self.hand %= self.slots.len().max(1);
-        loop {
-            let slot = self.hand;
-            self.hand = (self.hand + 1) % self.slots.len().max(1);
-            match self.slots[slot].as_mut() {
-                None => continue,
-                Some(occupant) => {
-                    if occupant.1.referenced {
-                        occupant.1.referenced = false;
-                    } else {
-                        self.map.remove(&occupant.0);
-                        self.slots[slot] = None;
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    pub(crate) fn get(&mut self, key: (FileId, u32)) -> Option<&Page> {
+    fn get(&mut self, key: (FileId, u32)) -> Option<&Page> {
         let &slot = self.map.get(&key)?;
         let entry = self.slots[slot].as_mut().expect("mapped slot must be occupied");
         entry.1.referenced = true;
         Some(&entry.1.page)
     }
 
-    pub(crate) fn put(&mut self, key: (FileId, u32), page: Page) {
-        if self.capacity == 0 {
-            return;
-        }
+    fn put(&mut self, key: (FileId, u32), page: Page) {
         if let Some(&slot) = self.map.get(&key) {
             let entry = self.slots[slot].as_mut().expect("mapped slot must be occupied");
             entry.1.page = page;
@@ -214,12 +155,8 @@ impl Cache {
             return;
         }
         // CLOCK sweep: clear reference bits until an unreferenced victim
-        // is found. The sweep only runs with every slot occupied
-        // (`slots.len() == capacity`), but the hand may be stale after a
-        // trailing-pop compact followed by a capacity shrink (pool
-        // rebalance / detach), so clamp it before indexing and advance
-        // modulo the live slot count, never the nominal capacity.
-        self.hand %= self.slots.len();
+        // is found. It only runs with every slot occupied
+        // (`slots.len() == capacity`), where the hand is always in range.
         loop {
             let slot = self.hand;
             self.hand = (self.hand + 1) % self.slots.len();
@@ -235,7 +172,7 @@ impl Cache {
         }
     }
 
-    pub(crate) fn evict_file(&mut self, fid: FileId) {
+    fn evict_file(&mut self, fid: FileId) {
         for slot in self.slots.iter_mut() {
             if let Some((key, _)) = slot {
                 if key.0 == fid {
@@ -247,15 +184,12 @@ impl Cache {
         self.compact();
     }
 
-    /// Remove holes left by eviction so `slots.len() < capacity`
-    /// re-enables the cheap insertion path (rare: file free, resize).
+    /// Remove holes left by a freed file so `slots.len() < capacity`
+    /// re-enables the cheap insertion path.
     ///
-    /// The trailing-pop path can leave `hand >= slots.len()`; it is NOT
-    /// clamped here so that the sweep position is preserved when the
-    /// vector grows back to its old length (the common, capacity-stable
-    /// case). Both sweeps (`put`, `evict_one`) clamp the hand on entry,
-    /// which is where a stale value could otherwise index out of bounds
-    /// after a capacity shrink.
+    /// The trailing-pop path can leave `hand >= slots.len()`; it is not
+    /// clamped here, so the sweep position survives until the vector
+    /// grows back to `capacity`, the only length at which `put` sweeps.
     fn compact(&mut self) {
         while matches!(self.slots.last(), Some(None)) {
             self.slots.pop();
@@ -272,21 +206,13 @@ impl Cache {
     }
 }
 
-/// Where a pager's buffer cache lives: nowhere (every access charged),
-/// in a private CLOCK cache, or in an owner region of a shared
-/// [`crate::pool::BufferPool`].
-enum CacheBackend {
-    None,
-    Private(Cache),
-    Pooled(PoolHandle),
-}
-
 /// The simulated disk. All engine components share one pager via
 /// [`SharedPager`].
 pub struct Pager {
     files: Vec<File>,
     stats: IoStats,
-    cache: CacheBackend,
+    /// The private buffer cache; `None` charges every access.
+    cache: Option<Cache>,
     cost: CostModel,
     /// Fault injection: when set, the access countdown decrements on
     /// every disk read/write and the access that reaches zero fails.
@@ -324,7 +250,7 @@ impl Pager {
         Pager {
             files: Vec::new(),
             stats: IoStats::default(),
-            cache: CacheBackend::None,
+            cache: None,
             cost: CostModel::paper(),
             fail_after: None,
         }
@@ -359,31 +285,14 @@ impl Pager {
     /// reaches the simulated disk and is charged, which is the
     /// worst-case accounting the paper's Section 3.2 / 4.3 formulas
     /// assume. (Pinned by the `zero_frames_means_no_cache` test; any
-    /// previously installed cache or pool attachment is dropped.)
+    /// previously installed cache is dropped.)
     pub fn set_cache_frames(&mut self, frames: usize) {
-        self.cache = if frames == 0 {
-            CacheBackend::None
-        } else {
-            CacheBackend::Private(Cache::new(frames))
-        };
+        self.cache = (frames > 0).then(|| Cache::new(frames));
     }
 
-    /// Attach this pager to a shared [`crate::pool::BufferPool`] region,
-    /// replacing any private cache. The handle's frames return to the
-    /// pool when the pager (or a later `set_cache_frames`) drops it.
-    pub fn attach_pool(&mut self, handle: PoolHandle) {
-        self.cache = CacheBackend::Pooled(handle);
-    }
-
-    /// The effective buffer-cache frame count of this pager right now: 0
-    /// when uncached, the private cache's capacity, or the pool owner
-    /// region's current allocation (quota plus stolen frames).
+    /// The buffer-cache frame count of this pager: 0 when uncached.
     pub fn cache_frames(&self) -> usize {
-        match &self.cache {
-            CacheBackend::None => 0,
-            CacheBackend::Private(cache) => cache.capacity(),
-            CacheBackend::Pooled(handle) => handle.frames(),
-        }
+        self.cache.as_ref().map_or(0, |cache| cache.capacity)
     }
 
     /// The configured cost model.
@@ -405,10 +314,8 @@ impl Pager {
         file.pages.clear();
         file.pages.shrink_to_fit();
         file.live = false;
-        match &mut self.cache {
-            CacheBackend::None => {}
-            CacheBackend::Private(cache) => cache.evict_file(fid),
-            CacheBackend::Pooled(handle) => handle.evict_file(fid),
+        if let Some(cache) = &mut self.cache {
+            cache.evict_file(fid);
         }
         Ok(())
     }
@@ -431,36 +338,17 @@ impl Pager {
         self.files.iter().filter(|f| f.live).map(|f| f.pages.len() as u64).sum()
     }
 
-    /// Look up a page in whichever cache backend is installed.
-    fn cache_get(&mut self, fid: FileId, pno: u32) -> Option<Page> {
-        match &mut self.cache {
-            CacheBackend::None => None,
-            CacheBackend::Private(cache) => cache.get((fid, pno)).cloned(),
-            CacheBackend::Pooled(handle) => handle.get(fid, pno),
-        }
-    }
-
-    /// Admit a copy of a page into the cache backend, recording pool
-    /// steals. Without a cache nothing is copied.
-    fn cache_put(
-        cache: &mut CacheBackend,
-        stats: &mut IoStats,
-        fid: FileId,
-        pno: u32,
-        page: &Page,
-    ) {
-        match cache {
-            CacheBackend::None => {}
-            CacheBackend::Private(cache) => cache.put((fid, pno), page.clone()),
-            CacheBackend::Pooled(handle) => {
-                stats.pool_steals += handle.put(fid, pno, page.clone());
-            }
+    /// Admit a copy of a page into the cache, if there is one. Without a
+    /// cache nothing is copied.
+    fn cache_put(cache: &mut Option<Cache>, fid: FileId, pno: u32, page: &Page) {
+        if let Some(cache) = cache {
+            cache.put((fid, pno), page.clone());
         }
     }
 
     /// Read a page, charging sequential or random I/O (or a cache hit).
     pub fn read_page(&mut self, fid: FileId, pno: u32) -> Result<Page> {
-        if let Some(page) = self.cache_get(fid, pno) {
+        if let Some(page) = self.cache.as_mut().and_then(|c| c.get((fid, pno)).cloned()) {
             self.stats.cache_hits += 1;
             // A cache hit still advances the head position: a subsequent
             // miss on the next page is physically sequential.
@@ -485,7 +373,7 @@ impl Pager {
         } else {
             self.stats.rand_reads += 1;
         }
-        Self::cache_put(&mut self.cache, &mut self.stats, fid, pno, &page);
+        Self::cache_put(&mut self.cache, fid, pno, &page);
         Ok(page)
     }
 
@@ -507,7 +395,7 @@ impl Pager {
         }
         // Appends go through the cache too (write-through).
         let page = &self.files[fid.0 as usize].pages[pno as usize];
-        Self::cache_put(&mut self.cache, &mut self.stats, fid, pno, page);
+        Self::cache_put(&mut self.cache, fid, pno, page);
         Ok(pno)
     }
 
@@ -533,7 +421,7 @@ impl Pager {
             self.stats.rand_writes += 1;
         }
         let page = &self.files[fid.0 as usize].pages[pno as usize];
-        Self::cache_put(&mut self.cache, &mut self.stats, fid, pno, page);
+        Self::cache_put(&mut self.cache, fid, pno, page);
         Ok(())
     }
 
@@ -684,39 +572,28 @@ mod tests {
     }
 
     #[test]
-    fn stale_hand_survives_trailing_evict_then_shrink() {
-        // Regression: `evict_file` that only pops trailing slots used to
-        // leave the CLOCK hand pointing past the shortened slot vector;
-        // a subsequent capacity shrink (pool rebalance or detach) then
-        // made the next sweep index out of bounds and panic.
+    fn sweep_after_a_trailing_free_stays_in_range() {
+        // Freeing the file in the last slots pops them without moving the
+        // CLOCK hand past them; `put` refills to capacity before it sweeps
+        // again, so the hand is back in range by then.
         let mut cache = Cache::new(4);
-        let keep = FileId(0);
-        let gone = FileId(1);
-        // Fill: [k0, k1, g0, g1], all referenced, hand = 0.
+        let (keep, gone) = (FileId(0), FileId(1));
         cache.put((keep, 0), page_with(0));
         cache.put((keep, 1), page_with(1));
         cache.put((gone, 0), page_with(2));
         cache.put((gone, 1), page_with(3));
-        // Three sweeps advance the hand to 3 and leave (gone, 1) as the
-        // sole trailing occupant of the evictable file.
-        cache.put((keep, 2), page_with(4)); // full pass + evict slot 0, hand = 1
-        cache.put((keep, 3), page_with(5)); // evict slot 1, hand = 2
-        cache.put((keep, 4), page_with(6)); // evict slot 2, hand = 3
-
-        // Trailing pop only: slots.len() drops to 3, hand stays at 3.
+        // Three sweeps leave the hand at 3 and (gone, 1) alone in the
+        // last slot.
+        for pno in 2..5 {
+            cache.put((keep, pno), page_with(pno));
+        }
         cache.evict_file(gone);
-        assert_eq!(cache.len(), 3);
-        // Shrink at-or-below the stale hand, then force a sweep.
-        cache.set_capacity(3);
-        cache.put((keep, 5), page_with(7)); // used to panic: slots[3] of len 3
-        assert!(cache.contains((keep, 5)));
-        assert_eq!(cache.len(), 3, "capacity still honored after the shrink");
-        // And the shrink-eviction path (`evict_one`) with the same stale
-        // hand: rebuild the state, then shrink below the resident count.
-        cache.set_capacity(2);
-        assert_eq!(cache.len(), 2);
-        cache.put((keep, 6), page_with(8));
-        assert!(cache.contains((keep, 6)));
+        assert_eq!(cache.slots.len(), 3, "a trailing pop");
+        assert_eq!(cache.hand, 3);
+        cache.put((keep, 5), page_with(5)); // refills the fourth slot
+        cache.put((keep, 6), page_with(6)); // sweeps from the hand
+        assert!(cache.get((keep, 6)).is_some());
+        assert_eq!(cache.map.len(), 4);
     }
 
     #[test]
@@ -744,10 +621,6 @@ mod tests {
         assert_eq!(pager.cache_frames(), 0);
         pager.set_cache_frames(8);
         assert_eq!(pager.cache_frames(), 8);
-        let pool = crate::pool::BufferPool::new(12);
-        let mut handles = pool.attach_weighted(&[1]);
-        pager.attach_pool(handles.remove(0));
-        assert_eq!(pager.cache_frames(), 12);
     }
 
     #[test]

@@ -25,8 +25,12 @@
 //! the winning row and only then advances its run, and a cursor reads its
 //! next page only when a row past the current page is asked for. So every
 //! run page is read, and every output page written, in the order a
-//! row-at-a-time merge produces, and a cached or pooled pager sees the
-//! same hits, evictions and steals (`tests/sort_io_pins.rs`).
+//! row-at-a-time merge produces, and a cached pager sees the same hits and
+//! evictions (`tests/sort_io_pins.rs`).
+//!
+//! A sort that fails part-way (a media fault on some page access) frees
+//! every run and partial merge output it wrote, so the pager holds the
+//! same pages after the error as before the call.
 
 use crate::errors::Result;
 use crate::heap::{HeapCursor, HeapFile, HeapFileBuilder};
@@ -211,7 +215,8 @@ fn radix_pass<const A: usize>(
 
 /// Externally sort `input` on the given key columns, producing a new heap
 /// file on the same pager. The input file is left intact (the caller frees
-/// it when the paper's loop discards the unsorted relation).
+/// it when the paper's loop discards the unsorted relation). On error every
+/// file the sort wrote is freed.
 pub fn external_sort(input: &HeapFile, key: &[usize], opts: SortOptions) -> Result<HeapFile> {
     let arity = input.arity();
     let pager = input.pager().clone();
@@ -221,34 +226,57 @@ pub fn external_sort(input: &HeapFile, key: &[usize], opts: SortOptions) -> Resu
     // Phase 1: run generation, a page at a time. A run is cut as soon as
     // it holds `buffer_pages` pages' worth of rows, before the next page
     // is read, as a row-at-a-time scan would cut it.
-    let mut runs: Vec<HeapFile> = Vec::new();
+    let mut runs = Runs(Vec::new());
     let mut chunk: Vec<u32> = Vec::with_capacity(run_values.min(1 << 20));
     for pno in 0..input.n_pages() {
         input.read_page_into(pno, &mut chunk)?;
         if chunk.len() >= run_values {
             let spill = chunk.split_off(run_values);
-            runs.push(write_run(&pager, &mut chunk, arity, key)?);
+            runs.0.push(write_run(&pager, &mut chunk, arity, key)?);
             chunk.clear();
             chunk.extend_from_slice(&spill);
         }
     }
-    if !chunk.is_empty() || runs.is_empty() {
-        runs.push(write_run(&pager, &mut chunk, arity, key)?);
+    if !chunk.is_empty() || runs.0.is_empty() {
+        runs.0.push(write_run(&pager, &mut chunk, arity, key)?);
     }
 
     // Phase 2: (possibly multi-pass) k-way merge.
     let fan_in = (buffer_pages - 1).max(2);
-    while runs.len() > 1 {
-        let mut next_level: Vec<HeapFile> = Vec::with_capacity(runs.len().div_ceil(fan_in));
-        for group in runs.chunks(fan_in) {
-            next_level.push(merge_runs(&pager, group, key)?);
+    while runs.0.len() > 1 {
+        let mut next_level = Runs(Vec::with_capacity(runs.0.len().div_ceil(fan_in)));
+        for group in runs.0.chunks(fan_in) {
+            next_level.0.push(merge_runs(&pager, group, key)?);
         }
-        for run in runs {
+        std::mem::replace(&mut runs, next_level).free()?;
+    }
+    Ok(runs.0.pop().expect("at least one run exists"))
+}
+
+/// The sorted runs of one merge level. Dropping it frees every run still
+/// held, so a sort that fails part-way leaves no pages behind.
+struct Runs(Vec<HeapFile>);
+
+impl Runs {
+    /// Free every run, in order. After an error the runs not yet freed
+    /// are still held, and dropping `self` frees them.
+    fn free(mut self) -> Result<()> {
+        self.0.reverse();
+        while let Some(run) = self.0.pop() {
             run.free()?;
         }
-        runs = next_level;
+        Ok(())
     }
-    Ok(runs.pop().expect("at least one run exists"))
+}
+
+impl Drop for Runs {
+    fn drop(&mut self) {
+        for run in self.0.drain(..) {
+            // A run is a live file only this sort holds: freeing it
+            // cannot fail.
+            let _ = run.free();
+        }
+    }
 }
 
 /// Sort one in-memory chunk in place and write it out as a run.
@@ -365,8 +393,8 @@ impl LoserTree {
 /// lower run), then advance that run. A run's cursor reads its next page
 /// only once the last row of its current page has been pushed, so pages
 /// are read and written in the one order a row-at-a-time merge gives, and
-/// the page accounting (cache hits and pool steals included) does not
-/// depend on how rows are compared.
+/// the page accounting (cache hits included) does not depend on how rows
+/// are compared.
 fn merge_runs(
     pager: &crate::pager::SharedPager,
     runs: &[HeapFile],

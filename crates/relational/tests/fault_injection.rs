@@ -43,6 +43,41 @@ fn fault_during_sort_propagates_at_every_phase() {
     assert_eq!(sorted.n_records(), 4000);
 }
 
+/// A sort that fails frees what it wrote. A 3-page sort of 20,000
+/// one-column rows (a 20-page input) forms seven runs and merges them in
+/// three passes; a fault at any of its page accesses must leave the pager
+/// holding exactly the pages it held before the call — no orphaned run,
+/// no partial merge output.
+#[test]
+fn a_failed_sort_frees_every_page_it_wrote() {
+    let rows: Vec<[u32; 1]> = (0..20_000u32).map(|i| [i.wrapping_mul(2_654_435_761)]).collect();
+    let load = || {
+        let pager = Pager::shared();
+        let f = HeapFile::from_rows(pager.clone(), 1, rows.iter().map(|r| r.as_slice())).unwrap();
+        assert_eq!(f.n_pages(), 20);
+        pager.lock().reset_stats();
+        (pager, f)
+    };
+    let opts = SortOptions { buffer_pages: 3 };
+    let (pager, f) = load();
+    let sorted = external_sort(&f, &[0], opts).unwrap();
+    let accesses = pager.lock().stats().accesses();
+    assert_eq!(sorted.n_records(), 20_000);
+    assert!(accesses > 100, "a multi-pass sort: {accesses} accesses");
+
+    for fail_at in 1..=accesses {
+        let (pager, f) = load();
+        let before = pager.lock().total_pages();
+        pager.lock().fail_after(Some(fail_at));
+        let result = external_sort(&f, &[0], opts);
+        assert!(
+            matches!(result, Err(Error::Corrupt(_))),
+            "fault at access {fail_at} of {accesses} must surface"
+        );
+        assert_eq!(pager.lock().total_pages(), before, "fault at access {fail_at} leaked pages");
+    }
+}
+
 #[test]
 fn fault_during_join_propagates() {
     let pager = Pager::shared();

@@ -140,11 +140,13 @@ fn engine_config_to_json(cfg: &EngineConfig) -> Json {
     Json::obj([
         ("sort_buffer_pages", Json::u64(cfg.sort_buffer_pages as u64)),
         ("cache_frames", Json::u64(cfg.cache_frames as u64)),
-        ("pool", Json::Bool(cfg.shared_pool)),
         ("track_sort_order", Json::Bool(cfg.track_sort_order)),
     ])
 }
 
+/// Decode an `engine_config` object. Unknown members are ignored — among
+/// them `pool`, which older clients send to pick the retired shared
+/// buffer pool.
 fn engine_config_from_json(v: &Json) -> Result<EngineConfig, String> {
     let mut cfg = EngineConfig::default();
     if let Some(n) = v.get("sort_buffer_pages") {
@@ -154,11 +156,6 @@ fn engine_config_from_json(v: &Json) -> Result<EngineConfig, String> {
     if let Some(n) = v.get("cache_frames") {
         cfg.cache_frames =
             n.as_u64().ok_or("cache_frames must be a non-negative integer")? as usize;
-    }
-    // Optional: pre-pool clients never send it, and `cache_frames` alone
-    // keeps working (it sizes the shared pool by default).
-    if let Some(b) = v.get("pool") {
-        cfg.shared_pool = b.as_bool().ok_or("pool must be a boolean")?;
     }
     if let Some(b) = v.get("track_sort_order") {
         cfg.track_sort_order = b.as_bool().ok_or("track_sort_order must be a boolean")?;
@@ -412,7 +409,6 @@ pub fn outcome_to_json(outcome: &MiningOutcome) -> Json {
                 ("page_accesses".to_string(), Json::u64(t.page_accesses)),
                 ("estimated_io_ms".to_string(), Json::Num(t.estimated_io_ms)),
                 ("cache_hits".to_string(), Json::u64(t.cache_hits)),
-                ("pool_steals".to_string(), Json::u64(t.pool_steals)),
             ];
             // Only present when constraint pushdown pruned something —
             // unconstrained outcomes keep their pre-constraint bytes.
@@ -438,7 +434,6 @@ pub fn outcome_to_json(outcome: &MiningOutcome) -> Json {
                     ("seq_writes", Json::u64(e.io.seq_writes)),
                     ("rand_writes", Json::u64(e.io.rand_writes)),
                     ("cache_hits", Json::u64(e.io.cache_hits)),
-                    ("pool_steals", Json::u64(e.io.pool_steals)),
                 ]),
             ),
         ]),
@@ -490,12 +485,9 @@ pub struct TracePayload {
     pub c_len: u64,
     pub page_accesses: u64,
     pub estimated_io_ms: f64,
-    /// Page reads absorbed by the buffer cache / pool. Zero when talking
-    /// to a pre-pool server.
+    /// Page reads absorbed by the buffer cache. Zero when talking to a
+    /// server that predates the cache counters.
     pub cache_hits: u64,
-    /// Pool frames that changed owner this iteration. Zero when talking
-    /// to a pre-pool server.
-    pub pool_steals: u64,
     /// Candidate extensions rejected by constraint pushdown. Zero for
     /// unconstrained runs or when talking to a pre-constraint server.
     pub candidates_pruned: u64,
@@ -512,16 +504,14 @@ pub enum ReportPayload {
     Engine {
         page_accesses: u64,
         estimated_io_ms: f64,
-        /// Effective buffer frames the run ended with (0 from a pre-pool
-        /// server).
+        /// Effective buffer frames the run ended with (0 from a server
+        /// that predates the cache counters).
         cache_frames: u64,
         seq_reads: u64,
         rand_reads: u64,
         seq_writes: u64,
         rand_writes: u64,
         cache_hits: u64,
-        /// Pool frames that changed owner (0 from a pre-pool server).
-        pool_steals: u64,
     },
     Sql {
         statements: Vec<String>,
@@ -558,6 +548,8 @@ fn items_field(v: &Json, key: &str) -> Result<Vec<u32>, String> {
 
 /// Decode one trace row — the per-iteration object shared by the
 /// outcome's `trace` array and the streamed `progress` iteration events.
+/// Unknown members are ignored, so rows from a server that still sends
+/// `pool_steals` decode too.
 fn trace_row_from_json(e: &Json) -> Result<TracePayload, String> {
     Ok(TracePayload {
         k: u64_field(e, "k")? as usize,
@@ -567,9 +559,8 @@ fn trace_row_from_json(e: &Json) -> Result<TracePayload, String> {
         c_len: u64_field(e, "c_len")?,
         page_accesses: u64_field(e, "page_accesses")?,
         estimated_io_ms: f64_field(e, "estimated_io_ms")?,
-        // Pre-pool servers omit the cache counters — default 0.
+        // Older servers omit the cache counter — default 0.
         cache_hits: e.get("cache_hits").and_then(Json::as_u64).unwrap_or(0),
-        pool_steals: e.get("pool_steals").and_then(Json::as_u64).unwrap_or(0),
         // Absent from pre-constraint servers and unconstrained rows.
         candidates_pruned: e.get("candidates_pruned").and_then(Json::as_u64).unwrap_or(0),
         // Absent when decoding a pre-plan server's response —
@@ -617,14 +608,13 @@ pub fn outcome_from_json(v: &Json) -> Result<OutcomePayload, String> {
             ReportPayload::Engine {
                 page_accesses: u64_field(report, "page_accesses")?,
                 estimated_io_ms: f64_field(report, "estimated_io_ms")?,
-                // Pre-pool servers omit the pool fields — default 0.
+                // Older servers omit the frame count — default 0.
                 cache_frames: report.get("cache_frames").and_then(Json::as_u64).unwrap_or(0),
                 seq_reads: u64_field(io, "seq_reads")?,
                 rand_reads: u64_field(io, "rand_reads")?,
                 seq_writes: u64_field(io, "seq_writes")?,
                 rand_writes: u64_field(io, "rand_writes")?,
                 cache_hits: u64_field(io, "cache_hits")?,
-                pool_steals: io.get("pool_steals").and_then(Json::as_u64).unwrap_or(0),
             }
         }
         Some("sql") => ReportPayload::Sql {
@@ -675,7 +665,6 @@ pub fn progress_event_to_json(job: u64, event: &ObsEvent) -> Json {
                 ("page_accesses".to_string(), Json::u64(s.page_accesses)),
                 ("estimated_io_ms".to_string(), Json::Num(s.estimated_io_ms)),
                 ("cache_hits".to_string(), Json::u64(s.cache_hits)),
-                ("pool_steals".to_string(), Json::u64(s.pool_steals)),
             ];
             // Same conditional member as the outcome trace rows.
             if s.candidates_pruned > 0 {
@@ -714,8 +703,8 @@ pub enum ProgressEvent {
     Iteration(TracePayload),
     /// A named sub-phase started or ended (`state` is `"start"`/`"end"`).
     Phase { phase: String, state: String, k: usize },
-    /// A counter-style annotation (e.g. a shard repartition or a pool
-    /// rebalance) with its observed value.
+    /// A counter-style annotation (e.g. a shard repartition) with its
+    /// observed value.
     Note { name: String, k: usize, value: u64 },
 }
 
@@ -929,6 +918,79 @@ mod tests {
         assert!(payload.trace.iter().any(|t| t.candidates_pruned > 0));
     }
 
+    /// Older clients send `pool` inside `engine_config` to pick the
+    /// retired shared buffer pool. The member is ignored like any unknown
+    /// one: the line parses to the same `Miner` as one without it, and so
+    /// gets the same canonical outcome-cache key.
+    #[test]
+    fn the_retired_pool_member_is_ignored() {
+        let mine = |engine_config: String| {
+            let text = format!(
+                r#"{{"op":"mine","dataset":"example","backend":"engine","min_support":{{"count":3}},"min_confidence":0.7,"engine_config":{engine_config}}}"#
+            );
+            let v = crate::json::parse(&text).unwrap();
+            let Request::Mine(req) = parse_request(&v).unwrap() else {
+                panic!("not a mine request")
+            };
+            req
+        };
+        // 64 frames is a non-default config; 256 is the default, whose
+        // canonical form omits `engine_config` altogether.
+        for frames in [64, 256] {
+            let without = mine(format!(r#"{{"cache_frames":{frames}}}"#));
+            let key = without.to_json().to_string();
+            assert!(!key.contains("pool"), "{key}");
+            for pool in [true, false] {
+                let with = mine(format!(r#"{{"cache_frames":{frames},"pool":{pool}}}"#));
+                assert_eq!(with, without, "frames={frames} pool={pool}");
+                assert_eq!(with.to_json().to_string(), key, "frames={frames} pool={pool}");
+            }
+        }
+    }
+
+    /// A server that still ran the shared buffer pool sent `pool_steals`
+    /// after `cache_hits` in every trace row, progress line and engine
+    /// `io` object. Its outcomes and progress lines still decode, to the
+    /// same payload as today's.
+    #[test]
+    fn pool_steals_members_from_older_servers_still_decode() {
+        fn add_steals(v: &mut Json) {
+            match v {
+                Json::Obj(members) => {
+                    if let Some(i) = members.iter().position(|(key, _)| key == "cache_hits") {
+                        members.insert(i + 1, ("pool_steals".to_string(), Json::u64(2)));
+                    }
+                    members.iter_mut().for_each(|(_, m)| add_steals(m));
+                }
+                Json::Arr(items) => items.iter_mut().for_each(add_steals),
+                _ => {}
+            }
+        }
+        let d = example::paper_example_dataset();
+        let outcome = Miner::new(example::paper_example_params())
+            .backend(Backend::Engine(EngineConfig::default()))
+            .run(&d)
+            .unwrap();
+        let wire = outcome_to_json(&outcome);
+        assert!(!wire.to_string().contains("pool_steals"));
+        let mut old = wire.clone();
+        add_steals(&mut old);
+        let old = crate::json::parse(&old.to_string()).unwrap();
+        let rows = outcome.result.trace.len();
+        assert_eq!(old.to_string().matches(r#""pool_steals":2"#).count(), rows + 1);
+        assert_eq!(outcome_from_json(&old).unwrap(), outcome_from_json(&wire).unwrap());
+
+        let event = ObsEvent::Iteration(outcome.result.trace[1].snapshot());
+        let line = progress_event_to_json(5, &event);
+        let mut old = line.clone();
+        add_steals(&mut old);
+        assert!(old.to_string().contains(r#""pool_steals":2"#));
+        assert_eq!(
+            progress_event_from_json(&old).unwrap(),
+            progress_event_from_json(&line).unwrap()
+        );
+    }
+
     #[test]
     fn mine_request_defaults_apply() {
         let v = crate::json::parse(
@@ -980,7 +1042,6 @@ mod tests {
             page_accesses: 77,
             estimated_io_ms: 2.25,
             cache_hits: 30,
-            pool_steals: 2,
             candidates_pruned: 0,
             plan: "sortmerge(ext=hash)".to_string(),
         };
@@ -988,7 +1049,7 @@ mod tests {
             ObsEvent::Iteration(snap.clone()),
             ObsEvent::PhaseStart { name: "sort_r_prev", k: 3 },
             ObsEvent::PhaseEnd { name: "sort_r_prev", k: 3 },
-            ObsEvent::Note { name: "pool_rebalance", k: 3, value: 7 },
+            ObsEvent::Note { name: "repartition", k: 3, value: 1 },
         ];
         for event in &events {
             let wire = progress_event_to_json(41, event);

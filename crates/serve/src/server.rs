@@ -258,10 +258,8 @@ struct Telemetry {
     bytes_in: Arc<Counter>,
     bytes_out: Arc<Counter>,
     conn_open: Arc<Gauge>,
-    // Buffer-pool activity, aggregated from engine-backed runs' traces.
+    // Buffer-cache hits, aggregated from engine-backed runs' traces.
     pool_cache_hits: Arc<Counter>,
-    pool_steals: Arc<Counter>,
-    pool_rebalances: Arc<Counter>,
     // Registry and frontier occupancy, sampled at render time.
     registry_datasets: Arc<Gauge>,
     registry_datasets_loaded: Arc<Gauge>,
@@ -284,8 +282,6 @@ impl Telemetry {
             bytes_out: registry.counter("setm_conn_bytes_out_total"),
             conn_open: registry.gauge("setm_conn_open"),
             pool_cache_hits: registry.counter("setm_pool_cache_hits_total"),
-            pool_steals: registry.counter("setm_pool_steals_total"),
-            pool_rebalances: registry.counter("setm_pool_rebalances_total"),
             registry_datasets: registry.gauge("setm_registry_datasets"),
             registry_datasets_loaded: registry.gauge("setm_registry_datasets_loaded"),
             frontier_entries: registry.gauge("setm_frontier_entries"),
@@ -296,15 +292,13 @@ impl Telemetry {
 }
 
 /// The per-job telemetry sink the server installs on the miner it
-/// schedules: records per-iteration spans, aggregates pool counters into
-/// the shared registry, and (for `progress: true` requests) tees every
+/// schedules: records per-iteration spans, aggregates cache hits into the
+/// shared registry, and (for `progress: true` requests) tees every
 /// event into the channel the connection thread streams from.
 struct JobSink {
     job: u64,
     spans: Arc<SpanLog>,
     pool_cache_hits: Arc<Counter>,
-    pool_steals: Arc<Counter>,
-    pool_rebalances: Arc<Counter>,
     /// `mpsc::Sender` is not `Sync`; the mutex makes the sink shareable
     /// across mining shards. The *miner* is the only holder of this
     /// sink, so when the worker finishes the run (or a queued cancel
@@ -315,14 +309,9 @@ struct JobSink {
 
 impl ObsSink for JobSink {
     fn on_event(&self, event: &ObsEvent) {
-        match event {
-            ObsEvent::Iteration(s) => {
-                self.spans.record(self.job, &format!("iteration {}", s.k));
-                self.pool_cache_hits.add(s.cache_hits);
-                self.pool_steals.add(s.pool_steals);
-            }
-            ObsEvent::Note { name: "pool_rebalance", .. } => self.pool_rebalances.inc(),
-            _ => {}
+        if let ObsEvent::Iteration(s) = event {
+            self.spans.record(self.job, &format!("iteration {}", s.k));
+            self.pool_cache_hits.add(s.cache_hits);
         }
         if let Some(tx) = &self.tx {
             // A gone receiver (client disconnected mid-stream) is fine;
@@ -840,8 +829,6 @@ fn handle_mine(req: MineRequest, shared: &Arc<Shared>, emit: Emit<'_>) -> std::i
                 job: job_id,
                 spans: Arc::clone(&telemetry.spans),
                 pool_cache_hits: Arc::clone(&telemetry.pool_cache_hits),
-                pool_steals: Arc::clone(&telemetry.pool_steals),
-                pool_rebalances: Arc::clone(&telemetry.pool_rebalances),
                 tx,
             });
             // The miner is the sink's only holder: the connection thread
@@ -985,7 +972,6 @@ fn status_response(shared: &Shared) -> Json {
         // `engine_config` overrides it; per-run effective frames are on
         // the outcome report (`report.cache_frames`).
         ("engine_cache_frames", Json::u64(setm_core::EngineConfig::default().cache_frames as u64)),
-        ("engine_shared_pool", Json::Bool(setm_core::EngineConfig::default().shared_pool)),
         // Incremental serving: what a `threads: 0` request actually gets,
         // and how responses have been produced so far.
         ("available_parallelism", Json::u64(available_parallelism)),

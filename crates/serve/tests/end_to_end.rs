@@ -102,7 +102,7 @@ fn served_outcome_reports_match_the_backend() {
     match &eng.outcome.report {
         ReportPayload::Engine { page_accesses, seq_writes, cache_frames, cache_hits, .. } => {
             assert!(*page_accesses > 0);
-            // The tiny example fits entirely in the default shared pool:
+            // The tiny example fits entirely in the default buffer cache:
             // every read-back is a hit, but writes still touch the disk.
             assert!(*seq_writes > 0);
             assert!(*cache_hits > 0);

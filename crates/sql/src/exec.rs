@@ -262,16 +262,14 @@ impl SqlEngine {
             Statement::InsertSelect { table, select } => {
                 let out = self.run_select(select, params)?;
                 let (arity, n) = (out.file.arity(), out.file.n_records());
-                let rows = out.file.read_all()?;
-                out.file.free()?;
+                let rows = read_and_free(out.file)?;
                 self.append_rows(table, arity, &rows, out.sorted_by)?;
                 Ok(ExecOutcome::Inserted(n))
             }
             Statement::Select(select) => {
                 let out = self.run_select(select, params)?;
                 let arity = out.file.arity();
-                let flat = out.file.read_all()?;
-                out.file.free()?;
+                let flat = read_and_free(out.file)?;
                 let rows = flat.chunks_exact(arity).map(<[u32]>::to_vec).collect();
                 Ok(ExecOutcome::Rows(QueryResult { columns: out.columns, rows }))
             }
@@ -703,6 +701,15 @@ fn eval_const(s: &Scalar, params: &Params) -> Result<u64> {
         Scalar::Param(p) => params.get(p),
         Scalar::Column(c) => Err(SqlError::Plan(format!("expected a constant, found column {c}"))),
     }
+}
+
+/// Read a SELECT's result file into a flat row-major buffer, then free
+/// it — whether or not the read succeeded, so a failed read leaves no
+/// pages behind.
+fn read_and_free(file: HeapFile) -> Result<Vec<u32>> {
+    let rows = file.read_all();
+    file.free()?;
+    Ok(rows?)
 }
 
 fn ensure_sorted(w: Working, key: &[usize], sort_opts: SortOptions) -> Result<Working> {

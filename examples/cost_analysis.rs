@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example cost_analysis`
 
-use setm::core::nested_loop::{mine_nested_loop, NestedLoopOptions};
+use setm::core::nested_loop::mine_nested_loop;
 use setm::costmodel::ComparisonReport;
 use setm::datagen::UniformConfig;
 use setm::{Backend, EngineConfig, MinSupport, Miner, MiningParams};
@@ -36,8 +36,7 @@ fn main() {
         .expect("engine run succeeds");
     let setm_accesses = setm_run.report.page_accesses().expect("engine report");
     let setm_ms = setm_run.report.estimated_io_ms().expect("engine report");
-    let nl_run = mine_nested_loop(&dataset, &params, NestedLoopOptions::default())
-        .expect("nested-loop run succeeds");
+    let nl_run = mine_nested_loop(&dataset, &params).expect("nested-loop run succeeds");
     assert_eq!(
         setm_run.result.frequent_itemsets(),
         nl_run.result.frequent_itemsets(),

@@ -9,7 +9,7 @@
 //! *ordering* and *rough magnitude* relationships between the strategies
 //! when measured.
 
-use setm::core::nested_loop::{mine_nested_loop, NestedLoopOptions};
+use setm::core::nested_loop::mine_nested_loop;
 use setm::core::setm::engine::{self, EngineConfig};
 use setm::core::setm::plan::{
     JoinStrategy, LiveStats, PhysicalPlan, PlanMode, Planner, PlannerConfig,
@@ -62,7 +62,7 @@ fn measured_strategies_order_like_the_model() {
     // threads: 1 — these tests validate the *sequential* Section 4.3
     // accounting (see docs/REPRODUCTION.md, Design notes §5).
     let sm = sequential(&dataset, &params, PlanMode::Auto);
-    let nl = mine_nested_loop(&dataset, &params, NestedLoopOptions::default()).unwrap();
+    let nl = mine_nested_loop(&dataset, &params).unwrap();
     assert_eq!(sm.0.frequent_itemsets(), nl.result.frequent_itemsets());
 
     // The model's core claim: nested-loop needs an order of magnitude

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use setm::baselines::{ais, apriori, apriori_tid};
-use setm::core::nested_loop::{mine_nested_loop, NestedLoopOptions};
+use setm::core::nested_loop::mine_nested_loop;
 use setm::{Backend, Dataset, EngineConfig, ItemVec, MinSupport, Miner, MiningParams};
 
 /// The facade-driven reference result (in-memory backend).
@@ -91,7 +91,7 @@ proptest! {
     fn nested_loop_agrees(d in dataset_strategy(), min_count in 1u64..=4) {
         let params = MiningParams::new(MinSupport::Count(min_count), 0.5);
         let reference = mine_ref(&d, &params).frequent_itemsets();
-        let nl = mine_nested_loop(&d, &params, NestedLoopOptions::default()).unwrap();
+        let nl = mine_nested_loop(&d, &params).unwrap();
         prop_assert_eq!(nl.result.frequent_itemsets(), reference);
     }
 

@@ -96,8 +96,7 @@ fn partitioned_forced_and_constrained_sql_are_pinned() {
 }
 
 /// `engine.rs::midrun_shard_collapse_repartitions_consistently`'s data:
-/// a 4-shard run rebalances its pool at k = 2 and collapses to one
-/// shard (a repartition) at k = 3.
+/// a 4-shard run collapses to one shard (a repartition) at k = 3.
 fn midrun_collapse() -> (Dataset, MiningParams) {
     let txns: Vec<(u32, Vec<u32>)> = (0..80u32).map(|t| (t, vec![1, 2, 3, 100 + t])).collect();
     let d = Dataset::from_transactions(txns.iter().map(|(t, i)| (*t, i.as_slice())));
@@ -117,7 +116,7 @@ fn render_engine_run(outcome: &MiningOutcome) -> Vec<String> {
         .iter()
         .map(|t| {
             format!(
-                "k={} r'={} r={} kb={:#x} c={} pa={} ms={:#x} hits={} steals={} pruned={} plan={}",
+                "k={} r'={} r={} kb={:#x} c={} pa={} ms={:#x} hits={} pruned={} plan={}",
                 t.k,
                 t.r_prime_tuples,
                 t.r_tuples,
@@ -126,7 +125,6 @@ fn render_engine_run(outcome: &MiningOutcome) -> Vec<String> {
                 t.page_accesses,
                 t.estimated_io_ms.to_bits(),
                 t.cache_hits,
-                t.pool_steals,
                 t.candidates_pruned,
                 t.plan_string(),
             )
@@ -137,7 +135,7 @@ fn render_engine_run(outcome: &MiningOutcome) -> Vec<String> {
     };
     let io = report.io;
     lines.push(format!(
-        "total pa={} ms={:#x} frames={} seq_r={} rand_r={} seq_w={} rand_w={} hits={} steals={}",
+        "total pa={} ms={:#x} frames={} seq_r={} rand_r={} seq_w={} rand_w={} hits={}",
         report.page_accesses,
         report.estimated_io_ms.to_bits(),
         report.cache_frames,
@@ -146,7 +144,6 @@ fn render_engine_run(outcome: &MiningOutcome) -> Vec<String> {
         io.seq_writes,
         io.rand_writes,
         io.cache_hits,
-        io.pool_steals,
     ));
     lines
 }
@@ -158,22 +155,22 @@ fn engine_traces_and_io_are_pinned() {
     assert_eq!(
         render_engine_run(&one),
         [
-            "k=1 r'=320 r=320 kb=0x4004000000000000 c=3 pa=1 ms=0x4024000000000000 hits=2 steals=0 pruned=0 plan=-",
-            "k=2 r'=480 r=240 kb=0x4006800000000000 c=3 pa=6 ms=0x404e000000000000 hits=7 steals=0 pruned=0 plan=merge-scan,reuse=1,shards=1,buf=10",
-            "k=3 r'=320 r=80 kb=0x3ff4000000000000 c=1 pa=6 ms=0x404e000000000000 hits=7 steals=0 pruned=0 plan=merge-scan,reuse=1,shards=1,buf=10",
-            "k=4 r'=80 r=0 kb=0x0 c=0 pa=2 ms=0x4034000000000000 hits=4 steals=0 pruned=0 plan=merge-scan,reuse=1,shards=1,buf=6",
-            "total pa=15 ms=0x4062c00000000000 frames=256 seq_r=0 rand_r=0 seq_w=15 rand_w=0 hits=20 steals=0",
+            "k=1 r'=320 r=320 kb=0x4004000000000000 c=3 pa=1 ms=0x4024000000000000 hits=2 pruned=0 plan=-",
+            "k=2 r'=480 r=240 kb=0x4006800000000000 c=3 pa=6 ms=0x404e000000000000 hits=7 pruned=0 plan=merge-scan,reuse=1,shards=1,buf=10",
+            "k=3 r'=320 r=80 kb=0x3ff4000000000000 c=1 pa=6 ms=0x404e000000000000 hits=7 pruned=0 plan=merge-scan,reuse=1,shards=1,buf=10",
+            "k=4 r'=80 r=0 kb=0x0 c=0 pa=2 ms=0x4034000000000000 hits=4 pruned=0 plan=merge-scan,reuse=1,shards=1,buf=6",
+            "total pa=15 ms=0x4062c00000000000 frames=256 seq_r=0 rand_r=0 seq_w=15 rand_w=0 hits=20",
         ]
     );
     let four = engine(4).run(&d).unwrap();
     assert_eq!(
         render_engine_run(&four),
         [
-            "k=1 r'=320 r=320 kb=0x4004000000000000 c=3 pa=4 ms=0x4044000000000000 hits=8 steals=0 pruned=0 plan=-",
-            "k=2 r'=480 r=240 kb=0x4006800000000000 c=3 pa=16 ms=0x4064000000000000 hits=24 steals=0 pruned=0 plan=merge-scan,reuse=1,shards=4,buf=10",
-            "k=3 r'=320 r=80 kb=0x3ff4000000000000 c=1 pa=7 ms=0x4051800000000000 hits=11 steals=0 pruned=0 plan=merge-scan,reuse=1,shards=1,buf=10",
-            "k=4 r'=80 r=0 kb=0x0 c=0 pa=2 ms=0x4034000000000000 hits=4 steals=0 pruned=0 plan=merge-scan,reuse=1,shards=1,buf=6",
-            "total pa=29 ms=0x4072200000000000 frames=256 seq_r=0 rand_r=0 seq_w=29 rand_w=0 hits=47 steals=0",
+            "k=1 r'=320 r=320 kb=0x4004000000000000 c=3 pa=4 ms=0x4044000000000000 hits=8 pruned=0 plan=-",
+            "k=2 r'=480 r=240 kb=0x4006800000000000 c=3 pa=16 ms=0x4064000000000000 hits=24 pruned=0 plan=merge-scan,reuse=1,shards=4,buf=10",
+            "k=3 r'=320 r=80 kb=0x3ff4000000000000 c=1 pa=7 ms=0x4051800000000000 hits=11 pruned=0 plan=merge-scan,reuse=1,shards=1,buf=10",
+            "k=4 r'=80 r=0 kb=0x0 c=0 pa=2 ms=0x4034000000000000 hits=4 pruned=0 plan=merge-scan,reuse=1,shards=1,buf=6",
+            "total pa=29 ms=0x4072200000000000 frames=256 seq_r=0 rand_r=0 seq_w=29 rand_w=0 hits=47",
         ]
     );
 }
@@ -232,7 +229,6 @@ fn observer_event_sequences_are_pinned() {
         events(engine(4), &d),
         [
             "iteration - k=1 value=3",
-            "note pool_rebalance k=2 value=0",
             "iteration merge-scan,reuse=1,shards=4,buf=10 k=2 value=3",
             "note repartition k=3 value=1",
             "iteration merge-scan,reuse=1,shards=1,buf=10 k=3 value=1",

@@ -164,7 +164,8 @@ fn failed_insert_select_leaves_no_partial_rows() {
 /// are copied into a new file ahead of the selected ones. The pager has
 /// no cache, so every page access of the statement reaches the disk, and
 /// a fault at any of them must fail the statement and leave the table as
-/// it was — never a success that lost a page of the old rows.
+/// it was — never a success that lost a page of the old rows — and free
+/// every page the statement wrote: the SELECT's result, the partial copy.
 #[test]
 fn insert_select_into_a_non_empty_table_is_all_or_nothing() {
     let p = Params::new();
@@ -192,10 +193,13 @@ fn insert_select_into_a_non_empty_table_is_all_or_nothing() {
 
     for fail_at in 1..=accesses {
         let mut engine = setup();
+        let pages_before = engine.database().pager().lock().total_pages();
         engine.database().pager().lock().fail_after(Some(fail_at));
         let result = engine.execute(insert, &p);
         match result {
             Err(SqlError::Engine(Error::Corrupt(_))) => {
+                let pages = engine.database().pager().lock().total_pages();
+                assert_eq!(pages, pages_before, "fault at access {fail_at} leaked pages");
                 assert_eq!(contents(&mut engine), expect_old, "fault at access {fail_at}");
             }
             Ok(_) => panic!("fault at access {fail_at} of {accesses} was swallowed"),

@@ -2,7 +2,7 @@
 //! reproduced exactly by every execution strategy in the workspace —
 //! all of them driven through the one `Miner` facade.
 
-use setm::core::nested_loop::{mine_nested_loop, NestedLoopOptions};
+use setm::core::nested_loop::mine_nested_loop;
 use setm::{example, generate_rules, Backend, EngineConfig, Miner};
 
 #[test]
@@ -14,7 +14,7 @@ fn figures_1_to_3_from_every_execution() {
     let engine =
         miner.clone().backend(Backend::Engine(EngineConfig::default())).run(&d).unwrap().result;
     let sql = miner.clone().backend(Backend::Sql).run(&d).unwrap().result;
-    let nested = mine_nested_loop(&d, miner.params(), NestedLoopOptions::default()).unwrap();
+    let nested = mine_nested_loop(&d, miner.params()).unwrap();
 
     let reference = memory.frequent_itemsets();
     assert_eq!(engine.frequent_itemsets(), reference, "engine execution");
