@@ -12,7 +12,9 @@
 //!   analysis   Sections 3.2/4.3 — analytical cost comparison + measured
 //!              validation on the paged engine
 //!   baselines  E7 extension — SETM vs AIS vs Apriori vs Apriori-TID
-//!   ablation   E8 — sort-order tracking, filter-R1 and buffer-cache knobs
+//!   ablation   E8 — sort-order tracking (forced `reuse=1` vs `reuse=0`
+//!              plans) and buffer-cache frames on the paged engine, each
+//!              result checked
 //!   parallel   sharded parallel SETM — wall clock vs thread count on both
 //!              the in-memory and paged-engine paths
 //!   serve      served mining throughput — an in-process `setm-serve`
@@ -43,7 +45,8 @@
 //!              compare the `deterministic` counters of a candidate
 //!              baseline (default ci_baseline.json) against a reference
 //!              (default BENCH_baseline.json); exit 1 on any drift.
-//!              Wall-clock fields are reported but never gated. Only
+//!              Wall-clock fields are reported, between files of one
+//!              `config` (tiny or full) only, and never gated. Only
 //!              files of one `schema` are compared: a mismatch exits 2
 //!              and names both files (regenerate with `baseline`).
 //!   all        every report target above, in order (baseline excluded)
@@ -446,45 +449,41 @@ fn repro_baselines() {
 fn repro_ablation() {
     banner("E8 ablation — sort-order tracking (Section 4.1 remark)");
     // Needs a run of >= 3 iterations for the loop-top sort to matter:
-    // the retail data at 0.1% runs to k = 4.
+    // the retail data at 0.1% runs to k = 4. `reuse=0` is the literal
+    // Figure 4, which re-sorts R_{k-1} at the top of every pass (k = 2
+    // included); `reuse=1` keeps the order the closing ORDER BY left.
     let dataset = RetailConfig::paper().generate();
     let params = MiningParams::new(MinSupport::Fraction(0.001), 0.5);
-    let tracked = run_on_engine(
-        &dataset,
-        &params,
-        EngineConfig { track_sort_order: true, ..Default::default() },
-        1,
-    );
-    let naive = run_on_engine(
-        &dataset,
-        &params,
-        EngineConfig { track_sort_order: false, ..Default::default() },
-        1,
+    let forced = |reuse_sort: bool| {
+        let plan = PhysicalPlan { reuse_sort, ..PhysicalPlan::merge_scan() };
+        Miner::new(params)
+            .backend(Backend::Engine(EngineConfig::default()))
+            .threads(1)
+            .plan_mode(PlanMode::Forced(plan))
+            .run(&dataset)
+            .expect("engine run")
+    };
+    let (tracked, naive) = (forced(true), forced(false));
+    assert_eq!(
+        tracked.frequent_itemsets(),
+        naive.frequent_itemsets(),
+        "the sort order must not change results"
     );
     let (tracked, naive) = (
         tracked.report.page_accesses().expect("engine report"),
         naive.report.page_accesses().expect("engine report"),
     );
+    assert!(tracked < naive, "reusing the sort order must save I/O: {tracked} vs {naive}");
     println!("{:<26} {:>14}", "plan", "page accesses");
-    println!("{:<26} {:>14}", "sort order tracked", tracked);
+    println!("{:<26} {:>14}", "sort order reused", tracked);
     println!("{:<26} {:>14}", "re-sorted every pass", naive);
     println!("savings: {:.1}% of all accesses", 100.0 * (1.0 - tracked as f64 / naive as f64));
-
-    banner("E8 ablation — joining filtered vs unfiltered R_1 (Miner::filter_r1)");
-    let retail = RetailConfig::paper().generate();
-    let params = MiningParams::new(MinSupport::Fraction(0.001), 0.5);
-    let miner = Miner::new(params); // in-memory backend implements filter_r1
-    let plain = miner.clone().filter_r1(false).run(&retail).expect("memory run");
-    let filtered = miner.filter_r1(true).run(&retail).expect("memory run");
-    assert_eq!(plain.frequent_itemsets(), filtered.frequent_itemsets());
-    println!("{:<26} {:>14}", "variant", "|R'_2| tuples");
-    println!("{:<26} {:>14}", "paper (unfiltered R_1)", plain.result.trace[1].r_prime_tuples);
-    println!("{:<26} {:>14}", "filtered R_1 (extension)", filtered.result.trace[1].r_prime_tuples);
 
     banner("E8 ablation — buffer-cache frames (engine execution, retail/20)");
     let small = RetailConfig::small(2_500, 11).generate();
     let params = MiningParams::new(MinSupport::Fraction(0.005), 0.5);
     println!("{:<12} {:>14}", "frames", "page accesses");
+    let mut previous = u64::MAX;
     for frames in [0usize, 64, 256, 1024] {
         let run = run_on_engine(
             &small,
@@ -492,7 +491,10 @@ fn repro_ablation() {
             EngineConfig { cache_frames: frames, ..Default::default() },
             1,
         );
-        println!("{:<12} {:>14}", frames, run.report.page_accesses().expect("engine report"));
+        let accesses = run.report.page_accesses().expect("engine report");
+        println!("{:<12} {:>14}", frames, accesses);
+        assert!(accesses <= previous, "more frames must never cost page accesses");
+        previous = accesses;
     }
 }
 
@@ -1565,7 +1567,8 @@ fn repro_baseline(path: Option<String>) {
 /// of a freshly recorded baseline against the checked-in reference.
 /// Deterministic drift (page accesses, |C_k| traces, SQL statement
 /// counts, nested-loop vs SETM I/O) fails the run; wall-clock fields
-/// are reported for context but never gated.
+/// are reported for context, when both files ran one config, but never
+/// gated.
 fn repro_check_baseline(candidate: Option<String>, reference: Option<String>) {
     use setm_serve::json::{parse, Json as JsonValue};
 
@@ -1586,8 +1589,9 @@ fn repro_check_baseline(candidate: Option<String>, reference: Option<String>) {
     let reference = load(&ref_path);
     // Counters are compared only between files of one schema: a schema
     // change moves fields, so a cross-schema diff would report noise.
-    let schema_of = |v: &JsonValue| v.get("schema").and_then(JsonValue::as_str).map(str::to_string);
-    let (ref_schema, cand_schema) = (schema_of(&reference), schema_of(&cand));
+    let member =
+        |v: &JsonValue, key: &str| v.get(key).and_then(JsonValue::as_str).map(str::to_string);
+    let (ref_schema, cand_schema) = (member(&reference, "schema"), member(&cand, "schema"));
     if ref_schema != cand_schema {
         eprintln!(
             "schema mismatch: {ref_path} is {} but {cand_path} is {}; regenerate the \
@@ -1599,7 +1603,9 @@ fn repro_check_baseline(candidate: Option<String>, reference: Option<String>) {
     }
 
     // Wall-clock context: same-path wall_ms leaves, side by side. Never
-    // gated — machine and config (tiny vs full) legitimately differ.
+    // gated, and shown only between files of one config: a tiny and a
+    // full baseline time different inputs at the same paths.
+    let (ref_config, cand_config) = (member(&reference, "config"), member(&cand, "config"));
     let mut ref_walls = Vec::new();
     collect_wall_leaves("", &reference, &mut ref_walls);
     let mut cand_walls = Vec::new();
@@ -1610,8 +1616,14 @@ fn repro_check_baseline(candidate: Option<String>, reference: Option<String>) {
             cand_walls.iter().find(|(p, _)| p == path).map(|(_, cv)| (path, *rv, *cv))
         })
         .collect();
-    if common.is_empty() {
-        println!("wall-clock: no directly comparable fields (configs differ) — not gated\n");
+    if ref_config != cand_config {
+        println!(
+            "wall-clock: not compared, {ref_path} is the {} config and {cand_path} the {} config\n",
+            ref_config.as_deref().unwrap_or("unnamed"),
+            cand_config.as_deref().unwrap_or("unnamed"),
+        );
+    } else if common.is_empty() {
+        println!("wall-clock: no directly comparable fields — not gated\n");
     } else {
         println!("wall-clock (reported, never gated):");
         println!("  {:<58} {:>10} {:>10} {:>7}", "field", "baseline", "candidate", "ratio");

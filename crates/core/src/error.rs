@@ -2,12 +2,14 @@
 //!
 //! Every backend reachable from the [`crate::Miner`] facade reports
 //! failures through one enum, [`SetmError`]: user-input problems
-//! (invalid support / confidence, nonsense engine configuration,
-//! options a backend cannot honor) are caught by validation before any
-//! work starts, and the per-layer error types of the storage engine
-//! (`setm_relational::Error`) and the SQL layer (`setm_sql::SqlError`)
-//! convert into it, so a disk fault three layers down still surfaces as
-//! one typed error at the facade — never a panic.
+//! (invalid support / confidence, nonsense engine configuration, an
+//! illegal forced plan, contradictory constraints) are caught by
+//! validation before any work starts. Every option means the same thing
+//! on every backend, so none is rejected for the backend it runs on. The
+//! per-layer error types of the storage engine (`setm_relational::Error`)
+//! and the SQL layer (`setm_sql::SqlError`) convert into it, so a disk
+//! fault three layers down still surfaces as one typed error at the
+//! facade — never a panic.
 
 use std::fmt;
 
@@ -23,9 +25,6 @@ pub enum SetmError {
     /// A nonsensical engine configuration (e.g. a sort workspace below
     /// the 3-page minimum a two-phase external sort needs).
     InvalidEngineConfig { reason: String },
-    /// An execution knob the selected backend cannot honor (e.g.
-    /// `filter_r1` on the SQL or engine backends).
-    UnsupportedOption { backend: &'static str, option: &'static str },
     /// A physical plan no execution can honor (zero shards, a sort
     /// workspace below the external-sort minimum, or an unparseable
     /// `SETM_FORCE_PLAN` string).
@@ -55,9 +54,6 @@ impl fmt::Display for SetmError {
             }
             SetmError::InvalidEngineConfig { reason } => {
                 write!(f, "invalid engine configuration: {reason}")
-            }
-            SetmError::UnsupportedOption { backend, option } => {
-                write!(f, "the {backend} backend does not support the `{option}` option")
             }
             SetmError::InvalidPlan { reason } => {
                 write!(f, "invalid physical plan: {reason}")
@@ -113,8 +109,6 @@ mod tests {
         assert!(e.to_string().contains("1.5"));
         let e = SetmError::InvalidConfidence { confidence: -0.2 };
         assert!(e.to_string().contains("-0.2"));
-        let e = SetmError::UnsupportedOption { backend: "sql", option: "threads" };
-        assert!(e.to_string().contains("sql") && e.to_string().contains("threads"));
     }
 
     #[test]

@@ -7,7 +7,8 @@
 //! [`Miner`] makes that claim the shape of the public API: every backend
 //! is reached through the same builder chain, returns the same
 //! [`MiningOutcome`], and fails with the same typed
-//! [`SetmError`].
+//! [`SetmError`]. Every option means the same thing on every backend;
+//! the backends differ only in their physical operators.
 //!
 //! ```
 //! use setm_core::{example, Backend, Miner};
@@ -225,7 +226,6 @@ pub struct Miner {
     params: MiningParams,
     backend: Backend,
     threads: usize,
-    filter_r1: bool,
     plan_mode: PlanMode,
     constraints: MiningConstraints,
     observer: Option<Arc<dyn ObsSink>>,
@@ -240,7 +240,6 @@ impl std::fmt::Debug for Miner {
             .field("params", &self.params)
             .field("backend", &self.backend)
             .field("threads", &self.threads)
-            .field("filter_r1", &self.filter_r1)
             .field("plan_mode", &self.plan_mode)
             .field("constraints", &self.constraints)
             .field("observer", &self.observer.as_ref().map(|_| "Some(..)"))
@@ -253,7 +252,6 @@ impl PartialEq for Miner {
         self.params == other.params
             && self.backend == other.backend
             && self.threads == other.threads
-            && self.filter_r1 == other.filter_r1
             && self.plan_mode == other.plan_mode
             && self.constraints == other.constraints
     }
@@ -267,7 +265,6 @@ impl Miner {
             params,
             backend: Backend::Memory,
             threads: 0,
-            filter_r1: false,
             plan_mode: PlanMode::Auto,
             constraints: MiningConstraints::new(),
             observer: None,
@@ -290,15 +287,6 @@ impl Miner {
     /// the same thing everywhere.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Restrict the `SALES` side of the merge-scan join to items that
-    /// are themselves frequent (the E8 ablation; results identical).
-    /// Only the in-memory backend implements it — elsewhere it is a
-    /// typed error, not a silent no-op.
-    pub fn filter_r1(mut self, filter_r1: bool) -> Self {
-        self.filter_r1 = filter_r1;
         self
     }
 
@@ -382,11 +370,6 @@ impl Miner {
         self.threads
     }
 
-    /// Whether the `filter_r1` ablation knob is set.
-    pub fn configured_filter_r1(&self) -> bool {
-        self.filter_r1
-    }
-
     /// The configured mining constraints (empty by default).
     pub fn configured_constraints(&self) -> &MiningConstraints {
         &self.constraints
@@ -399,38 +382,23 @@ impl Miner {
         self.plan_mode
     }
 
-    /// Validate the configuration without running anything.
+    /// Validate the configuration without running anything: the
+    /// parameters, the constraints, a forced plan and the engine's sort
+    /// workspace.
     pub fn validate(&self) -> Result<(), SetmError> {
         self.params.validate()?;
         self.constraints.validate(&self.params)?;
         if let PlanMode::Forced(plan) = self.plan_mode {
             plan.validate()?;
         }
-        match &self.backend {
-            Backend::Memory => {}
-            Backend::Engine(cfg) => {
-                if cfg.sort_buffer_pages < 3 {
-                    return Err(SetmError::InvalidEngineConfig {
-                        reason: format!(
-                            "sort_buffer_pages = {} but a two-phase external sort needs at least 3",
-                            cfg.sort_buffer_pages
-                        ),
-                    });
-                }
-                if self.filter_r1 {
-                    return Err(SetmError::UnsupportedOption {
-                        backend: "engine",
-                        option: "filter_r1",
-                    });
-                }
-            }
-            Backend::Sql => {
-                if self.filter_r1 {
-                    return Err(SetmError::UnsupportedOption {
-                        backend: "sql",
-                        option: "filter_r1",
-                    });
-                }
+        if let Backend::Engine(cfg) = &self.backend {
+            if cfg.sort_buffer_pages < 3 {
+                return Err(SetmError::InvalidEngineConfig {
+                    reason: format!(
+                        "sort_buffer_pages = {} but a two-phase external sort needs at least 3",
+                        cfg.sort_buffer_pages
+                    ),
+                });
             }
         }
         Ok(())
@@ -460,7 +428,6 @@ impl Miner {
         let unconstrained = CompiledConstraints::none();
         let spec = RunSpec {
             threads: self.threads,
-            filter_r1: self.filter_r1,
             plan_mode,
             sink: self.observer.as_deref().unwrap_or(&NullSink),
             constraints: plan.as_ref().map_or(&unconstrained, |p| p.compiled()),
@@ -608,33 +575,6 @@ mod tests {
     }
 
     #[test]
-    fn unsupported_options_are_reported_per_backend() {
-        let d = example::paper_example_dataset();
-        let params = example::paper_example_params();
-        // threads is an execution knob every backend honors — the SQL
-        // execution shards its statement pipeline (it used to be a typed
-        // error here).
-        let ok = Miner::new(params).backend(Backend::Sql).threads(4).run(&d).unwrap();
-        assert_eq!(ok.rules.len(), 11);
-        let e = Miner::new(params).backend(Backend::Sql).filter_r1(true).run(&d);
-        assert!(matches!(
-            e,
-            Err(SetmError::UnsupportedOption { backend: "sql", option: "filter_r1" })
-        ));
-        let e = Miner::new(params)
-            .backend(Backend::Engine(EngineConfig::default()))
-            .filter_r1(true)
-            .run(&d);
-        assert!(matches!(
-            e,
-            Err(SetmError::UnsupportedOption { backend: "engine", option: "filter_r1" })
-        ));
-        // filter_r1 on the in-memory backend is implemented, not an error.
-        let ok = Miner::new(params).filter_r1(true).run(&d).unwrap();
-        assert_eq!(ok.rules.len(), 11);
-    }
-
-    #[test]
     fn empty_dataset_yields_a_clean_empty_outcome_on_every_backend() {
         let d = Dataset::from_pairs(std::iter::empty());
         let params = MiningParams::new(MinSupport::Fraction(0.3), 0.7);
@@ -661,10 +601,9 @@ mod tests {
     #[test]
     fn configured_getters_echo_the_builder_chain() {
         let params = example::paper_example_params();
-        let miner = Miner::new(params).backend(Backend::Sql).threads(3).filter_r1(true);
+        let miner = Miner::new(params).backend(Backend::Sql).threads(3);
         assert_eq!(miner.configured_backend(), Backend::Sql);
         assert_eq!(miner.configured_threads(), 3);
-        assert!(miner.configured_filter_r1());
         assert_eq!(miner.configured_plan_mode(), PlanMode::Auto);
         let forced = miner.clone().plan_mode(PlanMode::Forced(PhysicalPlan::merge_scan()));
         assert_eq!(forced.configured_plan_mode(), PlanMode::Forced(PhysicalPlan::merge_scan()));

@@ -28,8 +28,8 @@
 //!   indices as maintained ahead of time, while every probe is charged).
 //! * `reuse_sort` — skip the loop-top re-sort of `R_{k-1}` (the closing
 //!   ORDER BY of the previous iteration already ordered it); `false`
-//!   replays Figure 4 literally. This subsumes the `track_sort_order`
-//!   knob, which now feeds the planner (ablation E8).
+//!   replays Figure 4 literally. Auto always reuses; a forced `reuse=0`
+//!   plan is the sort-order ablation (E8).
 //! * `shards` — `trans_id`-range partitions, **each on its own pager**
 //!   (its own simulated disk — mirroring a disk-per-worker deployment).
 //!   When the plan's shard count changes between iterations the engine
@@ -60,7 +60,6 @@ use crate::setm::driver::{drive, first_layout, Metered, Operators, Step, Totals}
 use crate::setm::plan::{JoinStrategy, LiveStats, PhysicalPlan, Planner, PlannerConfig};
 use crate::setm::shard::{partition_by_weight, resolve_threads};
 use crate::setm::{RunSpec, SetmResult};
-use setm_costmodel::DbParams;
 use setm_obs::ObsEvent;
 use setm_relational::heap::{HeapFile, HeapFileBuilder};
 use setm_relational::join::merge_scan_join;
@@ -86,16 +85,11 @@ pub struct EngineConfig {
     /// the remainder going one frame each to the heaviest shards, so
     /// every configured frame is granted.
     pub cache_frames: usize,
-    /// Track sort order across iterations (Section 4.1 optimization).
-    /// When false, the auto planner emits `reuse_sort = 0` plans from
-    /// k = 3 on: the loop-top sort re-sorts `R_{k-1}` even though the
-    /// filter step's `ORDER BY` already ordered it.
-    pub track_sort_order: bool,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
-        EngineConfig { sort_buffer_pages: 256, cache_frames: 256, track_sort_order: true }
+        EngineConfig { sort_buffer_pages: 256, cache_frames: 256 }
     }
 }
 
@@ -123,18 +117,7 @@ pub fn execute(
     let max_shards = resolve_threads(spec.threads).min(dataset.n_transactions().max(1) as usize);
     let planner = Planner::new(
         spec.plan_mode,
-        PlannerConfig {
-            max_shards,
-            sort_buffer_cap: config.sort_buffer_pages,
-            reuse_sort_order: config.track_sort_order,
-            // The join runs per shard, each probing through its own
-            // cache, so the warm-probe discount must see one shard's
-            // slice of the frame budget — the whole budget would price
-            // probes as warm when no single cache can hold the working
-            // set.
-            shard_cache_frames: config.cache_frames / max_shards.max(1),
-            db: DbParams::paper(),
-        },
+        PlannerConfig { max_shards, sort_buffer_cap: config.sort_buffer_pages },
     );
 
     let weights: Vec<usize> = dataset.transactions().map(|(_, items)| items.len()).collect();
@@ -802,6 +785,20 @@ mod tests {
         }
     }
 
+    /// One engine run under a forced merge-scan plan with `reuse_sort`
+    /// on `shards` shards.
+    fn forced(
+        d: &Dataset,
+        params: &MiningParams,
+        reuse_sort: bool,
+        shards: usize,
+    ) -> (SetmResult, EngineReport) {
+        let plan = PhysicalPlan { reuse_sort, shards, ..PhysicalPlan::merge_scan() };
+        let spec =
+            RunSpec { threads: shards, plan_mode: PlanMode::Forced(plan), ..RunSpec::default() };
+        execute(d, params, &cfg(), &spec).unwrap()
+    }
+
     #[test]
     fn sort_tracking_saves_sort_passes() {
         // A dataset big enough that R_2 spans multiple pages.
@@ -809,8 +806,8 @@ mod tests {
             (0..400).map(|t| (t, vec![1, 2, 3, 4 + (t % 3)])).collect();
         let d = Dataset::from_transactions(txns.iter().map(|(t, i)| (*t, i.as_slice())));
         let params = MiningParams::new(MinSupport::Fraction(0.2), 0.5);
-        let tracked = run(&d, &params, EngineConfig { track_sort_order: true, ..cfg() }, 1);
-        let naive = run(&d, &params, EngineConfig { track_sort_order: false, ..cfg() }, 1);
+        let tracked = forced(&d, &params, true, 1);
+        let naive = forced(&d, &params, false, 1);
         assert_eq!(
             tracked.0.frequent_itemsets(),
             naive.0.frequent_itemsets(),
@@ -830,8 +827,8 @@ mod tests {
             (0..400).map(|t| (t, vec![1, 2, 3, 4 + (t % 3)])).collect();
         let d = Dataset::from_transactions(txns.iter().map(|(t, i)| (*t, i.as_slice())));
         let params = MiningParams::new(MinSupport::Fraction(0.2), 0.5);
-        let tracked = run(&d, &params, EngineConfig { track_sort_order: true, ..cfg() }, 4);
-        let naive = run(&d, &params, EngineConfig { track_sort_order: false, ..cfg() }, 4);
+        let tracked = forced(&d, &params, true, 4);
+        let naive = forced(&d, &params, false, 4);
         assert_eq!(tracked.0.frequent_itemsets(), naive.0.frequent_itemsets());
         assert!(tracked.1.page_accesses < naive.1.page_accesses);
     }

@@ -204,7 +204,7 @@ impl Operators for InMemory<'_> {
     fn count_c1(
         &mut self,
         min_count: u64,
-        spec: &RunSpec,
+        _spec: &RunSpec,
     ) -> Result<(CountRelation, Metered), Infallible> {
         let c1 = count_items(self.dataset, min_count);
         self.c1_items = c1.iter().map(|(p, _)| p[0]).collect();
@@ -216,21 +216,11 @@ impl Operators for InMemory<'_> {
                 // A row's `C_1` id is its item's position in the sorted
                 // `C_1`; no lookup allocates by the largest item id.
                 let id = self.c1_items.binary_search(&item).map_or(NO_ID, |i| i as u32);
-                // With the `filter_r1` extension the join side drops
-                // infrequent items (results identical; see RunSpec). The
-                // keep set is the unconstrained C1: free extension
-                // positions range over every frequent item, even when an
-                // anchor restricts C1 itself.
-                if spec.filter_r1 && id == NO_ID {
-                    continue;
-                }
                 sales.items.push(item);
                 sales.ids.push(id);
             }
-            if sales.starts.last() != Some(&sales.items.len()) {
-                sales.tids.push(tid);
-                sales.starts.push(sales.items.len());
-            }
+            sales.tids.push(tid);
+            sales.starts.push(sales.items.len());
         }
         self.sales = sales;
         self.c_prev = c1.clone();
@@ -345,10 +335,12 @@ type Shard = (Range<usize>, Range<usize>);
 /// start)` for every `R_{k-1}` row in row order, where `row` indexes the
 /// row (in `SALES` at k = 2), `txns.txn(s)` is its transaction, and that
 /// transaction's items from `start` on are the row's extensions under
-/// the paper's `q.item > p.item_{k-1}`. A row whose transaction is missing from the
-/// shard (dropped by `filter_r1`) has none. Both access paths visit the
-/// same rows with the same transactions, so every operator built on the
-/// walk gives identical rows, in identical order, under either.
+/// the paper's `q.item > p.item_{k-1}`. A row whose transaction is
+/// missing from `txns` has none: the public [`merge_scan_extend`] joins
+/// against a `SALES` its caller built, which need not hold every
+/// transaction of `R_{k-1}`. Both access paths visit the same rows with
+/// the same transactions, so every operator built on the walk gives
+/// identical rows, in identical order, under either.
 fn for_each_row<T: Transactions + ?Sized>(
     prefixes: Prefixes,
     txns: &T,
@@ -859,17 +851,6 @@ mod tests {
     }
 
     #[test]
-    fn filter_r1_option_does_not_change_results() {
-        let d = tiny();
-        let params = MiningParams::new(MinSupport::Count(2), 0.5);
-        let base = execute(&d, &params, &RunSpec { filter_r1: false, ..Default::default() });
-        let filt = execute(&d, &params, &RunSpec { filter_r1: true, ..Default::default() });
-        assert_eq!(base.frequent_itemsets(), filt.frequent_itemsets());
-        // But the unfiltered run generates at least as many R'_2 tuples.
-        assert!(base.trace[1].r_prime_tuples >= filt.trace[1].r_prime_tuples);
-    }
-
-    #[test]
     fn max_pattern_len_caps_the_loop() {
         let d = tiny();
         let params = MiningParams::new(MinSupport::Count(2), 0.5).with_max_len(2);
@@ -977,19 +958,6 @@ mod tests {
                 assert_eq!(a.r_kbytes, b.r_kbytes, "threads={threads} k={}", a.k);
             }
         }
-    }
-
-    #[test]
-    fn sharded_run_with_filter_r1_matches_too() {
-        let txns: Vec<(u32, Vec<u32>)> =
-            (0..30u32).map(|t| (t + 1, vec![1, 2, 3 + t % 9])).collect();
-        let d = Dataset::from_transactions(txns.iter().map(|(t, i)| (*t, i.as_slice())));
-        let params = MiningParams::new(MinSupport::Count(4), 0.5);
-        let seq =
-            execute(&d, &params, &RunSpec { filter_r1: true, threads: 1, ..Default::default() });
-        let par =
-            execute(&d, &params, &RunSpec { filter_r1: true, threads: 4, ..Default::default() });
-        assert_eq!(par.frequent_itemsets(), seq.frequent_itemsets());
     }
 
     /// Every legal plan shape must reproduce the auto-planned run
@@ -1130,8 +1098,8 @@ mod tests {
     }
 
     /// Pushdown under the dense count: `|R'_k|` and `candidates_pruned`
-    /// come out pair by pair exactly as Figure 4 counts them, with and
-    /// without `filter_r1`, on one shard and on several.
+    /// come out pair by pair exactly as Figure 4 counts them, on one
+    /// shard and on several.
     #[test]
     fn the_dense_count_prunes_like_figure4() {
         use crate::constraints::MiningConstraints;
@@ -1142,16 +1110,11 @@ mod tests {
         ] {
             let plan = constraints.compile(&d);
             let mined = plan.remap().map_or_else(|| d.clone(), |r| r.remap_dataset(&d));
-            for (threads, filter_r1) in [(1, false), (1, true), (3, false)] {
-                let spec = RunSpec {
-                    threads,
-                    filter_r1,
-                    constraints: plan.compiled(),
-                    ..Default::default()
-                };
+            for threads in [1, 3] {
+                let spec = RunSpec { threads, constraints: plan.compiled(), ..Default::default() };
                 let dense = run(&mined, &params, &spec, usize::MAX);
                 let figure4 = run(&mined, &params, &spec, 0);
-                let label = format!("{constraints:?} threads={threads} filter_r1={filter_r1}");
+                let label = format!("{constraints:?} threads={threads}");
                 assert_same_run(&dense, &figure4, &label);
                 assert!(dense.trace[1].candidates_pruned > 0, "{label}");
             }

@@ -62,14 +62,6 @@ pub struct RunSpec<'a> {
     /// parallelism; `1` forces the paper's sequential loop. Results are
     /// identical for every value; only wall-clock time changes.
     pub threads: usize,
-    /// Extension (not in the paper), honored by the in-memory backend
-    /// only: restrict the `SALES` side of the merge-scan join to items
-    /// that are themselves frequent (members of `C_1`). The paper's
-    /// Figure 4 joins against the *unfiltered* `R_1` every iteration;
-    /// infrequent extensions die in the next `C_k` filter anyway, so
-    /// results are identical but `R'_k` shrinks. Benchmarked as an
-    /// ablation.
-    pub filter_r1: bool,
     /// How each iteration's physical plan is chosen. Taken as given:
     /// [`PlanMode::resolve`] applies the `SETM_FORCE_PLAN` override.
     pub plan_mode: PlanMode,
@@ -87,12 +79,11 @@ pub struct RunSpec<'a> {
 static NO_CONSTRAINTS: CompiledConstraints = CompiledConstraints::none();
 
 impl Default for RunSpec<'_> {
-    /// Available parallelism, no `filter_r1`, the auto planner, no
-    /// observer, no constraints.
+    /// Available parallelism, the auto planner, no observer, no
+    /// constraints.
     fn default() -> Self {
         RunSpec {
             threads: 0,
-            filter_r1: false,
             plan_mode: PlanMode::Auto,
             sink: &NullSink,
             constraints: &NO_CONSTRAINTS,

@@ -206,7 +206,7 @@ impl PlanMode {
 pub struct LiveStats {
     /// Transactions in the dataset.
     pub n_txns: u64,
-    /// `|SALES|` = `|R_1|` tuples (after the optional `filter_r1`).
+    /// `|SALES|` = `|R_1|` tuples.
     pub sales_tuples: u64,
     /// Longest transaction, in items — the per-tuple extension bound
     /// that makes [`Planner`] size estimates true upper bounds.
@@ -246,44 +246,23 @@ impl LiveStats {
     }
 }
 
-/// Execution-environment bounds the planner must respect.
+/// Execution-environment bounds the planner must respect: the only
+/// settings that can change an auto plan. Costs are priced with the
+/// paper's constants ([`DbParams::paper`]: 4,000 usable bytes a page,
+/// 10 ms a sequential and 20 ms a random access).
 #[derive(Debug, Clone, Copy)]
 pub struct PlannerConfig {
     /// Resolved worker threads — the shard-count ceiling.
     pub max_shards: usize,
     /// Configured sort workspace — the `sort_buffer_pages` ceiling.
     pub sort_buffer_cap: usize,
-    /// When `false` (the engine's `track_sort_order = false` ablation)
-    /// the Figure 4 loop-top re-sort is replayed literally on every
-    /// iteration after the first.
-    pub reuse_sort_order: bool,
-    /// Buffer frames available to *one shard* (0 = uncached, the
-    /// memory/SQL backends and the paper's own accounting). The engine
-    /// passes its per-shard slice of the frame budget, not the run
-    /// total — each shard probes through its own private cache.
-    /// Consulted only when
-    /// pricing the k ≥ 3 nested-loop join: once the probe working set —
-    /// the index leaf level plus `R_{k-1}` — fits in a shard's frames, a
-    /// leaf page is fetched at most once, so the charged random fetches
-    /// are bounded by the distinct leaf count instead of the probe
-    /// count.
-    pub shard_cache_frames: usize,
-    /// Cost-model constants (page sizes, sequential/random access
-    /// milliseconds).
-    pub db: DbParams,
 }
 
 impl PlannerConfig {
-    /// Bounds matching the historical fixed behavior: `threads` workers,
-    /// the sorter's default workspace, sort order reused.
+    /// Bounds matching the historical fixed behavior: `threads` workers
+    /// and the sorter's default workspace.
     pub fn with_max_shards(max_shards: usize) -> Self {
-        PlannerConfig {
-            max_shards: max_shards.max(1),
-            sort_buffer_cap: 256,
-            reuse_sort_order: true,
-            shard_cache_frames: 0,
-            db: DbParams::paper(),
-        }
+        PlannerConfig { max_shards: max_shards.max(1), sort_buffer_cap: 256 }
     }
 }
 
@@ -307,9 +286,10 @@ impl Planner {
     ///
     /// * **join** — the live cost comparison; see
     ///   [`Planner::join_cost_ms`].
-    /// * **reuse_sort** — from the configuration; at k = 2 the loaded
-    ///   `SALES` is always tid-sorted, so reuse is the identity even
-    ///   under the literal-Figure-4 ablation.
+    /// * **reuse_sort** — always: the closing `ORDER BY` of iteration
+    ///   `k - 1` (and, at k = 2, the tid-sorted load of `SALES`) leaves
+    ///   `R_{k-1}` in the order the loop-top sort would produce (Section
+    ///   4.1). A forced `reuse=0` plan replays the literal Figure 4.
     /// * **shards** — all available workers (never more than one shard
     ///   per transaction), except that from k = 3 on a residue that fits
     ///   in a single page collapses to one shard: per-shard fixed costs
@@ -334,7 +314,7 @@ impl Planner {
                 } else {
                     JoinStrategy::MergeScan
                 };
-                let db = &self.config.db;
+                let db = DbParams::paper();
                 let residue_bytes = stats.r_prev_tuples.saturating_mul(k as u64 * db.value_bytes);
                 let shards = if k > 2 && residue_bytes <= db.usable_page_bytes {
                     1
@@ -343,7 +323,7 @@ impl Planner {
                 };
                 PhysicalPlan {
                     join,
-                    reuse_sort: k == 2 || self.config.reuse_sort_order,
+                    reuse_sort: true,
                     shards,
                     sort_buffer_pages: self.sized_sort_buffer(k, stats),
                 }
@@ -364,33 +344,23 @@ impl Planner {
     /// Section 3.2 accounting — `btree_model` confirms the leaf level is
     /// where the probes land).
     pub fn join_cost_ms(&self, k: usize, stats: &LiveStats) -> (f64, f64) {
-        let db = &self.config.db;
+        let db = DbParams::paper();
         if k <= 2 {
             let w = stats.workload();
-            let ms = setm_cost(&w, db, 2).time_s * 1000.0;
-            let nl = nested_loop_c2_cost(&w, db).time_s * 1000.0;
+            let ms = setm_cost(&w, &db, 2).time_s * 1000.0;
+            let nl = nested_loop_c2_cost(&w, &db).time_s * 1000.0;
             return (ms, nl);
         }
         let p_prev = db.pages_for(stats.r_prev_tuples, k as u64 * db.value_bytes);
         let p_sales = db.pages_for(stats.sales_tuples, 2 * db.value_bytes);
         let ms = (p_prev + p_sales) as f64 * db.seq_ms;
-        let index = btree_model(stats.sales_tuples.max(1), 2 * db.value_bytes, db);
+        let index = btree_model(stats.sales_tuples.max(1), 2 * db.value_bytes, &db);
         // One leaf fetch per probe; `leaf_pages / n_txns` extra leaves
         // when a transaction's run of index entries spans page
         // boundaries.
         let leaves_per_probe = 1.0 + index.leaf_pages as f64 / stats.n_txns.max(1) as f64;
         let probe_fetches = stats.r_prev_tuples as f64 * leaves_per_probe;
-        // With a shard's buffer frames large enough to hold the leaf
-        // level plus the probing relation, every leaf is fetched at most
-        // once (repeat probes hit the cache) — the Section 3.2 "non-leaf
-        // pages reside in memory" assumption extended to the measured
-        // cache. `shard_cache_frames` is the per-shard slice (see
-        // `PlannerConfig::shard_cache_frames`), so the bound holds for
-        // every shard's own probe stream.
-        let warm = self.config.shard_cache_frames as u64 >= index.leaf_pages + p_prev;
-        let charged_fetches =
-            if warm { probe_fetches.min(index.leaf_pages as f64) } else { probe_fetches };
-        let nl = charged_fetches * db.random_ms + p_prev as f64 * db.seq_ms;
+        let nl = probe_fetches * db.random_ms + p_prev as f64 * db.seq_ms;
         (ms, nl)
     }
 
@@ -404,7 +374,7 @@ impl Planner {
     /// of the `R'_k` upper bound (with 2x headroom for storage-page
     /// overhead), clamped to `[MIN_SORT_BUFFER_PAGES, cap]`.
     fn sized_sort_buffer(&self, k: usize, stats: &LiveStats) -> usize {
-        let db = &self.config.db;
+        let db = DbParams::paper();
         let est = self.estimated_r_prime_tuples(stats);
         let pages = db.pages_for(est, (k as u64 + 1) * db.value_bytes);
         let want = pages.saturating_mul(2).saturating_add(2);
@@ -422,7 +392,7 @@ impl Planner {
     /// filtered write), and the closing ORDER BY — plus the loop-top
     /// re-sort when the plan does not reuse the standing order.
     pub fn predict_page_accesses(&self, k: usize, stats: &LiveStats, plan: &PhysicalPlan) -> u64 {
-        let db = &self.config.db;
+        let db = DbParams::paper();
         let p_prev = db.pages_for(stats.r_prev_tuples, k as u64 * db.value_bytes);
         let p_sales = db.pages_for(stats.sales_tuples, 2 * db.value_bytes);
         let p_prime =
@@ -565,48 +535,6 @@ mod tests {
         }
         let forced = PlanMode::Forced(PhysicalPlan::merge_scan());
         assert_eq!(forced.resolve().unwrap(), forced, "an explicit plan always stands");
-    }
-
-    /// The cache-aware nested-loop price: with the probe working set
-    /// resident, charged fetches collapse from one-per-probe to
-    /// one-per-leaf. The discount never flips a decision — a leaf page
-    /// holds as many entries as a heap page, so `leaf_pages` random
-    /// fetches (20 ms) still cost more than the `‖SALES‖` sequential
-    /// reads (10 ms) they replace — which is what keeps the engine's
-    /// plan lines identical to the uncached memory backend's.
-    #[test]
-    fn shard_cache_frames_discount_nested_loop_probes() {
-        let stats = LiveStats {
-            n_txns: 2_000,
-            sales_tuples: 20_000,
-            max_txn_len: 14,
-            r_prev_tuples: 6_000,
-            c_prev_len: 400,
-        };
-        let uncached = Planner::new(PlanMode::Auto, PlannerConfig::with_max_shards(1));
-        let cached = Planner::new(
-            PlanMode::Auto,
-            PlannerConfig { shard_cache_frames: 4096, ..PlannerConfig::with_max_shards(1) },
-        );
-        let (ms, nl_cold) = uncached.join_cost_ms(3, &stats);
-        let (_, nl_warm) = cached.join_cost_ms(3, &stats);
-        assert!(nl_cold > ms, "6k cold probes must lose to the scan");
-        assert!(nl_warm < nl_cold, "a resident working set must cheapen the probes");
-        assert!(nl_warm > ms, "leaf randoms still cost 2x the sequential scan");
-        assert_eq!(
-            cached.plan_iteration(3, &stats).join,
-            uncached.plan_iteration(3, &stats).join,
-            "the discount must not flip the plan"
-        );
-        // Too small for leaves + R_{k-1}: no discount.
-        let tiny = Planner::new(
-            PlanMode::Auto,
-            PlannerConfig { shard_cache_frames: 8, ..PlannerConfig::with_max_shards(1) },
-        );
-        assert_eq!(tiny.join_cost_ms(3, &stats).1, nl_cold);
-        // k = 2 is the paper's Section 3.2 vs 4.3 comparison: never
-        // discounted.
-        assert_eq!(cached.join_cost_ms(2, &stats), uncached.join_cost_ms(2, &stats));
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! by the engine-backed SETM execution. Tables remember their sort order
 //! (`sorted_by`), implementing the Section 4.1 remark that the final
 //! `ORDER BY` "enables an efficient execution plan if the sort order of
-//! the relations is tracked across iterations" — the ablation experiment
-//! E8 toggles exactly this metadata.
+//! the relations is tracked across iterations": the SQL executor skips
+//! the sort of a join input, group or `ORDER BY` whose order the catalog
+//! already records.
 
 use crate::btree::BTree;
 use crate::errors::{Error, Result};

@@ -5,7 +5,7 @@
 //!
 //! verbs:
 //!   mine --dataset NAME [--backend memory|engine|sql] [--threads N]
-//!        [--min-support X] [--min-confidence X] [--max-len K] [--filter-r1]
+//!        [--min-support X] [--min-confidence X] [--max-len K]
 //!        [--require ITEMS] [--exclude ITEMS] [--target ITEMS]
 //!        [--json] [--follow]
 //!          X parses as an absolute count when integral ("3") and as a
@@ -127,7 +127,6 @@ fn run_mine(client: &mut Client, options: &[String]) -> CmdResult {
     let mut dataset: Option<String> = None;
     let mut backend = Backend::Memory;
     let mut threads = 0usize;
-    let mut filter_r1 = false;
     let mut min_support = MinSupport::Fraction(0.01);
     let mut min_confidence = 0.5f64;
     let mut max_len: Option<usize> = None;
@@ -172,10 +171,6 @@ fn run_mine(client: &mut Client, options: &[String]) -> CmdResult {
             "--require" => require.extend(parse_item_list(flag, &value())),
             "--exclude" => exclude.extend(parse_item_list(flag, &value())),
             "--target" => targets.extend(parse_item_list(flag, &value())),
-            "--filter-r1" => {
-                filter_r1 = true;
-                took_value = false;
-            }
             "--json" => {
                 raw_json = true;
                 took_value = false;
@@ -193,11 +188,7 @@ fn run_mine(client: &mut Client, options: &[String]) -> CmdResult {
     let mut params = MiningParams::new(min_support, min_confidence);
     params.max_pattern_len = max_len;
     let constraints = MiningConstraints::new().require(require).exclude(exclude).targets(targets);
-    let miner = Miner::new(params)
-        .backend(backend)
-        .threads(threads)
-        .filter_r1(filter_r1)
-        .constraints(constraints);
+    let miner = Miner::new(params).backend(backend).threads(threads).constraints(constraints);
     let reply = if follow {
         client.mine_observed(&dataset, miner, |event| match event {
             ProgressEvent::Iteration(t) => println!(

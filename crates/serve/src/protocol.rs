@@ -16,7 +16,7 @@
 //!
 //! ```text
 //! C: {"op":"mine","dataset":"example","backend":"memory","threads":0,
-//!     "filter_r1":false,"min_support":{"fraction":0.3},"min_confidence":0.7}
+//!     "min_support":{"fraction":0.3},"min_confidence":0.7}
 //! S: {"ok":true,"event":"accepted","job":1,"dataset":"example","backend":"memory","threads":0}
 //! S: {"ok":true,"event":"outcome","job":1,"outcome":{...}}
 //! ```
@@ -89,7 +89,6 @@ impl MineRequest {
             ("dataset".to_string(), Json::str(&self.dataset)),
             ("backend".to_string(), Json::str(backend.name())),
             ("threads".to_string(), Json::u64(self.miner.configured_threads() as u64)),
-            ("filter_r1".to_string(), Json::Bool(self.miner.configured_filter_r1())),
             ("min_support".to_string(), min_support_to_json(params.min_support)),
             ("min_confidence".to_string(), Json::Num(params.min_confidence)),
         ];
@@ -140,13 +139,11 @@ fn engine_config_to_json(cfg: &EngineConfig) -> Json {
     Json::obj([
         ("sort_buffer_pages", Json::u64(cfg.sort_buffer_pages as u64)),
         ("cache_frames", Json::u64(cfg.cache_frames as u64)),
-        ("track_sort_order", Json::Bool(cfg.track_sort_order)),
     ])
 }
 
-/// Decode an `engine_config` object. Unknown members are ignored — among
-/// them `pool`, which older clients send to pick the retired shared
-/// buffer pool.
+/// Decode an `engine_config` object. Unknown members are ignored, among
+/// them the ones this protocol retired, which older clients still send.
 fn engine_config_from_json(v: &Json) -> Result<EngineConfig, String> {
     let mut cfg = EngineConfig::default();
     if let Some(n) = v.get("sort_buffer_pages") {
@@ -156,9 +153,6 @@ fn engine_config_from_json(v: &Json) -> Result<EngineConfig, String> {
     if let Some(n) = v.get("cache_frames") {
         cfg.cache_frames =
             n.as_u64().ok_or("cache_frames must be a non-negative integer")? as usize;
-    }
-    if let Some(b) = v.get("track_sort_order") {
-        cfg.track_sort_order = b.as_bool().ok_or("track_sort_order must be a boolean")?;
     }
     Ok(cfg)
 }
@@ -337,10 +331,6 @@ fn parse_mine(v: &Json) -> Result<MineRequest, String> {
         Some(t) => t.as_u64().ok_or("threads must be a non-negative integer")? as usize,
         None => 0,
     };
-    let filter_r1 = match v.get("filter_r1") {
-        Some(b) => b.as_bool().ok_or("filter_r1 must be a boolean")?,
-        None => false,
-    };
     // Tolerant decode: pre-constraint clients never send the member and
     // get exactly the old behavior.
     let constraints = match v.get("constraints") {
@@ -353,11 +343,7 @@ fn parse_mine(v: &Json) -> Result<MineRequest, String> {
     };
     Ok(MineRequest {
         dataset,
-        miner: Miner::new(params)
-            .backend(backend)
-            .threads(threads)
-            .filter_r1(filter_r1)
-            .constraints(constraints),
+        miner: Miner::new(params).backend(backend).threads(threads).constraints(constraints),
         progress,
     })
 }
@@ -775,9 +761,6 @@ pub fn setm_error_code(e: &SetmError) -> ErrorCode {
         SetmError::InvalidEngineConfig { .. } => {
             ErrorCode { code: "invalid_engine_config", status: 400 }
         }
-        SetmError::UnsupportedOption { .. } => {
-            ErrorCode { code: "unsupported_option", status: 400 }
-        }
         SetmError::InvalidPlan { .. } => ErrorCode { code: "invalid_plan", status: 400 },
         SetmError::InvalidConstraints { .. } => {
             ErrorCode { code: "invalid_constraints", status: 400 }
@@ -838,8 +821,7 @@ mod tests {
     fn mine_request_round_trips_through_the_wire_form() {
         let miner = Miner::new(MiningParams::new(MinSupport::Fraction(0.3), 0.7).with_max_len(3))
             .backend(Backend::Engine(EngineConfig { cache_frames: 64, ..Default::default() }))
-            .threads(2)
-            .filter_r1(true);
+            .threads(2);
         let req = MineRequest { dataset: "retail-small".to_string(), miner, progress: false };
         let wire = req.to_json();
         // A default (non-progress) request never mentions the field — the
@@ -918,15 +900,17 @@ mod tests {
         assert!(payload.trace.iter().any(|t| t.candidates_pruned > 0));
     }
 
-    /// Older clients send `pool` inside `engine_config` to pick the
-    /// retired shared buffer pool. The member is ignored like any unknown
-    /// one: the line parses to the same `Miner` as one without it, and so
-    /// gets the same canonical outcome-cache key.
+    /// Older clients still send members this protocol retired: two
+    /// inside `engine_config` (the shared buffer pool's switch and the
+    /// sort-order switch) and one at the top level (the filtered-`R_1`
+    /// switch). Each is ignored like any unknown member: the line parses
+    /// to the same `Miner` as one without it, and so gets the same
+    /// canonical outcome-cache key.
     #[test]
-    fn the_retired_pool_member_is_ignored() {
-        let mine = |engine_config: String| {
+    fn retired_request_members_are_ignored() {
+        let mine = |top: &str, engine_config: &str| {
             let text = format!(
-                r#"{{"op":"mine","dataset":"example","backend":"engine","min_support":{{"count":3}},"min_confidence":0.7,"engine_config":{engine_config}}}"#
+                r#"{{"op":"mine","dataset":"example","backend":"engine","min_support":{{"count":3}},"min_confidence":0.7{top},"engine_config":{{{engine_config}}}}}"#
             );
             let v = crate::json::parse(&text).unwrap();
             let Request::Mine(req) = parse_request(&v).unwrap() else {
@@ -937,13 +921,25 @@ mod tests {
         // 64 frames is a non-default config; 256 is the default, whose
         // canonical form omits `engine_config` altogether.
         for frames in [64, 256] {
-            let without = mine(format!(r#"{{"cache_frames":{frames}}}"#));
+            let frames = format!(r#""cache_frames":{frames}"#);
+            let without = mine("", &frames);
             let key = without.to_json().to_string();
-            assert!(!key.contains("pool"), "{key}");
-            for pool in [true, false] {
-                let with = mine(format!(r#"{{"cache_frames":{frames},"pool":{pool}}}"#));
-                assert_eq!(with, without, "frames={frames} pool={pool}");
-                assert_eq!(with.to_json().to_string(), key, "frames={frames} pool={pool}");
+            for on in [true, false] {
+                for (top, member) in [
+                    (false, format!(r#""pool":{on}"#)),
+                    (false, format!(r#""track_sort_order":{on}"#)),
+                    (true, format!(r#""filter_r1":{on}"#)),
+                ] {
+                    let name = member.split(':').next().unwrap();
+                    assert!(!key.contains(name), "{key}");
+                    let with = if top {
+                        mine(&format!(",{member}"), &frames)
+                    } else {
+                        mine("", &format!("{frames},{member}"))
+                    };
+                    assert_eq!(with, without, "{frames} {member}");
+                    assert_eq!(with.to_json().to_string(), key, "{frames} {member}");
+                }
             }
         }
     }
@@ -1000,7 +996,6 @@ mod tests {
         let Request::Mine(req) = parse_request(&v).unwrap() else { panic!("not a mine request") };
         assert_eq!(req.miner.configured_backend(), Backend::Memory);
         assert_eq!(req.miner.configured_threads(), 0);
-        assert!(!req.miner.configured_filter_r1());
         assert_eq!(req.miner.params().max_pattern_len, None);
     }
 
@@ -1212,16 +1207,11 @@ mod tests {
     #[test]
     fn setm_error_codes_are_pinned() {
         use setm_core::SetmError as E;
-        let table: [(E, &str, u16); 9] = [
+        let table: [(E, &str, u16); 8] = [
             (E::InvalidSupportFraction { fraction: 1.5 }, "invalid_support_fraction", 400),
             (E::InvalidConfidence { confidence: 2.0 }, "invalid_confidence", 400),
             (E::InvalidMaxPatternLen, "invalid_max_pattern_len", 400),
             (E::InvalidEngineConfig { reason: "x".into() }, "invalid_engine_config", 400),
-            (
-                E::UnsupportedOption { backend: "sql", option: "filter_r1" },
-                "unsupported_option",
-                400,
-            ),
             (E::InvalidPlan { reason: "x".into() }, "invalid_plan", 400),
             (E::InvalidConstraints { reason: "x".into() }, "invalid_constraints", 400),
             (E::Engine(setm_relational::Error::NoSuchFile(1)), "engine_fault", 500),

@@ -39,7 +39,7 @@
 //!
 //! A frontier entry holds a version, the snapshot of that version, and
 //! a frontier that is captured only when needed. A memory full mine
-//! without `filter_r1` or constraints stores an entry with no frontier.
+//! without constraints stores an entry with no frontier.
 //! The first replay from an older version captures the frontier on the
 //! entry's snapshot ([`setm_incremental::MiningFrontier::bootstrap`]),
 //! applies every step, and stores the frontier it reached. So only a key
@@ -231,12 +231,7 @@ fn params_fingerprint(miner: &Miner) -> String {
     // internal key (never on the wire). Constraints are part of the key
     // even though constrained requests store no entry today — a stored
     // frontier must never answer a differently-constrained request.
-    format!(
-        "{:?}|filter_r1={}|constraints={:?}",
-        miner.params(),
-        miner.configured_filter_r1(),
-        miner.configured_constraints()
-    )
+    format!("{:?}|constraints={:?}", miner.params(), miner.configured_constraints())
 }
 
 /// Span-ring bound: the `trace` verb can look up this many recent jobs.
@@ -750,7 +745,6 @@ fn handle_mine(req: MineRequest, shared: &Arc<Shared>, emit: Emit<'_>) -> std::i
     // would leak unpruned candidates (and wrong rules) into a constrained
     // answer.
     let frontier_eligible = matches!(req.miner.configured_backend(), Backend::Memory)
-        && !req.miner.configured_filter_r1()
         && req.miner.configured_constraints().is_empty();
     let frontier_key = (resolved.name.clone(), params_fingerprint(&req.miner));
     let replay = if frontier_eligible && !req.progress {

@@ -200,20 +200,8 @@ fn error_codes_reach_the_client() {
         other => panic!("expected server error, got {other}"),
     }
 
-    // threads(4) on the SQL backend is *supported* since the partitioned
-    // plan landed; the remaining per-backend unsupported option is
-    // filter_r1 outside the in-memory execution.
-    let err = client
-        .mine("example", Miner::new(params).backend(Backend::Sql).filter_r1(true))
-        .unwrap_err();
-    match err {
-        ClientError::Server { code, status, message } => {
-            assert_eq!(code, "unsupported_option");
-            assert_eq!(status, 400);
-            assert!(message.contains("filter_r1"));
-        }
-        other => panic!("expected server error, got {other}"),
-    }
+    // threads(4) on the SQL backend is *supported*: every option means
+    // the same thing on every backend.
     let sql_parallel =
         client.mine("example", Miner::new(params).backend(Backend::Sql).threads(4)).unwrap();
     assert_eq!(sql_parallel.outcome.rules.len(), 11, "partitioned SQL serves fine");

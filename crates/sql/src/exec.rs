@@ -9,8 +9,10 @@
 //! projection and `ORDER BY`. Every intermediate is a heap file on the
 //! shared pager, so a query's page accesses are measurable.
 //!
-//! The join-strategy knob ([`JoinPreference`]) is how the two plans of
-//! Sections 3 and 4 are realized from the *same* SQL.
+//! The join-strategy knob ([`JoinPreference`], sort-merge by default) is
+//! how the two plans of Sections 3 and 4 are realized from the *same*
+//! SQL. An owned intermediate frees its heap file when dropped, so a
+//! statement that fails part-way leaves no pages behind.
 
 use crate::ast::*;
 use crate::error::{Result, SqlError};
@@ -26,10 +28,8 @@ use std::collections::HashMap;
 /// Which join algorithm the planner should use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinPreference {
-    /// Index nested-loop when a covering index exists, else sort-merge.
+    /// Sort-merge (the Section 4 plan).
     #[default]
-    Auto,
-    /// Always sort-merge (the Section 4 plan).
     SortMerge,
     /// Index nested-loop; error if no covering index exists (the
     /// Section 3 plan).
@@ -146,77 +146,6 @@ impl SqlEngine {
         self.execute_statement(&stmt, params)
     }
 
-    /// Describe the physical plan the executor would run for a `SELECT`,
-    /// without executing it — the Section 3-vs-4 plan difference, visible.
-    pub fn explain(&self, sql: &str) -> Result<String> {
-        let stmt = parse(sql)?;
-        let select = match &stmt {
-            Statement::Select(s) => s,
-            Statement::InsertSelect { select, .. } => select,
-            _ => return Err(SqlError::Plan("EXPLAIN requires a SELECT".into())),
-        };
-        let plan = Resolver::new(&self.db).resolve(select)?;
-        let mut out = String::new();
-        out.push_str(&format!("scan {}\n", plan.tables[0].table));
-        for (binding, step) in plan.tables.iter().skip(1).zip(plan.join_steps.iter()) {
-            let strategy = match self.opts.join {
-                JoinPreference::SortMerge => "merge-scan join",
-                JoinPreference::IndexNestedLoop => "index nested-loop join",
-                JoinPreference::Auto => {
-                    if !step.left_keys.is_empty()
-                        && self.db.find_index_on(&binding.table, &step.right_keys).is_some_and(
-                            |idx| {
-                                self.db
-                                    .table(&binding.table)
-                                    .map(|t| idx.key_cols.len() == t.schema.arity())
-                                    .unwrap_or(false)
-                            },
-                        )
-                    {
-                        "index nested-loop join"
-                    } else {
-                        "merge-scan join"
-                    }
-                }
-            };
-            out.push_str(&format!(
-                "{} {} on left{:?} = right{:?}{}\n",
-                strategy,
-                binding.table,
-                step.left_keys,
-                step.right_keys,
-                if step.residuals.is_empty() {
-                    String::new()
-                } else {
-                    format!(" + {} residual predicate(s)", step.residuals.len())
-                }
-            ));
-        }
-        if !plan.filters.is_empty()
-            || !plan.cross_filters.is_empty()
-            || !plan.set_filters.is_empty()
-        {
-            out.push_str(&format!(
-                "filter: {} constant, {} column-column, {} set-membership\n",
-                plan.filters.len(),
-                plan.cross_filters.len(),
-                plan.set_filters.len()
-            ));
-        }
-        if plan.has_agg() || !plan.group_cols.is_empty() {
-            out.push_str(&format!(
-                "sort + group {} on columns {:?}{}\n",
-                if plan.sum_col.is_some() { "sum" } else { "count" },
-                plan.group_cols,
-                if plan.having_rhs.is_some() { " with HAVING" } else { "" }
-            ));
-        }
-        if !plan.order_positions.is_empty() {
-            out.push_str(&format!("sort output on positions {:?}\n", plan.order_positions));
-        }
-        Ok(out)
-    }
-
     /// Execute a `SELECT` and materialize its rows.
     pub fn query(&mut self, sql: &str, params: &Params) -> Result<QueryResult> {
         match self.execute(sql, params)? {
@@ -328,8 +257,7 @@ impl SqlEngine {
 
         // 1. Left-deep join pipeline in FROM order.
         let first = self.db.table(&plan.tables[0].table)?;
-        let mut current =
-            Working { file: first.file.clone(), owned: false, sorted_by: first.sorted_by.clone() };
+        let mut current = Working::borrowed(first.file.clone(), first.sorted_by.clone());
         for (idx, binding) in plan.tables.iter().enumerate().skip(1) {
             let step = &plan.join_steps[idx - 1];
             current = self.join_step(current, binding, step, sort_opts, params)?;
@@ -355,20 +283,15 @@ impl SqlEngine {
                     && cross.iter().all(|&(a, op, b)| op.eval(row[a] as u64, row[b] as u64))
                     && sets.iter().all(|s| s.matches(row[s.col] as u64))
             })?;
-            let sorted_by = current.sorted_by.clone();
+            let filtered = Working::owned(filtered, current.sorted_by.clone());
             current.free()?;
-            current = Working { file: filtered, owned: true, sorted_by };
+            current = filtered;
         }
 
-        // 3. Grouping / aggregation.
-        let (mut out_file, out_cols, owned, mut sorted_cols): (
-            HeapFile,
-            Vec<String>,
-            bool,
-            Option<Vec<usize>>,
-        );
-        if plan.has_agg() || !plan.group_cols.is_empty() {
-            let grouped = self.group_and_count(&current, plan, select, params, sort_opts)?;
+        // 3. Grouping / aggregation, then the projection. The output is
+        // always a file this statement owns.
+        let (mut out, out_cols) = if plan.has_agg() || !plan.group_cols.is_empty() {
+            let mut grouped = self.group_and_count(&current, plan, select, params, sort_opts)?;
             current.free()?;
             // Project SELECT items out of (group cols..., aggregate).
             let mut positions = Vec::with_capacity(plan.items.len());
@@ -394,19 +317,17 @@ impl SqlEngine {
                     }
                 }
             }
-            let identity = positions.iter().copied().eq(0..grouped.arity());
-            if identity {
-                out_file = grouped;
+            // Grouped output is sorted by group columns; that order
+            // survives only the identity projection.
+            if positions.iter().copied().eq(0..grouped.file.arity()) {
+                grouped.sorted_by = Some((0..plan.group_cols.len()).collect());
+                (grouped, names)
             } else {
-                let projected = filter_project(&grouped, &positions, |_| true)?;
+                let projected =
+                    Working::owned(filter_project(&grouped.file, &positions, |_| true)?, None);
                 grouped.free()?;
-                out_file = projected;
+                (projected, names)
             }
-            out_cols = names;
-            owned = true;
-            // Grouped output is sorted by group columns; map to output
-            // positions when the projection is the identity.
-            sorted_cols = identity.then(|| (0..plan.group_cols.len()).collect());
         } else {
             // Plain projection.
             let mut positions = Vec::with_capacity(plan.items.len());
@@ -422,43 +343,38 @@ impl SqlEngine {
                     }
                 }
             }
-            let identity = positions.iter().copied().eq(0..current.file.arity()) && current.owned;
-            if identity {
-                out_file = current.file.clone();
-                sorted_cols = current.sorted_by.clone();
+            if positions.iter().copied().eq(0..current.file.arity()) && current.owned {
+                (current, names)
             } else {
-                let projected = filter_project(&current.file, &positions, |_| true)?;
                 // Sort order survives projection if the sorted prefix maps
                 // into projected positions; conservatively recompute.
-                sorted_cols = current.sorted_by.as_ref().and_then(|s| {
-                    let mapped: Option<Vec<usize>> =
-                        s.iter().map(|c| positions.iter().position(|p| p == c)).collect();
-                    mapped
+                let sorted_by = current.sorted_by.as_ref().and_then(|s| {
+                    s.iter().map(|c| positions.iter().position(|p| p == c)).collect()
                 });
+                let projected =
+                    Working::owned(filter_project(&current.file, &positions, |_| true)?, sorted_by);
                 current.free()?;
-                out_file = projected;
+                (projected, names)
             }
-            out_cols = names;
-            owned = true;
-        }
+        };
 
         // 4. ORDER BY.
         if !plan.order_positions.is_empty() {
-            let already = sorted_cols.as_ref().is_some_and(|s| {
+            let already = out.sorted_by.as_ref().is_some_and(|s| {
                 s.len() >= plan.order_positions.len()
                     && s[..plan.order_positions.len()] == plan.order_positions[..]
             });
             if !already {
-                let sorted = external_sort(&out_file, &plan.order_positions, sort_opts)?;
-                if owned {
-                    out_file.clone().free()?;
-                }
-                out_file = sorted;
+                let sorted = external_sort(&out.file, &plan.order_positions, sort_opts)?;
+                let sorted = Working::owned(sorted, None);
+                out.free()?;
+                out = sorted;
             }
-            sorted_cols = Some(plan.order_positions.clone());
+            out.sorted_by = Some(plan.order_positions.clone());
         }
 
-        Ok(SelectOutput { file: out_file, columns: out_cols, sorted_by: sorted_cols })
+        let sorted_by = out.sorted_by.take();
+        Ok(SelectOutput { file: out.into_file(), columns: out_cols, sorted_by })
     }
 
     fn join_step(
@@ -470,11 +386,7 @@ impl SqlEngine {
         params: &Params,
     ) -> Result<Working> {
         let right_table = self.db.table(&binding.table)?;
-        let right = Working {
-            file: right_table.file.clone(),
-            owned: false,
-            sorted_by: right_table.sorted_by.clone(),
-        };
+        let right = Working::borrowed(right_table.file.clone(), right_table.sorted_by.clone());
         let out_arity = left.file.arity() + right.file.arity();
         let residuals = step.residuals.clone();
         let project = |l: &[u32], r: &[u32], out: &mut Vec<u32>| {
@@ -486,26 +398,12 @@ impl SqlEngine {
         };
         let _ = params;
 
-        let use_index = match self.opts.join {
-            JoinPreference::IndexNestedLoop => {
-                if step.left_keys.is_empty() {
-                    return Err(SqlError::Unsupported(
-                        "index nested-loop join without an equi-join key".into(),
-                    ));
-                }
-                true
+        if self.opts.join == JoinPreference::IndexNestedLoop {
+            if step.left_keys.is_empty() {
+                return Err(SqlError::Unsupported(
+                    "index nested-loop join without an equi-join key".into(),
+                ));
             }
-            JoinPreference::Auto => {
-                !step.left_keys.is_empty()
-                    && self
-                        .db
-                        .find_index_on(&binding.table, &step.right_keys)
-                        .is_some_and(|idx| idx.key_cols.len() == right.file.arity())
-            }
-            JoinPreference::SortMerge => false,
-        };
-
-        if use_index {
             let idx = self.db.find_index_on(&binding.table, &step.right_keys).ok_or_else(|| {
                 SqlError::Plan(format!(
                     "index nested-loop requested but no index on {}({:?})",
@@ -549,8 +447,9 @@ impl SqlEngine {
                     }
                 },
             )?;
+            let out = Working::owned(out, None);
             left.free()?;
-            return Ok(Working { file: out, owned: true, sorted_by: None });
+            return Ok(out);
         }
 
         // Sort-merge: ensure both sides are sorted on their keys.
@@ -565,10 +464,10 @@ impl SqlEngine {
             residual_ok,
             project,
         )?;
-        let sorted_by = step.left_keys.clone();
+        let out = Working::owned(out, Some(step.left_keys.clone()));
         left_sorted.free()?;
         right_sorted.free()?;
-        Ok(Working { file: out, owned: true, sorted_by: Some(sorted_by) })
+        Ok(out)
     }
 
     fn group_and_count(
@@ -578,15 +477,14 @@ impl SqlEngine {
         select: &Select,
         params: &Params,
         sort_opts: SortOptions,
-    ) -> Result<HeapFile> {
+    ) -> Result<Working> {
         // Sort on the group columns unless already sorted.
         let sorted = if current.sorted_by.as_ref().is_some_and(|s| {
             s.len() >= plan.group_cols.len() && s[..plan.group_cols.len()] == plan.group_cols[..]
         }) {
-            Working { file: current.file.clone(), owned: false, sorted_by: None }
+            Working::borrowed(current.file.clone(), None)
         } else {
-            let f = external_sort(&current.file, &plan.group_cols, sort_opts)?;
-            Working { file: f, owned: true, sorted_by: None }
+            Working::owned(external_sort(&current.file, &plan.group_cols, sort_opts)?, None)
         };
 
         // HAVING <agg> >= x is pushed into the aggregating scan; other
@@ -610,14 +508,16 @@ impl SqlEngine {
                 grouped_sum(&sorted.file, &plan.group_cols, sum_col, threshold.unwrap_or(0))?
             }
         };
+        let counted = Working::owned(counted, None);
         sorted.free()?;
         match post {
             None => Ok(counted),
             Some((op, v)) => {
-                let arity = counted.arity();
+                let arity = counted.file.arity();
                 let all: Vec<usize> = (0..arity).collect();
                 let filtered =
-                    filter_project(&counted, &all, |row| op.eval(row[arity - 1] as u64, v))?;
+                    filter_project(&counted.file, &all, |row| op.eval(row[arity - 1] as u64, v))?;
+                let filtered = Working::owned(filtered, None);
                 counted.free()?;
                 Ok(filtered)
             }
@@ -718,27 +618,55 @@ fn ensure_sorted(w: Working, key: &[usize], sort_opts: SortOptions) -> Result<Wo
     if ok {
         Ok(w)
     } else {
-        let sorted = external_sort(&w.file, key, sort_opts)?;
+        let sorted = Working::owned(external_sort(&w.file, key, sort_opts)?, Some(key.to_vec()));
         w.free()?;
-        Ok(Working { file: sorted, owned: true, sorted_by: Some(key.to_vec()) })
+        Ok(sorted)
     }
 }
 
-/// A (possibly borrowed) intermediate relation.
+/// A (possibly borrowed) intermediate relation. An owned one frees its
+/// file when dropped, so a statement that fails part-way leaves none of
+/// its finished intermediates behind; a successful step frees its inputs
+/// with [`Working::free`], which reports the error.
 struct Working {
     file: HeapFile,
     /// Whether we own the file (true = free it when done; false = it
-    /// belongs to a catalog table).
+    /// belongs to a catalog table or to another `Working`).
     owned: bool,
     sorted_by: Option<Vec<usize>>,
 }
 
 impl Working {
-    fn free(&self) -> Result<()> {
-        if self.owned {
+    fn owned(file: HeapFile, sorted_by: Option<Vec<usize>>) -> Working {
+        Working { file, owned: true, sorted_by }
+    }
+
+    fn borrowed(file: HeapFile, sorted_by: Option<Vec<usize>>) -> Working {
+        Working { file, owned: false, sorted_by }
+    }
+
+    /// Free the file now if it is owned.
+    fn free(mut self) -> Result<()> {
+        if std::mem::take(&mut self.owned) {
             self.file.clone().free()?;
         }
         Ok(())
+    }
+
+    /// Hand the file to the caller, which then frees it.
+    fn into_file(mut self) -> HeapFile {
+        self.owned = false;
+        self.file.clone()
+    }
+}
+
+impl Drop for Working {
+    fn drop(&mut self) {
+        if self.owned {
+            // Only an unfinished step drops an owned file; freeing a live
+            // file cannot fail.
+            let _ = self.file.clone().free();
+        }
     }
 }
 
@@ -1464,58 +1392,5 @@ mod tests {
         // The largest 4-byte value is still accepted as is.
         e.execute("INSERT INTO t VALUES (4294967295, 0)", &p).unwrap();
         assert_eq!(e.query("SELECT a, b FROM t", &p).unwrap().rows, vec![vec![u32::MAX, 0]]);
-    }
-}
-
-#[cfg(test)]
-mod explain_tests {
-    use super::*;
-
-    fn engine_with_sales() -> SqlEngine {
-        let mut e = SqlEngine::new();
-        e.load_table(
-            "SALES",
-            &["trans_id", "item"],
-            [[1u32, 2], [1, 3], [2, 2]].iter().map(|r| r.as_slice()),
-        )
-        .unwrap();
-        e
-    }
-
-    const PAIR_QUERY: &str = "SELECT r1.item, r2.item, COUNT(*)
-         FROM SALES r1, SALES r2
-         WHERE r1.trans_id = r2.trans_id AND r2.item > r1.item
-         GROUP BY r1.item, r2.item
-         HAVING COUNT(*) >= 1";
-
-    #[test]
-    fn explain_shows_merge_scan_by_default() {
-        let e = engine_with_sales();
-        let plan = e.explain(PAIR_QUERY).unwrap();
-        assert!(plan.contains("scan SALES"), "{plan}");
-        assert!(plan.contains("merge-scan join"), "{plan}");
-        assert!(plan.contains("residual predicate"), "{plan}");
-        assert!(plan.contains("group count"), "{plan}");
-        assert!(plan.contains("HAVING"), "{plan}");
-    }
-
-    #[test]
-    fn explain_switches_to_index_plan_when_available() {
-        let mut e = engine_with_sales();
-        e.database_mut().create_index("idx", "SALES", &["trans_id", "item"]).unwrap();
-        let plan = e.explain(PAIR_QUERY).unwrap();
-        assert!(plan.contains("index nested-loop join"), "{plan}");
-        // Forcing sort-merge overrides the index.
-        e.set_options(ExecOptions { join: JoinPreference::SortMerge, ..Default::default() });
-        let plan = e.explain(PAIR_QUERY).unwrap();
-        assert!(plan.contains("merge-scan join"), "{plan}");
-    }
-
-    #[test]
-    fn explain_shows_order_by_and_rejects_non_select() {
-        let e = engine_with_sales();
-        let plan = e.explain("SELECT trans_id, item FROM SALES ORDER BY item").unwrap();
-        assert!(plan.contains("sort output"), "{plan}");
-        assert!(matches!(e.explain("CREATE TABLE t (a INT)"), Err(SqlError::Plan(_))));
     }
 }

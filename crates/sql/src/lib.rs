@@ -15,9 +15,11 @@
 //! wrapping any failure in [`SqlError::Shard`] so errors name the shard.
 //!
 //! The planner realizes both strategies the paper analyzes from the same
-//! SQL text: [`JoinPreference::SortMerge`] produces the Section 4 plan
-//! (sort both sides, one merge-scan), [`JoinPreference::IndexNestedLoop`]
-//! the Section 3 plan (a B+-tree probe per outer row).
+//! SQL text: [`JoinPreference::SortMerge`] (the default) produces the
+//! Section 4 plan (sort both sides, one merge-scan),
+//! [`JoinPreference::IndexNestedLoop`] the Section 3 plan (a B+-tree
+//! probe per outer row). The caller picks one; the planner never guesses
+//! from the indexes it finds.
 //!
 //! ```
 //! use setm_sql::{Params, SqlEngine};

@@ -57,7 +57,6 @@ fn builder_chain_compiles_in_the_documented_shape() {
         Miner::new(MiningParams::new(MinSupport::Count(2), 0.5))
             .backend(Backend::Engine(EngineConfig::default()))
             .threads(1)
-            .filter_r1(false)
             .min_confidence(0.7)
             .run(&dataset);
     let outcome = outcome.unwrap();
@@ -181,8 +180,8 @@ fn constraints_and_by_class_are_facade_surface() {
     assert_eq!(per_class.by_class.len(), 2);
 }
 
-/// `Miner::threads(n)` means the same thing on every backend — the gap
-/// the SQL execution used to carve out (`UnsupportedOption`) is closed.
+/// `Miner::threads(n)` means the same thing on every backend, as every
+/// option does: the SQL execution shards its statement pipeline too.
 #[test]
 fn threads_knob_is_honored_on_every_backend() {
     let d = setm::example::paper_example_dataset();

@@ -71,8 +71,8 @@ fn assert_matches_engine(memory: &SetmResult, engine: &SetmResult, label: &str) 
     }
 }
 
-/// Mine `d` under `c` on memory (every thread count, with and without
-/// `filter_r1`) and on the engine at one thread, and compare.
+/// Mine `d` under `c` on memory (every thread count) and on the engine
+/// at one thread, and compare.
 fn check(d: &Dataset, params: &MiningParams, c: &MiningConstraints, label: &str) {
     let plan = c.compile(d);
     let mined = plan.remap().map_or_else(|| d.clone(), |r| r.remap_dataset(d));
@@ -84,13 +84,6 @@ fn check(d: &Dataset, params: &MiningParams, c: &MiningConstraints, label: &str)
         let label = format!("{label} threads={threads}");
         let memory = memory::execute(&mined, params, &spec);
         assert_matches_engine(&memory, &oracle, &label);
-        // `filter_r1` shrinks R'_k, never the result.
-        let filtered = memory::execute(&mined, params, &RunSpec { filter_r1: true, ..spec });
-        assert_eq!(
-            filtered.frequent_itemsets(),
-            memory.frequent_itemsets(),
-            "{label}: filter_r1 itemsets"
-        );
     }
 }
 

@@ -174,9 +174,7 @@ fn facade_is_safe_under_concurrent_mixed_backend_use() {
 
 /// Acceptance (ISSUE 5): `Miner::new(p).backend(Backend::Sql).threads(n)
 /// .run(&d)` succeeds for n ∈ {1, 2, 4} and the outcome is identical to
-/// the sequential SQL plan and to the other two backends. (Until this
-/// PR, `threads > 1` on the SQL backend was a typed
-/// `UnsupportedOption` error.)
+/// the sequential SQL plan and to the other two backends.
 #[test]
 fn sql_backend_honors_every_thread_count() {
     let d = setm::example::paper_example_dataset();

@@ -7,7 +7,7 @@
 
 use setm::core::setm::sql::mine_sharded_with_prepare;
 use setm::relational::Error;
-use setm::sql::{Params, SqlEngine, SqlError};
+use setm::sql::{ExecOptions, JoinPreference, Params, SqlEngine, SqlError};
 use setm::{example, Dataset, MinSupport, MiningParams, SetmError};
 
 #[test]
@@ -204,6 +204,98 @@ fn insert_select_into_a_non_empty_table_is_all_or_nothing() {
             }
             Ok(_) => panic!("fault at access {fail_at} of {accesses} was swallowed"),
             Err(e) => panic!("fault at access {fail_at}: unexpected error {e:?}"),
+        }
+    }
+}
+
+/// A statement that fails part-way frees every intermediate it had
+/// finished, not only the file it was writing: the sorted join inputs,
+/// the join output, the grouped and projected relations, and the sort
+/// runs. Each statement runs on an uncached pager with a 3-page sort
+/// workspace, so every sort takes several merge passes, and a fault at
+/// any of its page accesses must fail it, leave the disk at the pages it
+/// held before, and leave the target table as it was.
+#[test]
+fn failed_statements_free_every_intermediate() {
+    let p = Params::new().with("minsupport", 50);
+    // R'_2 in trans_id order: 6 pairs from each of 800 transactions, so
+    // the item sort has to move nearly every row.
+    let r2_prime: Vec<[u32; 3]> = (0..800u32)
+        .flat_map(|t| {
+            let items = [t % 7, 7 + t % 5, 12 + t % 3, 15];
+            (0..4).flat_map(move |a| (a + 1..4).map(move |b| [t, items[a], items[b]]))
+        })
+        .collect();
+    // Every pair of an item below 7 with 15 or with 12..=14: two of each
+    // transaction's pairs survive the filter.
+    let c2: Vec<[u32; 3]> =
+        (0..7u32).flat_map(|i| [[i, 12, 1], [i, 13, 1], [i, 14, 1], [i, 15, 1]]).collect();
+    let statements = [
+        (
+            "R2",
+            "CREATE TABLE R2 (trans_id INT, item_1 INT, item_2 INT)",
+            "INSERT INTO R2
+             SELECT p.trans_id, p.item_1, p.item_2
+             FROM R2_PRIME p, C2 q
+             WHERE p.item_1 = q.item_1 AND p.item_2 = q.item_2
+             ORDER BY p.trans_id, p.item_1, p.item_2",
+        ),
+        (
+            "C2_NEW",
+            "CREATE TABLE C2_NEW (item_1 INT, item_2 INT, cnt INT)",
+            "INSERT INTO C2_NEW
+             SELECT p.item_1, p.item_2, COUNT(*)
+             FROM R2_PRIME p
+             GROUP BY p.item_1, p.item_2
+             HAVING COUNT(*) >= :minsupport",
+        ),
+        (
+            "C2_RARE",
+            "CREATE TABLE C2_RARE (item_1 INT, item_2 INT, cnt INT)",
+            "INSERT INTO C2_RARE
+             SELECT p.item_1, p.item_2, COUNT(*)
+             FROM R2_PRIME p
+             GROUP BY p.item_1, p.item_2
+             HAVING COUNT(*) < :minsupport",
+        ),
+    ];
+    for (target, create, insert) in statements {
+        let setup = || {
+            let mut engine = SqlEngine::new();
+            engine
+                .set_options(ExecOptions { join: JoinPreference::SortMerge, sort_buffer_pages: 3 });
+            let cols = ["trans_id", "item_1", "item_2"];
+            engine.load_table("R2_PRIME", &cols, r2_prime.iter().map(|r| r.as_slice())).unwrap();
+            let cols = ["item_1", "item_2", "cnt"];
+            engine.load_table("C2", &cols, c2.iter().map(|r| r.as_slice())).unwrap();
+            engine.execute(create, &p).unwrap();
+            engine.database().reset_io_stats();
+            engine
+        };
+        let select = format!("SELECT * FROM {target}");
+        let contents = |engine: &mut SqlEngine| engine.query(&select, &p).unwrap().rows;
+
+        // A healthy run counts the statement's disk accesses: the fault
+        // points to sweep.
+        let mut engine = setup();
+        engine.execute(insert, &p).unwrap();
+        let accesses = engine.database().io_stats().accesses();
+        assert!(!contents(&mut engine).is_empty(), "{target}: the statement inserts rows");
+        assert!(accesses > 100, "{target}: multi-pass sorts make many accesses: {accesses}");
+
+        for fail_at in 1..=accesses {
+            let mut engine = setup();
+            let pages_before = engine.database().pager().lock().total_pages();
+            engine.database().pager().lock().fail_after(Some(fail_at));
+            match engine.execute(insert, &p) {
+                Err(SqlError::Engine(Error::Corrupt(_))) => {
+                    let pages = engine.database().pager().lock().total_pages();
+                    assert_eq!(pages, pages_before, "{target}: fault at access {fail_at} leaked");
+                    assert!(contents(&mut engine).is_empty(), "{target}: fault at {fail_at}");
+                }
+                Ok(_) => panic!("{target}: fault at access {fail_at} of {accesses} was swallowed"),
+                Err(e) => panic!("{target}: fault at access {fail_at}: unexpected error {e:?}"),
+            }
         }
     }
 }

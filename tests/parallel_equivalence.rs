@@ -102,17 +102,6 @@ proptest! {
         }
     }
 
-    /// The filter_r1 ablation composes with sharding on both paths.
-    #[test]
-    fn filter_r1_composes_with_sharding(d in dataset_strategy(), min_count in 1u64..=4) {
-        let params = MiningParams::new(MinSupport::Count(min_count), 0.5);
-        let seq = memory::execute(&d, &params, &RunSpec { filter_r1: true, ..threads(1) });
-        for n in [2usize, 8] {
-            let par = memory::execute(&d, &params, &RunSpec { filter_r1: true, ..threads(n) });
-            assert_equivalent(&seq, &par, &format!("filter_r1 threads={n}"));
-        }
-    }
-
     /// max_pattern_len caps the sharded loop exactly like the sequential.
     #[test]
     fn max_len_composes_with_sharding(d in dataset_strategy(), cap in 1usize..=3) {
