@@ -645,7 +645,8 @@ fn heap_file(pager: &SharedPager, rows: &[[u32; 2]]) -> HeapFile {
 
 fn repro_primitives() {
     banner(
-        "Engine primitives — sort, INSERT … SELECT, merge-scan join, grouped count, B+-tree probe",
+        "Engine primitives — sort, INSERT … SELECT, Section 4.1 count + filter, merge-scan join, \
+         grouped count, B+-tree probe",
     );
     println!(
         "median of {PRIMITIVE_REPS} reps ({PRIMITIVE_SORT_REPS} for the 500K-row rows); a sort,"
@@ -693,8 +694,9 @@ fn repro_primitives() {
         print_row(label, 500_000, t);
     }
 
-    // INSERT … SELECT of the same 500K rows: SELECT, sort, copy into the
-    // target (a rep includes CREATE TABLE; the source is loaded once).
+    // INSERT … SELECT of the same 500K rows: the SELECT copies and sorts
+    // them, and its sorted result becomes the target (a rep includes
+    // CREATE TABLE; the source is loaded once).
     let mut engine = SqlEngine::new();
     engine.load_table("src", &["a", "b", "c"], wide.chunks_exact(3)).expect("load src");
     let p = Params::new();
@@ -708,9 +710,94 @@ fn repro_primitives() {
             .expect("insert");
     });
     let dst = &engine.database().table("dst").expect("dst exists").file;
-    assert_eq!(dst.n_records(), 500_000, "INSERT … SELECT copies every row");
+    assert_eq!(dst.n_records(), 500_000, "INSERT … SELECT keeps every row");
     assert!(dst.read_all().expect("read dst") == expect, "dst is sorted like sort_rows");
     print_row("INSERT … SELECT ORDER BY", 500_000, t);
+
+    // One Section 4.1 iteration's count and filter statements on a
+    // 500K-row R'_2 in (trans_id, items) order, as the extension join
+    // writes it: items from 100, so a pair recurs about 100 times and
+    // about half the pairs reach the support. The count statement sorts
+    // R'_2 on its items and keeps that order, so the filter statement's
+    // join reads it unsorted. A rep includes loading R'_2.
+    let mut r2_prime: Vec<u32> = wide
+        .chunks_exact(3)
+        .flat_map(|r| {
+            let (a, b) = (r[1] % 100, r[2] % 100);
+            [r[0], a.min(b), a.max(b)]
+        })
+        .collect();
+    sort_rows(&mut r2_prime, 3, &[0, 1, 2]);
+    let minsupport = 100;
+    let p = Params::new().with("minsupport", minsupport);
+    let (t, (engine, filter_accesses)) = median_of(PRIMITIVE_SORT_REPS, || {
+        let mut engine = SqlEngine::new();
+        let columns = ["trans_id", "item_1", "item_2"];
+        engine.load_table("R2_PRIME", &columns, r2_prime.chunks_exact(3)).expect("load R'_2");
+        engine.execute("CREATE TABLE C2 (item_1 INT, item_2 INT, cnt INT)", &p).expect("create");
+        engine
+            .execute(
+                "INSERT INTO C2
+                 SELECT p.item_1, p.item_2, COUNT(*)
+                 FROM R2_PRIME p
+                 GROUP BY p.item_1, p.item_2
+                 HAVING COUNT(*) >= :minsupport",
+                &p,
+            )
+            .expect("count");
+        engine
+            .execute("CREATE TABLE R2 (trans_id INT, item_1 INT, item_2 INT)", &p)
+            .expect("create");
+        let before = engine.database().io_stats().accesses();
+        engine
+            .execute(
+                "INSERT INTO R2
+                 SELECT p.trans_id, p.item_1, p.item_2
+                 FROM R2_PRIME p, C2 q
+                 WHERE p.item_1 = q.item_1 AND p.item_2 = q.item_2
+                 ORDER BY p.trans_id, p.item_1, p.item_2",
+                &p,
+            )
+            .expect("filter");
+        let accesses = engine.database().io_stats().accesses() - before;
+        (engine, accesses)
+    });
+    let db = engine.database();
+    let mut by_items = r2_prime.clone();
+    sort_rows(&mut by_items, 3, &[1, 2]);
+    let by_items = HeapFile::from_rows(Pager::shared(), 3, by_items.chunks_exact(3)).expect("load");
+    let c2_ref = grouped_count(&by_items, &[1, 2], minsupport).expect("count").read_all();
+    let c2_ref = c2_ref.expect("read reference C2");
+    let c2 = db.table("C2").expect("C2 exists").file.read_all().expect("read C2");
+    assert!(c2 == c2_ref, "C2 is grouped_count of R'_2 sorted like sort_rows");
+    let pairs: Vec<&[u32]> = c2_ref.chunks_exact(3).map(|c| &c[..2]).collect();
+    let mut r2_ref: Vec<u32> = r2_prime
+        .chunks_exact(3)
+        .filter(|r| pairs.binary_search(&&r[1..]).is_ok())
+        .flatten()
+        .copied()
+        .collect();
+    sort_rows(&mut r2_ref, 3, &[0, 1, 2]);
+    let r2 = db.table("R2").expect("R2 exists").file.read_all().expect("read R2");
+    assert!(r2 == r2_ref, "R2 is R'_2's supported rows, sorted like sort_rows");
+    assert_eq!(db.table("R2_PRIME").expect("R'_2 exists").sorted_by, Some(vec![1, 2]));
+    // The filter statement reads R'_2 and C2 once each, writes the join's
+    // rows and sorts them for its ORDER BY: it does not sort R'_2.
+    let order_by = {
+        let pager = Pager::shared();
+        let joined = HeapFile::from_rows(pager.clone(), 3, r2_ref.chunks_exact(3)).expect("load");
+        pager.lock().reset_stats();
+        external_sort(&joined, &[0, 1, 2], SortOptions::default()).expect("sort");
+        let stats = pager.lock().stats();
+        stats.accesses()
+    };
+    let pages = |name: &str| u64::from(db.table(name).expect("table exists").file.n_pages());
+    assert_eq!(
+        filter_accesses,
+        pages("R2_PRIME") + pages("C2") + pages("R2") + order_by,
+        "the filter statement sorts only its output"
+    );
+    print_row("Section 4.1 count + filter", 500_000, t);
 
     for n in [10_000u32, 50_000] {
         // (tid, item) rows sorted on tid, five items per tid.

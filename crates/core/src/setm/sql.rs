@@ -13,6 +13,13 @@
 //! [`SqlReport::statements`] so examples and tests can display exactly
 //! what was executed.
 //!
+//! The executor does Figure 4's work for them: the count statement's
+//! `GROUP BY` sorts `R'_k` on its items and the catalog keeps it in that
+//! order, so the filter statement's merge join reads `R'_k` and `C_k`
+//! without sorting either, writes only its `SELECT` list, and sorts its
+//! output once for the closing `ORDER BY`; each `INSERT … SELECT` result
+//! becomes its target table without a copy (`setm_sql`'s executor docs).
+//!
 //! Two operator sets run the shared Figure 4 loop, chosen once per run
 //! from the first iteration's plan: the paper's script on one session
 //! (`threads(1)` emits Section 4.1's text verbatim), and the partitioned
@@ -36,19 +43,21 @@
 //!
 //! then ships the shard-local count partials to a coordinator session
 //! (a `UNION ALL` realized as bulk data movement, like the initial
-//! `SALES` load) where the *global* threshold is applied by one merge
-//! statement —
+//! `SALES` load, merged in pattern order so the coordinator's table is
+//! already grouped) where the *global* threshold is applied by one merge
+//! statement, which sorts nothing —
 //!
 //! ```text
 //! INSERT INTO Ck SELECT p.item_1, .., SUM(p.cnt) FROM Ck_PARTS p
 //! GROUP BY p.item_1, .. HAVING SUM(p.cnt) >= :minsupport
 //! ```
 //!
-//! — and finally broadcasts the merged `C_k` back so each shard filters
-//! and `ORDER BY`-sorts its own `R_k` in parallel. Because the shards
-//! partition transactions exactly, itemsets, rules, and the
-//! `|R'_k|`/`|R_k|`/`|C_k|` trace series are identical to the sequential
-//! plan at every thread count (`tests/sql_equivalence.rs` proves it);
+//! — and finally broadcasts the merged `C_k` back, in pattern order, so
+//! each shard filters and `ORDER BY`-sorts its own `R_k` in parallel.
+//! Because the shards partition transactions exactly, itemsets, rules,
+//! and the `|R'_k|`/`|R_k|`/`|C_k|` trace series are identical to the
+//! sequential plan at every thread count (`tests/sql_equivalence.rs`
+//! proves it);
 //! the recorded statement trace interleaves each round's per-shard
 //! statements (in shard order) with the coordinator's merge statements.
 //! A failing shard statement surfaces as a typed
@@ -79,11 +88,11 @@ use setm_sql::{
 /// whole script; recorded per-iteration plans carry the actual session
 /// count. The join strategy and sort workspace are honored per iteration
 /// ([`SqlEngine::set_options`], plus a `CREATE INDEX` on `SALES` the
-/// first time a session runs a nested-loop extension join). `reuse_sort`
-/// is recorded but has no SQL-level realization: the Section 4.1 script
-/// never re-sorts `R_{k-1}` — the closing `ORDER BY` is its only
-/// ordering step. Trace rows reach the sink on the coordinator thread
-/// only, never inside a shard session.
+/// first time a session runs a nested-loop extension join). The Section
+/// 4.1 script never re-sorts `R_{k-1}`: its closing `ORDER BY` is its
+/// only ordering step, so every recorded plan has `reuse_sort` set,
+/// whatever was planned. Trace rows reach the sink on the coordinator
+/// thread only, never inside a shard session.
 ///
 /// Constraints become `IN` / `NOT IN` conjuncts on the Section 4.1
 /// statements themselves, so the set-oriented plan prunes candidates
@@ -209,8 +218,10 @@ impl Operators for Session {
         min_count: u64,
         spec: &RunSpec,
     ) -> Result<Step> {
-        // One session: the shard dimension is pinned to it.
+        // One session: the shard dimension is pinned to it, and the
+        // closing ORDER BY is the script's only ordering step.
         plan.shards = 1;
+        plan.reuse_sort = true;
         let (engine, stmts, bind) = (&mut self.engine, &mut self.statements, minsupport(min_count));
         let prev = if k == 2 { "SALES".to_string() } else { format!("R{}", k - 1) };
         let rk_prime = format!("R{k}_PRIME");
@@ -275,8 +286,10 @@ impl Operators for Sharded {
         spec: &RunSpec,
     ) -> Result<Step> {
         // The session topology is fixed at connect time: the shard
-        // dimension is pinned to the pool.
+        // dimension is pinned to the pool. The closing ORDER BY is the
+        // script's only ordering step.
         plan.shards = self.pool.len();
+        plan.reuse_sort = true;
         let (plan, bind) = (*plan, minsupport(min_count));
 
         // Phase 1 (parallel): extension join + local counts per shard,
@@ -571,7 +584,10 @@ fn count_table_cols(k: usize) -> Vec<String> {
 /// `C{k}_PART_{i}` rows into one `C{k}_PARTS` table (the `UNION ALL`,
 /// done as bulk data movement), then apply the global threshold with one
 /// `GROUP BY … HAVING SUM(cnt) >= :minsupport` merge statement and read
-/// the result back.
+/// the result back. Each partial is a grouped output, already in pattern
+/// order, so the shipment merges them in that order (the order-preserving
+/// exchange of a parallel `GROUP BY`): the load records `C{k}_PARTS` as
+/// sorted, and the merge statement sums it without sorting it.
 fn merge_shard_counts(
     merge: &mut SqlEngine,
     pool: &mut ShardPool,
@@ -579,7 +595,7 @@ fn merge_shard_counts(
     bind: &Params,
     k: usize,
 ) -> Result<CountRelation> {
-    let mut union_rows: Vec<u32> = Vec::new();
+    let mut partials: Vec<Vec<u32>> = Vec::with_capacity(pool.len());
     for i in 0..pool.len() {
         // Reading a shard's partials touches that shard's storage, so a
         // fault here must still name the shard (same contract as
@@ -590,8 +606,9 @@ fn merge_shard_counts(
             .database()
             .table(&format!("C{k}_PART_{i}"))
             .map_err(|e| shard_err(e.into()))?;
-        union_rows.extend(table.file.read_all().map_err(|e| shard_err(e.into()))?);
+        partials.push(table.file.read_all().map_err(|e| shard_err(e.into()))?);
     }
+    let union_rows = merge_in_order(&partials, k + 1);
     let col_names = count_table_cols(k);
     let col_refs: Vec<&str> = col_names.iter().map(String::as_str).collect();
     merge.load_table(&format!("C{k}_PARTS"), &col_refs, union_rows.chunks_exact(k + 1))?;
@@ -612,6 +629,22 @@ fn merge_shard_counts(
     )?;
     exec_on(merge, statements, bind, format!("DROP TABLE C{k}_PARTS"))?;
     read_counts(merge, k)
+}
+
+/// Merge flat row-major runs of `arity`-wide rows, each in ascending row
+/// order, into one buffer in ascending row order.
+fn merge_in_order(runs: &[Vec<u32>], arity: usize) -> Vec<u32> {
+    let mut heads = vec![0usize; runs.len()];
+    let mut out = Vec::with_capacity(runs.iter().map(Vec::len).sum());
+    let row = |run: usize, at: usize| &runs[run][at..at + arity];
+    while let Some(next) = (0..runs.len())
+        .filter(|&i| heads[i] < runs[i].len())
+        .min_by(|&a, &b| row(a, heads[a]).cmp(row(b, heads[b])))
+    {
+        out.extend_from_slice(row(next, heads[next]));
+        heads[next] += arity;
+    }
+    out
 }
 
 /// Read `C_k` back into memory. Its rows are already in lexicographic
@@ -726,6 +759,15 @@ mod tests {
             let sql = run(&d, &params, threads);
             assert_eq!(sql.0.frequent_itemsets(), mem.frequent_itemsets(), "threads={threads}");
         }
+    }
+
+    #[test]
+    fn shard_partials_merge_in_row_order() {
+        let runs = [vec![1, 2, 5, 4, 1, 3], vec![], vec![1, 2, 7, 2, 0, 1, 9, 9, 1]];
+        let merged = merge_in_order(&runs, 3);
+        let mut expect: Vec<&[u32]> = runs.iter().flat_map(|r| r.chunks_exact(3)).collect();
+        expect.sort();
+        assert_eq!(merged, expect.concat());
     }
 
     #[test]

@@ -1,12 +1,16 @@
 //! The `Database`: a catalog of named tables and indexes over one pager.
 //!
-//! This is the integration surface used by the SQL layer (`setm-sql`) and
-//! by the engine-backed SETM execution. Tables remember their sort order
-//! (`sorted_by`), implementing the Section 4.1 remark that the final
-//! `ORDER BY` "enables an efficient execution plan if the sort order of
-//! the relations is tracked across iterations": the SQL executor skips
-//! the sort of a join input, group or `ORDER BY` whose order the catalog
-//! already records.
+//! This is the integration surface used by the SQL layer (`setm-sql`).
+//! Tables remember their sort order (`sorted_by`), implementing the
+//! Section 4.1 remark that the final `ORDER BY` "enables an efficient
+//! execution plan if the sort order of the relations is tracked across
+//! iterations": the SQL executor skips the sort of a join input, group or
+//! `ORDER BY` whose order the catalog already records. The order comes
+//! from the statement that filled the table (an `INSERT … SELECT` keeps
+//! its result's order), from a bulk load whose rows arrive sorted, and
+//! from a single-table `GROUP BY` that had to sort the table: its sorted
+//! copy replaces the table's storage ([`Database::recluster`]), so the
+//! table stays in group order for the next statement.
 
 use crate::btree::BTree;
 use crate::errors::{Error, Result};
@@ -114,6 +118,19 @@ impl Database {
         }
         self.register(name, schema, file, sorted_by)?;
         Ok(())
+    }
+
+    /// Make `file`, which holds `name`'s rows sorted on `sorted_by`, the
+    /// table's storage, and free the old file. The table's indexes stay:
+    /// they hold the same rows. Without the table, `file` is freed.
+    pub fn recluster(&mut self, name: &str, file: HeapFile, sorted_by: Vec<usize>) -> Result<()> {
+        let Some(table) = self.tables.get_mut(name) else {
+            file.free()?;
+            return Err(Error::NoSuchTable(name.to_string()));
+        };
+        debug_assert_eq!(file.n_records(), table.file.n_records(), "the same rows");
+        table.sorted_by = Some(sorted_by);
+        std::mem::replace(&mut table.file, file).free()
     }
 
     /// Look up a table.
@@ -278,5 +295,28 @@ mod tests {
         assert_eq!(db.table("R").unwrap().file.rows().unwrap(), new_rows);
         assert_eq!(db.table("R").unwrap().sorted_by, Some(vec![0, 1]));
         assert!(db.index("R_idx").is_err(), "stale index must be dropped");
+    }
+
+    #[test]
+    fn recluster_swaps_storage_and_keeps_indexes() {
+        let mut db = Database::new();
+        let rows = sales_rows();
+        db.create_table_from_rows("R", Schema::sales(), rows.iter().map(|r| r.as_slice())).unwrap();
+        db.create_index("R_idx", "R", &["item"]).unwrap();
+        let pages = db.pager().lock().total_pages();
+        let file =
+            external_sort(&db.table("R").unwrap().file, &[1], SortOptions::default()).unwrap();
+        db.recluster("R", file, vec![1]).unwrap();
+        let t = db.table("R").unwrap();
+        let mut by_item = rows.clone();
+        by_item.sort_by_key(|r| (r[1], r[0]));
+        assert_eq!(t.file.rows().unwrap(), by_item);
+        assert_eq!(t.sorted_by, Some(vec![1]));
+        assert!(db.index("R_idx").is_ok(), "the index holds the same rows");
+        assert_eq!(db.pager().lock().total_pages(), pages, "the old file is freed");
+        // A missing table frees the file it was handed.
+        let orphan = HeapFile::from_rows(db.pager().clone(), 2, [[1u32, 2].as_slice()]).unwrap();
+        assert!(matches!(db.recluster("NOPE", orphan, vec![0]), Err(Error::NoSuchTable(_))));
+        assert_eq!(db.pager().lock().total_pages(), pages);
     }
 }

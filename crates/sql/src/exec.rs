@@ -5,9 +5,22 @@
 //! either **sort-merge** (sort both sides on the equi-join key unless the
 //! catalog already knows them sorted, then one merge-scan) or **index
 //! nested-loop** (probe a covering B+-tree per outer row), followed by
-//! residual filters, sort-based grouping with `COUNT(*)`/`HAVING`,
-//! projection and `ORDER BY`. Every intermediate is a heap file on the
-//! shared pager, so a query's page accesses are measurable.
+//! sort-based grouping with `COUNT(*)`/`HAVING`, projection and
+//! `ORDER BY`. Every intermediate is a heap file on the shared pager, so
+//! a query's page accesses are measurable.
+//!
+//! No step writes a relation only to copy it again:
+//!
+//! * the last join of a query evaluates the post-join `WHERE` conjuncts
+//!   in its residual, and, when the query does not group, writes only the
+//!   `SELECT` list, so no wide intermediate is filtered or projected in a
+//!   second pass (both join algorithms);
+//! * a single-table `GROUP BY` that has to sort its stored table keeps
+//!   the sorted copy as the table's storage ([`Database::recluster`]):
+//!   Section 4.1's count statement leaves `R'_k` in item order, and the
+//!   filter statement's merge join then reads it without sorting it again;
+//! * an `INSERT … SELECT` into an empty table adopts the `SELECT`'s
+//!   result file, with its sort order, as the table.
 //!
 //! The join-strategy knob ([`JoinPreference`], sort-merge by default) is
 //! how the two plans of Sections 3 and 4 are realized from the *same*
@@ -125,7 +138,11 @@ impl SqlEngine {
     }
 
     /// Bulk-load rows into a table without going through `INSERT`
-    /// statements (data loading is not part of any measured query).
+    /// statements (data loading is not part of any measured query),
+    /// replacing any table of that name. Rows that arrive in order (each
+    /// no smaller than the one before, all columns compared) record the
+    /// table as sorted on every column. The new file is written before
+    /// the old table is dropped, so a failed load leaves it as it was.
     pub fn load_table<'a, I: IntoIterator<Item = &'a [u32]>>(
         &mut self,
         name: &str,
@@ -133,10 +150,14 @@ impl SqlEngine {
         rows: I,
     ) -> Result<()> {
         let schema = Schema::new(columns.iter().copied());
-        if self.db.has_table(name) {
-            self.db.drop_table(name)?;
-        }
-        self.db.create_table_from_rows(name, schema, rows)?;
+        let (mut prev, mut in_order): (Option<&[u32]>, bool) = (None, true);
+        let rows = rows.into_iter().inspect(|&row| {
+            in_order &= prev.is_none_or(|p| p <= row);
+            prev = Some(row);
+        });
+        let file = HeapFile::from_rows(self.db.pager().clone(), schema.arity(), rows)?;
+        let sorted_by = in_order.then(|| (0..schema.arity()).collect());
+        self.db.replace_table(name, schema, file, sorted_by)?;
         Ok(())
     }
 
@@ -185,20 +206,29 @@ impl SqlEngine {
                         })?);
                     }
                 }
-                self.append_rows(table, arity, &flat, None)?;
+                self.append_rows(table, arity, &flat)?;
                 Ok(ExecOutcome::Inserted(rows.len() as u64))
             }
             Statement::InsertSelect { table, select } => {
-                let out = self.run_select(select, params)?;
+                let out = self.run_select(select, params)?.rows;
                 let (arity, n) = (out.file.arity(), out.file.n_records());
-                let rows = read_and_free(out.file)?;
-                self.append_rows(table, arity, &rows, out.sorted_by)?;
+                let target = self.db.table(table)?;
+                if target.file.n_records() == 0 && target.schema.arity() == arity {
+                    // The result fully defines the table: it becomes the
+                    // table, sort order included.
+                    let schema = target.schema.clone();
+                    let sorted_by = out.sorted_by.clone();
+                    self.db.replace_table(table, schema, out.into_file(), sorted_by)?;
+                } else {
+                    let rows = read_and_free(out)?;
+                    self.append_rows(table, arity, &rows)?;
+                }
                 Ok(ExecOutcome::Inserted(n))
             }
             Statement::Select(select) => {
                 let out = self.run_select(select, params)?;
-                let arity = out.file.arity();
-                let flat = read_and_free(out.file)?;
+                let arity = out.rows.file.arity();
+                let flat = read_and_free(out.rows)?;
                 let rows = flat.chunks_exact(arity).map(<[u32]>::to_vec).collect();
                 Ok(ExecOutcome::Rows(QueryResult { columns: out.columns, rows }))
             }
@@ -206,17 +236,11 @@ impl SqlEngine {
     }
 
     /// Append the flat row-major `rows` (`arity` values each) to `table`.
-    /// A non-empty table is rewritten: its rows are copied page by page
-    /// into a new file ahead of the new ones, which reads and writes the
-    /// pages in the order a row-at-a-time copy would. Any error leaves
-    /// the table as it was.
-    fn append_rows(
-        &mut self,
-        table: &str,
-        arity: usize,
-        rows: &[u32],
-        sorted_by: Option<Vec<usize>>,
-    ) -> Result<()> {
+    /// The table is rewritten: its rows are copied page by page into a
+    /// new file ahead of the new ones, which reads and writes the pages in
+    /// the order a row-at-a-time copy would, and the new file records no
+    /// sort order. Any error leaves the table as it was.
+    fn append_rows(&mut self, table: &str, arity: usize, rows: &[u32]) -> Result<()> {
         let t = self.db.table(table)?;
         let schema = t.schema.clone();
         if !rows.is_empty() && arity != schema.arity() {
@@ -225,7 +249,6 @@ impl SqlEngine {
                 got: arity,
             }));
         }
-        let was_empty = t.file.n_records() == 0;
         let mut builder = HeapFileBuilder::new(t.file.pager().clone(), schema.arity());
         let mut page = Vec::new();
         for pno in 0..t.file.n_pages() {
@@ -235,10 +258,7 @@ impl SqlEngine {
         }
         builder.extend_flat(rows)?;
         let file = builder.finish()?;
-        // Sort order is only trustworthy when the insert fully defines the
-        // table contents.
-        let sorted = if was_empty { sorted_by } else { None };
-        self.db.replace_table(table, schema, file, sorted)?;
+        self.db.replace_table(table, schema, file, None)?;
         Ok(())
     }
 
@@ -254,35 +274,48 @@ impl SqlEngine {
         params: &Params,
     ) -> Result<SelectOutput> {
         let sort_opts = self.opts.sort_options();
-
-        // 1. Left-deep join pipeline in FROM order.
-        let first = self.db.table(&plan.tables[0].table)?;
-        let mut current = Working::borrowed(first.file.clone(), first.sorted_by.clone());
-        for (idx, binding) in plan.tables.iter().enumerate().skip(1) {
-            let step = &plan.join_steps[idx - 1];
-            current = self.join_step(current, binding, step, sort_opts, params)?;
-        }
-
-        // 2. Residual filters (single-table ones included; correctness
-        // over micro-optimization).
-        if !plan.filters.is_empty()
-            || !plan.cross_filters.is_empty()
-            || !plan.set_filters.is_empty()
-        {
-            let bound: Vec<(usize, CmpOp, u64)> = plan
+        let grouped = plan.has_agg() || !plan.group_cols.is_empty();
+        let filter = RowFilter {
+            consts: plan
                 .filters
                 .iter()
                 .map(|f| Ok((f.col, f.op, eval_const(&f.rhs, params)?)))
-                .collect::<Result<_>>()?;
-            let cross: Vec<(usize, CmpOp, usize)> = plan.cross_filters.clone();
-            let sets: Vec<SetFilter> = plan.set_filters.clone();
-            let arity = current.file.arity();
-            let all: Vec<usize> = (0..arity).collect();
-            let filtered = filter_project(&current.file, &all, |row| {
-                bound.iter().all(|&(c, op, v)| op.eval(row[c] as u64, v))
-                    && cross.iter().all(|&(a, op, b)| op.eval(row[a] as u64, row[b] as u64))
-                    && sets.iter().all(|s| s.matches(row[s.col] as u64))
-            })?;
+                .collect::<Result<_>>()?,
+            cross: plan.cross_filters.clone(),
+            sets: plan.set_filters.clone(),
+        };
+        // The SELECT list of a query without grouping: flat positions and
+        // output names.
+        let (positions, names): (Vec<usize>, Vec<String>) = if grouped {
+            Default::default()
+        } else {
+            plan.items
+                .iter()
+                .map(|item| match item {
+                    ResolvedItem::FlatCol(i, name) => (*i, name.clone()),
+                    ResolvedItem::Count | ResolvedItem::Sum | ResolvedItem::GroupCol(..) => {
+                        unreachable!("only an aggregate query has aggregate or group items")
+                    }
+                })
+                .unzip()
+        };
+
+        // 1. Left-deep join pipeline in FROM order. The last join applies
+        // the residual filters and, without grouping, writes only the
+        // SELECT list.
+        let first = self.db.table(&plan.tables[0].table)?;
+        let mut current = Working::borrowed(first.file.clone(), first.sorted_by.clone());
+        let n_joins = plan.join_steps.len();
+        let select_list = (!grouped).then_some(&positions[..]);
+        for (i, (binding, step)) in plan.tables[1..].iter().zip(&plan.join_steps).enumerate() {
+            let last = (i + 1 == n_joins).then_some((&filter, select_list));
+            current = self.join_step(current, binding, step, last, sort_opts)?;
+        }
+
+        // 2. A single-table query applies its filters in one pass.
+        if n_joins == 0 && !filter.is_empty() {
+            let all: Vec<usize> = (0..current.file.arity()).collect();
+            let filtered = filter_project(&current.file, &all, |row| filter.accepts(|c| row[c]))?;
             let filtered = Working::owned(filtered, current.sorted_by.clone());
             current.free()?;
             current = filtered;
@@ -290,7 +323,7 @@ impl SqlEngine {
 
         // 3. Grouping / aggregation, then the projection. The output is
         // always a file this statement owns.
-        let (mut out, out_cols) = if plan.has_agg() || !plan.group_cols.is_empty() {
+        let (mut out, out_cols) = if grouped {
             let mut grouped = self.group_and_count(&current, plan, select, params, sort_opts)?;
             current.free()?;
             // Project SELECT items out of (group cols..., aggregate).
@@ -328,34 +361,23 @@ impl SqlEngine {
                 grouped.free()?;
                 (projected, names)
             }
+        } else if n_joins > 0
+            || positions.iter().copied().eq(0..current.file.arity()) && current.owned
+        {
+            // The last join wrote the SELECT list, or the filtered rows
+            // already are it.
+            (current, names)
         } else {
-            // Plain projection.
-            let mut positions = Vec::with_capacity(plan.items.len());
-            let mut names = Vec::with_capacity(plan.items.len());
-            for item in &plan.items {
-                match item {
-                    ResolvedItem::FlatCol(i, name) => {
-                        positions.push(*i);
-                        names.push(name.clone());
-                    }
-                    ResolvedItem::Count | ResolvedItem::Sum | ResolvedItem::GroupCol(..) => {
-                        unreachable!()
-                    }
-                }
-            }
-            if positions.iter().copied().eq(0..current.file.arity()) && current.owned {
-                (current, names)
-            } else {
-                // Sort order survives projection if the sorted prefix maps
-                // into projected positions; conservatively recompute.
-                let sorted_by = current.sorted_by.as_ref().and_then(|s| {
-                    s.iter().map(|c| positions.iter().position(|p| p == c)).collect()
-                });
-                let projected =
-                    Working::owned(filter_project(&current.file, &positions, |_| true)?, sorted_by);
-                current.free()?;
-                (projected, names)
-            }
+            // Sort order survives projection if the sorted prefix maps
+            // into projected positions; conservatively recompute.
+            let sorted_by = current
+                .sorted_by
+                .as_ref()
+                .and_then(|s| s.iter().map(|c| positions.iter().position(|p| p == c)).collect());
+            let projected =
+                Working::owned(filter_project(&current.file, &positions, |_| true)?, sorted_by);
+            current.free()?;
+            (projected, names)
         };
 
         // 4. ORDER BY.
@@ -373,30 +395,25 @@ impl SqlEngine {
             out.sorted_by = Some(plan.order_positions.clone());
         }
 
-        let sorted_by = out.sorted_by.take();
-        Ok(SelectOutput { file: out.into_file(), columns: out_cols, sorted_by })
+        Ok(SelectOutput { rows: out, columns: out_cols })
     }
 
+    /// Join `left` with `binding`'s table on `step`'s keys and residuals.
+    /// `last` is set on a query's last join: it carries the query's
+    /// residual filter, which the join applies to each row pair, and, for
+    /// a query without grouping, the flat positions of the SELECT list,
+    /// which are then the only columns the join writes.
     fn join_step(
         &mut self,
         left: Working,
         binding: &BoundTable,
         step: &JoinStep,
+        last: Option<(&RowFilter, Option<&[usize]>)>,
         sort_opts: SortOptions,
-        params: &Params,
     ) -> Result<Working> {
         let right_table = self.db.table(&binding.table)?;
         let right = Working::borrowed(right_table.file.clone(), right_table.sorted_by.clone());
-        let out_arity = left.file.arity() + right.file.arity();
-        let residuals = step.residuals.clone();
-        let project = |l: &[u32], r: &[u32], out: &mut Vec<u32>| {
-            out.extend_from_slice(l);
-            out.extend_from_slice(r);
-        };
-        let residual_ok = move |l: &[u32], r: &[u32]| {
-            residuals.iter().all(|&(lc, op, rc)| op.eval(l[lc] as u64, r[rc] as u64))
-        };
-        let _ = params;
+        let left_arity = left.file.arity();
 
         if self.opts.join == JoinPreference::IndexNestedLoop {
             if step.left_keys.is_empty() {
@@ -416,36 +433,21 @@ impl SqlEngine {
                     binding.table
                 )));
             }
-            // The index key is a permutation of the table's columns; the
-            // probe visits keys, which we un-permute back to table order.
-            let key_to_table: Vec<usize> = idx.key_cols.clone();
-            let right_arity = right.file.arity();
-            let residual2 = step.residuals.clone();
+            // The index key is a permutation of the table's columns: the
+            // probe hands over keys, in which table column `c` sits at
+            // `key_pos[c]`.
+            let mut key_pos = vec![0; idx.key_cols.len()];
+            for (kpos, &tcol) in idx.key_cols.iter().enumerate() {
+                key_pos[tcol] = kpos;
+            }
+            let emit = JoinEmit::new(step, last, left_arity, &key_pos);
             let out = index_nested_loop_join(
                 &left.file,
                 &idx.btree,
                 &step.left_keys,
-                out_arity,
-                move |l, key| {
-                    residual2.iter().all(|&(lc, op, rc)| {
-                        let keypos = key_to_table
-                            .iter()
-                            .position(|&t| t == rc)
-                            .expect("covering index contains every column");
-                        op.eval(l[lc] as u64, key[keypos] as u64)
-                    })
-                },
-                {
-                    let key_to_table = idx.key_cols.clone();
-                    move |l: &[u32], key: &[u32], out: &mut Vec<u32>| {
-                        out.extend_from_slice(l);
-                        let start = out.len();
-                        out.resize(start + right_arity, 0);
-                        for (kpos, &tcol) in key_to_table.iter().enumerate() {
-                            out[start + tcol] = key[kpos];
-                        }
-                    }
-                },
+                emit.out.len(),
+                |l, key| emit.accepts(l, key),
+                |l, key, out| emit.project(l, key, out),
             )?;
             let out = Working::owned(out, None);
             left.free()?;
@@ -455,16 +457,19 @@ impl SqlEngine {
         // Sort-merge: ensure both sides are sorted on their keys.
         let left_sorted = ensure_sorted(left, &step.left_keys, sort_opts)?;
         let right_sorted = ensure_sorted(right, &step.right_keys, sort_opts)?;
+        let table_order: Vec<usize> = (0..right_sorted.file.arity()).collect();
+        let emit = JoinEmit::new(step, last, left_arity, &table_order);
         let out = merge_scan_join(
             &left_sorted.file,
             &right_sorted.file,
             &step.left_keys,
             &step.right_keys,
-            out_arity,
-            residual_ok,
-            project,
+            emit.out.len(),
+            |l, r| emit.accepts(l, r),
+            |l, r, out| emit.project(l, r, out),
         )?;
-        let out = Working::owned(out, Some(step.left_keys.clone()));
+        // The merge emits its rows in left-key order.
+        let out = Working::owned(out, emit.sorted_on(&step.left_keys));
         left_sorted.free()?;
         right_sorted.free()?;
         Ok(out)
@@ -478,13 +483,23 @@ impl SqlEngine {
         params: &Params,
         sort_opts: SortOptions,
     ) -> Result<Working> {
-        // Sort on the group columns unless already sorted.
+        // Sort on the group columns unless already sorted. An input this
+        // statement does not own is its one stored table (a join or a
+        // filter writes an owned file): the sorted copy becomes the
+        // table's storage, so the table stays in group order.
         let sorted = if current.sorted_by.as_ref().is_some_and(|s| {
             s.len() >= plan.group_cols.len() && s[..plan.group_cols.len()] == plan.group_cols[..]
         }) {
             Working::borrowed(current.file.clone(), None)
         } else {
-            Working::owned(external_sort(&current.file, &plan.group_cols, sort_opts)?, None)
+            let file = external_sort(&current.file, &plan.group_cols, sort_opts)?;
+            if current.owned {
+                Working::owned(file, None)
+            } else {
+                let table = &plan.tables[0].table;
+                self.db.recluster(table, file.clone(), plan.group_cols.clone())?;
+                Working::borrowed(file, None)
+            }
         };
 
         // HAVING <agg> >= x is pushed into the aggregating scan; other
@@ -603,13 +618,12 @@ fn eval_const(s: &Scalar, params: &Params) -> Result<u64> {
     }
 }
 
-/// Read a SELECT's result file into a flat row-major buffer, then free
-/// it — whether or not the read succeeded, so a failed read leaves no
-/// pages behind.
-fn read_and_free(file: HeapFile) -> Result<Vec<u32>> {
-    let rows = file.read_all();
-    file.free()?;
-    Ok(rows?)
+/// Read a SELECT's result into a flat row-major buffer, then free it. A
+/// failed read frees it too, when `rows` drops.
+fn read_and_free(rows: Working) -> Result<Vec<u32>> {
+    let flat = rows.file.read_all()?;
+    rows.free()?;
+    Ok(flat)
 }
 
 fn ensure_sorted(w: Working, key: &[usize], sort_opts: SortOptions) -> Result<Working> {
@@ -671,9 +685,97 @@ impl Drop for Working {
 }
 
 struct SelectOutput {
-    file: HeapFile,
+    /// The result rows: a file the statement owns, with its sort order.
+    rows: Working,
     columns: Vec<String>,
-    sorted_by: Option<Vec<usize>>,
+}
+
+/// A query's `WHERE` conjuncts that are neither join keys nor join
+/// residuals, on flat positions of the joined row, with parameters bound.
+struct RowFilter {
+    consts: Vec<(usize, CmpOp, u64)>,
+    cross: Vec<(usize, CmpOp, usize)>,
+    sets: Vec<SetFilter>,
+}
+
+impl RowFilter {
+    fn is_empty(&self) -> bool {
+        self.consts.is_empty() && self.cross.is_empty() && self.sets.is_empty()
+    }
+
+    /// Whether the row whose flat column `c` is `col(c)` passes.
+    #[inline]
+    fn accepts(&self, col: impl Fn(usize) -> u32) -> bool {
+        self.consts.iter().all(|&(c, op, v)| op.eval(col(c) as u64, v))
+            && self.cross.iter().all(|&(a, op, b)| op.eval(col(a) as u64, col(b) as u64))
+            && self.sets.iter().all(|s| s.matches(col(s.col) as u64))
+    }
+}
+
+/// What one join step keeps and writes, on flat positions of the joined
+/// row, read off the row pair its operator hands over: the left row, and
+/// a right row in which right-table column `c` sits at `right_pos[c]` (a
+/// table row for the merge-scan, an index key for the nested loop). Both
+/// join algorithms thus keep and write the same rows.
+struct JoinEmit<'a> {
+    left_arity: usize,
+    right_pos: &'a [usize],
+    /// The step's residuals and, on a query's last join, its filter.
+    filter: RowFilter,
+    /// The flat positions written, in order.
+    out: Vec<usize>,
+}
+
+impl<'a> JoinEmit<'a> {
+    /// `last` carries a query's filter and, without grouping, its SELECT
+    /// list; without a SELECT list the join writes every column.
+    fn new(
+        step: &JoinStep,
+        last: Option<(&RowFilter, Option<&[usize]>)>,
+        left_arity: usize,
+        right_pos: &'a [usize],
+    ) -> JoinEmit<'a> {
+        let mut filter = RowFilter {
+            consts: Vec::new(),
+            cross: step.residuals.iter().map(|&(l, op, r)| (l, op, left_arity + r)).collect(),
+            sets: Vec::new(),
+        };
+        let mut out: Vec<usize> = (0..left_arity + right_pos.len()).collect();
+        if let Some((post, select)) = last {
+            filter.consts.extend_from_slice(&post.consts);
+            filter.cross.extend_from_slice(&post.cross);
+            filter.sets.extend_from_slice(&post.sets);
+            if let Some(select) = select {
+                out = select.to_vec();
+            }
+        }
+        JoinEmit { left_arity, right_pos, filter, out }
+    }
+
+    /// Flat column `c` of the joined row.
+    #[inline]
+    fn col(&self, l: &[u32], r: &[u32], c: usize) -> u32 {
+        match c.checked_sub(self.left_arity) {
+            None => l[c],
+            Some(rc) => r[self.right_pos[rc]],
+        }
+    }
+
+    #[inline]
+    fn accepts(&self, l: &[u32], r: &[u32]) -> bool {
+        self.filter.accepts(|c| self.col(l, r, c))
+    }
+
+    #[inline]
+    fn project(&self, l: &[u32], r: &[u32], out: &mut Vec<u32>) {
+        out.extend(self.out.iter().map(|&c| self.col(l, r, c)));
+    }
+
+    /// The output's sort order when the row pairs arrive in order of the
+    /// left columns `key`: kept only if every key column is written.
+    fn sorted_on(&self, key: &[usize]) -> Option<Vec<usize>> {
+        key.iter().map(|c| self.out.iter().position(|o| o == c)).collect()
+    }
 }
 
 /// A FROM-list table with its binding name.
@@ -1378,6 +1480,166 @@ mod tests {
         e.execute("INSERT INTO dst SELECT a FROM src", &p).unwrap();
         let r = e.query("SELECT a FROM dst", &p).unwrap();
         assert_eq!(r.rows, vec![vec![1], vec![5], vec![6]]);
+    }
+
+    #[test]
+    fn a_failed_load_keeps_the_table_it_was_replacing() {
+        let mut e = SqlEngine::new();
+        let rows: Vec<[u32; 2]> = (0..2_000u32).map(|i| [i, i % 7]).collect();
+        e.load_table("t", &["a", "b"], rows.iter().map(|r| r.as_slice())).unwrap();
+        let pages = e.database().pager().lock().total_pages();
+        assert!(pages > 2, "the reload fails part-way through its pages");
+        e.database().pager().lock().fail_after(Some(2));
+        let reload: Vec<[u32; 2]> = (0..2_000u32).map(|i| [i, 0]).collect();
+        let err = e.load_table("t", &["a", "b"], reload.iter().map(|r| r.as_slice()));
+        assert!(matches!(err, Err(SqlError::Engine(setm_relational::Error::Corrupt(_)))));
+        assert_eq!(e.database().pager().lock().total_pages(), pages, "the partial file is freed");
+        let back = e.query("SELECT a, b FROM t", &Params::new()).unwrap().rows;
+        assert_eq!(back, rows.iter().map(|r| r.to_vec()).collect::<Vec<_>>(), "old rows intact");
+    }
+
+    #[test]
+    fn load_table_records_the_order_its_rows_arrive_in() {
+        let mut e = SqlEngine::new();
+        let sorted_by = |e: &SqlEngine| e.database().table("t").unwrap().sorted_by.clone();
+        let ordered = [[1u32, 5], [1, 7], [2, 0], [2, 0]];
+        e.load_table("t", &["a", "b"], ordered.iter().map(|r| r.as_slice())).unwrap();
+        assert_eq!(sorted_by(&e), Some(vec![0, 1]));
+        let unordered = [[1u32, 7], [1, 5], [2, 0]];
+        e.load_table("t", &["a", "b"], unordered.iter().map(|r| r.as_slice())).unwrap();
+        assert_eq!(sorted_by(&e), None);
+    }
+
+    /// Section 4.1's count statement sorts `R'_2` on its items and keeps
+    /// that order, so the filter statement reads `R'_2` and `C_2` once
+    /// each, writes the join's rows, and sorts only its output for the
+    /// `ORDER BY`.
+    #[test]
+    fn the_count_statement_leaves_r_prime_in_item_order_for_the_filter() {
+        let mut e = SqlEngine::new();
+        let p = Params::new().with("minsupport", 60);
+        // R'_2 as the extension join writes it, in trans_id order. Pair
+        // (0, 1) of a transaction recurs every 15 transactions, (0, 2)
+        // every 20 and (1, 2) every 12: (0, 2) pairs fall below support.
+        let r2_prime: Vec<[u32; 3]> = (0..1_000u32)
+            .flat_map(|t| {
+                let items = [t % 5, 5 + t % 3, 8 + t % 4];
+                [(0, 1), (0, 2), (1, 2)].map(|(a, b)| [t, items[a], items[b]])
+            })
+            .collect();
+        let cols = ["trans_id", "item_1", "item_2"];
+        e.load_table("R2_PRIME", &cols, r2_prime.iter().map(|r| r.as_slice())).unwrap();
+        e.execute("CREATE TABLE C2 (item_1 INT, item_2 INT, cnt INT)", &p).unwrap();
+        e.execute(
+            "INSERT INTO C2
+             SELECT p.item_1, p.item_2, COUNT(*)
+             FROM R2_PRIME p
+             GROUP BY p.item_1, p.item_2
+             HAVING COUNT(*) >= :minsupport",
+            &p,
+        )
+        .unwrap();
+        assert_eq!(e.database().table("R2_PRIME").unwrap().sorted_by, Some(vec![1, 2]));
+
+        e.execute("CREATE TABLE R2 (trans_id INT, item_1 INT, item_2 INT)", &p).unwrap();
+        e.database().reset_io_stats();
+        e.execute(
+            "INSERT INTO R2
+             SELECT p.trans_id, p.item_1, p.item_2
+             FROM R2_PRIME p, C2 q
+             WHERE p.item_1 = q.item_1 AND p.item_2 = q.item_2
+             ORDER BY p.trans_id, p.item_1, p.item_2",
+            &p,
+        )
+        .unwrap();
+        let accesses = e.database().io_stats().accesses();
+        let pages = |name: &str| u64::from(e.database().table(name).unwrap().file.n_pages());
+        // The join reads each input once and writes R_2's rows; the
+        // ORDER BY sorts them in one run, reading and writing each page.
+        assert_eq!(accesses, pages("R2_PRIME") + pages("C2") + 3 * pages("R2"));
+        let mut counts = std::collections::BTreeMap::new();
+        for r in &r2_prime {
+            *counts.entry([r[1], r[2]]).or_insert(0u32) += 1;
+        }
+        let c2: Vec<Vec<u32>> = counts
+            .iter()
+            .filter(|(_, &n)| n >= 60)
+            .map(|(pair, &n)| vec![pair[0], pair[1], n])
+            .collect();
+        assert_eq!(e.query("SELECT item_1, item_2, cnt FROM C2", &p).unwrap().rows, c2);
+        let expect: Vec<Vec<u32>> =
+            r2_prime.iter().filter(|r| counts[&[r[1], r[2]]] >= 60).map(|r| r.to_vec()).collect();
+        assert!(expect.len() < r2_prime.len(), "the filter drops the unsupported pairs");
+        let r2 = e.query("SELECT trans_id, item_1, item_2 FROM R2", &p).unwrap().rows;
+        assert_eq!(r2, expect);
+    }
+
+    #[test]
+    fn insert_select_into_an_empty_table_adopts_the_select_result() {
+        let mut e = SqlEngine::new();
+        let p = Params::new();
+        // SALES in (trans_id, item) order: 600 transactions of 5 items.
+        let sales: Vec<[u32; 2]> =
+            (0..600u32).flat_map(|t| (0..5).map(move |j| [t, j * 4 + t % 4])).collect();
+        e.load_table("SALES", &["trans_id", "item"], sales.iter().map(|r| r.as_slice())).unwrap();
+        let select = "SELECT p.trans_id, p.item, q.item
+                      FROM SALES p, SALES q
+                      WHERE q.trans_id = p.trans_id AND q.item > p.item
+                      ORDER BY p.trans_id, p.item, q.item";
+        e.database().reset_io_stats();
+        let rows = e.query(select, &p).unwrap().rows;
+        let select_accesses = e.database().io_stats().accesses();
+
+        e.execute("CREATE TABLE R2 (trans_id INT, item_1 INT, item_2 INT)", &p).unwrap();
+        e.database().reset_io_stats();
+        let inserted = e.execute(&format!("INSERT INTO R2 {select}"), &p).unwrap();
+        assert!(matches!(inserted, ExecOutcome::Inserted(6_000)), "{inserted:?}");
+        let insert_accesses = e.database().io_stats().accesses();
+        let r2 = e.database().table("R2").unwrap();
+        // The INSERT makes the SELECT's accesses and no more: the bare
+        // query then reads its result back to return the rows.
+        assert_eq!(insert_accesses + u64::from(r2.file.n_pages()), select_accesses);
+        assert_eq!(r2.sorted_by, Some(vec![0, 1, 2]));
+        assert_eq!(r2.file.rows().unwrap(), rows, "the SELECT's rows, in its order");
+    }
+
+    #[test]
+    fn a_join_that_drops_columns_writes_rows_of_the_select_width() {
+        for join in [JoinPreference::SortMerge, JoinPreference::IndexNestedLoop] {
+            let mut e = SqlEngine::new();
+            let p = Params::new();
+            let t: Vec<[u32; 2]> = (0..3_000u32).map(|i| [i, i % 10]).collect();
+            let u: Vec<[u32; 2]> = (0..3_000u32).map(|i| [i, i % 7]).collect();
+            e.load_table("t", &["a", "b"], t.iter().map(|r| r.as_slice())).unwrap();
+            e.load_table("u", &["a", "c"], u.iter().map(|r| r.as_slice())).unwrap();
+            e.database_mut().create_index("u_a_c", "u", &["a", "c"]).unwrap();
+            e.set_options(ExecOptions { join, ..Default::default() });
+            let where_ = "WHERE p.a = q.a AND q.c < p.b AND p.b <> 3";
+            // Accesses of one INSERT … SELECT and the pages it inserted.
+            let mut insert = |table: &str, cols: &str, list: &str| {
+                e.execute(&format!("CREATE TABLE {table} ({cols})"), &p).unwrap();
+                e.database().reset_io_stats();
+                let sql = format!("INSERT INTO {table} SELECT {list} FROM t p, u q {where_}");
+                e.execute(&sql, &p).unwrap();
+                let accesses = e.database().io_stats().accesses();
+                (accesses, u64::from(e.database().table(table).unwrap().file.n_pages()))
+            };
+            let (narrow, narrow_pages) = insert("narrow", "a INT", "p.a");
+            let (wide, wide_pages) =
+                insert("wide", "a INT, b INT, a2 INT, c INT", "p.a, p.b, q.a, q.c");
+            assert!(narrow_pages < wide_pages, "{join:?}: {narrow_pages} vs {wide_pages}");
+            // The two statements read the same pages; each writes only
+            // its own output.
+            assert_eq!(narrow - narrow_pages, wide - wide_pages, "{join:?}");
+            if join == JoinPreference::SortMerge {
+                let input_pages = u64::from(e.database().table("t").unwrap().file.n_pages())
+                    + u64::from(e.database().table("u").unwrap().file.n_pages());
+                assert_eq!(narrow, input_pages + narrow_pages);
+            }
+            let kept = t.iter().filter(|r| r[0] % 7 < r[1] && r[1] != 3).count();
+            let rows = e.query("SELECT a FROM narrow", &p).unwrap().rows;
+            assert_eq!(rows.len(), kept, "{join:?}");
+        }
     }
 
     #[test]

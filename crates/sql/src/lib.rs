@@ -21,6 +21,12 @@
 //! probe per outer row). The caller picks one; the planner never guesses
 //! from the indexes it finds.
 //!
+//! The executor tracks sort order across statements, as Section 4.1
+//! asks, and copies no result twice: a query's last join filters and
+//! writes only its `SELECT` list, a single-table `GROUP BY` that sorts
+//! its stored table keeps the sorted copy as the table, and an
+//! `INSERT … SELECT` into an empty table adopts the result file.
+//!
 //! ```
 //! use setm_sql::{Params, SqlEngine};
 //!
