@@ -623,8 +623,8 @@ fn median_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (Duration, T) {
     (times[reps / 2], out.expect("at least one rep"))
 }
 
-/// Reps of the 500K-row sorts and `INSERT … SELECT`, which take tens to
-/// hundreds of milliseconds each.
+/// Reps of the 500K-row sorts, `INSERT … SELECT` and the Section 4.1
+/// statements, which take tens to hundreds of milliseconds each.
 const PRIMITIVE_SORT_REPS: usize = 5;
 
 /// `n` flat `(tid, item, item)` rows: 20 rows per tid, items drawn from
@@ -645,11 +645,12 @@ fn heap_file(pager: &SharedPager, rows: &[[u32; 2]]) -> HeapFile {
 
 fn repro_primitives() {
     banner(
-        "Engine primitives — sort, INSERT … SELECT, Section 4.1 count + filter, merge-scan join, \
-         grouped count, B+-tree probe",
+        "Engine primitives — sort, INSERT … SELECT, Section 4.1 count + filter, Section 4.1 \
+         k = 2 extension, merge-scan join, grouped count, B+-tree probe",
     );
     println!(
-        "median of {PRIMITIVE_REPS} reps ({PRIMITIVE_SORT_REPS} for the 500K-row rows); a sort,"
+        "median of {PRIMITIVE_REPS} reps ({PRIMITIVE_SORT_REPS} for the 500K-row rows and the \
+         extension); a sort,"
     );
     println!("join or count rep includes loading its input heap files onto a fresh pager\n");
     println!("{:<30} {:>12} {:>12}", "primitive", "rows", "median");
@@ -798,6 +799,77 @@ fn repro_primitives() {
         "the filter statement sorts only its output"
     );
     print_row("Section 4.1 count + filter", 500_000, t);
+
+    // Section 4.1's k = 2 extension join on a 200K-row SALES (40,000
+    // transactions of five items) as the script leaves it: the C_1
+    // statement sorts SALES on its items and keeps that order, so the
+    // join sorts it back on trans_id — once, for both of its sides. A rep
+    // includes loading SALES and the C_1 statement.
+    let sales: Vec<u32> = (0..40_000u32)
+        .flat_map(|t| (0..5).flat_map(move |j| [t, j * 200 + (t * 7 + j * 13) % 200]))
+        .collect();
+    let p = Params::new().with("minsupport", 1);
+    let (t, (engine, join_accesses)) = median_of(PRIMITIVE_SORT_REPS, || {
+        let mut engine = SqlEngine::new();
+        engine.load_table("SALES", &["trans_id", "item"], sales.chunks_exact(2)).expect("load");
+        engine.execute("CREATE TABLE C1 (item_1 INT, cnt INT)", &p).expect("create");
+        engine
+            .execute(
+                "INSERT INTO C1
+                 SELECT r1.item, COUNT(*)
+                 FROM SALES r1
+                 GROUP BY r1.item
+                 HAVING COUNT(*) >= :minsupport",
+                &p,
+            )
+            .expect("count C1");
+        engine
+            .execute("CREATE TABLE R2_PRIME (trans_id INT, item_1 INT, item_2 INT)", &p)
+            .expect("create");
+        let before = engine.database().io_stats().accesses();
+        engine
+            .execute(
+                "INSERT INTO R2_PRIME
+                 SELECT p.trans_id, p.item, q.item
+                 FROM SALES p, SALES q
+                 WHERE q.trans_id = p.trans_id AND q.item > p.item",
+                &p,
+            )
+            .expect("extend");
+        let accesses = engine.database().io_stats().accesses() - before;
+        (engine, accesses)
+    });
+    let db = engine.database();
+    assert_eq!(db.table("SALES").expect("SALES exists").sorted_by, Some(vec![1]));
+    // Every pair of a transaction's items, in (trans_id, items) order.
+    let r2_ref: Vec<u32> = sales
+        .chunks_exact(10)
+        .flat_map(|txn| {
+            let (tid, items) = (txn[0], [txn[1], txn[3], txn[5], txn[7], txn[9]]);
+            (0..5).flat_map(move |a| (a + 1..5).flat_map(move |b| [tid, items[a], items[b]]))
+        })
+        .collect();
+    let r2_prime = db.table("R2_PRIME").expect("R'_2 exists").file.read_all().expect("read R'_2");
+    assert!(r2_prime == r2_ref, "R'_2 is every pair of a transaction's items");
+    let one_sort = {
+        let pager = Pager::shared();
+        let mut by_item = sales.clone();
+        sort_rows(&mut by_item, 2, &[1]);
+        let file = HeapFile::from_rows(pager.clone(), 2, by_item.chunks_exact(2)).expect("load");
+        pager.lock().reset_stats();
+        external_sort(&file, &[0], SortOptions::default()).expect("sort");
+        let stats = pager.lock().stats();
+        stats.accesses()
+    };
+    // The join sorts SALES once, reads the sorted copy on each side and
+    // writes R'_2.
+    let pages = |name: &str| u64::from(db.table(name).expect("table exists").file.n_pages());
+    assert_eq!(
+        join_accesses,
+        one_sort + 2 * pages("SALES") + pages("R2_PRIME"),
+        "the k = 2 extension join sorts SALES once"
+    );
+    print_row("Section 4.1 k = 2 extension", 200_000, t);
 
     for n in [10_000u32, 50_000] {
         // (tid, item) rows sorted on tid, five items per tid.

@@ -198,6 +198,12 @@ impl Dataset {
         &self.items
     }
 
+    /// Transaction boundaries: transaction `t` holds rows
+    /// `offsets[t]..offsets[t + 1]`.
+    pub(crate) fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
     /// Iterate `(trans_id, item)` rows in `(tid, item)` order.
     pub fn iter_rows(&self) -> impl Iterator<Item = (TransId, Item)> + '_ {
         self.tids.iter().copied().zip(self.items.iter().copied())

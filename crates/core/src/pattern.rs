@@ -78,6 +78,17 @@ impl PatternRelation {
         self.rows.extend_from_slice(items);
     }
 
+    /// Append the tuple `(tid, prefix.., last)`, item by item: cheaper
+    /// than a slice copy for the few items of a pattern.
+    pub(crate) fn push_extended(&mut self, tid: TransId, prefix: &[Item], last: Item) {
+        debug_assert_eq!(prefix.len() + 1, self.k);
+        self.rows.push(tid);
+        for &item in prefix {
+            self.rows.push(item);
+        }
+        self.rows.push(last);
+    }
+
     /// Append the tuples `rows` of `other`, in its order.
     pub(crate) fn extend_from(&mut self, other: &PatternRelation, rows: Range<usize>) {
         debug_assert_eq!(other.k, self.k);

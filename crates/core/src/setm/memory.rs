@@ -6,28 +6,46 @@
 //! per pair it would emit, constraint pushdown applied pair by pair),
 //! the support threshold, and both sorts around the loop body — but
 //! counts `C_k` with its own physical operator rather than Figure 4's
-//! sort-and-count of a materialised `R'_k`.
+//! sort-and-count of a materialised `R'_k`, and works in `C_1` space.
+//!
+//! # `C_1` space
+//!
+//! Only a pattern whose items are all in `C_1` can be supported. So k = 1
+//! makes one pass over `SALES` that numbers and counts every distinct
+//! item in an open-addressed table (its size follows the distinct items,
+//! never the largest item id), and a second pass that gives each row
+//! whose item is in `C_1` its `C_1` id — the item's position in the
+//! sorted `C_1` — and keeps those rows, transaction by transaction,
+//! beside the dataset's own arrays, which are read in place.
 //!
 //! # The dense count
 //!
-//! Only a pattern whose prefix is in `C_{k-1}` and whose extension item
-//! is in `C_1` can be supported. So iteration k counts every candidate
-//! pair straight into a dense `u32` table of `|C_{k-1}| × |C_1|` cells,
-//! indexed by the prefix's position in the sorted `C_{k-1}` and the
-//! extension item's position in the sorted `C_1`; `R'_k` is never built.
-//! At k = 2 the pairs come per transaction straight off `SALES` (which
-//! is `R_1`); at k ≥ 3 each `R_{k-1}` row finds its transaction by the
-//! plan's access path (merge-scan or nested-loop) and its prefix's
-//! position was recorded when the row was emitted. Every pair passes
-//! through the [`CandidateFilter`] and into `|R'_k|` or the pruned total
-//! exactly as the join would emit or reject it, so the trace does not
-//! change. Reading the cells that meet the support in (prefix, item)
-//! order yields `C_k` already sorted. A second walk over `R_{k-1}` then
-//! extends each row by those of its prefix's supported patterns whose
-//! last item the row's transaction holds, which emits `R_k` in
-//! `(trans_id, items)` order: the two sorts around the loop (still run,
-//! still announced as `sort_r_prev` / `sort_r_k` phase events) find
-//! their input in order and only scan it.
+//! Iteration k counts every pair of a `C_{k-1}` prefix and a `C_1`
+//! extension straight into a dense `u32` table of `|C_{k-1}| × |C_1|`
+//! cells, indexed by the prefix's position in the sorted `C_{k-1}` and
+//! the extension's `C_1` id; `R'_k` is never built. At k = 2 the pairs
+//! come per transaction straight off its `C_1` rows (`SALES` is `R_1`);
+//! at k ≥ 3 each `R_{k-1}` row finds its transaction by the plan's access
+//! path (merge-scan or nested-loop) and its prefix's position was
+//! recorded when the row was emitted. Unconstrained, the walk visits only
+//! `C_1` rows, and every other pair is added to `|R'_k|` in bulk: at
+//! k = 2 a transaction of `n` items joins into `n(n − 1)/2` pairs, and at
+//! k ≥ 3 a row extends by every item after its last one. Under
+//! constraints the walk visits every pair the join would see, so each
+//! passes through the [`CandidateFilter`] into `|R'_k|` or the pruned
+//! total exactly as the join would emit or reject it. Either way the
+//! trace does not change.
+//!
+//! Reading the cells that meet the support in (prefix, item) order
+//! yields `C_k` already sorted, and overwrites each cell with its
+//! pattern's `C_k` index (or a sentinel). A second walk over `R_{k-1}`
+//! then extends each row by the shorter of two lists that give the same
+//! rows in the same order: its prefix's supported patterns, each tested
+//! against the transaction's `C_1` ids, or its own `C_1` extensions, each
+//! looked up in the overwritten table. That emits `R_k` in `(trans_id,
+//! items)` order, so the two sorts around the loop, still announced as
+//! `sort_r_prev` / `sort_r_k` phase events, have nothing to move and do
+//! not call the sort kernel.
 //!
 //! The tables, one per shard, may hold at most `DENSE_CELL_BUDGET` (2^22
 //! cells, 16 MiB) together, so the dense count runs on no more of the
@@ -68,6 +86,7 @@ use crate::setm::{RunSpec, SetmResult};
 use setm_obs::{ObsEvent, ObsSink};
 use setm_relational::sort::sort_rows;
 use std::convert::Infallible;
+use std::hash::BuildHasher;
 use std::ops::Range;
 
 /// The most cells the dense count's tables may hold together, one table
@@ -77,7 +96,8 @@ use std::ops::Range;
 /// it (`mine_quest`'s largest table is 493K cells).
 const DENSE_CELL_BUDGET: usize = 1 << 22;
 
-/// The id of an item not in `C_1`, or of a prefix not in `C_{k-1}`.
+/// The id of an item not in `C_1`, of a prefix not in `C_{k-1}`, of an
+/// unsupported cell, or of an empty slot of [`DistinctItems`].
 const NO_ID: u32 = u32::MAX;
 
 /// Mine `dataset` with in-memory set operators. The plan's `shards` and
@@ -122,33 +142,191 @@ fn counting_for(
 fn run(dataset: &Dataset, params: &MiningParams, spec: &RunSpec, budget: usize) -> SetmResult {
     let planner =
         Planner::new(spec.plan_mode, PlannerConfig::with_max_shards(resolve_threads(spec.threads)));
-    let mut ops = InMemory {
-        dataset,
-        budget,
-        sales: Sales::default(),
-        c1_items: Vec::new(),
-        c_prev: CountRelation::new(1),
-        r_prev: PatternRelation::new(1),
-        r_prev_ids: None,
-        tid_sorted: true,
-    };
+    let mut ops = InMemory::new(dataset, budget);
     match drive(&mut ops, Totals::of(dataset, spec), params, &planner, spec) {
         Ok(result) => result,
         Err(never) => match never {},
     }
 }
 
-/// The `SALES` side of every extension join, which is also `R_1`: one
-/// row per (transaction, item), in `(trans_id, item)` order.
-#[derive(Default)]
-struct Sales {
-    /// Each transaction's `trans_id`, ascending.
-    tids: Vec<TransId>,
-    /// Transaction `s` holds rows `starts[s]..starts[s + 1]`.
-    starts: Vec<usize>,
+/// The `SALES` side of every extension join, which is also `R_1`: the
+/// dataset's own rows, one per (transaction, item) in `(trans_id, item)`
+/// order, and beside them the entries of the rows whose item is in
+/// `C_1`, transaction by transaction.
+struct Sales<'a> {
+    /// Row `r` is `(tids[r], items[r])`.
+    tids: &'a [TransId],
+    items: &'a [Item],
+    /// Transaction `s` holds rows `offsets[s]..offsets[s + 1]`.
+    offsets: &'a [u32],
+    /// Transaction `s`'s `C_1` entries are `c1_starts[s]..c1_starts[s +
+    /// 1]`; entry `e` is row `c1_rows[e]`, whose item has `C_1` id
+    /// `c1_ids[e]`. Ids ascend within a transaction, as its items do.
+    c1_starts: Vec<u32>,
+    c1_ids: Vec<u32>,
+    c1_rows: Vec<u32>,
+}
+
+impl<'a> Sales<'a> {
+    /// `dataset`'s rows, with no `C_1` entries yet.
+    fn new(dataset: &'a Dataset) -> Sales<'a> {
+        Sales {
+            tids: dataset.tids(),
+            items: dataset.items(),
+            offsets: dataset.offsets(),
+            c1_starts: Vec::new(),
+            c1_ids: Vec::new(),
+            c1_rows: Vec::new(),
+        }
+    }
+
+    /// The number of transactions.
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Transaction `s`'s rows.
+    fn rows(&self, s: usize) -> Range<usize> {
+        self.offsets[s] as usize..self.offsets[s + 1] as usize
+    }
+
+    /// Transaction `s`'s `trans_id`.
+    fn tid(&self, s: usize) -> TransId {
+        self.tids[self.offsets[s] as usize]
+    }
+
+    /// Transaction `s`'s `C_1` entries.
+    fn c1(&self, s: usize) -> Range<usize> {
+        self.c1_starts[s] as usize..self.c1_starts[s + 1] as usize
+    }
+
+    /// k = 1: `C_1` ("SELECT item, COUNT(*) FROM SALES GROUP BY item
+    /// HAVING COUNT(*) >= s"), and every transaction's `C_1` entries. The
+    /// first pass numbers and counts each row's item. The second maps each
+    /// row's number to its `C_1` id and appends the rows that have one,
+    /// writing every row and advancing only past a kept one (no branch
+    /// per row, and none per transaction, most of which are short); it
+    /// overwrites each row's number with the entries kept before it,
+    /// which is where a transaction's entries start.
+    fn count_c1(&mut self, min_count: u64) -> CountRelation {
+        let mut distinct = DistinctItems::new();
+        let mut before: Vec<u32> = self.items.iter().map(|&item| distinct.number(item)).collect();
+        let (c1, id_of) = distinct.frequent(min_count);
+        let kept = c1.iter().map(|(_, count)| count as usize).sum::<usize>();
+        // One spare slot takes the last row's write when it is not kept.
+        let (mut ids, mut rows) = (vec![0; kept + 1], vec![0; kept + 1]);
+        let mut n = 0;
+        for (row, number) in before.iter_mut().enumerate() {
+            let id = id_of[*number as usize];
+            *number = n as u32;
+            (ids[n], rows[n]) = (id, row as u32);
+            n += usize::from(id != NO_ID);
+        }
+        ids.truncate(n);
+        rows.truncate(n);
+        let starts = self.offsets[..self.len()].iter().map(|&row| before[row as usize]);
+        self.c1_starts = starts.chain([n as u32]).collect();
+        (self.c1_ids, self.c1_rows) = (ids, rows);
+        c1
+    }
+}
+
+/// The distinct items of `SALES`, numbered in order of first appearance,
+/// each with its number of rows. An open-addressed table (linear probing,
+/// never more than half full) maps an item to its number, so memory
+/// follows the distinct items, never the largest item id. Items come
+/// from outside the program, so the hash's multiplier is drawn per table:
+/// no dataset can be crafted to make every item collide. Numbers, counts
+/// and `C_1` do not depend on it.
+struct DistinctItems {
+    /// `(item, number)` per slot; a number of [`NO_ID`] marks an empty
+    /// slot. The table holds `2^bits` slots.
+    slots: Vec<(Item, u32)>,
+    bits: u32,
+    /// Odd: `home` is then a multiply-shift hash, a universal family.
+    multiplier: u64,
+    /// Each number's item and row count.
     items: Vec<Item>,
-    /// The `C_1` id of each row's item ([`NO_ID`] for an infrequent one).
-    ids: Vec<u32>,
+    counts: Vec<u32>,
+}
+
+impl DistinctItems {
+    const FIRST_BITS: u32 = 6;
+
+    fn new() -> DistinctItems {
+        let random = std::collections::hash_map::RandomState::new().hash_one(0u64);
+        DistinctItems::with_multiplier(random | 1)
+    }
+
+    fn with_multiplier(multiplier: u64) -> DistinctItems {
+        DistinctItems {
+            slots: vec![(0, NO_ID); 1 << Self::FIRST_BITS],
+            bits: Self::FIRST_BITS,
+            multiplier,
+            items: Vec::new(),
+            counts: Vec::new(),
+        }
+    }
+
+    /// Where `item`'s probe starts: the top `bits` bits of its product
+    /// with the multiplier.
+    fn home(&self, item: Item) -> usize {
+        (u64::from(item).wrapping_mul(self.multiplier) >> (64 - self.bits)) as usize
+    }
+
+    /// Count one row of `item` and return its number.
+    fn number(&mut self, item: Item) -> u32 {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(item);
+        loop {
+            let (key, n) = self.slots[slot];
+            if n == NO_ID {
+                break;
+            }
+            if key == item {
+                self.counts[n as usize] += 1;
+                return n;
+            }
+            slot = (slot + 1) & mask;
+        }
+        let n = self.items.len() as u32;
+        self.slots[slot] = (item, n);
+        self.items.push(item);
+        self.counts.push(1);
+        if 2 * self.items.len() > self.slots.len() {
+            self.grow();
+        }
+        n
+    }
+
+    /// Double the table and place every item again.
+    fn grow(&mut self) {
+        self.bits += 1;
+        self.slots = vec![(0, NO_ID); 1 << self.bits];
+        let mask = self.slots.len() - 1;
+        for (n, &item) in self.items.iter().enumerate() {
+            let mut slot = self.home(item);
+            while self.slots[slot].1 != NO_ID {
+                slot = (slot + 1) & mask;
+            }
+            self.slots[slot] = (item, n as u32);
+        }
+    }
+
+    /// `C_1`, sorted by item, and each number's `C_1` id ([`NO_ID`] for
+    /// an item under `min_count`).
+    fn frequent(&self, min_count: u64) -> (CountRelation, Vec<u32>) {
+        let mut numbers: Vec<usize> =
+            (0..self.items.len()).filter(|&n| u64::from(self.counts[n]) >= min_count).collect();
+        numbers.sort_unstable_by_key(|&n| self.items[n]);
+        let mut c1 = CountRelation::new(1);
+        let mut id_of = vec![NO_ID; self.items.len()];
+        for (id, &n) in numbers.iter().enumerate() {
+            c1.push(&[self.items[n]], u64::from(self.counts[n]));
+            id_of[n] = id as u32;
+        }
+        (c1, id_of)
+    }
 }
 
 /// `SALES` as the extension join reads it: transactions in `trans_id`
@@ -164,9 +342,9 @@ impl Transactions for [(TransId, Vec<Item>)] {
     }
 }
 
-impl Transactions for Sales {
+impl Transactions for Sales<'_> {
     fn txn(&self, s: usize) -> (TransId, &[Item]) {
-        (self.tids[s], &self.items[self.starts[s]..self.starts[s + 1]])
+        (self.tid(s), &self.items[self.rows(s)])
     }
 }
 
@@ -179,10 +357,9 @@ impl Transactions for Sales {
 /// run — `tests/plan_equivalence.rs` proves it for the full forced-plan
 /// matrix.
 struct InMemory<'a> {
-    dataset: &'a Dataset,
     /// The most cells the dense count's tables may hold together.
     budget: usize,
-    sales: Sales,
+    sales: Sales<'a>,
     /// `C_1`'s items, ascending: a dense cell's extension id indexes it.
     c1_items: Vec<Item>,
     /// `C_{k-1}`: the unconstrained `C_1` before k = 2, then the last
@@ -192,10 +369,41 @@ struct InMemory<'a> {
     r_prev: PatternRelation,
     /// The `C_{k-1}` id of every `r_prev` row, when the dense operator
     /// emitted it: its rows are distinct and already in `(trans_id,
-    /// items)` order, so sorting them moves none. `None` after Figure 4.
+    /// items)` order, so the sorts skip them. `None` after Figure 4.
     r_prev_ids: Option<Vec<u32>>,
     /// Whether `r_prev` is in `(trans_id, item_1, ..)` order.
     tid_sorted: bool,
+    /// A shard count and its contiguous `trans_id` ranges of `SALES`,
+    /// balanced by rows: kept while iterations ask for that count.
+    txn_shards: (usize, Vec<Range<usize>>),
+}
+
+impl<'a> InMemory<'a> {
+    fn new(dataset: &'a Dataset, budget: usize) -> InMemory<'a> {
+        InMemory {
+            budget,
+            sales: Sales::new(dataset),
+            c1_items: Vec::new(),
+            c_prev: CountRelation::new(1),
+            r_prev: PatternRelation::new(1),
+            r_prev_ids: None,
+            tid_sorted: true,
+            txn_shards: (0, Vec::new()),
+        }
+    }
+
+    /// Sort `r_prev` on `(trans_id, items)` between `name` phase events.
+    /// Rows the dense operator emitted are distinct and already in that
+    /// order, so the sort has nothing to move and the kernel is not
+    /// called; only Figure 4's `R_k`, in items order, is sorted.
+    fn sort_phase(&mut self, sink: &dyn ObsSink, name: &'static str, k: usize) {
+        sink.on_event(&ObsEvent::PhaseStart { name, k });
+        if self.r_prev_ids.is_none() {
+            self.r_prev.sort_by_tid_items();
+        }
+        debug_assert!(self.r_prev.is_sorted_by_tid_items());
+        sink.on_event(&ObsEvent::PhaseEnd { name, k });
+    }
 }
 
 impl Operators for InMemory<'_> {
@@ -206,29 +414,14 @@ impl Operators for InMemory<'_> {
         min_count: u64,
         _spec: &RunSpec,
     ) -> Result<(CountRelation, Metered), Infallible> {
-        let c1 = count_items(self.dataset, min_count);
+        let c1 = self.sales.count_c1(min_count);
         self.c1_items = c1.iter().map(|(p, _)| p[0]).collect();
-        let mut sales = Sales { starts: vec![0], ..Sales::default() };
-        sales.items.reserve(self.dataset.items().len());
-        sales.ids.reserve(self.dataset.items().len());
-        for (tid, items) in self.dataset.transactions() {
-            for &item in items {
-                // A row's `C_1` id is its item's position in the sorted
-                // `C_1`; no lookup allocates by the largest item id.
-                let id = self.c1_items.binary_search(&item).map_or(NO_ID, |i| i as u32);
-                sales.items.push(item);
-                sales.ids.push(id);
-            }
-            sales.tids.push(tid);
-            sales.starts.push(sales.items.len());
-        }
-        self.sales = sales;
         self.c_prev = c1.clone();
         Ok((c1, Metered::default()))
     }
 
     fn sales_stats(&self) -> LiveStats {
-        LiveStats::of_sales(self.sales.starts.windows(2).map(|w| w[1] - w[0]))
+        LiveStats::of_sales(self.sales.offsets.windows(2).map(|w| (w[1] - w[0]) as usize))
     }
 
     fn iterate(
@@ -241,14 +434,26 @@ impl Operators for InMemory<'_> {
         // sort R_{k-1} on (trans_id, item_1, .., item_{k-1}) — unless the
         // previous iteration's closing ORDER BY left it in that order.
         if !self.tid_sorted {
-            sort_phase(spec.sink, "sort_r_prev", k, &mut self.r_prev);
+            self.sort_phase(spec.sink, "sort_r_prev", k);
         }
         let (counting, shards) =
             counting_for(self.c_prev.len(), self.c1_items.len(), plan.shards, self.budget);
-        if k > 2 && counting == Counting::Dense && self.r_prev_ids.is_none() {
-            let c_prev = &self.c_prev;
-            let id = |p: &[Item]| c_prev.position(p).map_or(NO_ID, |i| i as u32);
-            self.r_prev_ids = Some(self.r_prev.iter().map(|(_, p)| id(p)).collect());
+        if self.txn_shards.0 != shards {
+            let weights: Vec<usize> =
+                (0..self.sales.len()).map(|s| self.sales.rows(s).len()).collect();
+            self.txn_shards = (shards, partition_by_weight(&weights, shards));
+        }
+        let mut prefix_last_ids = Vec::new();
+        if k > 2 && counting == Counting::Dense {
+            let (c_prev, c1_items) = (&self.c_prev, &self.c1_items);
+            if self.r_prev_ids.is_none() {
+                let id = |p: &[Item]| c_prev.position(p).map_or(NO_ID, |i| i as u32);
+                self.r_prev_ids = Some(self.r_prev.iter().map(|(_, p)| id(p)).collect());
+            }
+            // Every item of a `C_{k-1}` pattern is in `C_1`.
+            let last_id =
+                |p: &[Item]| c1_items.binary_search(&p[k - 2]).map_or(NO_ID, |i| i as u32);
+            prefix_last_ids = c_prev.iter().map(|(p, _)| last_id(p)).collect();
         }
         let it = Iteration {
             prefixes: if k == 2 {
@@ -257,19 +462,20 @@ impl Operators for InMemory<'_> {
                 Prefixes::Rows(&self.r_prev, plan.join)
             },
             sales: &self.sales,
-            prefix_ids: if k == 2 {
-                &self.sales.ids
-            } else {
-                self.r_prev_ids.as_deref().unwrap_or_default()
-            },
+            prefix_ids: self.r_prev_ids.as_deref().unwrap_or_default(),
+            prefix_last_ids: &prefix_last_ids,
             c_prev: &self.c_prev,
             c1_items: &self.c1_items,
         };
-        let shards = it.shards(shards);
+        let shards = it.shards(&self.txn_shards.1);
         let cc = spec.constraints;
         let counted = match (counting, cc.is_empty()) {
-            (Counting::Dense, true) => it.dense(&shards, min_count, &Unconstrained),
-            (Counting::Dense, false) => it.dense(&shards, min_count, cc),
+            (Counting::Dense, true) => {
+                it.dense(&shards, min_count, |shard| it.count_c1_only(shard))
+            }
+            (Counting::Dense, false) => {
+                it.dense(&shards, min_count, |shard| it.count_pairs(shard, cc))
+            }
             (Counting::Figure4, true) => it.figure4(&shards, min_count, &Unconstrained),
             (Counting::Figure4, false) => it.figure4(&shards, min_count, cc),
         };
@@ -293,18 +499,11 @@ impl Operators for InMemory<'_> {
     /// the same deterministic order.
     fn carry(&mut self, k: usize, plan: &PhysicalPlan, spec: &RunSpec) -> Result<(), Infallible> {
         if plan.reuse_sort {
-            sort_phase(spec.sink, "sort_r_k", k, &mut self.r_prev);
+            self.sort_phase(spec.sink, "sort_r_k", k);
         }
         self.tid_sorted = plan.reuse_sort;
         Ok(())
     }
-}
-
-/// Sort `r` on `(trans_id, items)` between `name` phase events.
-fn sort_phase(sink: &dyn ObsSink, name: &'static str, k: usize, r: &mut PatternRelation) {
-    sink.on_event(&ObsEvent::PhaseStart { name, k });
-    r.sort_by_tid_items();
-    sink.on_event(&ObsEvent::PhaseEnd { name, k });
 }
 
 /// Where an iteration reads its `R_{k-1}` rows.
@@ -331,11 +530,11 @@ impl Prefixes<'_> {
 /// of `R_{k-1}` rows that belong to them.
 type Shard = (Range<usize>, Range<usize>);
 
-/// The extension join's walk over one shard: `visit(tid, prefix, row, s,
-/// start)` for every `R_{k-1}` row in row order, where `row` indexes the
-/// row (in `SALES` at k = 2), `txns.txn(s)` is its transaction, and that
-/// transaction's items from `start` on are the row's extensions under
-/// the paper's `q.item > p.item_{k-1}`. A row whose transaction is
+/// The extension join's walk over one shard: `visit(tid, prefix, row, s)`
+/// for every `R_{k-1}` row in row order, where `row` indexes the row (in
+/// `SALES` at k = 2) and `txns.txn(s)` is its transaction, whose items
+/// after the row's last item are its extensions under the paper's
+/// `q.item > p.item_{k-1}` ([`ext_start`]). A row whose transaction is
 /// missing from `txns` has none: the public [`merge_scan_extend`] joins
 /// against a `SALES` its caller built, which need not hold every
 /// transaction of `R_{k-1}`. Both access paths visit the same rows with
@@ -345,7 +544,7 @@ fn for_each_row<T: Transactions + ?Sized>(
     prefixes: Prefixes,
     txns: &T,
     (shard_txns, rows): Shard,
-    mut visit: impl FnMut(TransId, &[Item], usize, usize, usize),
+    mut visit: impl FnMut(TransId, &[Item], usize, usize),
 ) {
     let (r_prev, join) = match prefixes {
         Prefixes::Sales => {
@@ -353,7 +552,7 @@ fn for_each_row<T: Transactions + ?Sized>(
             for s in shard_txns {
                 let (tid, items) = txns.txn(s);
                 for a in 0..items.len() {
-                    visit(tid, &items[a..=a], row, s, a + 1);
+                    visit(tid, &items[a..=a], row, s);
                     row += 1;
                 }
             }
@@ -361,7 +560,6 @@ fn for_each_row<T: Transactions + ?Sized>(
         }
         Prefixes::Rows(r_prev, join) => (r_prev, join),
     };
-    let k_prev = r_prev.k();
     // The merge-scan cursor, or the nested loop's last index probe (rows
     // of one transaction are adjacent: probe once per transaction).
     let mut cursor = shard_txns.start;
@@ -390,10 +588,15 @@ fn for_each_row<T: Transactions + ?Sized>(
         if s == shard_txns.end || txns.txn(s).0 != tid {
             continue;
         }
-        let last = prefix[k_prev - 1];
-        let start = txns.txn(s).1.partition_point(|&it| it <= last);
-        visit(tid, prefix, row, s, start);
+        visit(tid, prefix, row, s);
     }
+}
+
+/// The position in a transaction's `items` of the first extension of a
+/// row ending in `prefix`'s last item: the first item above it.
+fn ext_start(items: &[Item], prefix: &[Item]) -> usize {
+    let last = prefix[prefix.len() - 1];
+    items.partition_point(|&it| it <= last)
 }
 
 /// Figure 4's extension join over one shard: `R'_k`, in `R_{k-1}` row
@@ -415,8 +618,9 @@ fn extend<T: Transactions + ?Sized, F: CandidateFilter>(
     let mut out = PatternRelation::with_capacity(k_prev + 1, shard.1.len());
     let mut buf: Vec<Item> = vec![0; k_prev + 1];
     let mut pruned = 0u64;
-    for_each_row(prefixes, txns, shard, |tid, prefix, _, s, start| {
-        let exts = &txns.txn(s).1[start..];
+    for_each_row(prefixes, txns, shard, |tid, prefix, _, s| {
+        let items = txns.txn(s).1;
+        let exts = &items[ext_start(items, prefix)..];
         if k_prev == 1 && !filter.allows_at(0, prefix[0]) {
             pruned += exts.len() as u64;
             return;
@@ -447,15 +651,13 @@ fn par_map<I: Sync, T: Send>(inputs: &[I], work: impl Fn(&I) -> T + Sync) -> Vec
     })
 }
 
-/// Concatenate per-shard parts of `R_k`, in shard order.
-fn concat(k: usize, mut parts: Vec<PatternRelation>) -> PatternRelation {
-    if parts.len() == 1 {
-        return parts.pop().expect("one part");
-    }
-    let total: usize = parts.iter().map(PatternRelation::n_tuples).sum();
-    let mut r_k = PatternRelation::with_capacity(k, total);
-    for part in &parts {
-        r_k.extend_from(part, 0..part.n_tuples());
+/// Concatenate per-shard parts of `R_k`, in shard order, onto the first:
+/// only the later parts are copied.
+fn concat(parts: Vec<PatternRelation>) -> PatternRelation {
+    let mut parts = parts.into_iter();
+    let mut r_k = parts.next().expect("one part per shard");
+    for part in parts {
+        r_k.extend_from(&part, 0..part.n_tuples());
     }
     r_k
 }
@@ -470,39 +672,45 @@ struct Counted {
     pruned: u64,
 }
 
+/// One shard's dense count: its table, `|R'_k|` and pruned pairs.
+type Tally = (Vec<u32>, u64, u64);
+
 /// One iteration's read-only inputs.
 struct Iteration<'a> {
     prefixes: Prefixes<'a>,
-    sales: &'a Sales,
-    /// The `C_{k-1}` id of every `R_{k-1}` row ([`NO_ID`] for an
-    /// unsupported one); the dense operator's only.
+    sales: &'a Sales<'a>,
+    /// The `C_{k-1}` id of every `R_{k-1}` row at k ≥ 3; the dense
+    /// operator's only.
     prefix_ids: &'a [u32],
+    /// The `C_1` id of each `C_{k-1}` pattern's last item at k ≥ 3; the
+    /// dense operator's only.
+    prefix_last_ids: &'a [u32],
     c_prev: &'a CountRelation,
     c1_items: &'a [Item],
 }
 
 impl Iteration<'_> {
-    /// The plan's `trans_id` shards, each with its `R_{k-1}` row range.
-    fn shards(&self, n: usize) -> Vec<Shard> {
+    /// The shards of `txn_shards`, each with its `R_{k-1}` row range.
+    fn shards(&self, txn_shards: &[Range<usize>]) -> Vec<Shard> {
         let sales = self.sales;
-        let weights: Vec<usize> = sales.starts.windows(2).map(|w| w[1] - w[0]).collect();
         let mut row_start = 0usize;
-        partition_by_weight(&weights, n)
-            .into_iter()
+        txn_shards
+            .iter()
             .map(|range| {
                 let row_end = match self.prefixes {
-                    Prefixes::Sales => sales.starts[range.end],
+                    Prefixes::Sales => sales.offsets[range.end] as usize,
                     Prefixes::Rows(r_prev, _) => {
                         let rows = row_start..r_prev.n_tuples();
-                        match sales.tids.get(range.end) {
-                            Some(&next) => first_at_or_after(rows, next, |i| r_prev.row(i).0),
-                            None => rows.end,
+                        if range.end < sales.len() {
+                            first_at_or_after(rows, sales.tid(range.end), |i| r_prev.row(i).0)
+                        } else {
+                            rows.end
                         }
                     }
                 };
                 let rows = row_start..row_end;
                 row_start = row_end;
-                (range, rows)
+                (range.clone(), rows)
             })
             .collect()
     }
@@ -529,7 +737,7 @@ impl Iteration<'_> {
         let parts = par_map(&counted, |(r_prime, _, _)| filter_supported(r_prime, &c_k));
         Counted {
             c_k,
-            r_k: concat(self.prefixes.k_prev() + 1, parts),
+            r_k: concat(parts),
             r_k_ids: None,
             r_prime_tuples: counted.iter().map(|(r, _, _)| r.n_tuples() as u64).sum(),
             pruned: counted.iter().map(|(_, _, p)| p).sum(),
@@ -537,17 +745,17 @@ impl Iteration<'_> {
     }
 
     /// The dense count: each shard counts its candidate pairs into its
-    /// own table, the tables are summed, `C_k` is read off the sum, and
-    /// each shard emits its part of `R_k`. Shards are contiguous
+    /// own table (`count`), the tables are summed, `C_k` is read off the
+    /// sum, and each shard emits its part of `R_k`. Shards are contiguous
     /// `trans_id` ranges, so the concatenation is in `(trans_id, items)`
     /// order.
-    fn dense<F: CandidateFilter + Sync>(
+    fn dense(
         &self,
         shards: &[Shard],
         min_count: u64,
-        filter: &F,
+        count: impl Fn(Shard) -> Tally + Sync,
     ) -> Counted {
-        let mut counted = par_map(shards, |shard| self.count_dense(shard.clone(), filter));
+        let mut counted = par_map(shards, |shard| count(shard.clone()));
         let (mut cells, mut r_prime_tuples, mut pruned) = counted.swap_remove(0);
         for (other, r_prime, p) in counted {
             for (cell, add) in cells.iter_mut().zip(other) {
@@ -556,53 +764,136 @@ impl Iteration<'_> {
             r_prime_tuples += r_prime;
             pruned += p;
         }
-        let (c_k, first, last_ids) = self.read_c_k(&cells, min_count);
-        drop(cells);
+        let (c_k, first, last_ids) = self.read_c_k(&mut cells, min_count);
         let k = self.prefixes.k_prev() + 1;
         let (parts, ids): (Vec<PatternRelation>, Vec<Vec<u32>>) = if c_k.is_empty() {
             (vec![PatternRelation::new(k)], vec![Vec::new()])
         } else {
-            par_map(shards, |shard| self.emit_dense(shard.clone(), &first, &last_ids))
-                .into_iter()
-                .unzip()
+            let emitted =
+                par_map(shards, |shard| self.emit_dense(shard.clone(), &first, &last_ids, &cells));
+            emitted.into_iter().unzip()
         };
-        Counted { c_k, r_k: concat(k, parts), r_k_ids: Some(ids.concat()), r_prime_tuples, pruned }
+        let r_k_ids = ids.into_iter().reduce(|mut all, part| {
+            all.extend(part);
+            all
+        });
+        Counted { c_k, r_k: concat(parts), r_k_ids, r_prime_tuples, pruned }
     }
 
-    /// One shard's table, `|R'_k|` and pruned pairs. Every pair the join
+    /// The dense walk over one shard's rows of a `C_{k-1}` prefix:
+    /// `visit(tid, prefix, prefix_id, s, exts)`, in row order, where
+    /// transaction `s`'s `C_1` entries `exts` are the row's `C_1`
+    /// extensions and the entry just before them is the row's last item.
+    /// At k = 2 the rows are the transaction's `C_1` entries themselves;
+    /// at k ≥ 3 they are the `R_{k-1}` rows, each found in its
+    /// transaction by the plan's access path.
+    fn for_each_dense_row(
+        &self,
+        shard: Shard,
+        mut visit: impl FnMut(TransId, &[Item], usize, usize, Range<usize>),
+    ) {
+        let sales = self.sales;
+        match self.prefixes {
+            Prefixes::Sales => {
+                let mut prefix = [0];
+                for s in shard.0 {
+                    let entries = sales.c1(s);
+                    let tid = sales.tid(s);
+                    for e in entries.clone() {
+                        let id = sales.c1_ids[e] as usize;
+                        prefix[0] = self.c1_items[id];
+                        visit(tid, &prefix, id, s, e + 1..entries.end);
+                    }
+                }
+            }
+            Prefixes::Rows(..) => {
+                for_each_row(self.prefixes, sales, shard, |tid, prefix, row, s| {
+                    let prefix_id = self.prefix_ids[row];
+                    debug_assert_ne!(prefix_id, NO_ID, "an R_(k-1) row's prefix is in C_(k-1)");
+                    let prefix_id = prefix_id as usize;
+                    let last = self.prefix_last_ids[prefix_id];
+                    let entries = sales.c1(s);
+                    let exts = entries.start
+                        + sales.c1_ids[entries.clone()].partition_point(|&id| id <= last);
+                    visit(tid, prefix, prefix_id, s, exts..entries.end);
+                })
+            }
+        }
+    }
+
+    /// One shard's unconstrained count: the walk visits only `C_1` rows
+    /// and bumps the cell of every pair of a `C_{k-1}` prefix and a `C_1`
+    /// extension. Every other pair of the join is added to `|R'_k|` in
+    /// bulk: at k = 2 a transaction of `n` items makes `n(n − 1)/2`
+    /// pairs, and at k ≥ 3 a row pairs with every item after its last.
+    fn count_c1_only(&self, shard: Shard) -> Tally {
+        let width = self.c1_items.len();
+        let mut cells = vec![0u32; self.c_prev.len() * width];
+        let sales = self.sales;
+        let k2 = matches!(self.prefixes, Prefixes::Sales);
+        let pairs = |n: u64| n * n.saturating_sub(1) / 2;
+        let mut r_prime_tuples: u64 =
+            if k2 { shard.0.clone().map(|s| pairs(sales.rows(s).len() as u64)).sum() } else { 0 };
+        self.for_each_dense_row(shard, |_, _, prefix_id, s, exts| {
+            if !k2 {
+                // The items after the row's last one, entry `exts.start - 1`.
+                r_prime_tuples +=
+                    (sales.rows(s).end - 1 - sales.c1_rows[exts.start - 1] as usize) as u64;
+            }
+            let cells = &mut cells[prefix_id * width..][..width];
+            for &id in &sales.c1_ids[exts] {
+                cells[id as usize] += 1;
+            }
+        });
+        (cells, r_prime_tuples, 0)
+    }
+
+    /// One shard's count under a constraint `filter`: every pair the join
     /// would see goes through `filter` and into `|R'_k|` or the pruned
     /// total, as in [`extend`]; a pair of a `C_{k-1}` prefix and a `C_1`
-    /// extension also bumps its cell.
-    fn count_dense<F: CandidateFilter>(&self, shard: Shard, filter: &F) -> (Vec<u32>, u64, u64) {
+    /// extension also bumps its cell. The extensions' `C_1` entries are
+    /// found by a cursor over the transaction's entries.
+    fn count_pairs<F: CandidateFilter>(&self, shard: Shard, filter: &F) -> Tally {
         let k_prev = self.prefixes.k_prev();
         let width = self.c1_items.len();
         let mut cells = vec![0u32; self.c_prev.len() * width];
         let (mut r_prime_tuples, mut pruned) = (0u64, 0u64);
         let sales = self.sales;
-        for_each_row(self.prefixes, sales, shard, |_, prefix, row, s, start| {
-            let exts = &sales.txn(s).1[start..];
+        for_each_row(self.prefixes, sales, shard, |_, prefix, row, s| {
+            let rows = sales.rows(s);
+            let start = rows.start + ext_start(&sales.items[rows.clone()], prefix);
+            let n_exts = (rows.end - start) as u64;
             if k_prev == 1 && !filter.allows_at(0, prefix[0]) {
-                pruned += exts.len() as u64;
+                pruned += n_exts;
                 return;
             }
-            let ids = &sales.ids[sales.starts[s] + start..sales.starts[s + 1]];
-            let prefix_id = self.prefix_ids[row];
-            let mut allowed = 0u64;
-            if prefix_id == NO_ID {
-                allowed = exts.iter().filter(|&&ext| filter.allows_at(k_prev, ext)).count() as u64;
+            let entries = sales.c1(s);
+            let mut next = entries.start
+                + sales.c1_rows[entries.clone()].partition_point(|&r| (r as usize) < start);
+            let prefix_id = if k_prev > 1 {
+                self.prefix_ids[row]
+            } else if next > entries.start && sales.c1_rows[next - 1] as usize == row {
+                sales.c1_ids[next - 1]
             } else {
-                let cells = &mut cells[prefix_id as usize * width..][..width];
-                for (&ext, &id) in exts.iter().zip(ids) {
-                    if filter.allows_at(k_prev, ext) {
-                        allowed += 1;
-                        if id != NO_ID {
-                            cells[id as usize] += 1;
-                        }
+                NO_ID
+            };
+            let mut allowed = 0u64;
+            for r in start..rows.end {
+                let id = if next < entries.end && sales.c1_rows[next] as usize == r {
+                    next += 1;
+                    sales.c1_ids[next - 1]
+                } else {
+                    NO_ID
+                };
+                if filter.allows_at(k_prev, sales.items[r]) {
+                    allowed += 1;
+                    if prefix_id != NO_ID && id != NO_ID {
+                        cells[prefix_id as usize * width + id as usize] += 1;
                     }
                 }
             }
             r_prime_tuples += allowed;
-            pruned += exts.len() as u64 - allowed;
+            pruned += n_exts - allowed;
         });
         (cells, r_prime_tuples, pruned)
     }
@@ -610,8 +901,10 @@ impl Iteration<'_> {
     /// `C_k` from the summed table, read in (prefix, item) order — which
     /// is pattern order — with the start of each prefix's patterns in it
     /// (`first[prefix_id]..first[prefix_id + 1]`) and the `C_1` id of
-    /// each pattern's last item.
-    fn read_c_k(&self, cells: &[u32], min_count: u64) -> (CountRelation, Vec<usize>, Vec<u32>) {
+    /// each pattern's last item. Each cell is overwritten with its
+    /// pattern's `C_k` index, or [`NO_ID`] where the count is below the
+    /// support.
+    fn read_c_k(&self, cells: &mut [u32], min_count: u64) -> (CountRelation, Vec<usize>, Vec<u32>) {
         let k = self.prefixes.k_prev() + 1;
         let width = self.c1_items.len();
         let mut c_k = CountRelation::new(k);
@@ -621,13 +914,16 @@ impl Iteration<'_> {
         for prefix_id in 0..self.c_prev.len() {
             first.push(c_k.len());
             pattern[..k - 1].copy_from_slice(self.c_prev.pattern_at(prefix_id));
-            for (id, &cell) in cells[prefix_id * width..][..width].iter().enumerate() {
-                let count = u64::from(cell);
-                if count > 0 && count >= min_count {
+            for (id, cell) in cells[prefix_id * width..][..width].iter_mut().enumerate() {
+                let count = u64::from(*cell);
+                *cell = if count > 0 && count >= min_count {
                     pattern[k - 1] = self.c1_items[id];
                     c_k.push(&pattern, count);
                     last_ids.push(id as u32);
-                }
+                    (c_k.len() - 1) as u32
+                } else {
+                    NO_ID
+                };
             }
         }
         first.push(c_k.len());
@@ -635,51 +931,60 @@ impl Iteration<'_> {
     }
 
     /// One shard's `R_k` and the `C_k` id of each row: each `R_{k-1}` row
-    /// is extended by those of its prefix's supported patterns whose last
-    /// item its transaction holds (patterns are ascending, so that item
-    /// comes after the prefix). Rows come in `R_{k-1}` order with
-    /// extensions ascending, so in `(trans_id, items)` order. No filter is
-    /// needed: a pattern has a count only if its pairs passed it.
+    /// is extended by every supported pattern of its prefix whose last
+    /// item its transaction holds after the row's last item. Two walks
+    /// find them, and each row takes the shorter: its prefix's supported
+    /// patterns, each tested against a bit set of the transaction's `C_1`
+    /// ids, or its own `C_1` extensions, each looked up in `cells` (which
+    /// now hold `C_k` indexes). Both give the row's extensions ascending,
+    /// so rows come in `(trans_id, items)` order. No filter is needed: a
+    /// pattern has a count only if its pairs passed it.
     fn emit_dense(
         &self,
         shard: Shard,
         first: &[usize],
         last_ids: &[u32],
+        cells: &[u32],
     ) -> (PatternRelation, Vec<u32>) {
         let k_prev = self.prefixes.k_prev();
+        let width = self.c1_items.len();
         let mut out = PatternRelation::new(k_prev + 1);
         let mut ids = Vec::new();
-        let mut buf: Vec<Item> = vec![0; k_prev + 1];
-        // The `C_1` items of transaction `held`, as a bit set.
-        let mut held_set = vec![0u64; self.c1_items.len().div_ceil(64)];
+        // The `C_1` ids of transaction `held`, as a bit set.
+        let mut held_set = vec![0u64; width.div_ceil(64)];
         let mut held: Option<usize> = None;
         let sales = self.sales;
-        for_each_row(self.prefixes, sales, shard, |tid, prefix, row, s, _| {
-            let prefix_id = self.prefix_ids[row];
-            if prefix_id == NO_ID {
+        self.for_each_dense_row(shard, |tid, prefix, prefix_id, s, exts| {
+            let patterns = first[prefix_id]..first[prefix_id + 1];
+            if patterns.is_empty() || exts.is_empty() {
                 return;
             }
-            if held != Some(s) {
-                let frequent = |t: usize| {
-                    sales.ids[sales.starts[t]..sales.starts[t + 1]]
-                        .iter()
-                        .filter(|&&id| id != NO_ID)
-                        .map(|&id| id as usize)
-                };
-                if let Some(t) = held {
-                    frequent(t).for_each(|id| held_set[id / 64] = 0);
+            if patterns.len() < exts.len() {
+                if held != Some(s) {
+                    if let Some(t) = held {
+                        sales.c1_ids[sales.c1(t)]
+                            .iter()
+                            .for_each(|&id| held_set[id as usize / 64] = 0);
+                    }
+                    for &id in &sales.c1_ids[sales.c1(s)] {
+                        held_set[id as usize / 64] |= 1 << (id % 64);
+                    }
+                    held = Some(s);
                 }
-                frequent(s).for_each(|id| held_set[id / 64] |= 1 << (id % 64));
-                held = Some(s);
-            }
-            buf[..k_prev].copy_from_slice(prefix);
-            let patterns = first[prefix_id as usize]..first[prefix_id as usize + 1];
-            for (j, &id) in patterns.clone().zip(&last_ids[patterns]) {
-                let id = id as usize;
-                if held_set[id / 64] & (1 << (id % 64)) != 0 {
-                    buf[k_prev] = self.c1_items[id];
-                    out.push(tid, &buf);
-                    ids.push(j as u32);
+                for (j, &id) in patterns.clone().zip(&last_ids[patterns]) {
+                    if held_set[id as usize / 64] & (1 << (id % 64)) != 0 {
+                        out.push_extended(tid, prefix, self.c1_items[id as usize]);
+                        ids.push(j as u32);
+                    }
+                }
+            } else {
+                let cells = &cells[prefix_id * width..][..width];
+                for &id in &sales.c1_ids[exts] {
+                    let j = cells[id as usize];
+                    if j != NO_ID {
+                        out.push_extended(tid, prefix, self.c1_items[id as usize]);
+                        ids.push(j);
+                    }
                 }
             }
         });
@@ -1140,6 +1445,143 @@ mod tests {
         assert_eq!(dense.c(3).unwrap().get(&[lo, hi - 1, hi]), Some(2));
         for (pattern, count) in dense.frequent_itemsets() {
             assert_eq!(count, d.support_of(&pattern), "pattern {pattern:?}");
+        }
+    }
+
+    /// Frequent items 2, 4, 6 and 8 in six transactions, each with one
+    /// odd item that recurs at most twice: at a count of 3 every odd item
+    /// is an infrequent prefix at k = 2 and an infrequent extension at
+    /// every k, so `|R'_k|` is mostly pairs the unconstrained walk never
+    /// visits and adds in bulk.
+    #[test]
+    fn bulk_r_prime_and_pruning_match_figure4_around_infrequent_items() {
+        use crate::constraints::MiningConstraints;
+        let txns: Vec<(u32, Vec<u32>)> =
+            (1..=6).map(|t| (t, vec![2, 4, 6, 8, 2 * (t % 5) + 1])).collect();
+        let d = Dataset::from_transactions(txns.iter().map(|(t, i)| (*t, i.as_slice())));
+        let params = MiningParams::new(MinSupport::Count(3), 0.5);
+        for constraints in
+            [MiningConstraints::new(), MiningConstraints::new().require([2]).exclude([5, 6])]
+        {
+            let plan = constraints.compile(&d);
+            let mined = plan.remap().map_or_else(|| d.clone(), |r| r.remap_dataset(&d));
+            for threads in [1, 3] {
+                let spec = RunSpec { threads, constraints: plan.compiled(), ..Default::default() };
+                let dense = run(&mined, &params, &spec, usize::MAX);
+                let figure4 = run(&mined, &params, &spec, 0);
+                let label = format!("{constraints:?} threads={threads}");
+                assert_same_run(&dense, &figure4, &label);
+                let pruned = dense.trace[1].candidates_pruned;
+                assert_eq!(pruned > 0, !constraints.is_empty(), "{label}");
+            }
+        }
+        let r = run(&d, &params, &RunSpec { threads: 1, ..Default::default() }, usize::MAX);
+        // Five items per transaction: 10 pairs each, of which the odd
+        // item is in 4; at k = 3 the six frequent pairs' rows extend by
+        // the items after them, odd ones included.
+        assert_eq!(r.trace[1].r_prime_tuples, 60);
+        assert_eq!(r.trace.iter().map(|t| t.c_len).collect::<Vec<_>>(), [4, 6, 4, 1, 0]);
+    }
+
+    /// `R_2`, `R_3`, .. of `d` at `min_count` as the operators leave them
+    /// after each iteration (before the closing sort) under `budget`.
+    fn emitted(d: &Dataset, min_count: u64, budget: usize) -> Vec<PatternRelation> {
+        use crate::setm::plan::PhysicalPlan;
+        let spec = RunSpec { threads: 3, ..Default::default() };
+        let mut ops = InMemory::new(d, budget);
+        let _ = ops.count_c1(min_count, &spec);
+        let mut out = Vec::new();
+        for k in 2.. {
+            let mut plan = PhysicalPlan {
+                join: JoinStrategy::MergeScan,
+                reuse_sort: true,
+                shards: 3,
+                sort_buffer_pages: 256,
+            };
+            let Ok(step) = ops.iterate(k, &mut plan, min_count, &spec);
+            out.push(ops.r_prev.clone());
+            if step.r_tuples == 0 {
+                break;
+            }
+            let _ = ops.carry(k, &plan, &spec);
+        }
+        out
+    }
+
+    /// The dense operator emits each `R_k` with exactly Figure 4's rows,
+    /// already in the order Figure 4's closing sort puts them in.
+    fn assert_emits_like_figure4(d: &Dataset, min_count: u64, r_k_lens: &[usize]) {
+        let dense = emitted(d, min_count, usize::MAX);
+        let mut figure4 = emitted(d, min_count, 0);
+        figure4.iter_mut().for_each(PatternRelation::sort_by_tid_items);
+        assert_eq!(dense, figure4);
+        assert_eq!(dense.iter().map(PatternRelation::n_tuples).collect::<Vec<_>>(), r_k_lens);
+    }
+
+    /// The walk over a row's own `C_1` extensions, looked up in the
+    /// table: two copies of every 3-subset of 1..=5 at a count of 2 make
+    /// every pair and triple supported, so a row's prefix always has at
+    /// least as many supported patterns as the row has extensions, and
+    /// every row takes this walk.
+    #[test]
+    fn the_cell_walk_emits_r_k_like_figure4() {
+        let mut txns = Vec::new();
+        for a in 1..=5u32 {
+            for b in a + 1..=5 {
+                for c in b + 1..=5 {
+                    txns.extend([vec![a, b, c], vec![a, b, c]]);
+                }
+            }
+        }
+        let d = Dataset::from_transactions((1..).zip(&txns).map(|(t, i)| (t, i.as_slice())));
+        assert_emits_like_figure4(&d, 2, &[60, 20, 0]);
+    }
+
+    /// The walk over a prefix's supported patterns, tested against the
+    /// transaction's items: three transactions hold 1, 2, 3 and two of
+    /// 4..=9, which singletons make frequent, so a row's prefix has fewer
+    /// supported patterns (those among 1, 2, 3) than the row has
+    /// extensions, and every row that emits takes this walk.
+    #[test]
+    fn the_pattern_walk_emits_r_k_like_figure4() {
+        let mut txns: Vec<Vec<u32>> = (1..=3).map(|i| vec![1, 2, 3, 3 + i, 6 + i]).collect();
+        txns.extend((4..=9).flat_map(|x| [vec![x], vec![x]]));
+        let d = Dataset::from_transactions((1..).zip(&txns).map(|(t, i)| (t, i.as_slice())));
+        assert_emits_like_figure4(&d, 3, &[9, 3, 0]);
+    }
+
+    /// Items that all start their probe at one slot, at every size the
+    /// table grows through, are numbered in order of first appearance
+    /// and counted exactly; `C_1` comes out sorted by item. With its
+    /// multiplier fixed, 100 items sharing the top 8 bits of their
+    /// product with it collide at 2^6, 2^7 and 2^8 slots.
+    #[test]
+    fn colliding_items_number_and_count_exactly() {
+        let multiplier = 0x9E37_79B9_7F4A_7C15;
+        let top = |i: Item| u64::from(i).wrapping_mul(multiplier) >> 56;
+        let colliding = (0..=u32::MAX).rev().step_by(977);
+        let items: Vec<Item> = colliding.filter(|&i| top(i) == top(u32::MAX)).take(100).collect();
+        let mut distinct = DistinctItems::with_multiplier(multiplier);
+        for (n, &item) in items.iter().enumerate() {
+            for _ in 0..=n % 4 {
+                assert_eq!(distinct.number(item), n as u32);
+            }
+        }
+        assert_eq!(distinct.bits, 8);
+        assert!(items.iter().all(|&i| distinct.home(i) == distinct.home(items[0])));
+        let (c1, id_of) = distinct.frequent(3);
+        let mut expect: Vec<(Item, u64)> =
+            items.iter().enumerate().map(|(n, &i)| (i, (n % 4 + 1) as u64)).collect();
+        expect.retain(|&(_, count)| count >= 3);
+        expect.sort_unstable();
+        let got: Vec<(Item, u64)> = c1.iter().map(|(p, count)| (p[0], count)).collect();
+        assert_eq!(got, expect);
+        for (n, &id) in id_of.iter().enumerate() {
+            let frequent = n % 4 + 1 >= 3;
+            assert_eq!(id != NO_ID, frequent, "number {n}");
+            if frequent {
+                assert_eq!(c1.pattern_at(id as usize), [items[n]]);
+            }
         }
     }
 

@@ -15,6 +15,9 @@
 //!   in its residual, and, when the query does not group, writes only the
 //!   `SELECT` list, so no wide intermediate is filtered or projected in a
 //!   second pass (both join algorithms);
+//! * a sort-merge self-join of one stored table on equal keys (Section
+//!   4.1's k = 2 extension join, `FROM SALES p, SALES q`) sorts the table
+//!   once, and both sides of the merge read that copy;
 //! * a single-table `GROUP BY` that has to sort its stored table keeps
 //!   the sorted copy as the table's storage ([`Database::recluster`]):
 //!   Section 4.1's count statement leaves `R'_k` in item order, and the
@@ -454,9 +457,19 @@ impl SqlEngine {
             return Ok(out);
         }
 
-        // Sort-merge: ensure both sides are sorted on their keys.
+        // Sort-merge: ensure both sides are sorted on their keys. A
+        // self-join of one stored table on equal keys (`FROM SALES p,
+        // SALES q WHERE q.trans_id = p.trans_id`) sorts it once: the
+        // right side borrows the left's sorted copy, which the left frees.
+        let self_join = !left.owned
+            && left.file.file_id() == right.file.file_id()
+            && step.left_keys == step.right_keys;
         let left_sorted = ensure_sorted(left, &step.left_keys, sort_opts)?;
-        let right_sorted = ensure_sorted(right, &step.right_keys, sort_opts)?;
+        let right_sorted = if self_join {
+            Working::borrowed(left_sorted.file.clone(), left_sorted.sorted_by.clone())
+        } else {
+            ensure_sorted(right, &step.right_keys, sort_opts)?
+        };
         let table_order: Vec<usize> = (0..right_sorted.file.arity()).collect();
         let emit = JoinEmit::new(step, last, left_arity, &table_order);
         let out = merge_scan_join(
@@ -1601,6 +1614,51 @@ mod tests {
         assert_eq!(insert_accesses + u64::from(r2.file.n_pages()), select_accesses);
         assert_eq!(r2.sorted_by, Some(vec![0, 1, 2]));
         assert_eq!(r2.file.rows().unwrap(), rows, "the SELECT's rows, in its order");
+    }
+
+    /// Section 4.1's k = 2 extension join reads `SALES` on both sides.
+    /// After the `C_1` statement `SALES` is in item order, so the join
+    /// sorts it on `trans_id` — once: it makes exactly one sort's
+    /// accesses fewer than the same join over two copies of `SALES`.
+    #[test]
+    fn a_self_join_sorts_its_stored_table_once() {
+        let mut e = SqlEngine::new();
+        let p = Params::new().with("minsupport", 1);
+        let sales: Vec<[u32; 2]> =
+            (0..800u32).flat_map(|t| (0..4).map(move |j| [t, j * 5 + t % 5])).collect();
+        for table in ["SALES", "SALES_COPY"] {
+            let rows = sales.iter().map(|r| r.as_slice());
+            e.load_table(table, &["trans_id", "item"], rows).unwrap();
+            let c1 = format!("SELECT r1.item, COUNT(*) FROM {table} r1 GROUP BY r1.item");
+            e.query(&c1, &p).unwrap();
+            assert_eq!(e.database().table(table).unwrap().sorted_by, Some(vec![1]), "{table}");
+        }
+        let join = |e: &mut SqlEngine, right: &str| {
+            e.database().reset_io_stats();
+            let sql = format!(
+                "SELECT p.trans_id, p.item, q.item
+                 FROM SALES p, {right} q
+                 WHERE q.trans_id = p.trans_id AND q.item > p.item"
+            );
+            let rows = e.query(&sql, &p).unwrap().rows;
+            (rows, e.database().io_stats().accesses())
+        };
+        let pages_before = e.database().pager().lock().total_pages();
+        let (self_rows, self_accesses) = join(&mut e, "SALES");
+        assert_eq!(
+            e.database().pager().lock().total_pages(),
+            pages_before,
+            "frees its sorted copy"
+        );
+        let (copy_rows, copy_accesses) = join(&mut e, "SALES_COPY");
+        assert_eq!(self_rows.len(), 800 * 6, "every pair of a transaction's items");
+        assert_eq!(self_rows, copy_rows);
+
+        let file = e.database().table("SALES").unwrap().file.clone();
+        e.database().reset_io_stats();
+        external_sort(&file, &[0], e.opts.sort_options()).unwrap().free().unwrap();
+        let one_sort = e.database().io_stats().accesses();
+        assert_eq!(self_accesses + one_sort, copy_accesses);
     }
 
     #[test]

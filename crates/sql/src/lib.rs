@@ -23,8 +23,9 @@
 //!
 //! The executor tracks sort order across statements, as Section 4.1
 //! asks, and copies no result twice: a query's last join filters and
-//! writes only its `SELECT` list, a single-table `GROUP BY` that sorts
-//! its stored table keeps the sorted copy as the table, and an
+//! writes only its `SELECT` list, a self-join of one stored table sorts
+//! it once for both sides, a single-table `GROUP BY` that sorts its
+//! stored table keeps the sorted copy as the table, and an
 //! `INSERT … SELECT` into an empty table adopts the result file.
 //!
 //! ```

@@ -3,7 +3,11 @@
 //! every logical trace column — `|R'_k|`, `|R_k|`, `|C_k|`, `R_k`'s
 //! Kbytes and the pairs constraint pushdown pruned — must match, for
 //! item ids anywhere in `u32`, any support, `require` / `exclude`
-//! constraints and any thread count.
+//! constraints and any thread count. A second strategy reaches what a
+//! 12-item universe rarely does: most items outside `C_1` (whose pairs
+//! the memory backend counts in bulk), short and long transactions in
+//! one case (so both of its `R_k` emission walks run), and item ids that
+//! agree in all their low bits.
 //!
 //! `SETM_TEST_THREADS=<n>` pins the memory backend's thread count (the
 //! CI `parallel` job's matrix); unset, {1, 2, 4} run. The engine is the
@@ -44,6 +48,49 @@ fn case_strategy() -> impl Strategy<Value = (Dataset, Vec<u32>, Vec<u32>)> {
                     .enumerate()
                     .flat_map(|(tid, items)| items.iter().map(move |i| (tid as u32 + 1, item(i)))),
             );
+            (d, require.iter().map(item).collect(), exclude.iter().map(item).collect())
+        })
+}
+
+/// Items in the skewed strategy's universe.
+const SKEWED_ITEMS: usize = 40;
+
+/// Where the skewed strategy's universe sits in `u32`: ids from 1, ids
+/// ending at `u32::MAX`, and ids that agree in their low 26 bits, which
+/// collide in any lookup table indexed by low bits. (The memory
+/// backend's item table draws its hash multiplier per run, so no fixed
+/// ids collide in it; `memory.rs`'s unit tests force collisions with a
+/// fixed multiplier.)
+fn skewed_universes() -> [Vec<u32>; 3] {
+    let strided = (0..SKEWED_ITEMS as u32).map(|j| j << 26 | 12_345).collect();
+    [(1..=40).collect(), (u32::MAX - 39..=u32::MAX).collect(), strided]
+}
+
+/// Strategy: 6 to 32 transactions over a 40-item universe skewed toward
+/// its first items (each draw is the lowest of three), so most items are
+/// infrequent at the drawn support. One transaction in four is long (8
+/// to 16 draws); the others hold one to three items. `require` draws
+/// come from the frequent end, `exclude` draws from anywhere.
+#[allow(clippy::type_complexity)]
+fn skewed_case_strategy() -> impl Strategy<Value = (Dataset, Vec<u32>, Vec<u32>)> {
+    let draw = (0..SKEWED_ITEMS, 0..SKEWED_ITEMS, 0..SKEWED_ITEMS);
+    let draws = prop::collection::vec(draw, 8..=16);
+    (
+        0..3usize,
+        prop::collection::vec((0..4usize, draws), 6..=32),
+        prop::collection::vec(0..8usize, 0..=2),
+        prop::collection::vec(0..SKEWED_ITEMS, 0..=2),
+    )
+        .prop_map(|(placement, txns, require, exclude)| {
+            let universe = &skewed_universes()[placement];
+            let item = |i: &usize| universe[*i];
+            let d =
+                Dataset::from_pairs(txns.iter().enumerate().flat_map(|(tid, (kind, draws))| {
+                    let len = if *kind == 0 { draws.len() } else { *kind };
+                    draws[..len]
+                        .iter()
+                        .map(move |&(a, b, c)| (tid as u32 + 1, item(&a.min(b).min(c))))
+                }));
             (d, require.iter().map(item).collect(), exclude.iter().map(item).collect())
         })
 }
@@ -100,6 +147,23 @@ proptest! {
         check(&d, &params, &MiningConstraints::new(), &format!("min_count={min_count}"));
         if !c.is_empty() {
             check(&d, &params, &c, &format!("min_count={min_count} {c:?}"));
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn skewed_long_and_short_transactions_match_the_engine(
+        (d, require, exclude) in skewed_case_strategy(),
+        min_count in 2u64..=6,
+    ) {
+        let params = MiningParams::new(MinSupport::Count(min_count), 0.5);
+        let c = constraints(&require, &exclude);
+        check(&d, &params, &MiningConstraints::new(), &format!("skewed min_count={min_count}"));
+        if !c.is_empty() {
+            check(&d, &params, &c, &format!("skewed min_count={min_count} {c:?}"));
         }
     }
 }

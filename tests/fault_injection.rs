@@ -219,7 +219,10 @@ fn insert_select_into_a_non_empty_table_is_all_or_nothing() {
 /// runs. Each statement runs on an uncached pager with a 3-page sort
 /// workspace, so every sort takes several merge passes, and a fault at
 /// any of its page accesses must fail it, leave the disk at the pages it
-/// held before, and leave the target table as it was.
+/// held before, and leave the target table as it was. The k = 2
+/// extension join sorts `SALES` (left in item order by the `C_1`
+/// statement) once for both of its sides, so its sorted copy must be
+/// freed exactly once.
 #[test]
 fn failed_statements_free_every_intermediate() {
     let p = Params::new().with("minsupport", 50);
@@ -235,7 +238,18 @@ fn failed_statements_free_every_intermediate() {
     // transaction's pairs survive the filter.
     let c2: Vec<[u32; 3]> =
         (0..7u32).flat_map(|i| [[i, 12, 1], [i, 13, 1], [i, 14, 1], [i, 15, 1]]).collect();
+    // SALES of 800 transactions of six items, in (trans_id, item) order.
+    let sales: Vec<[u32; 2]> =
+        (0..800u32).flat_map(|t| (0..6).map(move |j| [t, j * 3 + t % 3])).collect();
     let statements = [
+        (
+            "R2_JOIN",
+            "CREATE TABLE R2_JOIN (trans_id INT, item_1 INT, item_2 INT)",
+            "INSERT INTO R2_JOIN
+             SELECT p.trans_id, p.item, q.item
+             FROM SALES p, SALES q
+             WHERE q.trans_id = p.trans_id AND q.item > p.item",
+        ),
         (
             "R2",
             "CREATE TABLE R2 (trans_id INT, item_1 INT, item_2 INT)",
@@ -273,6 +287,13 @@ fn failed_statements_free_every_intermediate() {
             engine.load_table("R2_PRIME", &cols, r2_prime.iter().map(|r| r.as_slice())).unwrap();
             let cols = ["item_1", "item_2", "cnt"];
             engine.load_table("C2", &cols, c2.iter().map(|r| r.as_slice())).unwrap();
+            if insert.contains("SALES") {
+                // As the C_1 statement leaves it: in item order.
+                let cols = ["trans_id", "item"];
+                engine.load_table("SALES", &cols, sales.iter().map(|r| r.as_slice())).unwrap();
+                let c1 = "SELECT r1.item, COUNT(*) FROM SALES r1 GROUP BY r1.item";
+                engine.query(c1, &p).unwrap();
+            }
             engine.execute(create, &p).unwrap();
             engine.database().reset_io_stats();
             engine
