@@ -211,10 +211,15 @@ impl Dataset {
 
     /// Iterate transactions as `(tid, sorted item slice)`.
     pub fn transactions(&self) -> impl Iterator<Item = (TransId, &[Item])> + '_ {
-        self.offsets.windows(2).map(move |w| {
-            let (a, b) = (w[0] as usize, w[1] as usize);
-            (self.tids[a], &self.items[a..b])
-        })
+        (0..self.offsets.len() - 1).map(|s| self.transaction(s))
+    }
+
+    /// The `s`-th transaction in `trans_id` order, as `(tid, sorted item
+    /// slice)`.
+    #[inline]
+    pub fn transaction(&self, s: usize) -> (TransId, &[Item]) {
+        let (a, b) = (self.offsets[s] as usize, self.offsets[s + 1] as usize);
+        (self.tids[a], &self.items[a..b])
     }
 
     /// Rows as 2-column `u32` records, for loading into the engine's

@@ -78,17 +78,6 @@ impl PatternRelation {
         self.rows.extend_from_slice(items);
     }
 
-    /// Append the tuple `(tid, prefix.., last)`, item by item: cheaper
-    /// than a slice copy for the few items of a pattern.
-    pub(crate) fn push_extended(&mut self, tid: TransId, prefix: &[Item], last: Item) {
-        debug_assert_eq!(prefix.len() + 1, self.k);
-        self.rows.push(tid);
-        for &item in prefix {
-            self.rows.push(item);
-        }
-        self.rows.push(last);
-    }
-
     /// Append the tuples `rows` of `other`, in its order.
     pub(crate) fn extend_from(&mut self, other: &PatternRelation, rows: Range<usize>) {
         debug_assert_eq!(other.k, self.k);
@@ -155,6 +144,16 @@ impl CountRelation {
         CountRelation { k, items: Vec::new(), counts: Vec::new() }
     }
 
+    /// A relation of pattern length `k` from its patterns laid end to end
+    /// in `items`, in strictly increasing lexicographic order, and one
+    /// count per pattern: what [`Self::push`] builds one pattern at a
+    /// time.
+    pub fn from_sorted(k: usize, items: Vec<Item>, counts: Vec<u64>) -> Self {
+        assert!(k >= 1 && items.len() == k * counts.len(), "one pattern of k items per count");
+        debug_assert!(items.chunks_exact(k).is_sorted_by(|a, b| a < b), "patterns out of order");
+        CountRelation { k, items, counts }
+    }
+
     /// Build from `(pattern, count)` pairs; patterns must arrive in
     /// strictly increasing lexicographic order (as produced by counting a
     /// sorted `R'_k`).
@@ -208,11 +207,13 @@ impl CountRelation {
     }
 
     /// The pattern at index `i`.
+    #[inline]
     pub fn pattern_at(&self, i: usize) -> &[Item] {
         &self.items[i * self.k..(i + 1) * self.k]
     }
 
     /// The count at index `i`.
+    #[inline]
     pub fn count_at(&self, i: usize) -> u64 {
         self.counts[i]
     }

@@ -84,7 +84,6 @@ use crate::setm::plan::{JoinStrategy, LiveStats, PhysicalPlan, Planner, PlannerC
 use crate::setm::shard::{partition_by_weight, resolve_threads};
 use crate::setm::{RunSpec, SetmResult};
 use setm_obs::{ObsEvent, ObsSink};
-use setm_relational::sort::sort_rows;
 use std::convert::Infallible;
 use std::hash::BuildHasher;
 use std::ops::Range;
@@ -530,9 +529,9 @@ impl Prefixes<'_> {
 /// of `R_{k-1}` rows that belong to them.
 type Shard = (Range<usize>, Range<usize>);
 
-/// The extension join's walk over one shard: `visit(tid, prefix, row, s)`
-/// for every `R_{k-1}` row in row order, where `row` indexes the row (in
-/// `SALES` at k = 2) and `txns.txn(s)` is its transaction, whose items
+/// The extension join's walk over one shard's `R_{k-1}` rows (k ≥ 3):
+/// `visit(tid, prefix, row, s)` for every row in row order, where `row`
+/// indexes the row and `txns.txn(s)` is its transaction, whose items
 /// after the row's last item are its extensions under the paper's
 /// `q.item > p.item_{k-1}` ([`ext_start`]). A row whose transaction is
 /// missing from `txns` has none: the public [`merge_scan_extend`] joins
@@ -541,25 +540,12 @@ type Shard = (Range<usize>, Range<usize>);
 /// the same transactions, so every operator built on the walk gives
 /// identical rows, in identical order, under either.
 fn for_each_row<T: Transactions + ?Sized>(
-    prefixes: Prefixes,
+    r_prev: &PatternRelation,
+    join: JoinStrategy,
     txns: &T,
     (shard_txns, rows): Shard,
     mut visit: impl FnMut(TransId, &[Item], usize, usize),
 ) {
-    let (r_prev, join) = match prefixes {
-        Prefixes::Sales => {
-            let mut row = rows.start;
-            for s in shard_txns {
-                let (tid, items) = txns.txn(s);
-                for a in 0..items.len() {
-                    visit(tid, &items[a..=a], row, s);
-                    row += 1;
-                }
-            }
-            return;
-        }
-        Prefixes::Rows(r_prev, join) => (r_prev, join),
-    };
     // The merge-scan cursor, or the nested loop's last index probe (rows
     // of one transaction are adjacent: probe once per transaction).
     let mut cursor = shard_txns.start;
@@ -618,9 +604,7 @@ fn extend<T: Transactions + ?Sized, F: CandidateFilter>(
     let mut out = PatternRelation::with_capacity(k_prev + 1, shard.1.len());
     let mut buf: Vec<Item> = vec![0; k_prev + 1];
     let mut pruned = 0u64;
-    for_each_row(prefixes, txns, shard, |tid, prefix, _, s| {
-        let items = txns.txn(s).1;
-        let exts = &items[ext_start(items, prefix)..];
+    let mut join = |tid: TransId, prefix: &[Item], exts: &[Item]| {
         if k_prev == 1 && !filter.allows_at(0, prefix[0]) {
             pruned += exts.len() as u64;
             return;
@@ -634,7 +618,23 @@ fn extend<T: Transactions + ?Sized, F: CandidateFilter>(
                 pruned += 1;
             }
         }
-    });
+    };
+    match prefixes {
+        Prefixes::Sales => {
+            for s in shard.0 {
+                let (tid, items) = txns.txn(s);
+                for a in 0..items.len() {
+                    join(tid, &items[a..=a], &items[a + 1..]);
+                }
+            }
+        }
+        Prefixes::Rows(r_prev, strategy) => {
+            for_each_row(r_prev, strategy, txns, shard, |tid, prefix, _, s| {
+                let items = txns.txn(s).1;
+                join(tid, prefix, &items[ext_start(items, prefix)..]);
+            })
+        }
+    }
     (out, pruned)
 }
 
@@ -806,8 +806,8 @@ impl Iteration<'_> {
                     }
                 }
             }
-            Prefixes::Rows(..) => {
-                for_each_row(self.prefixes, sales, shard, |tid, prefix, row, s| {
+            Prefixes::Rows(r_prev, join) => {
+                for_each_row(r_prev, join, sales, shard, |tid, prefix, row, s| {
                     let prefix_id = self.prefix_ids[row];
                     debug_assert_ne!(prefix_id, NO_ID, "an R_(k-1) row's prefix is in C_(k-1)");
                     let prefix_id = prefix_id as usize;
@@ -851,35 +851,23 @@ impl Iteration<'_> {
     /// One shard's count under a constraint `filter`: every pair the join
     /// would see goes through `filter` and into `|R'_k|` or the pruned
     /// total, as in [`extend`]; a pair of a `C_{k-1}` prefix and a `C_1`
-    /// extension also bumps its cell. The extensions' `C_1` entries are
-    /// found by a cursor over the transaction's entries.
+    /// extension also bumps its cell. At k = 2 the rows are every `SALES`
+    /// row, each transaction's `C_1` entries met by a cursor; at k ≥ 3 they
+    /// are the dense walk's, whose `C_1` extensions start right after the
+    /// entry of the row's last item.
     fn count_pairs<F: CandidateFilter>(&self, shard: Shard, filter: &F) -> Tally {
         let k_prev = self.prefixes.k_prev();
         let width = self.c1_items.len();
         let mut cells = vec![0u32; self.c_prev.len() * width];
         let (mut r_prime_tuples, mut pruned) = (0u64, 0u64);
         let sales = self.sales;
-        for_each_row(self.prefixes, sales, shard, |_, prefix, row, s| {
-            let rows = sales.rows(s);
-            let start = rows.start + ext_start(&sales.items[rows.clone()], prefix);
-            let n_exts = (rows.end - start) as u64;
-            if k_prev == 1 && !filter.allows_at(0, prefix[0]) {
-                pruned += n_exts;
-                return;
-            }
-            let entries = sales.c1(s);
-            let mut next = entries.start
-                + sales.c1_rows[entries.clone()].partition_point(|&r| (r as usize) < start);
-            let prefix_id = if k_prev > 1 {
-                self.prefix_ids[row]
-            } else if next > entries.start && sales.c1_rows[next - 1] as usize == row {
-                sales.c1_ids[next - 1]
-            } else {
-                NO_ID
-            };
+        // The allowed pairs of a row whose prefix has cell row `prefix_id`
+        // (if in `C_{k-1}`) and whose extensions are `SALES` rows `exts`,
+        // their `C_1` entries starting at `next` and ending by `end`.
+        let mut pairs = |prefix_id: Option<usize>, exts: Range<usize>, mut next: usize, end| {
             let mut allowed = 0u64;
-            for r in start..rows.end {
-                let id = if next < entries.end && sales.c1_rows[next] as usize == r {
+            for r in exts {
+                let id = if next < end && sales.c1_rows[next] as usize == r {
                     next += 1;
                     sales.c1_ids[next - 1]
                 } else {
@@ -887,14 +875,43 @@ impl Iteration<'_> {
                 };
                 if filter.allows_at(k_prev, sales.items[r]) {
                     allowed += 1;
-                    if prefix_id != NO_ID && id != NO_ID {
-                        cells[prefix_id as usize * width + id as usize] += 1;
+                    if let (Some(prefix_id), true) = (prefix_id, id != NO_ID) {
+                        cells[prefix_id * width + id as usize] += 1;
                     }
                 }
             }
-            r_prime_tuples += allowed;
-            pruned += n_exts - allowed;
-        });
+            allowed
+        };
+        match self.prefixes {
+            Prefixes::Sales => {
+                for s in shard.0 {
+                    let (rows, entries) = (sales.rows(s), sales.c1(s));
+                    let mut next = entries.start;
+                    for row in rows.clone() {
+                        // The row's own entry, when its item is in `C_1`.
+                        let own = next < entries.end && sales.c1_rows[next] as usize == row;
+                        let prefix_id = own.then(|| sales.c1_ids[next] as usize);
+                        next += usize::from(own);
+                        let n_exts = (rows.end - row - 1) as u64;
+                        let allowed = if filter.allows_at(0, sales.items[row]) {
+                            pairs(prefix_id, row + 1..rows.end, next, entries.end)
+                        } else {
+                            0
+                        };
+                        r_prime_tuples += allowed;
+                        pruned += n_exts - allowed;
+                    }
+                }
+            }
+            Prefixes::Rows(..) => self.for_each_dense_row(shard, |_, _, prefix_id, s, exts| {
+                let first = sales.c1_rows[exts.start - 1] as usize + 1;
+                let n_exts = (sales.rows(s).end - first) as u64;
+                let allowed =
+                    pairs(Some(prefix_id), first..sales.rows(s).end, exts.start, exts.end);
+                r_prime_tuples += allowed;
+                pruned += n_exts - allowed;
+            }),
+        }
         (cells, r_prime_tuples, pruned)
     }
 
@@ -950,6 +967,7 @@ impl Iteration<'_> {
         let width = self.c1_items.len();
         let mut out = PatternRelation::new(k_prev + 1);
         let mut ids = Vec::new();
+        let mut buf: Vec<Item> = vec![0; k_prev + 1];
         // The `C_1` ids of transaction `held`, as a bit set.
         let mut held_set = vec![0u64; width.div_ceil(64)];
         let mut held: Option<usize> = None;
@@ -959,6 +977,7 @@ impl Iteration<'_> {
             if patterns.is_empty() || exts.is_empty() {
                 return;
             }
+            buf[..k_prev].copy_from_slice(prefix);
             if patterns.len() < exts.len() {
                 if held != Some(s) {
                     if let Some(t) = held {
@@ -973,7 +992,8 @@ impl Iteration<'_> {
                 }
                 for (j, &id) in patterns.clone().zip(&last_ids[patterns]) {
                     if held_set[id as usize / 64] & (1 << (id % 64)) != 0 {
-                        out.push_extended(tid, prefix, self.c1_items[id as usize]);
+                        buf[k_prev] = self.c1_items[id as usize];
+                        out.push(tid, &buf);
                         ids.push(j as u32);
                     }
                 }
@@ -982,7 +1002,8 @@ impl Iteration<'_> {
                 for &id in &sales.c1_ids[exts] {
                     let j = cells[id as usize];
                     if j != NO_ID {
-                        out.push_extended(tid, prefix, self.c1_items[id as usize]);
+                        buf[k_prev] = self.c1_items[id as usize];
+                        out.push(tid, &buf);
                         ids.push(j);
                     }
                 }
@@ -1012,25 +1033,14 @@ fn first_at_or_after(
 }
 
 /// C1: per-item transaction counts with the minimum-support filter
-/// ("SELECT item, COUNT(*) FROM SALES GROUP BY item HAVING COUNT(*) >= s").
+/// ("SELECT item, COUNT(*) FROM SALES GROUP BY item HAVING COUNT(*) >= s"),
+/// counted in the table the memory backend's k = 1 counts in.
 pub fn count_items(dataset: &Dataset, min_count: u64) -> CountRelation {
-    let mut items: Vec<Item> = dataset.items().to_vec();
-    sort_rows(&mut items, 1, &[0]);
-    let mut c1 = CountRelation::new(1);
-    let mut i = 0;
-    while i < items.len() {
-        let item = items[i];
-        let mut j = i + 1;
-        while j < items.len() && items[j] == item {
-            j += 1;
-        }
-        let count = (j - i) as u64;
-        if count >= min_count {
-            c1.push(&[item], count);
-        }
-        i = j;
+    let mut distinct = DistinctItems::new();
+    for &item in dataset.items() {
+        distinct.number(item);
     }
-    c1
+    distinct.frequent(min_count).0
 }
 
 /// The merge-scan join of Figure 4: both inputs ordered by `trans_id`;

@@ -68,15 +68,13 @@
 //! outcome is rebuilt from `C_k` alone.
 
 use setm_core::setm::driver::{drive, Metered, Operators, Step, Totals};
-use setm_core::setm::memory::{count_groups, count_items, filter_supported, merge_scan_extend};
+use setm_core::setm::memory::count_items;
 use setm_core::setm::shard::resolve_threads;
 use setm_core::setm::RunSpec;
 use setm_core::{
     generate_rules, CountRelation, Dataset, ExecutionReport, Item, LiveStats, MiningOutcome,
-    MiningParams, PatternRelation, PhysicalPlan, PlanMode, Planner, PlannerConfig, SetmError,
-    TransId,
+    MiningParams, PhysicalPlan, PlanMode, Planner, PlannerConfig, SetmError, TransId,
 };
-use std::cell::OnceCell;
 use std::convert::Infallible;
 use std::ops::Range;
 use std::sync::Arc;
@@ -98,6 +96,9 @@ pub struct MiningFrontier {
     /// `levels[k-2]`: level k's counts, `C_k` and `|R'_k|` — see the
     /// module docs for the exact invariant.
     levels: Vec<Level>,
+    /// Each captured transaction's [`signature`], in `trans_id` order:
+    /// the promotion recount's filter, kept so no append recomputes it.
+    signatures: Vec<u128>,
 }
 
 /// Level k of a frontier: for every live `(k-1)`-prefix, the support of
@@ -184,7 +185,7 @@ impl Level {
     /// `new_min`.
     fn advance(
         &self,
-        delta: &CountRelation,
+        delta: CountRelation,
         prefixes: Option<(&CountRelation, &CountRelation)>,
         base: &Base,
         (old_min, new_min): (u64, u64),
@@ -209,7 +210,7 @@ impl Level {
         let recount =
             if promoted.is_empty() { CountRelation::new(k) } else { base.recount(&promoted, k) };
         let demoted_tuples: u64 = demoted.iter().map(|q| old.sum_under(q)).sum();
-        let r_prime_tuples = old.r_prime_tuples - demoted_tuples + total(&recount) + total(delta);
+        let r_prime_tuples = old.r_prime_tuples - demoted_tuples + total(&recount) + total(&delta);
 
         // Which delta patterns can be frequent now. One in the old C_k
         // adds its delta count to its old one (`kept`), one under a
@@ -221,13 +222,13 @@ impl Level {
         // pattern stays below `new_min`. Each relation is built in
         // pattern order, so its lookups walk forward.
         let mut kept = CountRelation::new(k);
-        let mut in_delta = Seek::new(delta);
+        let mut in_delta = Seek::new(&delta);
         for (p, count) in old.frequent.iter() {
             kept.push(p, count + in_delta.count(p));
         }
         let mut promoted_gains = CountRelation::new(k);
         for q in &promoted {
-            for i in under(delta, q) {
+            for i in under(&delta, q) {
                 promoted_gains.push(delta.pattern_at(i), delta.count_at(i));
             }
         }
@@ -256,7 +257,11 @@ impl Level {
             &[&kept, &recount, &promoted_gains, &crossing],
             new_min,
         );
-        let added = CountRelation::merge_sum_filter(&[&old.added, &recount, delta], 1);
+        let added = if old.added.is_empty() && recount.is_empty() {
+            delta
+        } else {
+            CountRelation::merge_sum_filter(&[&old.added, &recount, &delta], 1)
+        };
         let next = Level { stored: Arc::clone(stored), added, frequent, r_prime_tuples };
         if next.added.len() > next.stored.all.len() / 2 {
             next.compacted(None, new_min)
@@ -283,6 +288,7 @@ impl MiningFrontier {
             min_count: params.min_support.to_count(1),
             item_counts: CountRelation::new(1),
             levels: Vec::new(),
+            signatures: Vec::new(),
         };
         empty.apply_delta(&Dataset::from_pairs(std::iter::empty()), dataset, threads)
     }
@@ -322,6 +328,7 @@ impl MiningFrontier {
         threads: usize,
     ) -> Result<(MiningOutcome, MiningFrontier), SetmError> {
         debug_assert_eq!(base.n_transactions(), self.sales.n_txns, "frontier/base mismatch");
+        debug_assert_eq!(self.signatures.len(), base.n_transactions() as usize);
         debug_assert!(ensure_disjoint_tids(base, delta).is_ok(), "delta trans_ids overlap base");
 
         // The same resolution `Miner::run` applies: `SETM_FORCE_PLAN`
@@ -329,9 +336,7 @@ impl MiningFrontier {
         let spec = RunSpec { threads, plan_mode: PlanMode::Auto.resolve()?, ..RunSpec::default() };
         let planner =
             Planner::new(spec.plan_mode, PlannerConfig::with_max_shards(resolve_threads(threads)));
-        let delta_sales: Vec<(TransId, Vec<Item>)> =
-            delta.transactions().map(|(t, i)| (t, i.to_vec())).collect();
-        let longest = delta_sales.iter().map(|(_, i)| i.len() as u64).max().unwrap_or(0);
+        let longest = delta.transactions().map(|(_, i)| i.len() as u64).max().unwrap_or(0);
         let sales_tuples = self.sales.sales_tuples + delta.n_rows();
         let sales = LiveStats {
             n_txns: self.sales.n_txns + delta.n_transactions(),
@@ -342,14 +347,12 @@ impl MiningFrontier {
         };
         let mut ops = Append {
             frontier: self,
-            base: Base { dataset: base, signatures: OnceCell::new() },
+            base: Base { dataset: base, signatures: &self.signatures },
             delta,
-            delta_sales,
             sales,
             item_counts: CountRelation::new(1),
             levels: Vec::new(),
-            delta_r_prime: None,
-            delta_r_prev: PatternRelation::new(1),
+            delta_r_prev: Vec::new(),
         };
         let totals =
             Totals { n_transactions: sales.n_txns, sales_rows: sales_tuples, k1_pruned: 0 };
@@ -357,12 +360,30 @@ impl MiningFrontier {
             Ok(result) => result,
             Err(never) => match never {},
         };
+        // `base ∪ delta` is in `trans_id` order. A delta's ids usually come
+        // after the base's; where some fall between, merge by id.
+        let mut signatures =
+            Vec::with_capacity(self.signatures.len() + delta.n_transactions() as usize);
+        let mut appended =
+            delta.transactions().map(|(tid, items)| (tid, signature(items))).peekable();
+        if delta.tids().first() > base.tids().last() {
+            signatures.extend_from_slice(&self.signatures);
+        } else {
+            for ((tid, _), &held) in base.transactions().zip(&self.signatures) {
+                while let Some((_, sig)) = appended.next_if(|&(t, _)| t < tid) {
+                    signatures.push(sig);
+                }
+                signatures.push(held);
+            }
+        }
+        signatures.extend(appended.map(|(_, sig)| sig));
         let next = MiningFrontier {
             params: self.params,
             sales,
             min_count: result.min_support_count,
             item_counts: ops.item_counts,
             levels: ops.levels,
+            signatures,
         };
         let rules = generate_rules(&result, self.params.min_confidence);
         let outcome =
@@ -377,19 +398,18 @@ impl MiningFrontier {
 struct Append<'a> {
     frontier: &'a MiningFrontier,
     base: Base<'a>,
-    delta: &'a Dataset,
     /// The delta's transactions, the `SALES` side of its joins.
-    delta_sales: Vec<(TransId, Vec<Item>)>,
+    delta: &'a Dataset,
     /// The `SALES` statistics of `base ∪ delta`.
     sales: LiveStats,
     /// The unfiltered item counts of `base ∪ delta`, once `count_c1` ran.
     item_counts: CountRelation,
     /// The advanced levels, one per iteration run so far.
     levels: Vec<Level>,
-    /// The delta's `R'_k` from the last `iterate`, when it built one.
-    delta_r_prime: Option<PatternRelation>,
-    /// The delta's `R_{k-1}`, which the next `iterate` extends (k ≥ 3).
-    delta_r_prev: PatternRelation,
+    /// The delta's `R_{k-1}`, which the next `iterate` extends (k ≥ 3):
+    /// one `(transaction, pattern)` pair per tuple, the transaction's
+    /// index in the delta and the pattern's in the new `C_{k-1}`.
+    delta_r_prev: Vec<(u32, u32)>,
 }
 
 impl Operators for Append<'_> {
@@ -413,11 +433,12 @@ impl Operators for Append<'_> {
     }
 
     /// The delta's join — at k = 2 every pair of items in a delta
-    /// transaction ([`count_pairs`]), then the literal Figure 4
-    /// iteration over the delta's tuples (sort on trans_id; merge-scan
-    /// extend; sort on items; count groups) — and the stored level
-    /// advanced by its counts, its prefixes moved to the new `C_{k-1}`.
-    /// The plan is left as planned: a full memory run records it so too.
+    /// transaction ([`count_pairs`]), above it each tuple of the delta's
+    /// `R_{k-1}` extended by every item of its transaction after its last
+    /// one, the join of Section 4.1, counted without building `R'_k` — and
+    /// the stored level advanced by its counts, its prefixes moved to the
+    /// new `C_{k-1}`. The plan is left as planned: a full memory run
+    /// records it so too.
     fn iterate(
         &mut self,
         k: usize,
@@ -425,16 +446,17 @@ impl Operators for Append<'_> {
         min_count: u64,
         _: &RunSpec,
     ) -> Result<Step, Infallible> {
-        let (delta_counts, r_prime) = if k == 2 {
-            (count_pairs(&self.delta_sales), None)
-        } else if self.delta_r_prev.is_empty() {
-            (CountRelation::new(k), None)
+        let delta_counts = if k == 2 {
+            count_pairs(self.delta)
         } else {
-            let r_prev = &mut self.delta_r_prev;
-            r_prev.sort_by_tid_items();
-            let mut r_prime = merge_scan_extend(r_prev, 0..r_prev.n_tuples(), &self.delta_sales);
-            r_prime.sort_by_items();
-            (count_groups(&r_prime), Some(r_prime))
+            let c_prev = &self.levels[k - 3].frequent;
+            let mut keys = Vec::new();
+            for &(s, p) in &self.delta_r_prev {
+                let items = self.delta.transaction(s as usize).1;
+                let start = items.partition_point(|&it| it <= c_prev.pattern_at(p as usize)[k - 2]);
+                keys.extend(items[start..].iter().map(|&ext| u64::from(p) << 32 | u64::from(ext)));
+            }
+            count_keys(keys, k, |p, items| items.extend_from_slice(c_prev.pattern_at(p)))
         };
         let empty = Level::empty(k);
         let old = self.frontier.levels.get(k - 2).unwrap_or(&empty);
@@ -444,8 +466,7 @@ impl Operators for Append<'_> {
             (before, &self.levels[k - 3].frequent)
         });
         let level =
-            old.advance(&delta_counts, prefixes, &self.base, (self.frontier.min_count, min_count));
-        self.delta_r_prime = r_prime;
+            old.advance(delta_counts, prefixes, &self.base, (self.frontier.min_count, min_count));
         // |R_k| is the sum of surviving group counts: each group of count
         // n is n (trans_id, pattern) tuples.
         let step = Step {
@@ -459,14 +480,60 @@ impl Operators for Append<'_> {
         Ok(step)
     }
 
-    /// The delta's `R_k`: its tuples of the patterns now in `C_k`.
+    /// The delta's `R_k`: its tuples of the patterns now in `C_k`. At
+    /// k = 2 each item of a transaction walks the items after it alongside
+    /// the `C_2` patterns that start with it; above, each `R_{k-1}` tuple
+    /// walks the items after its last one alongside the `C_k` patterns
+    /// that extend its own.
     fn carry(&mut self, k: usize, _: &PhysicalPlan, _: &RunSpec) -> Result<(), Infallible> {
         let c_k = &self.levels[k - 2].frequent;
-        self.delta_r_prev = match self.delta_r_prime.take() {
-            Some(r_prime) => filter_supported(&r_prime, c_k),
-            None if k == 2 => supported_pairs(&self.delta_sales, c_k),
-            None => PatternRelation::new(k),
-        };
+        let mut r_k = Vec::new();
+        if k == 2 {
+            // Each first item of `c_k`, with the index its patterns start at.
+            let mut firsts: Vec<(Item, usize)> = Vec::new();
+            for j in 0..c_k.len() {
+                let a = c_k.pattern_at(j)[0];
+                if firsts.last().is_none_or(|&(last, _)| last != a) {
+                    firsts.push((a, j));
+                }
+            }
+            for (s, (_, items)) in self.delta.transactions().enumerate() {
+                for (i, &a) in items.iter().enumerate() {
+                    let Ok(f) = firsts.binary_search_by_key(&a, |&(first, _)| first) else {
+                        continue;
+                    };
+                    let patterns = firsts[f].1..firsts.get(f + 1).map_or(c_k.len(), |&(_, j)| j);
+                    held(c_k, patterns, &items[i + 1..], |j| r_k.push((s as u32, j as u32)));
+                }
+            }
+        } else {
+            let c_prev = &self.levels[k - 3].frequent;
+            // `extending[p]`: the patterns of `c_k` that extend pattern `p`
+            // of `c_prev`, where every prefix of `c_k` is.
+            let mut extending = vec![0..0; c_prev.len()];
+            let mut p = 0;
+            for j in 0..c_k.len() {
+                let prefix = &c_k.pattern_at(j)[..k - 1];
+                while c_prev.pattern_at(p) < prefix {
+                    p += 1;
+                }
+                debug_assert_eq!(c_prev.pattern_at(p), prefix, "a C_k prefix is in C_(k-1)");
+                if extending[p].is_empty() {
+                    extending[p].start = j;
+                }
+                extending[p].end = j + 1;
+            }
+            for &(s, p) in &self.delta_r_prev {
+                let patterns = extending[p as usize].clone();
+                if patterns.is_empty() {
+                    continue;
+                }
+                let items = self.delta.transaction(s as usize).1;
+                let start = items.partition_point(|&it| it <= c_prev.pattern_at(p as usize)[k - 2]);
+                held(c_k, patterns, &items[start..], |j| r_k.push((s, j as u32)));
+            }
+        }
+        self.delta_r_prev = r_k;
         Ok(())
     }
 }
@@ -496,47 +563,68 @@ pub fn concat_datasets(base: &Dataset, delta: &Dataset) -> Dataset {
 }
 
 /// `R'_2`'s group counts over `txns`: every pair of items in a
-/// transaction, packed into one `u64` (first item high), sorted and
-/// counted run by run, which leaves the pairs in pattern order.
-fn count_pairs(txns: &[(TransId, Vec<Item>)]) -> CountRelation {
+/// transaction, the first item as the prefix.
+fn count_pairs(txns: &Dataset) -> CountRelation {
+    let pairs = |n: usize| n * n.saturating_sub(1) / 2;
     let mut keys: Vec<u64> =
-        Vec::with_capacity(txns.iter().map(|(_, t)| t.len() * t.len().saturating_sub(1) / 2).sum());
-    for (_, items) in txns {
+        Vec::with_capacity(txns.transactions().map(|(_, t)| pairs(t.len())).sum());
+    for (_, items) in txns.transactions() {
         for (i, &a) in items.iter().enumerate() {
             keys.extend(items[i + 1..].iter().map(|&b| u64::from(a) << 32 | u64::from(b)));
         }
     }
-    radix_sort(&mut keys);
-    let mut counts = CountRelation::new(2);
-    for run in keys.chunk_by(|x, y| x == y) {
-        counts.push(&[(run[0] >> 32) as Item, run[0] as Item], run.len() as u64);
-    }
-    counts
+    count_keys(keys, 2, |a, items| items.push(a as Item))
 }
 
-/// Sort `keys` by least-significant-digit radix on 11-bit digits,
-/// skipping every digit on which all keys agree (item ids seldom use
-/// all 32 bits).
+/// The group counts of level-k patterns given as keys `p << 32 | item`,
+/// one per tuple: `prefix(p, items)` appends the `(k-1)`-prefix numbered
+/// `p` to `items`, and numbers must ascend with their prefixes. The keys
+/// are sorted and counted run by run, which leaves the patterns in order.
+fn count_keys(
+    mut keys: Vec<u64>,
+    k: usize,
+    prefix: impl Fn(usize, &mut Vec<Item>),
+) -> CountRelation {
+    radix_sort(&mut keys);
+    let patterns = keys.len().min(1) + keys.windows(2).filter(|w| w[0] != w[1]).count();
+    let (mut items, mut counts) = (Vec::with_capacity(k * patterns), Vec::with_capacity(patterns));
+    let mut start = 0;
+    while start < keys.len() {
+        let key = keys[start];
+        let end = start + keys[start..].iter().take_while(|&&next| next == key).count();
+        prefix((key >> 32) as usize, &mut items);
+        items.push(key as Item);
+        counts.push((end - start) as u64);
+        start = end;
+    }
+    CountRelation::from_sorted(k, items, counts)
+}
+
+/// Sort `keys` by least-significant-digit radix, each 32-bit half on
+/// digits of at most 11 bits, skipping every digit on which all keys
+/// agree: a key packs two numbers, one per half, that seldom use all 32
+/// bits.
 fn radix_sort(keys: &mut Vec<u64>) {
-    const BITS: u32 = 11;
-    const MASK: u64 = (1 << BITS) - 1;
+    const DIGITS: [(u32, u32); 6] = [(0, 11), (11, 11), (22, 10), (32, 11), (43, 11), (54, 10)];
     let (any, all) = keys.iter().fold((0u64, !0u64), |(any, all), &key| (any | key, all & key));
-    let mut scratch = vec![0u64; keys.len()];
-    let mut starts = vec![0usize; 1 << BITS];
-    for shift in (0..64).step_by(BITS as usize) {
-        if (any ^ all) >> shift & MASK == 0 {
+    let mut scratch = Vec::new();
+    let mut starts = [0usize; 1 << 11];
+    for (shift, bits) in DIGITS {
+        let mask = (1 << bits) - 1;
+        if (any ^ all) >> shift & mask == 0 {
             continue;
         }
+        scratch.resize(keys.len(), 0);
         starts.fill(0);
         for &key in keys.iter() {
-            starts[(key >> shift & MASK) as usize] += 1;
+            starts[(key >> shift & mask) as usize] += 1;
         }
         let mut at = 0;
         for start in starts.iter_mut() {
             (*start, at) = (at, at + *start);
         }
         for &key in keys.iter() {
-            let digit = (key >> shift & MASK) as usize;
+            let digit = (key >> shift & mask) as usize;
             scratch[starts[digit]] = key;
             starts[digit] += 1;
         }
@@ -544,36 +632,18 @@ fn radix_sort(keys: &mut Vec<u64>) {
     }
 }
 
-/// `R_2` over `txns`: each transaction's pairs that are in `c_2`, in
-/// `(trans_id, items)` order. Item `a` of a transaction walks the items
-/// after it alongside the `c_2` patterns that start with `a`.
-fn supported_pairs(txns: &[(TransId, Vec<Item>)], c_2: &CountRelation) -> PatternRelation {
-    // Each first item of `c_2`, with the index its patterns start at.
-    let mut firsts: Vec<(Item, usize)> = Vec::new();
-    for j in 0..c_2.len() {
-        let a = c_2.pattern_at(j)[0];
-        if firsts.last().is_none_or(|&(last, _)| last != a) {
-            firsts.push((a, j));
+/// `emit(j)` for each of `c_k`'s `patterns` whose last item is in
+/// `items`, ascending: both lists are sorted, so one walk finds them.
+fn held(c_k: &CountRelation, patterns: Range<usize>, items: &[Item], mut emit: impl FnMut(usize)) {
+    let k = c_k.k();
+    let mut rest = items.iter().copied().peekable();
+    for j in patterns {
+        let last = c_k.pattern_at(j)[k - 1];
+        while rest.next_if(|&x| x < last).is_some() {}
+        if rest.next_if_eq(&last).is_some() {
+            emit(j);
         }
     }
-    let mut r_2 = PatternRelation::new(2);
-    for (tid, items) in txns {
-        for (i, &a) in items.iter().enumerate() {
-            let Ok(f) = firsts.binary_search_by_key(&a, |&(first, _)| first) else {
-                continue;
-            };
-            let patterns = firsts[f].1..firsts.get(f + 1).map_or(c_2.len(), |&(_, j)| j);
-            let mut rest = items[i + 1..].iter().copied().peekable();
-            for j in patterns {
-                let b = c_2.pattern_at(j)[1];
-                while rest.next_if(|&x| x < b).is_some() {}
-                if rest.next_if_eq(&b).is_some() {
-                    r_2.push(*tid, &[a, b]);
-                }
-            }
-        }
-    }
-    r_2
 }
 
 /// The summed counts of a relation: `|R|` of the tuples it counts.
@@ -693,62 +763,56 @@ fn keep_with_frequent_prefix(old: &CountRelation, c_prev: &CountRelation) -> Cou
 /// The captured dataset, as the promotion recount scans it.
 struct Base<'a> {
     dataset: &'a Dataset,
-    /// Each transaction's [`signature`], computed by the first recount of
-    /// an append and reused by the recounts of later levels.
-    signatures: OnceCell<Vec<u128>>,
+    /// Each transaction's [`signature`].
+    signatures: &'a [u128],
 }
 
 impl Base<'_> {
     /// Base-side support of every extension of a *promoted* prefix: one
-    /// scan of the base dataset, counting `prefix + item` for each
-    /// transaction containing the prefix and each item beyond its last —
-    /// the same extension rule as the merge-scan join. A count is keyed
-    /// by the prefix's position in `promoted` and the item, so sorting
-    /// the keys puts the patterns in order.
+    /// scan of the base's signatures per prefix, counting `prefix + item`
+    /// for each transaction containing the prefix and each item beyond its
+    /// last — the same extension rule as the merge-scan join. A count is
+    /// keyed by the prefix's position in `promoted` and the item, so
+    /// sorting the keys puts the patterns in order.
     fn recount(&self, promoted: &[Vec<Item>], k: usize) -> CountRelation {
-        let signatures = self.signatures.get_or_init(|| {
-            self.dataset.transactions().map(|(_, items)| signature(items)).collect()
-        });
         let needs: Vec<u128> = promoted.iter().map(|p| signature(p)).collect();
         let mut keys: Vec<u64> = Vec::new();
-        for ((_, items), &held) in self.dataset.transactions().zip(signatures) {
-            for (i, (p, &need)) in promoted.iter().zip(&needs).enumerate() {
-                if need & !held != 0 || !txn_contains(items, p) {
+        for (s, &held) in self.signatures.iter().enumerate() {
+            for (i, &need) in needs.iter().enumerate() {
+                if need & !held != 0 {
                     continue;
                 }
-                let start = items.partition_point(|&it| it <= p[k - 2]);
-                keys.extend(items[start..].iter().map(|&ext| (i as u64) << 32 | u64::from(ext)));
+                let items = self.dataset.transaction(s).1;
+                if let Some(start) = extensions_of(items, &promoted[i]) {
+                    keys.extend(
+                        items[start..].iter().map(|&ext| (i as u64) << 32 | u64::from(ext)),
+                    );
+                }
             }
         }
-        radix_sort(&mut keys);
-        let mut counts = CountRelation::new(k);
-        let mut pattern: Vec<Item> = vec![0; k];
-        for run in keys.chunk_by(|a, b| a == b) {
-            pattern[..k - 1].copy_from_slice(&promoted[(run[0] >> 32) as usize]);
-            pattern[k - 1] = run[0] as u32;
-            counts.push(&pattern, run.len() as u64);
-        }
-        counts
+        count_keys(keys, k, |i, items| items.extend_from_slice(&promoted[i]))
     }
 }
 
-/// One bit of 128 per item, chosen by a multiplicative hash: a set's
+/// Two bits of 128 per item, chosen by a multiplicative hash: a set's
 /// signature covers every subset's, so one mask test rules out most
 /// transactions that cannot contain a pattern before any search.
 fn signature(items: &[Item]) -> u128 {
-    items.iter().fold(0, |sig, &it| sig | 1 << (it.wrapping_mul(0x9E37_79B9) >> 25))
+    items.iter().fold(0, |sig, &it| {
+        let hash = it.wrapping_mul(0x9E37_79B9);
+        sig | 1 << (hash >> 25) | 1 << (hash >> 18 & 127)
+    })
 }
 
-/// Is the sorted `pattern` a subset of the sorted transaction `items`?
-fn txn_contains(items: &[Item], pattern: &[Item]) -> bool {
+/// Where the extensions of the sorted `pattern` start in the sorted
+/// transaction `items` (the position after its last item), if `items`
+/// holds every item of it.
+fn extensions_of(items: &[Item], pattern: &[Item]) -> Option<usize> {
     let mut from = 0usize;
     for &p in pattern {
-        match items[from..].binary_search(&p) {
-            Ok(at) => from += at + 1,
-            Err(_) => return false,
-        }
+        from += items[from..].binary_search(&p).ok()? + 1;
     }
-    true
+    Some(from)
 }
 
 #[cfg(test)]
@@ -910,6 +974,40 @@ mod tests {
         }
     }
 
+    /// The second append promotes {1,2} and recounts its extensions over
+    /// the base and the first append, whose `trans_id`s fall between the
+    /// base's: the stored signatures must follow `trans_id` order, or the
+    /// recount skips transaction 60 and misses {1,2,3}.
+    #[test]
+    fn a_recount_after_an_interleaved_append_finds_every_transaction() {
+        let p = params(MinSupport::Fraction(0.5));
+        let base = Dataset::from_transactions([
+            (10, [1u32, 2, 3].as_slice()),
+            (20, [1, 3].as_slice()),
+            (30, [2, 3].as_slice()),
+            (40, [1, 3].as_slice()),
+            (50, [2, 3].as_slice()),
+            (60, [1, 2, 3, 9].as_slice()),
+        ]);
+        let batches = [
+            Dataset::from_transactions([(15, [5u32].as_slice()), (25, [6].as_slice())]),
+            Dataset::from_transactions((0..4).map(|i| (35 + 10 * i, [1u32, 2, 3].as_slice()))),
+        ];
+        let (_, mut frontier) = MiningFrontier::bootstrap(&base, &p, 1).unwrap();
+        let mut base = base;
+        for delta in &batches {
+            let concat = concat_datasets(&base, delta);
+            let full = Miner::new(p).threads(1).run(&concat).unwrap();
+            let (inc, next) = frontier.apply_delta(&base, delta, 1).unwrap();
+            outcomes_equal(&inc, &full);
+            let expected: Vec<u128> = concat.transactions().map(|(_, t)| signature(t)).collect();
+            assert_eq!(next.signatures, expected, "signatures in trans_id order");
+            frontier = next;
+            base = concat;
+        }
+        assert_eq!(frontier.levels[1].frequent.get(&[1, 2, 3]), Some(6));
+    }
+
     /// Small appends share the level counts of the frontier they advance
     /// from; the appended counts are folded in once they outgrow half of
     /// those. Every step still matches a from-scratch run.
@@ -957,7 +1055,19 @@ mod tests {
 
     #[test]
     fn radix_sort_orders_keys_across_all_64_bits() {
-        let mut keys: Vec<u64> = vec![u64::MAX, 0, 1 << 40, 7, u64::MAX - 1, 1 << 63, 7, 1 << 11];
+        let mut keys: Vec<u64> = vec![
+            u64::MAX,
+            0,
+            1 << 40,
+            7,
+            u64::MAX - 1,
+            1 << 63,
+            7,
+            1 << 11,
+            1 << 32,
+            1 << 31,
+            3 << 31,
+        ];
         let mut expected = keys.clone();
         expected.sort_unstable();
         radix_sort(&mut keys);
