@@ -360,21 +360,17 @@ impl MiningFrontier {
             Ok(result) => result,
             Err(never) => match never {},
         };
-        // `base ∪ delta` is in `trans_id` order. A delta's ids usually come
-        // after the base's; where some fall between, merge by id.
+        // `base ∪ delta` is in `trans_id` order, and a delta's ids may fall
+        // between the base's: merge the signatures by id.
         let mut signatures =
             Vec::with_capacity(self.signatures.len() + delta.n_transactions() as usize);
         let mut appended =
             delta.transactions().map(|(tid, items)| (tid, signature(items))).peekable();
-        if delta.tids().first() > base.tids().last() {
-            signatures.extend_from_slice(&self.signatures);
-        } else {
-            for ((tid, _), &held) in base.transactions().zip(&self.signatures) {
-                while let Some((_, sig)) = appended.next_if(|&(t, _)| t < tid) {
-                    signatures.push(sig);
-                }
-                signatures.push(held);
+        for ((tid, _), &held) in base.transactions().zip(&self.signatures) {
+            while let Some((_, sig)) = appended.next_if(|&(t, _)| t < tid) {
+                signatures.push(sig);
             }
+            signatures.push(held);
         }
         signatures.extend(appended.map(|(_, sig)| sig));
         let next = MiningFrontier {
